@@ -31,12 +31,12 @@ use model::FileModel;
 /// Analyze a single source string (used by the fixture tests). No loom
 /// suite is attached, so the model-drift check does not run here.
 pub fn analyze_source(path: &str, src: &str) -> Vec<Finding> {
-    rules::run_all(&[FileModel::build(path, src)], None)
+    rules::run_all(&[FileModel::build(path, src)], &[])
 }
 
 /// Analyze a set of files together (cross-file rules see all of them).
-/// When the workspace's loom suite exists under `root`, the protocol
-/// spec table is cross-validated against it.
+/// The protocol spec table is cross-validated against whichever of the
+/// workspace's loom suites exist under `root`.
 pub fn analyze_files(root: &Path, paths: &[PathBuf]) -> Vec<Finding> {
     let mut models = Vec::new();
     for p in paths {
@@ -48,16 +48,17 @@ pub fn analyze_files(root: &Path, paths: &[PathBuf]) -> Vec<Finding> {
             .replace('\\', "/");
         models.push(FileModel::build(&rel, &src));
     }
-    let loom_path = root.join(LOOM_SUITE);
-    let loom = std::fs::read_to_string(&loom_path)
-        .ok()
-        .map(|src| FileModel::build(LOOM_SUITE, &src));
-    rules::run_all(&models, loom.as_ref())
+    let mut suites: Vec<FileModel> = Vec::new();
+    for mr in protocol::MODELS {
+        if suites.iter().any(|s| s.path == mr.suite) {
+            continue;
+        }
+        if let Ok(src) = std::fs::read_to_string(root.join(mr.suite)) {
+            suites.push(FileModel::build(mr.suite, &src));
+        }
+    }
+    rules::run_all(&models, &suites)
 }
-
-/// Workspace-relative path of the loom interleaving suite the protocol
-/// table cross-references.
-pub const LOOM_SUITE: &str = "crates/uintr/tests/loom.rs";
 
 /// Analyze every production source file in the workspace rooted at
 /// `root`: `crates/*/src/**/*.rs`. Fixture files, `vendor/`, and the

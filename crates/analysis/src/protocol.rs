@@ -1,6 +1,6 @@
 //! Declarative atomic-protocol specifications.
 //!
-//! The engine's lock-free handoffs are five small protocols; each has an
+//! The engine's lock-free handoffs are seven small protocols; each has an
 //! exact ordering contract per (field, op) and a loom model that
 //! explores its interleavings. v1 enforced a *deny*-list (specific bad
 //! orderings); this table is an *allow*-list with coverage: every atomic
@@ -35,15 +35,22 @@ pub struct SpecRow {
     pub why: &'static str,
 }
 
-/// A protocol's loom model: the test fn that must exist in the loom
+/// A protocol's loom model: the test fn that must exist in its loom
 /// suite and the identifiers its body must still mention.
 pub struct ModelRef {
     pub protocol: &'static str,
+    /// Workspace-relative path of the suite holding the model.
+    pub suite: &'static str,
     pub model_fn: &'static str,
     pub idents: &'static [&'static str],
 }
 
-/// The five protocols (DESIGN.md §12–§13). Governed fields are closed per
+/// The scheduler-side suite (UPID, watchdog, lifecycle, steal deque).
+pub const SCHED_SUITE: &str = "crates/uintr/tests/loom.rs";
+/// The storage-side suite (version chains, reclamation, directory).
+pub const MVCC_SUITE: &str = "crates/mvcc/src/loom_tests.rs";
+
+/// The seven protocols (DESIGN.md §2.2, §12–§13). Governed fields are closed per
 /// file: any ordering-bearing atomic op on a listed field that has no
 /// row here is flagged until the table is extended.
 pub const SPEC: &[SpecRow] = &[
@@ -280,45 +287,158 @@ pub const SPEC: &[SpecRow] = &[
         allow: &["Acquire"],
         why: "taking a claimed slot must observe the producer's request writes",
     },
+    // ── MVCC version chains: latch-free readers (DESIGN.md §2.2) ─────
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "head",
+        op: "load",
+        allow: &["SeqCst", "Relaxed"],
+        why: "a reader's walk must be ordered after any unlink its snapshot \
+              follows (the reclamation argument runs through one total \
+              order); Relaxed only under the write latch, where the chain \
+              is frozen",
+    },
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "head",
+        op: "store",
+        allow: &["Release", "SeqCst"],
+        why: "install publishes the version's header and payload (Release); \
+              an unlink must precede the limbo stamp's clock read (SeqCst)",
+    },
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "next",
+        op: "load",
+        allow: &["SeqCst", "Relaxed"],
+        why: "as for `head`: SeqCst on the reader's walk, Relaxed under the \
+              write latch or on an exclusively owned run",
+    },
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "next",
+        op: "store",
+        allow: &["Relaxed", "SeqCst"],
+        why: "linking an unpublished version is ordered by the head store \
+              that publishes it (Relaxed); a trim's cut is an unlink (SeqCst)",
+    },
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "begin",
+        op: "load",
+        allow: &["Acquire"],
+        why: "seeing a commit stamp (or a committing mark) must also see \
+              what its writer did before storing it",
+    },
+    SpecRow {
+        protocol: "version-chain",
+        file: "version.rs",
+        field: "begin",
+        op: "store",
+        allow: &["Release"],
+        why: "the committing mark is ordered before the SeqCst timestamp \
+              draw that follows it; the stamp publishes the commit",
+    },
+    // ── Table segment directory: install-once pointers ───────────────
+    SpecRow {
+        protocol: "segment-directory",
+        file: "table.rs",
+        field: "slot",
+        op: "load",
+        allow: &["Acquire", "Relaxed"],
+        why: "a lookup must see the initialized block or segment behind a \
+              published pointer; Relaxed only in `Drop`, with `&mut self`",
+    },
+    SpecRow {
+        protocol: "segment-directory",
+        file: "table.rs",
+        field: "slot",
+        op: "compare_exchange",
+        allow: &["AcqRel", "Acquire"],
+        why: "the winner publishes its initialized slice; the loser must \
+              see the winner's",
+    },
 ];
 
 /// Every protocol must keep a live loom model. `idents` are searched in
 /// the model fn's body tokens.
 pub const MODELS: &[ModelRef] = &[
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "upid-pending",
         model_fn: "pending_bit_post_is_never_lost",
         idents: &["post", "take_pending"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "upid-pending",
         model_fn: "repost_preserves_vectors_under_concurrency",
         idents: &["repost"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "watchdog-epoch-ack",
         model_fn: "epoch_ack_watchdog_has_no_lost_wakeup_or_double_execution",
         idents: &["epoch", "ack", "pending"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "degraded",
         model_fn: "degraded_entry_publishes_wake_fallback",
         idents: &["degraded"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "terminate-exited",
         model_fn: "terminate_exit_flag_gates_orphan_sweep",
         idents: &["terminated", "exited", "sweep"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_no_lost_or_duplicated_requests",
         idents: &["state", "slot", "steal"],
     },
     ModelRef {
+        suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_slot_reuse_pairs_handoffs",
         idents: &["seq", "steal", "push"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "version-chain",
+        model_fn: "reader_vs_install_and_commit",
+        idents: &["read", "update", "commit"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "version-chain",
+        model_fn: "reader_vs_abort",
+        idents: &["read", "abort", "reclaim"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "version-chain",
+        model_fn: "readers_vs_trim_retire_and_reclaim",
+        idents: &["read", "trim", "retire", "reclaim"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "version-chain",
+        model_fn: "explorer_catches_free_at_unlink",
+        idents: &["unlink_pending", "free"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "segment-directory",
+        model_fn: "racing_creators_share_one_directory",
+        idents: &["create_record", "record"],
     },
 ];
 
@@ -416,10 +536,15 @@ fn orderings_at_depth1(m: &FileModel, open: usize) -> Vec<&str> {
     out
 }
 
-/// Cross-validate the spec table against the loom suite: every protocol's
-/// model fn must exist and still mention its protocol identifiers.
-pub fn check_models(loom: &FileModel, out: &mut Vec<Finding>) {
+/// Cross-validate the spec table against the loom suites: every
+/// protocol's model fn must exist in its suite and still mention its
+/// protocol identifiers. A suite that is not among `suites` (a partial
+/// tree) is not checked.
+pub fn check_models(suites: &[FileModel], out: &mut Vec<Finding>) {
     for mr in MODELS {
+        let Some(loom) = suites.iter().find(|s| s.path == mr.suite) else {
+            continue;
+        };
         let Some(f) = loom.fns.iter().find(|f| f.name == mr.model_fn) else {
             out.push(Finding {
                 file: loom.path.clone(),
@@ -516,13 +641,30 @@ mod tests {
     }
 
     #[test]
+    fn version_chain_reader_must_not_weaken_its_walk() {
+        let f = run(
+            "crates/mvcc/src/version.rs",
+            "fn walk(r: &R) { let v = r.head.load(Ordering::Acquire); v.next.load(Ordering::SeqCst); }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert!(f[0].msg.contains("version-chain"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn a_suite_outside_the_tree_is_not_checked() {
+        let mut out = Vec::new();
+        check_models(&[], &mut out);
+        assert!(out.is_empty(), "{out:#?}");
+    }
+
+    #[test]
     fn missing_model_is_drift() {
         let loom = FileModel::build(
-            "crates/uintr/tests/loom.rs",
+            SCHED_SUITE,
             "fn pending_bit_post_is_never_lost() { post(); take_pending(); }\n",
         );
         let mut out = Vec::new();
-        check_models(&loom, &mut out);
+        check_models(&[loom], &mut out);
         assert!(
             out.iter().any(|f| f.rule == "protocol-model-drift"
                 && f.msg.contains("terminate_exit_flag_gates_orphan_sweep")),
@@ -533,11 +675,11 @@ mod tests {
     #[test]
     fn hollowed_out_model_is_drift() {
         let loom = FileModel::build(
-            "crates/uintr/tests/loom.rs",
+            SCHED_SUITE,
             "fn degraded_entry_publishes_wake_fallback() { let x = 1; }\n",
         );
         let mut out = Vec::new();
-        check_models(&loom, &mut out);
+        check_models(&[loom], &mut out);
         assert!(
             out.iter().any(|f| f.rule == "protocol-model-drift"
                 && f.msg.contains("degraded_entry_publishes_wake_fallback")
@@ -547,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_covers_all_five_protocols_with_models() {
+    fn spec_covers_all_seven_protocols_with_models() {
         use std::collections::HashSet;
         let spec: HashSet<&str> = SPEC.iter().map(|r| r.protocol).collect();
         let modeled: HashSet<&str> = MODELS.iter().map(|m| m.protocol).collect();
@@ -557,6 +699,8 @@ mod tests {
             "degraded",
             "terminate-exited",
             "shard-deque",
+            "version-chain",
+            "segment-directory",
         ] {
             assert!(spec.contains(p), "protocol {p} has no spec rows");
             assert!(modeled.contains(p), "protocol {p} has no loom model");

@@ -88,9 +88,9 @@ const BLOCK_CALLS: &[&str] = &["sleep", "park", "park_timeout", "recv", "join", 
 
 /// Run every rule over a set of file models and return the findings that
 /// survive `allow` suppressions (plus findings for reason-less allows).
-/// `loom` is the loom test suite's model when available (workspace runs);
-/// without it the protocol/model drift check is skipped.
-pub fn run_all(models: &[FileModel], loom: Option<&FileModel>) -> Vec<Finding> {
+/// `suites` are the loom test suites found in the tree (workspace runs);
+/// protocols whose suite is not among them skip the model drift check.
+pub fn run_all(models: &[FileModel], suites: &[FileModel]) -> Vec<Finding> {
     let syms = Symbols::build(models);
     let graph = CallGraph::build(models, &syms);
 
@@ -101,9 +101,7 @@ pub fn run_all(models: &[FileModel], loom: Option<&FileModel>) -> Vec<Finding> {
     regions::check(models, &syms, &graph, &mut out);
     lockorder::check(models, &syms, &mut out);
     protocol::check_orderings(models, &mut out);
-    if let Some(loom) = loom {
-        protocol::check_models(loom, &mut out);
-    }
+    protocol::check_models(suites, &mut out);
     check_handler_reachability(models, &syms, &graph, &mut out);
     apply_allows(models, &mut out);
     out.sort();

@@ -189,7 +189,7 @@ fn check(r: &RunResult) -> Vec<String> {
     );
 
     // 5. High-class latency SLO under mixed load.
-    let p99 = r.high.rtt_us(0.99);
+    let p99 = r.high.rtt_us(99.0);
     fail(
         p99 > 0.0 && p99 < HIGH_P99_SLO_US,
         format!("high-class client p99 {p99:.0} us outside (0, {HIGH_P99_SLO_US:.0}) us"),
@@ -216,10 +216,10 @@ fn class_json(name: &str, conns: usize, g: &GenReport, freq_hz: u64) -> String {
         g.failed,
         g.panicked,
         g.rejected,
-        g.rtt_us(0.50),
-        g.rtt_us(0.99),
-        to_us(g.server_latency.percentile(0.50)),
-        to_us(g.server_latency.percentile(0.99)),
+        g.rtt_us(50.0),
+        g.rtt_us(99.0),
+        to_us(g.server_latency.percentile(50.0)),
+        to_us(g.server_latency.percentile(99.0)),
     )
 }
 
@@ -246,8 +246,8 @@ fn print_summary(r: &RunResult) {
             g.completed,
             g.ok,
             g.rejected,
-            g.rtt_us(0.50),
-            g.rtt_us(0.99),
+            g.rtt_us(50.0),
+            g.rtt_us(99.0),
         );
     }
     println!(
@@ -277,7 +277,7 @@ fn run_external(addr: &str) -> ExitCode {
         report.ok,
         report.rejected,
         report.errors,
-        report.rtt_us(0.99),
+        report.rtt_us(99.0),
     );
     if report.errors == 0 && report.completed > 0 && report.ok > 0 {
         println!("server_bench: external smoke passed");

@@ -67,7 +67,7 @@ pub use preempt_sim::SimConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use preempt_sched::{worker_main, WorkerShared};
+use preempt_sched::{worker_main, WakeTarget, WorkerShared};
 use preempt_uintr::UipiSender;
 
 /// Application-facing priority of submitted work.
@@ -135,8 +135,22 @@ fn num_cpus_fallback() -> usize {
 pub struct Database {
     engine: Engine,
     workers: Vec<Arc<WorkerShared>>,
+    /// `routes[i]` reaches `workers[i]`'s first incarnation.
+    routes: Vec<Route>,
     handles: Vec<std::thread::JoinHandle<()>>,
     rr: AtomicUsize,
+}
+
+/// How `submit` reaches a worker: its interrupt descriptor and wake
+/// target, captured once at `open` so the per-request path neither takes
+/// the two `WorkerShared` mutexes nor bumps the reference counts behind
+/// them (lines the worker itself is busy on). Valid while the worker's
+/// incarnation is the one captured; a respawned worker publishes fresh
+/// ones, and `submit` falls back to reading them under the locks.
+struct Route {
+    incarnation: u64,
+    high: UipiSender,
+    wake: WakeTarget,
 }
 
 impl Database {
@@ -157,15 +171,25 @@ impl Database {
             );
             workers.push(shared);
         }
-        // Wait for workers to publish their user-interrupt descriptors.
-        for w in &workers {
-            while w.upid().is_none() {
+        // Wait for workers to publish their user-interrupt descriptors
+        // (each sets its wake target first).
+        let routes = workers
+            .iter()
+            .map(|w| loop {
+                if let (Some(upid), Some(wake)) = (w.upid(), w.wake_target()) {
+                    break Route {
+                        incarnation: w.incarnation(),
+                        high: UipiSender::new(upid, Priority::High.level()),
+                        wake,
+                    };
+                }
                 std::thread::yield_now();
-            }
-        }
+            })
+            .collect();
         Database {
             engine,
             workers,
+            routes,
             handles,
             rr: AtomicUsize::new(0),
         }
@@ -228,12 +252,20 @@ impl Database {
                 let w = &self.workers[i];
                 match w.queues[level].push(req) {
                     Ok(()) => {
-                        if priority == Priority::High {
-                            if let Some(upid) = self.workers[i].upid() {
-                                UipiSender::new(upid, priority.level()).send();
+                        let route = &self.routes[i];
+                        if w.incarnation() == route.incarnation {
+                            if priority == Priority::High {
+                                route.high.send();
                             }
+                            route.wake.wake();
+                        } else {
+                            if priority == Priority::High {
+                                if let Some(upid) = w.upid() {
+                                    UipiSender::new(upid, priority.level()).send();
+                                }
+                            }
+                            w.wake();
                         }
-                        w.wake();
                         return;
                     }
                     Err(back) => req = back,

@@ -40,13 +40,18 @@ pub mod engine;
 pub mod error;
 pub mod index;
 pub mod latch;
+mod limbo;
 pub mod log;
 pub mod orphan;
 pub mod recovery;
 pub mod registry;
+mod sync;
 pub mod table;
 pub mod txn;
 pub mod version;
+
+#[cfg(all(test, loom))]
+mod loom_tests;
 
 pub use engine::{Engine, EngineConfig, EngineStats};
 pub use error::{TxError, TxResult};
@@ -56,7 +61,7 @@ pub use orphan::{clear_current_owner, current_owner, set_current_owner, OrphanSw
 pub use recovery::{replay_chunks, ReplayStats};
 pub use table::{Table, TableId};
 pub use txn::{IsolationLevel, Transaction};
-pub use version::{Oid, Payload, Record, Timestamp};
+pub use version::{Oid, Record, Row, Timestamp};
 
 #[cfg(test)]
 mod tests {
@@ -350,7 +355,7 @@ mod tests {
         let b = setup.insert(&t, &100i64.to_le_bytes()).unwrap();
         setup.commit().unwrap();
 
-        let decode = |p: Payload| i64::from_le_bytes(p.as_ref().try_into().unwrap());
+        let decode = |p: Row| i64::from_le_bytes(p.as_ref().try_into().unwrap());
 
         let e2 = e.clone();
         let t2 = t.clone();

@@ -12,11 +12,12 @@
 //! `[txid:8][table:4][oid:8][len:4][payload:len]`, with a commit marker
 //! `[txid:8][0xFFFF_FFFF:4][commit_ts:8][0:4]` sealing each flushed chunk.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use parking_lot::Mutex;
 use preempt_context::cls::ClsCell;
 
+use crate::sync::Striped;
 use crate::table::TableId;
 use crate::version::{Oid, Timestamp};
 
@@ -81,12 +82,15 @@ pub fn flush_commit(manager: &LogManager, txid: u64, commit_ts: Timestamp) -> us
     })
 }
 
+const BYTES: usize = 0;
+const FLUSHES: usize = 1;
+
 /// The shared, durable end of the log. In-memory (the paper places all
 /// data in memory and studies scheduling, not recovery); optionally
 /// captures flushed chunks for inspection by tests.
 pub struct LogManager {
-    bytes: AtomicU64,
-    flushes: AtomicU64,
+    /// `[bytes, flushes]`, striped per thread: every commit bumps both.
+    totals: Striped<2>,
     capture: bool,
     captured: Mutex<Vec<Vec<u8>>>,
 }
@@ -94,16 +98,16 @@ pub struct LogManager {
 impl LogManager {
     pub fn new(capture: bool) -> LogManager {
         LogManager {
-            bytes: AtomicU64::new(0),
-            flushes: AtomicU64::new(0),
+            totals: Striped::new(),
             capture,
             captured: Mutex::new(Vec::new()),
         }
     }
 
     fn ingest(&self, chunk: &[u8]) {
-        self.bytes.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
+        let totals = self.totals.local();
+        totals[BYTES].fetch_add(chunk.len() as u64, Ordering::Relaxed);
+        totals[FLUSHES].fetch_add(1, Ordering::Relaxed);
         if self.capture {
             self.captured.lock().push(chunk.to_vec());
         }
@@ -111,12 +115,12 @@ impl LogManager {
 
     /// Total bytes flushed.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.totals.sum(BYTES)
     }
 
     /// Total commit flushes.
     pub fn flushes(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
+        self.totals.sum(FLUSHES)
     }
 
     /// Captured chunks (empty unless constructed with `capture = true`).

@@ -23,7 +23,7 @@ use crate::engine::Engine;
 use crate::index::HashIndex;
 use crate::log::{parse_chunk, ParsedEntry, COMMIT_MARKER};
 use crate::table::{Table, TableId};
-use crate::version::{payload, Payload, Timestamp};
+use crate::version::Timestamp;
 
 /// Summary of a replay.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -76,11 +76,7 @@ pub fn replay_chunks(engine: &Engine, chunks: &[Vec<u8>]) -> Result<ReplayStats,
                 .table_by_id(TableId(e.table))
                 .ok_or_else(|| format!("unknown table id {} in log", e.table))?;
             let rec = table.ensure_oid(e.oid);
-            let data: Option<Payload> = if e.tombstone {
-                None
-            } else {
-                Some(payload(&e.payload))
-            };
+            let data = (!e.tombstone).then_some(e.payload.as_slice());
             let version = {
                 let _np = preempt_context::nonpreempt::NonPreemptGuard::enter();
                 // Replay applies committed history in timestamp order:
@@ -177,10 +173,12 @@ mod tests {
         // A time-travel read at ts1 sees v1 (versions carry original
         // timestamps).
         let rec = t2.record(oid).unwrap();
-        let vis = rec.visible(ts1, 0);
-        assert_eq!(vis.data.unwrap().as_ref(), b"v1");
-        let vis = rec.visible(u64::MAX, 0);
-        assert_eq!(vis.data.unwrap().as_ref(), b"v2");
+        // SAFETY: single-threaded; nothing unlinks or reclaims.
+        let vis = unsafe { rec.visible(ts1, 0) };
+        assert_eq!(vis.data.unwrap(), b"v1");
+        // SAFETY: as above.
+        let vis = unsafe { rec.visible(u64::MAX, 0) };
+        assert_eq!(vis.data.unwrap(), b"v2");
     }
 
     #[test]

@@ -2,80 +2,111 @@
 //!
 //! Memory-optimized MVCC engines reclaim versions no active snapshot can
 //! see (§2.2). This registry tracks the begin timestamps of in-flight
-//! transactions in a fixed array of atomic slots (one CAS to enter, one
-//! store to leave — no locks on the transaction critical path) and
-//! computes the minimum as the GC watermark.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! transactions in a fixed array of slots (one CAS to enter, one store to
+//! leave — no locks on the transaction critical path) and computes the
+//! minimum as the GC watermark. The same watermark gates the limbo
+//! ([`crate::limbo`]): the registry is the engine's reclamation epoch.
+//!
+//! A slot is one cache line holding `{ts, owner, txid}`, and each thread
+//! starts probing at its own offset, so concurrent `begin`s on different
+//! threads never write the same line.
 
 use crate::orphan;
+use crate::sync::{stripe_index, AtomicU64, AtomicUsize, Ordering, STRIPES};
 use crate::version::Timestamp;
 
 /// Maximum simultaneously active transactions (workers × contexts is far
-/// below this in every configuration the paper evaluates).
-pub const MAX_ACTIVE: usize = 512;
+/// below this in every configuration the paper evaluates). Model-checked
+/// builds shrink it so a watermark scan is a handful of steps.
+pub const MAX_ACTIVE: usize = if cfg!(loom) { 3 } else { 512 };
 
-/// Slot value 0 = free; otherwise `begin_ts + 1` (so ts 0 is storable).
+/// Slots reserved per thread stripe by the starting hint: a worker's
+/// contexts land next to each other, and because thread numbers wrap at
+/// [`STRIPES`] the claimed prefix — all a scan walks — stays short however
+/// many threads come and go.
+const HINT_STRIDE: usize = 8;
+const _: () = assert!(cfg!(loom) || STRIPES * HINT_STRIDE <= MAX_ACTIVE);
+
+#[repr(align(64))]
+#[derive(Default)]
+struct Slot {
+    /// 0 = free; otherwise `begin_ts + 1` (so ts 0 is storable).
+    ts: AtomicU64,
+    /// Owner tag (worker id + 1, 0 = untagged), mirrored from the
+    /// context-local tag at `enter` so a supervisor can free a dead
+    /// worker's slots centrally.
+    owner: AtomicU64,
+    /// Transaction id (0 = unset), letting the orphan sweep unlink the
+    /// dead owner's pending versions by txid.
+    txid: AtomicU64,
+}
+
 pub struct ActiveTxns {
-    slots: Box<[AtomicU64]>,
-    /// Owner tag (worker id + 1, 0 = untagged) of each occupied slot,
-    /// mirrored from the context-local tag at `enter` so a supervisor
-    /// can free a dead worker's slots centrally.
-    owners: Box<[AtomicU64]>,
-    /// Transaction id registered in each occupied slot (0 = unset),
-    /// letting the orphan sweep unlink the dead owner's pending
-    /// versions by txid.
-    txids: Box<[AtomicU64]>,
+    slots: Box<[Slot]>,
+    /// One past the highest slot index ever claimed; scans stop here. It
+    /// is raised *before* the claiming CAS, so a scan that reads it too
+    /// low precedes that CAS and may ignore the claimant like any other
+    /// transaction that begins behind the scan.
+    high: AtomicUsize,
 }
 
 impl ActiveTxns {
     pub fn new() -> ActiveTxns {
         ActiveTxns {
-            slots: (0..MAX_ACTIVE).map(|_| AtomicU64::new(0)).collect(),
-            owners: (0..MAX_ACTIVE).map(|_| AtomicU64::new(0)).collect(),
-            txids: (0..MAX_ACTIVE).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..MAX_ACTIVE).map(|_| Slot::default()).collect(),
+            high: AtomicUsize::new(0),
         }
     }
 
     /// Registers an active transaction; the guard unregisters on drop.
     pub fn enter(&self, begin_ts: Timestamp) -> ActiveSlot<'_> {
         let encoded = begin_ts + 1;
-        // Start probing at a per-thread offset to spread contention.
         let start = slot_hint();
         for i in 0..MAX_ACTIVE {
             let idx = (start + i) % MAX_ACTIVE;
-            if self.slots[idx]
+            let slot = &self.slots[idx];
+            // Cheap pre-check keeps the probe from writing lines that
+            // other transactions own.
+            if slot.ts.load(Ordering::Relaxed) != 0 {
+                continue;
+            }
+            // SeqCst load: reading a raised mark orders its raise, and so
+            // any scan that missed it, before the CAS below.
+            if idx >= self.high.load(Ordering::SeqCst) {
+                self.high.fetch_max(idx + 1, Ordering::SeqCst);
+            }
+            if slot
+                .ts
                 .compare_exchange(0, encoded, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                self.owners[idx].store(orphan::current_owner_tag(), Ordering::Relaxed);
-                self.txids[idx].store(0, Ordering::Relaxed);
+                slot.owner.store(orphan::current_owner_tag(), Ordering::Relaxed);
+                slot.txid.store(0, Ordering::Relaxed);
                 set_slot_hint(idx);
-                return ActiveSlot {
-                    registry: self,
-                    idx,
-                };
+                return ActiveSlot { slot };
             }
         }
         panic!("more than {MAX_ACTIVE} concurrently active transactions");
     }
 
+    fn scanned(&self) -> &[Slot] {
+        &self.slots[..self.high.load(Ordering::SeqCst)]
+    }
+
+    fn owned_by(&self, owner: u64) -> impl Iterator<Item = &Slot> {
+        let tag = owner + 1;
+        self.scanned().iter().filter(move |s| {
+            s.owner.load(Ordering::Acquire) == tag && s.ts.load(Ordering::SeqCst) != 0
+        })
+    }
+
     /// Transaction ids of `owner`'s in-flight transactions (the orphan
     /// candidates once the owner is declared dead).
     pub fn orphan_txids(&self, owner: u64) -> Vec<u64> {
-        let tag = owner + 1;
-        let mut out = Vec::new();
-        for idx in 0..MAX_ACTIVE {
-            if self.owners[idx].load(Ordering::Acquire) == tag
-                && self.slots[idx].load(Ordering::SeqCst) != 0
-            {
-                let txid = self.txids[idx].load(Ordering::Acquire);
-                if txid != 0 {
-                    out.push(txid);
-                }
-            }
-        }
-        out
+        self.owned_by(owner)
+            .map(|s| s.txid.load(Ordering::Acquire))
+            .filter(|&txid| txid != 0)
+            .collect()
     }
 
     /// Frees every slot tagged with `owner`, returning how many were
@@ -83,44 +114,28 @@ impl ActiveTxns {
     /// abandoned `ActiveSlot` guards must never drop); see
     /// [`crate::orphan`] for the safety argument.
     pub fn force_release_owner(&self, owner: u64) -> usize {
-        let tag = owner + 1;
-        let mut released = 0;
-        for idx in 0..MAX_ACTIVE {
-            if self.owners[idx].load(Ordering::Acquire) == tag
-                && self.slots[idx].load(Ordering::SeqCst) != 0
-            {
-                self.txids[idx].store(0, Ordering::Relaxed);
-                self.owners[idx].store(0, Ordering::Relaxed);
-                self.slots[idx].store(0, Ordering::SeqCst);
-                released += 1;
-            }
-        }
-        released
+        self.owned_by(owner)
+            .map(|s| s.release(Ordering::SeqCst))
+            .count()
     }
 
     /// Oldest active begin timestamp, or `fallback` when none are active.
     /// Versions committed at or before this are the newest any snapshot
     /// can require; older ones may be trimmed.
     pub fn watermark(&self, fallback: Timestamp) -> Timestamp {
-        let mut min = u64::MAX;
-        for s in self.slots.iter() {
-            let v = s.load(Ordering::SeqCst);
-            if v != 0 {
-                min = min.min(v - 1);
-            }
-        }
-        if min == u64::MAX {
-            fallback
-        } else {
-            min
-        }
+        self.scanned()
+            .iter()
+            .map(|s| s.ts.load(Ordering::SeqCst))
+            .filter(|&v| v != 0)
+            .min()
+            .map_or(fallback, |v| v - 1)
     }
 
     /// Number of currently active transactions (diagnostics).
     pub fn active_count(&self) -> usize {
-        self.slots
+        self.scanned()
             .iter()
-            .filter(|s| s.load(Ordering::Relaxed) != 0)
+            .filter(|s| s.ts.load(Ordering::Relaxed) != 0)
             .count()
     }
 }
@@ -131,8 +146,24 @@ impl Default for ActiveTxns {
     }
 }
 
+impl Slot {
+    fn release(&self, order: Ordering) {
+        self.txid.store(0, Ordering::Relaxed);
+        self.owner.store(0, Ordering::Relaxed);
+        self.ts.store(0, order);
+    }
+}
+
 thread_local! {
-    static SLOT_HINT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Where this thread's next `enter` starts probing: its own stride of
+    /// slots at first, then wherever it last found room. (Model-checked
+    /// builds start at 0: thread numbers differ from one explored
+    /// execution to the next, and a model must replay exactly.)
+    static SLOT_HINT: std::cell::Cell<usize> = std::cell::Cell::new(if cfg!(loom) {
+        0
+    } else {
+        stripe_index() * HINT_STRIDE
+    });
 }
 
 fn slot_hint() -> usize {
@@ -145,8 +176,7 @@ fn set_slot_hint(idx: usize) {
 
 /// RAII registration of an active transaction.
 pub struct ActiveSlot<'r> {
-    registry: &'r ActiveTxns,
-    idx: usize,
+    slot: &'r Slot,
 }
 
 impl ActiveSlot<'_> {
@@ -154,22 +184,25 @@ impl ActiveSlot<'_> {
     /// which registers a provisional ts-0 slot *before* reading the
     /// snapshot timestamp (pinning the watermark at 0 for the window) and
     /// publishes the real snapshot here once it is known.
+    ///
+    /// `Release` is enough: the `SeqCst` CAS in `enter` is what orders this
+    /// transaction against scans, and a scan that does not see this store
+    /// yet reads the provisional 0 — a lower watermark, which only trims
+    /// and reclaims less.
     pub fn publish(&self, begin_ts: Timestamp) {
-        self.registry.slots[self.idx].store(begin_ts + 1, Ordering::SeqCst);
+        self.slot.ts.store(begin_ts + 1, Ordering::Release);
     }
 
     /// Records the transaction id occupying this slot, so the orphan
     /// sweep can unlink its pending versions if the owner dies.
     pub fn set_txid(&self, txid: u64) {
-        self.registry.txids[self.idx].store(txid, Ordering::Release);
+        self.slot.txid.store(txid, Ordering::Release);
     }
 }
 
 impl Drop for ActiveSlot<'_> {
     fn drop(&mut self) {
-        self.registry.txids[self.idx].store(0, Ordering::Relaxed);
-        self.registry.owners[self.idx].store(0, Ordering::Relaxed);
-        self.registry.slots[self.idx].store(0, Ordering::Release);
+        self.slot.release(Ordering::Release);
     }
 }
 

@@ -12,17 +12,18 @@
 
 use std::sync::Arc;
 
+use preempt_context::cls::ClsCell;
 use preempt_context::nonpreempt::NonPreemptGuard;
 use preempt_context::runtime::preempt_point;
 
 use crate::costs;
-use crate::engine::Engine;
+use crate::engine::{stat, Engine};
 use crate::error::{TxError, TxResult};
 use crate::index::{HashIndex, OrderedIndex};
 use crate::log;
 use crate::registry::ActiveSlot;
 use crate::table::Table;
-use crate::version::{payload, Oid, Payload, Record, Timestamp, Version};
+use crate::version::{Oid, Record, Row, Timestamp, Version};
 
 /// Supported isolation levels (§2.2: snapshot isolation is the common
 /// case; read committed reads the newest committed version; serializable
@@ -42,15 +43,15 @@ enum TxnState {
     Aborted,
 }
 
+/// One installed write. Both pointers aim into a table of this
+/// transaction's engine (checked by `own`), which the engine's catalog
+/// keeps alive for as long as the engine, and hence the `&'e Engine`
+/// borrow, lasts; the version is this transaction's own pending one,
+/// which only it (or the orphan sweep, once it is dead) unlinks.
+#[derive(Clone, Copy)]
 struct WriteEntry {
-    table: Arc<Table>,
-    oid: Oid,
-    record: Arc<Record>,
-    version: Arc<Version>,
-}
-
-struct ReadEntry {
-    record: Arc<Record>,
+    record: *const Record,
+    version: *const Version,
 }
 
 enum IndexUndo {
@@ -60,6 +61,22 @@ enum IndexUndo {
     ReinsertOrdered { index: Arc<OrderedIndex>, key: u64, oid: Oid },
 }
 
+/// The growable sets a transaction accumulates. A finished transaction
+/// parks them, emptied but with their capacity, in context-local storage
+/// for the context's next transaction, so steady-state transactions do
+/// not allocate for bookkeeping. (Context-local, not thread-local: a
+/// preempted transaction and the one preempting it share a thread.)
+#[derive(Default)]
+struct Scratch {
+    writes: Vec<WriteEntry>,
+    /// Serializable read set (see [`WriteEntry`] for why the pointers
+    /// stay valid).
+    reads: Vec<*const Record>,
+    index_undos: Vec<IndexUndo>,
+}
+
+static SCRATCH_POOL: ClsCell<Scratch> = ClsCell::new(Scratch::default);
+
 /// An in-flight transaction. Aborts automatically if dropped while
 /// active.
 pub struct Transaction<'e> {
@@ -68,9 +85,16 @@ pub struct Transaction<'e> {
     begin_ts: Timestamp,
     iso: IsolationLevel,
     state: TxnState,
-    writes: Vec<WriteEntry>,
-    reads: Vec<ReadEntry>,
-    index_undos: Vec<IndexUndo>,
+    scratch: Scratch,
+    /// Whether `scratch` came from (and goes back to) the pool; taken on
+    /// first use so read-only transactions never touch it.
+    pooled: bool,
+    /// Reads and writes so far, added to the engine's statistics when the
+    /// transaction ends.
+    reads_done: u64,
+    writes_done: u64,
+    /// Registry minimum scanned by this transaction if it is a trimmer.
+    trim_watermark: Option<Timestamp>,
     _slot: ActiveSlot<'e>,
 }
 
@@ -89,9 +113,11 @@ impl<'e> Transaction<'e> {
             begin_ts,
             iso,
             state: TxnState::Active,
-            writes: Vec::new(),
-            reads: Vec::new(),
-            index_undos: Vec::new(),
+            scratch: Scratch::default(),
+            pooled: false,
+            reads_done: 0,
+            writes_done: 0,
+            trim_watermark: None,
             _slot: slot,
         }
     }
@@ -112,7 +138,7 @@ impl<'e> Transaction<'e> {
 
     /// Number of buffered writes.
     pub fn write_count(&self) -> usize {
-        self.writes.len()
+        self.scratch.writes.len()
     }
 
     #[inline]
@@ -124,25 +150,52 @@ impl<'e> Transaction<'e> {
         }
     }
 
+    /// Panics unless `table` belongs to this transaction's engine: only
+    /// then does this transaction's registry slot keep the table's
+    /// unlinked versions allocated, and the engine's catalog the table.
+    #[inline]
+    fn own(&self, table: &Table) {
+        assert!(
+            table.engine_id() == self.engine.id(),
+            "table '{}' belongs to another engine",
+            table.name()
+        );
+    }
+
+    /// The pooled sets, fetched from context-local storage on first use.
+    fn scratch(&mut self) -> &mut Scratch {
+        if !std::mem::replace(&mut self.pooled, true) {
+            self.scratch = SCRATCH_POOL.replace(Scratch::default());
+        }
+        &mut self.scratch
+    }
+
     /// Reads a record by OID. `None` if the record is invisible in this
-    /// snapshot (absent or deleted).
-    pub fn read(&mut self, table: &Table, oid: Oid) -> Option<Payload> {
+    /// snapshot (absent or deleted). The row is borrowed from the version
+    /// itself — no copy, no reference count — until the next call on the
+    /// transaction.
+    pub fn read(&mut self, table: &Table, oid: Oid) -> Option<Row<'_>> {
+        self.own(table);
         let Some(rec) = table.record(oid) else {
             preempt_point(costs::RECORD_READ);
             return None;
         };
-        let vis = rec.visible(self.snapshot_for_read(), self.txid);
+        // SAFETY: this transaction has been registered in its engine's
+        // registry since before `begin` returned and stays so until it
+        // drops, which outlives the borrow of `self` the row is tied to;
+        // `own` established that this is the registry guarding `table`.
+        let vis = unsafe { rec.visible(self.snapshot_for_read(), self.txid) };
         preempt_point(costs::RECORD_READ + vis.hops * costs::VERSION_HOP);
         if self.iso == IsolationLevel::Serializable {
-            self.reads.push(ReadEntry { record: rec });
+            self.scratch().reads.push(rec);
         }
-        self.engine.note_read();
-        vis.data
+        self.reads_done += 1;
+        vis.data.map(Row)
     }
 
     /// Updates a record, installing a pending version.
     pub fn update(&mut self, table: &Arc<Table>, oid: Oid, data: &[u8]) -> TxResult<()> {
-        self.write_internal(table, oid, Some(payload(data)))
+        self.write_internal(table, oid, Some(data))
     }
 
     /// Deletes a record (installs a tombstone).
@@ -150,59 +203,54 @@ impl<'e> Transaction<'e> {
         self.write_internal(table, oid, None)
     }
 
-    fn write_internal(
-        &mut self,
-        table: &Arc<Table>,
-        oid: Oid,
-        data: Option<Payload>,
-    ) -> TxResult<()> {
+    fn write_internal(&mut self, table: &Table, oid: Oid, data: Option<&[u8]>) -> TxResult<()> {
         self.check_active()?;
+        self.own(table);
         preempt_point(costs::RECORD_WRITE);
-        let rec = table.record(oid).ok_or(TxError::WriteConflict)?;
+        // Only handed-out OIDs are writable (`record` alone would also
+        // return the untouched slots of an allocated segment).
+        let rec = table
+            .record(oid)
+            .filter(|_| (oid as usize) < table.len())
+            .ok_or(TxError::WriteConflict)?;
         let si_writes = self.iso != IsolationLevel::ReadCommitted;
         let version = {
             let _np = NonPreemptGuard::enter();
-            rec.install(self.txid, self.begin_ts, si_writes, data.clone())
+            rec.install(self.txid, self.begin_ts, si_writes, data)
         }
-        .inspect_err(|_| self.engine.note_conflict())?;
+        .inspect_err(|_| self.engine.note(stat::CONFLICTS, 1))?;
 
-        let bytes = match &data {
+        let bytes = match data {
             Some(p) => log::append_redo(self.txid, table.id(), oid, p),
             None => log::append_redo_delete(self.txid, table.id(), oid),
         };
         preempt_point(costs::LOG_APPEND + bytes as u64 * costs::LOG_BYTE);
 
-        self.maybe_trim(&rec, table);
-        self.writes.push(WriteEntry {
-            table: table.clone(),
-            oid,
-            record: rec,
-            version,
-        });
-        self.engine.note_write();
+        self.maybe_trim(rec, table);
+        self.push_write(rec, version);
         Ok(())
+    }
+
+    fn push_write(&mut self, record: &Record, version: &Version) {
+        self.scratch().writes.push(WriteEntry { record, version });
+        self.writes_done += 1;
     }
 
     /// Inserts a new record and returns its OID. The record is invisible
     /// to others until commit.
     pub fn insert(&mut self, table: &Arc<Table>, data: &[u8]) -> TxResult<Oid> {
         self.check_active()?;
+        self.own(table);
         preempt_point(costs::RECORD_INSERT);
         let (oid, rec) = table.create_record();
         let version = {
             let _np = NonPreemptGuard::enter();
-            rec.install(self.txid, self.begin_ts, true, Some(payload(data)))
+            rec.install(self.txid, self.begin_ts, true, Some(data))
         }
         .expect("fresh record cannot conflict");
         let bytes = log::append_redo(self.txid, table.id(), oid, data);
         preempt_point(costs::LOG_APPEND + bytes as u64 * costs::LOG_BYTE);
-        self.writes.push(WriteEntry {
-            table: table.clone(),
-            oid,
-            record: rec,
-            version,
-        });
-        self.engine.note_write();
+        self.push_write(rec, version);
         Ok(oid)
     }
 
@@ -222,7 +270,7 @@ impl<'e> Transaction<'e> {
             self.do_abort();
             return Err(TxError::WriteConflict);
         }
-        self.index_undos.push(IndexUndo::Hash {
+        self.scratch().index_undos.push(IndexUndo::Hash {
             index: index.clone(),
             key,
         });
@@ -242,7 +290,7 @@ impl<'e> Transaction<'e> {
             self.do_abort();
             return Err(TxError::WriteConflict);
         }
-        self.index_undos.push(IndexUndo::Ordered {
+        self.scratch().index_undos.push(IndexUndo::Ordered {
             index: index.clone(),
             key,
         });
@@ -255,7 +303,7 @@ impl<'e> Transaction<'e> {
         if !index.insert(key, oid) {
             return Err(TxError::WriteConflict);
         }
-        self.index_undos.push(IndexUndo::Hash {
+        self.scratch().index_undos.push(IndexUndo::Hash {
             index: index.clone(),
             key,
         });
@@ -273,7 +321,7 @@ impl<'e> Transaction<'e> {
         if !index.insert(key, oid) {
             return Err(TxError::WriteConflict);
         }
-        self.index_undos.push(IndexUndo::Ordered {
+        self.scratch().index_undos.push(IndexUndo::Ordered {
             index: index.clone(),
             key,
         });
@@ -286,7 +334,7 @@ impl<'e> Transaction<'e> {
         self.check_active()?;
         let removed = index.remove(key);
         if let Some(oid) = removed {
-            self.index_undos.push(IndexUndo::ReinsertHash {
+            self.scratch().index_undos.push(IndexUndo::ReinsertHash {
                 index: index.clone(),
                 key,
                 oid,
@@ -304,7 +352,7 @@ impl<'e> Transaction<'e> {
         self.check_active()?;
         let removed = index.remove(key);
         if let Some(oid) = removed {
-            self.index_undos.push(IndexUndo::ReinsertOrdered {
+            self.scratch().index_undos.push(IndexUndo::ReinsertOrdered {
                 index: index.clone(),
                 key,
                 oid,
@@ -313,13 +361,19 @@ impl<'e> Transaction<'e> {
         Ok(removed)
     }
 
-    fn maybe_trim(&self, rec: &Record, table: &Table) {
+    fn maybe_trim(&mut self, rec: &Record, table: &Table) {
         // Amortized inline GC: every 64th transaction trims the chains it
-        // touches down to the live active-snapshot watermark.
+        // touches down to the active-snapshot watermark it scanned at its
+        // first write (an older minimum only trims less).
         if self.txid & 63 == 0 {
-            let wm = self.engine.registry().watermark(self.begin_ts);
-            let n = rec.trim(wm);
-            table.note_trimmed(n);
+            let (engine, begin_ts) = (self.engine, self.begin_ts);
+            let wm = *self
+                .trim_watermark
+                .get_or_insert_with(|| engine.scan_watermark(begin_ts));
+            if let Some(run) = rec.trim(wm) {
+                table.note_trimmed(run.count());
+                engine.retire(run);
+            }
         }
     }
 
@@ -338,18 +392,19 @@ impl<'e> Transaction<'e> {
     /// [`TxError::ValidationFailed`] is returned.
     pub fn commit(mut self) -> TxResult<Timestamp> {
         self.check_active()?;
-        if self.writes.is_empty() {
+        let writes = self.scratch.writes.len() as u64;
+        let reads = self.scratch.reads.len() as u64;
+        if writes == 0 {
             // Read-only: a snapshot read is trivially consistent.
             self.state = TxnState::Committed;
-            self.engine.note_commit();
             log::discard();
             return Ok(self.begin_ts);
         }
 
         preempt_point(
             costs::TXN_COMMIT_BASE
-                + self.writes.len() as u64 * costs::PER_WRITE_FINALIZE
-                + self.reads.len() as u64 * costs::PER_READ_VALIDATE,
+                + writes * costs::PER_WRITE_FINALIZE
+                + reads * costs::PER_READ_VALIDATE,
         );
 
         // Fault-plan hook: a forced abort takes the same rollback path as
@@ -357,7 +412,7 @@ impl<'e> Transaction<'e> {
         // recovery code a real conflict would.
         if preempt_faults::on_txn_commit() {
             self.do_abort();
-            self.engine.note_conflict();
+            self.engine.note(stat::CONFLICTS, 1);
             return Err(TxError::FaultInjected);
         }
 
@@ -369,18 +424,20 @@ impl<'e> Transaction<'e> {
         if self.iso == IsolationLevel::Serializable && !self.validate() {
             drop(_np);
             self.do_abort();
-            self.engine.note_conflict();
+            self.engine.note(stat::CONFLICTS, 1);
             return Err(TxError::ValidationFailed);
         }
 
+        // SAFETY: see `WriteEntry`.
+        let versions = || self.scratch.writes.iter().map(|w| unsafe { &*w.version });
+        // Mark, draw, stamp: the timestamp is in new snapshots from the
+        // draw on, and the marks make readers wait for the stamps.
+        versions().for_each(|v| v.mark_committing(self.txid));
         let commit_ts = self.engine.allocate_commit_ts();
-        for w in &self.writes {
-            w.version.stamp(commit_ts);
-        }
+        versions().for_each(|v| v.stamp(commit_ts));
         preempt_point(costs::LOG_FLUSH);
         log::flush_commit(self.engine.log(), self.txid, commit_ts);
         self.state = TxnState::Committed;
-        self.engine.note_commit();
         Ok(commit_ts)
     }
 
@@ -389,24 +446,23 @@ impl<'e> Transaction<'e> {
     /// are taken in **increasing address order** (the paper's §4.4
     /// consistent-ordering example).
     fn validate(&mut self) -> bool {
-        let mut targets: Vec<*const Record> =
-            self.reads.iter().map(|r| Arc::as_ptr(&r.record)).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        let own_writes: Vec<*const Record> =
-            self.writes.iter().map(|w| Arc::as_ptr(&w.record)).collect();
+        let begin_ts = self.begin_ts;
+        let Scratch { reads, writes, .. } = &mut self.scratch;
+        reads.sort_unstable();
+        reads.dedup();
 
-        let mut guards = Vec::with_capacity(targets.len());
-        for &ptr in &targets {
-            if own_writes.contains(&ptr) {
+        let mut guards = Vec::with_capacity(reads.len());
+        for &ptr in reads.iter() {
+            if writes.iter().any(|w| w.record == ptr) {
                 // Our own pending version heads this chain; the install
                 // already certified there is no newer committed version.
                 continue;
             }
-            // SAFETY: the Arc in self.reads keeps the record alive.
+            // SAFETY: see `WriteEntry`.
             let rec = unsafe { &*ptr };
             guards.push(rec.latch().read());
-            if rec.newest_committed_ts() > self.begin_ts {
+            // SAFETY: registered, as in `read`.
+            if unsafe { rec.newest_committed_ts() } > begin_ts {
                 return false;
             }
         }
@@ -425,17 +481,25 @@ impl<'e> Transaction<'e> {
     }
 
     fn do_abort(&mut self) {
-        preempt_point(
-            costs::TXN_ABORT_BASE + self.writes.len() as u64 * costs::PER_WRITE_FINALIZE,
-        );
+        let (engine, txid) = (self.engine, self.txid);
+        let Scratch {
+            writes,
+            index_undos,
+            ..
+        } = &mut self.scratch;
+        preempt_point(costs::TXN_ABORT_BASE + writes.len() as u64 * costs::PER_WRITE_FINALIZE);
         {
             let _np = NonPreemptGuard::enter();
-            for w in self.writes.drain(..).rev() {
-                w.record.unlink_pending(self.txid);
-                let _ = (w.table, w.oid);
+            // A record written twice yields its whole run on the first
+            // visit and nothing on the second.
+            for w in writes.drain(..).rev() {
+                // SAFETY: see `WriteEntry`.
+                if let Some(run) = unsafe { &*w.record }.unlink_pending(txid) {
+                    engine.retire(run);
+                }
             }
         }
-        for undo in self.index_undos.drain(..).rev() {
+        for undo in index_undos.drain(..).rev() {
             match undo {
                 IndexUndo::Hash { index, key } => {
                     index.remove(key);
@@ -453,7 +517,6 @@ impl<'e> Transaction<'e> {
         }
         log::discard();
         self.state = TxnState::Aborted;
-        self.engine.note_abort();
     }
 }
 
@@ -462,6 +525,20 @@ impl Drop for Transaction<'_> {
         if self.state == TxnState::Active {
             self.do_abort();
         }
+        let outcome = match self.state {
+            TxnState::Committed => stat::COMMITS,
+            _ => stat::ABORTS,
+        };
+        self.engine
+            .note_end(outcome, self.reads_done, self.writes_done);
+        if self.pooled {
+            let mut scratch = std::mem::take(&mut self.scratch);
+            scratch.writes.clear();
+            scratch.reads.clear();
+            scratch.index_undos.clear();
+            SCRATCH_POOL.replace(scratch);
+        }
+        self.engine.drain_limbo();
     }
 }
 
@@ -472,7 +549,7 @@ impl std::fmt::Debug for Transaction<'_> {
             .field("begin_ts", &self.begin_ts)
             .field("iso", &self.iso)
             .field("state", &self.state)
-            .field("writes", &self.writes.len())
+            .field("writes", &self.write_count())
             .finish()
     }
 }

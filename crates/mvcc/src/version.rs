@@ -2,26 +2,29 @@
 //!
 //! Each record is an ordered new-to-old chain of versions, each tagged
 //! with the global commit timestamp of the transaction that created it.
-//! Readers traverse the chain without taking any pessimistic *lock* — the
-//! property that makes pausing a long reader harmless and preemption
-//! viable (§1.2). Writers install a *pending* version at the head
-//! (first-updater-wins) and stamp it with the commit timestamp at commit.
+//! Readers traverse the chain with plain atomic loads: no latch, no
+//! reference count, no write to shared memory — the property that makes
+//! pausing a long reader harmless and preemption viable (§1.2). Writers
+//! install a *pending* version at the head (first-updater-wins) and stamp
+//! it with the commit timestamp at commit.
 //!
-//! Chain access is protected by the record's [`Latch`] (the indirection-
-//! array slot latch): readers hold it in shared mode for the few pointer
-//! hops of a visibility search, writers exclusively across the conflict
-//! check + prepend/unlink/trim. Both are sub-microsecond critical
-//! sections executed inside non-preemptible regions (§4.4), so no
-//! preemption point — and therefore no emulated user interrupt — ever
-//! lands while a latch is held by well-behaved code. (The §4.4 regression
-//! tests show what happens when it is *not* inside a region.)
+//! A [`Version`] is one allocation: a fixed header followed by the
+//! payload bytes. `head`/`next` are only *written* under the record's
+//! write [`Latch`] (install, abort-unlink, trim), which also serializes
+//! first-updater-wins checks, serializable validation and the orphan
+//! sweep. A version that a writer unlinks may still be under a reader's
+//! feet, so it is never freed in place: the writer hands the detached
+//! chain ([`Detached`]) to the engine's [`crate::limbo::Limbo`], which
+//! frees it once the active-transaction registry proves that every
+//! transaction alive at unlink time has ended (DESIGN.md §2.2).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+#[cfg_attr(loom, allow(unused_imports))]
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::ptr::{self, NonNull};
 
 use crate::error::TxError;
 use crate::latch::Latch;
+use crate::sync::{AtomicPtr, AtomicU64, Ordering};
 
 /// Object identifier: index into a table's indirection array.
 pub type Oid = u64;
@@ -33,42 +36,143 @@ pub type Timestamp = u64;
 /// writer's transaction id.
 pub const PENDING_BIT: u64 = 1 << 63;
 
-/// Row payload. `Arc` so reads are zero-copy snapshots.
-pub type Payload = Arc<[u8]>;
+/// Set alongside [`PENDING_BIT`] by a committing writer on every version
+/// it wrote, *before* it draws its commit timestamp. The timestamp is
+/// public (a new snapshot may include it) from the moment it is drawn,
+/// but the versions only carry it a few stores later; a reader that meets
+/// a version in that window waits for the stamp instead of guessing. A
+/// pending version without the mark is safe to skip: its writer draws its
+/// timestamp after the reader saw it unmarked, hence after the reader
+/// took its snapshot.
+pub const COMMITTING_BIT: u64 = 1 << 62;
 
-/// One version of a record.
-///
-/// `next` is only read or written while holding the owning record's
-/// latch; `begin` is atomic so commit stamping needs no latch.
+const FLAG_BITS: u64 = PENDING_BIT | COMMITTING_BIT;
+
+/// `len` value marking a tombstone (the record was deleted).
+const TOMBSTONE: u32 = u32::MAX;
+
+/// Begin word of a freed version. Only `--cfg loom` builds write it (they
+/// poison and leak instead of freeing, so a model can detect a read of
+/// reclaimed memory without undefined behaviour).
+#[cfg(loom)]
+const FREED: u64 = u64::MAX;
+
+/// Header of one version; the payload bytes follow it in the same
+/// allocation.
+#[repr(C)]
 pub struct Version {
     /// Commit timestamp, or `PENDING_BIT | txid` while uncommitted.
     begin: AtomicU64,
-    /// `None` is a tombstone (the record was deleted by this version).
-    data: Option<Payload>,
-    /// Next-older version. Guarded by the record latch.
-    next: UnsafeCell<Option<Arc<Version>>>,
+    /// Next-older version. Written only under the record's write latch.
+    next: AtomicPtr<Version>,
+    /// Payload length in bytes, or [`TOMBSTONE`].
+    len: u32,
 }
 
-// SAFETY: `next` is guarded by the owning Record's latch (see Record);
-// `begin` is atomic; `data` is immutable after construction.
-unsafe impl Send for Version {}
-// SAFETY: same contract as Send above — all shared mutation of `next`
-// is serialized by the owning record's latch.
-unsafe impl Sync for Version {}
+const HEADER: usize = std::mem::size_of::<Version>();
 
 impl Version {
-    fn new_pending(txid: u64, data: Option<Payload>, next: Option<Arc<Version>>) -> Arc<Version> {
-        Arc::new(Version {
-            begin: AtomicU64::new(PENDING_BIT | txid),
-            data,
-            next: UnsafeCell::new(next),
-        })
+    fn layout(len: u32) -> Layout {
+        let bytes = if len == TOMBSTONE { 0 } else { len as usize };
+        Layout::from_size_align(HEADER + bytes, std::mem::align_of::<Version>())
+            .expect("version layout: header + u32 payload fits isize")
+    }
+
+    /// Allocates an unlinked pending version for `txid` holding a copy of
+    /// `data` (`None` = tombstone).
+    fn alloc_pending(txid: u64, data: Option<&[u8]>) -> NonNull<Version> {
+        let len = match data {
+            Some(d) => {
+                assert!(d.len() < TOMBSTONE as usize, "payload too large");
+                d.len() as u32
+            }
+            None => TOMBSTONE,
+        };
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has non-zero size (the header).
+        let raw = unsafe { alloc(layout) }.cast::<Version>();
+        let Some(v) = NonNull::new(raw) else {
+            handle_alloc_error(layout)
+        };
+        // SAFETY: `raw` is a fresh allocation of `layout`, exclusively
+        // ours: the header write and the payload copy stay inside it.
+        unsafe {
+            raw.write(Version {
+                begin: AtomicU64::new(PENDING_BIT | txid),
+                next: AtomicPtr::new(ptr::null_mut()),
+                len,
+            });
+            if let Some(d) = data {
+                ptr::copy_nonoverlapping(d.as_ptr(), raw.cast::<u8>().add(HEADER), d.len());
+            }
+        }
+        v
+    }
+
+    /// Frees one version.
+    ///
+    /// # Safety
+    /// `v` came from [`Version::alloc_pending`], is unreachable from any
+    /// record, and no thread can still hold a pointer to it.
+    unsafe fn free(v: *mut Version) {
+        // SAFETY: per the contract `v` is a live, exclusively owned
+        // allocation whose layout is a function of its `len`.
+        #[cfg(not(loom))]
+        unsafe {
+            dealloc(v.cast::<u8>(), Self::layout((*v).len));
+        }
+        // SAFETY: as above; the model build poisons the header and payload
+        // and leaks, so a racing reader trips an assertion instead of UB.
+        #[cfg(loom)]
+        unsafe {
+            if let Some(d) = Self::payload(v) {
+                ptr::write_bytes(v.cast::<u8>().add(HEADER), 0xDD, d.len());
+            }
+            (*v).begin.store(FREED, Ordering::SeqCst);
+        }
+    }
+
+    /// Frees up to `count` versions from `v` along `next`, stopping early
+    /// at the end of the chain.
+    ///
+    /// # Safety
+    /// As for [`Version::free`], for each of those versions.
+    unsafe fn free_chain(mut v: *mut Version, count: usize) {
+        for _ in 0..count {
+            if v.is_null() {
+                break;
+            }
+            // SAFETY: forwarded from this fn's contract.
+            unsafe {
+                let next = (*v).next.load(Ordering::Relaxed);
+                Version::free(v);
+                v = next;
+            }
+        }
+    }
+
+    /// Payload bytes of `v` (`None` for tombstones).
+    ///
+    /// # Safety
+    /// `v` points at a live version carrying the provenance of its whole
+    /// allocation, and stays live for `'a`.
+    unsafe fn payload<'a>(v: *const Version) -> Option<&'a [u8]> {
+        // SAFETY: forwarded from this fn's contract; `len` bytes follow
+        // the header in the same allocation and are immutable.
+        unsafe {
+            let len = (*v).len;
+            (len != TOMBSTONE)
+                .then(|| std::slice::from_raw_parts(v.cast::<u8>().add(HEADER), len as usize))
+        }
     }
 
     /// Raw begin word (timestamp or pending marker).
     #[inline]
     pub fn begin_word(&self) -> u64 {
-        self.begin.load(Ordering::Acquire)
+        let w = self.begin.load(Ordering::Acquire);
+        #[cfg(loom)]
+        assert_ne!(w, FREED, "read of a freed version");
+        w
     }
 
     /// Commit timestamp, if committed.
@@ -82,7 +186,32 @@ impl Version {
     #[inline]
     pub fn pending_txid(&self) -> Option<u64> {
         let w = self.begin_word();
-        (w & PENDING_BIT != 0).then_some(w & !PENDING_BIT)
+        (w & PENDING_BIT != 0).then_some(w & !FLAG_BITS)
+    }
+
+    /// The begin word once it can be compared with a snapshot: waits out
+    /// the few stores between a committing writer's timestamp draw and its
+    /// stamp (see [`COMMITTING_BIT`]). The writer is inside a
+    /// non-preemptible region for that stretch, so this never waits on a
+    /// context parked on the caller's own thread.
+    #[inline]
+    fn settled_word(&self) -> u64 {
+        let mut w = self.begin_word();
+        while w & FLAG_BITS == FLAG_BITS {
+            crate::sync::spin_wait();
+            w = self.begin_word();
+        }
+        w
+    }
+
+    /// Announces that `txid` is about to draw its commit timestamp (called
+    /// by the owning transaction on all its versions, after validation).
+    pub(crate) fn mark_committing(&self, txid: u64) {
+        debug_assert_eq!(self.begin_word(), PENDING_BIT | txid, "not ours, or marked twice");
+        // Release is enough on this side: the `SeqCst` timestamp draw that
+        // follows orders the mark before it for every snapshot that
+        // includes the timestamp.
+        self.begin.store(FLAG_BITS | txid, Ordering::Release);
     }
 
     /// Stamps the version with its commit timestamp (called by the owning
@@ -92,38 +221,58 @@ impl Version {
         debug_assert!(self.begin_word() & PENDING_BIT != 0, "double stamp");
         self.begin.store(ts, Ordering::Release);
     }
-
-    /// Payload (`None` for tombstones).
-    pub fn data(&self) -> Option<&Payload> {
-        self.data.as_ref()
-    }
-
-    /// # Safety
-    /// The owning record's latch must be held (shared suffices).
-    unsafe fn next_ref(&self) -> Option<&Arc<Version>> {
-        // SAFETY: forwarded from this fn's contract: the latch is held,
-        // so no writer can race the `next` read.
-        unsafe { (*self.next.get()).as_ref() }
-    }
 }
 
 impl std::fmt::Debug for Version {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let w = self.begin_word();
         if w & PENDING_BIT != 0 {
-            write!(f, "Version(pending txid={})", w & !PENDING_BIT)
+            write!(f, "Version(pending txid={})", w & !FLAG_BITS)
         } else {
             write!(f, "Version(ts={w})")
         }
     }
 }
 
+/// A version not yet linked into any chain: freed on drop (write
+/// conflict, or a panic injected while the latch is held), forgotten
+/// once published.
+struct Unpublished(NonNull<Version>);
+
+impl Drop for Unpublished {
+    fn drop(&mut self) {
+        // SAFETY: never published, so exclusively ours.
+        unsafe { Version::free(self.0.as_ptr()) };
+    }
+}
+
+/// A row as a transaction reads it: the visible version's payload,
+/// borrowed in place (no copy, no reference count). Dereferences to
+/// `[u8]`. A type of its own rather than a bare slice so that callers
+/// written against the old owned payload (`row.as_ref()`) stay as they
+/// are and lint-clean.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row<'a>(pub(crate) &'a [u8]);
+
+impl std::ops::Deref for Row<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.0
+    }
+}
+
+impl AsRef<[u8]> for Row<'_> {
+    fn as_ref(&self) -> &[u8] {
+        self.0
+    }
+}
+
 /// Outcome of a visibility search.
 #[derive(Debug)]
-pub struct VisibleRead {
+pub struct VisibleRead<'a> {
     /// The visible payload; `None` if the record does not exist in the
     /// snapshot (never inserted, or tombstoned).
-    pub data: Option<Payload>,
+    pub data: Option<&'a [u8]>,
     /// Commit timestamp of the visible version (0 for own pending writes
     /// and non-existent records). Used by serializable validation.
     pub observed_ts: Timestamp,
@@ -131,24 +280,55 @@ pub struct VisibleRead {
     pub hops: u64,
 }
 
-/// A record: a latched head pointer to its version chain.
-pub struct Record {
-    latch: Latch,
-    head: UnsafeCell<Option<Arc<Version>>>,
+/// A run of versions a writer has unlinked from a record: `count`
+/// versions starting at `first`, following `next`. Readers that were
+/// already inside the run may still be walking it, so the only thing to
+/// do with it is [`crate::limbo::Limbo::retire`].
+#[must_use = "a detached run leaks unless it is retired to the limbo"]
+pub struct Detached {
+    first: NonNull<Version>,
+    count: usize,
 }
 
-// SAFETY: `head` (and every version's `next`) is only accessed under
-// `latch`.
-unsafe impl Send for Record {}
-// SAFETY: same contract as Send above — `latch` serializes all shared
-// access to `head`.
-unsafe impl Sync for Record {}
+// SAFETY: a `Detached` is the unique owner of its unlinked versions (the
+// unlinking writer gave up the only chain reference); readers only ever
+// load from them.
+unsafe impl Send for Detached {}
+
+impl Detached {
+    /// Number of versions in the run.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Frees the run.
+    ///
+    /// # Safety
+    /// No thread can still hold a pointer into the run: every transaction
+    /// that was registered when it was unlinked has ended.
+    pub(crate) unsafe fn free(self) {
+        // SAFETY: the run's `next` links are frozen at unlink time (only
+        // latch holders write `next`, and the run is off the chain), so
+        // `count` hops stay inside it; exclusivity is the caller's
+        // contract.
+        unsafe { Version::free_chain(self.first.as_ptr(), self.count) };
+    }
+}
+
+/// A record: one indirection-array slot holding the latch that serializes
+/// writers and the head of the version chain. Sized so that records never
+/// straddle a cache line and a segment of 1024 is exactly 32 KiB.
+#[repr(align(32))]
+pub struct Record {
+    latch: Latch,
+    head: AtomicPtr<Version>,
+}
 
 impl Record {
     pub fn new() -> Record {
         Record {
             latch: Latch::new(),
-            head: UnsafeCell::new(None),
+            head: AtomicPtr::new(ptr::null_mut()),
         }
     }
 
@@ -158,13 +338,6 @@ impl Record {
         &self.latch
     }
 
-    /// Snapshot of the current head (brief shared latch).
-    pub fn head(&self) -> Option<Arc<Version>> {
-        let _g = self.latch.read();
-        // SAFETY: under latch.
-        unsafe { (*self.head.get()).clone() }
-    }
-
     /// Finds the version visible to a reader.
     ///
     /// * `snapshot_ts` — the reader's snapshot (`u64::MAX` for
@@ -172,42 +345,46 @@ impl Record {
     /// * `txid` — the reader's transaction id, so it sees its own
     ///   uncommitted writes.
     ///
-    /// Holds the record latch in *shared* mode for the handful of pointer
-    /// hops; no pessimistic lock outlives the call — the optimistic read
-    /// the whole paper builds on.
-    pub fn visible(&self, snapshot_ts: Timestamp, txid: u64) -> VisibleRead {
-        let g = self.latch.read();
+    /// A walk of atomic loads: no latch, no reference count, nothing
+    /// written — the optimistic read the whole paper builds on. `head`
+    /// and `next` are loaded `SeqCst` (a plain load on x86-64, `ldar` on
+    /// aarch64, same as `Acquire`): the reclamation argument needs a
+    /// reader that registered after an unlink to see the unlinked
+    /// pointer, which takes a total order over the unlink store, the
+    /// registry scan, the reader's registration and this load.
+    ///
+    /// # Safety
+    /// The caller is registered in the owning engine's
+    /// [`crate::registry::ActiveTxns`] (or otherwise excludes reclamation
+    /// on this record) from before the call until it last uses the
+    /// returned borrow, whose lifetime is the caller's to choose.
+    pub unsafe fn visible<'a>(&self, snapshot_ts: Timestamp, txid: u64) -> VisibleRead<'a> {
         let mut hops = 0u64;
-        // SAFETY: under latch for the whole traversal.
-        let mut cursor = unsafe { (*self.head.get()).as_ref() };
-        while let Some(v) = cursor {
-            let w = v.begin_word();
-            if w & PENDING_BIT != 0 {
-                if w & !PENDING_BIT == txid {
-                    // Read-your-own-writes.
-                    let data = v.data().cloned();
-                    drop(g);
-                    return VisibleRead {
-                        data,
-                        observed_ts: 0,
-                        hops,
-                    };
-                }
-                // Uncommitted by someone else: skip.
-            } else if w <= snapshot_ts {
-                let data = v.data().cloned();
-                drop(g);
+        let mut cursor = self.head.load(Ordering::SeqCst);
+        // SAFETY (both derefs): a version reached from `head` by `next`
+        // links was linked when the pointer was loaded; if it has been
+        // unlinked since, the limbo keeps it allocated while the caller
+        // stays registered (this fn's contract).
+        while let Some(v) = unsafe { cursor.as_ref() } {
+            let w = v.settled_word();
+            let observed_ts = if w & PENDING_BIT != 0 {
+                // Read-your-own-writes; others' pending versions are skipped.
+                (w & !PENDING_BIT == txid).then_some(0)
+            } else {
+                (w <= snapshot_ts).then_some(w)
+            };
+            if let Some(observed_ts) = observed_ts {
                 return VisibleRead {
-                    data,
-                    observed_ts: w,
+                    // SAFETY: as above; chain pointers carry whole-
+                    // allocation provenance.
+                    data: unsafe { Version::payload(cursor) },
+                    observed_ts,
                     hops,
                 };
             }
             hops += 1;
-            // SAFETY: still under latch.
-            cursor = unsafe { v.next_ref() };
+            cursor = v.next.load(Ordering::SeqCst);
         }
-        drop(g);
         VisibleRead {
             data: None,
             observed_ts: 0,
@@ -215,18 +392,24 @@ impl Record {
         }
     }
 
-    /// Newest committed timestamp on the chain (0 if none). Used by
-    /// serializable validation.
-    pub fn newest_committed_ts(&self) -> Timestamp {
-        let _g = self.latch.read();
-        // SAFETY: under latch.
-        let mut cursor = unsafe { (*self.head.get()).as_ref() };
-        while let Some(v) = cursor {
-            if let Some(ts) = v.commit_ts() {
-                return ts;
+    /// Newest committed timestamp on the chain (0 if none), counting a
+    /// version whose writer is drawing its timestamp right now as newer
+    /// than any snapshot. Used by serializable validation.
+    ///
+    /// # Safety
+    /// As for [`Record::visible`].
+    pub unsafe fn newest_committed_ts(&self) -> Timestamp {
+        let mut cursor = self.head.load(Ordering::SeqCst);
+        // SAFETY: see `visible`.
+        while let Some(v) = unsafe { cursor.as_ref() } {
+            let w = v.begin_word();
+            if w & PENDING_BIT == 0 {
+                return w;
             }
-            // SAFETY: under latch.
-            cursor = unsafe { v.next_ref() };
+            if w & COMMITTING_BIT != 0 {
+                return Timestamp::MAX;
+            }
+            cursor = v.next.load(Ordering::SeqCst);
         }
         0
     }
@@ -242,92 +425,109 @@ impl Record {
     ///   `si_writes = false` and may overwrite any committed version.
     ///
     /// The caller must be inside a non-preemptible region (§4.4); debug
-    /// builds assert it.
-    pub fn install(
+    /// builds assert it. The returned version stays linked, and therefore
+    /// valid, until its owner stamps it or unlinks it.
+    pub(crate) fn install(
         &self,
         txid: u64,
         snapshot_ts: Timestamp,
         si_writes: bool,
-        data: Option<Payload>,
-    ) -> Result<Arc<Version>, TxError> {
+        data: Option<&[u8]>,
+    ) -> Result<&Version, TxError> {
         debug_assert!(
             preempt_context::tcb::with_current(|t| t.is_nonpreemptible()),
             "Record::install outside a non-preemptible region"
         );
+        // Allocate and copy before latching: the latch covers only the
+        // conflict check and two stores.
+        let new = Unpublished(Version::alloc_pending(txid, data));
         let _g = self.latch.write();
-        // SAFETY: under latch.
-        let head = unsafe { &mut *self.head.get() };
-        if let Some(h) = head.as_ref() {
+        let head = self.head.load(Ordering::Relaxed);
+        // SAFETY: under the write latch nothing unlinks, so whatever
+        // `head` points at stays linked and allocated.
+        if let Some(h) = unsafe { head.as_ref() } {
             let w = h.begin_word();
-            if w & PENDING_BIT != 0 {
-                if w & !PENDING_BIT != txid {
-                    return Err(TxError::WriteConflict);
-                }
-                // Our own pending version: stack another (newest wins).
-            } else if si_writes && w > snapshot_ts {
+            // Our own pending version may be stacked upon (newest wins).
+            let conflict = if w & PENDING_BIT != 0 {
+                w & !FLAG_BITS != txid
+            } else {
+                si_writes && w > snapshot_ts
+            };
+            if conflict {
                 return Err(TxError::WriteConflict);
             }
         }
-        let v = Version::new_pending(txid, data, head.clone());
-        *head = Some(v.clone());
+        // SAFETY: `new` is still exclusively ours until the head store.
+        let v = unsafe { new.0.as_ref() };
+        v.next.store(head, Ordering::Relaxed);
+        // Release publishes the header, payload and `next` to readers.
+        self.head.store(new.0.as_ptr(), Ordering::Release);
+        std::mem::forget(new);
         Ok(v)
     }
 
-    /// Removes `txid`'s pending versions from the head of the chain
-    /// (abort path). The caller must be inside a non-preemptible region.
-    /// Returns the number of versions unlinked.
-    pub fn unlink_pending(&self, txid: u64) -> usize {
+    /// Unlinks `txid`'s pending versions from the head of the chain
+    /// (abort path and orphan sweep). The caller must be inside a
+    /// non-preemptible region.
+    pub(crate) fn unlink_pending(&self, txid: u64) -> Option<Detached> {
         let _g = self.latch.write();
-        let mut unlinked = 0;
-        // SAFETY: under latch.
-        let head = unsafe { &mut *self.head.get() };
-        while let Some(h) = head.as_ref() {
-            if h.pending_txid() == Some(txid) {
-                // SAFETY: under latch; taking the next pointer out of the
-                // version being unlinked.
-                *head = unsafe { (*h.next.get()).take() };
-                unlinked += 1;
-            } else {
+        let first = self.head.load(Ordering::Relaxed);
+        let (mut cursor, mut count) = (first, 0);
+        // SAFETY: under the write latch the chain is frozen and linked.
+        while let Some(v) = unsafe { cursor.as_ref() } {
+            if v.pending_txid() != Some(txid) {
                 break;
             }
+            count += 1;
+            cursor = v.next.load(Ordering::Relaxed);
         }
-        unlinked
+        let first = NonNull::new(first).filter(|_| count > 0)?;
+        // The run keeps its `next` links: a reader paused on one of its
+        // versions walks on into the live chain. SeqCst: see `visible`.
+        self.head.store(cursor, Ordering::SeqCst);
+        Some(Detached { first, count })
     }
 
-    /// Drops versions no active snapshot can see: keeps everything newer
-    /// than `watermark` plus the first committed version at/below it.
-    ///
-    /// Returns the number of versions freed.
-    pub fn trim(&self, watermark: Timestamp) -> usize {
+    /// Unlinks the versions no active snapshot can see: keeps everything
+    /// newer than `watermark` plus the first committed version at/below
+    /// it, and detaches the rest.
+    pub(crate) fn trim(&self, watermark: Timestamp) -> Option<Detached> {
         let _g = self.latch.write();
-        // SAFETY: under latch for the whole walk.
-        let mut cursor = unsafe { (*self.head.get()).clone() };
-        while let Some(v) = cursor {
-            if let Some(ts) = v.commit_ts() {
-                if ts <= watermark {
-                    // `v` is the horizon version: everything older is
-                    // invisible to all current and future snapshots.
-                    // SAFETY: under the exclusive latch.
-                    let tail = unsafe { (*v.next.get()).take() };
-                    return count_chain(tail);
+        let mut cursor = self.head.load(Ordering::Relaxed);
+        // SAFETY: under the write latch the chain is frozen and linked.
+        while let Some(v) = unsafe { cursor.as_ref() } {
+            let next = v.next.load(Ordering::Relaxed);
+            if v.commit_ts().is_some_and(|ts| ts <= watermark) {
+                // `v` is the horizon version: everything older is
+                // invisible to all current and future snapshots.
+                let first = NonNull::new(next)?;
+                v.next.store(ptr::null_mut(), Ordering::SeqCst);
+                let mut count = 0;
+                let mut tail = next;
+                // SAFETY: the tail was linked until the store above and
+                // only this latch holder could have unlinked it.
+                while let Some(t) = unsafe { tail.as_ref() } {
+                    count += 1;
+                    tail = t.next.load(Ordering::Relaxed);
                 }
+                return Some(Detached { first, count });
             }
-            // SAFETY: under latch.
-            cursor = unsafe { (*v.next.get()).clone() };
+            cursor = next;
         }
-        0
+        None
     }
 
-    /// Number of versions currently linked (diagnostics/tests).
+    /// Number of versions currently linked (diagnostics/tests). Takes the
+    /// write latch, under which nothing can be unlinked, so it needs no
+    /// registration.
     pub fn chain_len(&self) -> usize {
-        let _g = self.latch.read();
+        let _g = self.latch.write();
         let mut n = 0;
-        // SAFETY: under latch.
-        let mut cursor = unsafe { (*self.head.get()).as_ref() };
-        while let Some(v) = cursor {
+        let mut cursor = self.head.load(Ordering::Relaxed);
+        // SAFETY: under the write latch the chain is frozen and linked.
+        while let Some(v) = unsafe { cursor.as_ref() } {
             n += 1;
-            // SAFETY: under latch.
-            cursor = unsafe { v.next_ref() };
+            cursor = v.next.load(Ordering::Relaxed);
         }
         n
     }
@@ -339,20 +539,13 @@ impl Default for Record {
     }
 }
 
-fn count_chain(mut cursor: Option<Arc<Version>>) -> usize {
-    let mut n = 0;
-    while let Some(v) = cursor {
-        n += 1;
-        // SAFETY: this chain segment was just detached under the latch and
-        // is exclusively owned here.
-        cursor = unsafe { (*v.next.get()).clone() };
+impl Drop for Record {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` excludes every reader and writer, and
+        // linked versions are owned by the chain (unlinked ones by the
+        // limbo, never both).
+        unsafe { Version::free_chain(self.head.load(Ordering::Relaxed), usize::MAX) };
     }
-    n
-}
-
-/// Encodes a payload from bytes.
-pub fn payload(bytes: &[u8]) -> Payload {
-    Arc::from(bytes)
 }
 
 #[cfg(test)]
@@ -360,15 +553,36 @@ mod tests {
     use super::*;
     use preempt_context::nonpreempt::NonPreemptGuard;
 
-    fn install(r: &Record, txid: u64, snap: u64, data: &[u8]) -> Result<Arc<Version>, TxError> {
+    fn install<'r>(r: &'r Record, txid: u64, snap: u64, data: &[u8]) -> Result<&'r Version, TxError> {
         let _np = NonPreemptGuard::enter();
-        r.install(txid, snap, true, Some(payload(data)))
+        r.install(txid, snap, true, Some(data))
+    }
+
+    /// Nothing in these tests frees a version while a borrow is live.
+    fn read(r: &Record, snap: u64, txid: u64) -> VisibleRead<'_> {
+        // SAFETY: detached runs are only freed at the end of a test.
+        unsafe { r.visible(snap, txid) }
+    }
+
+    fn free(d: Option<Detached>) -> usize {
+        d.map_or(0, |d| {
+            let n = d.count();
+            // SAFETY: no reader is running when the tests call this.
+            unsafe { d.free() };
+            n
+        })
+    }
+
+    #[test]
+    fn record_fills_half_a_cache_line() {
+        assert_eq!(std::mem::size_of::<Record>(), 32);
+        assert_eq!(HEADER, 24);
     }
 
     #[test]
     fn empty_record_is_invisible() {
         let r = Record::new();
-        let vis = r.visible(100, 1);
+        let vis = read(&r, 100, 1);
         assert!(vis.data.is_none());
         assert_eq!(vis.hops, 0);
     }
@@ -377,10 +591,10 @@ mod tests {
     fn pending_version_visible_only_to_owner() {
         let r = Record::new();
         let v = install(&r, 7, 0, b"x").unwrap();
-        assert!(r.visible(u64::MAX, 7).data.is_some(), "owner sees it");
-        assert!(r.visible(u64::MAX, 8).data.is_none(), "others do not");
+        assert!(read(&r, u64::MAX, 7).data.is_some(), "owner sees it");
+        assert!(read(&r, u64::MAX, 8).data.is_none(), "others do not");
         v.stamp(5);
-        assert!(r.visible(u64::MAX, 8).data.is_some(), "committed: visible");
+        assert!(read(&r, u64::MAX, 8).data.is_some(), "committed: visible");
     }
 
     #[test]
@@ -390,11 +604,12 @@ mod tests {
         install(&r, 2, 10, b"v2").unwrap().stamp(20);
         install(&r, 3, 20, b"v3").unwrap().stamp(30);
 
-        let at = |snap: u64| -> Option<Vec<u8>> { r.visible(snap, 999).data.map(|d| d.to_vec()) };
+        let at = |snap: u64| read(&r, snap, 999).data;
         assert_eq!(at(5), None, "before first commit");
-        assert_eq!(at(10).as_deref(), Some(b"v1".as_ref()));
-        assert_eq!(at(25).as_deref(), Some(b"v2".as_ref()));
-        assert_eq!(at(u64::MAX).as_deref(), Some(b"v3".as_ref()));
+        assert_eq!(at(10), Some(b"v1".as_ref()));
+        assert_eq!(at(25), Some(b"v2".as_ref()));
+        assert_eq!(at(u64::MAX), Some(b"v3".as_ref()));
+        assert_eq!(read(&r, 10, 999).hops, 2);
     }
 
     #[test]
@@ -414,7 +629,7 @@ mod tests {
         assert_eq!(err, TxError::WriteConflict);
         // But a read-committed writer can.
         let _np = NonPreemptGuard::enter();
-        assert!(r.install(3, 40, false, Some(payload(b"c"))).is_ok());
+        assert!(r.install(3, 40, false, Some(b"c")).is_ok());
     }
 
     #[test]
@@ -423,12 +638,13 @@ mod tests {
         install(&r, 1, 0, b"committed").unwrap().stamp(10);
         install(&r, 2, 10, b"dirty").unwrap();
         assert_eq!(r.chain_len(), 2);
-        {
+        let detached = {
             let _np = NonPreemptGuard::enter();
-            r.unlink_pending(2);
-        }
+            r.unlink_pending(2)
+        };
         assert_eq!(r.chain_len(), 1);
-        assert_eq!(r.visible(u64::MAX, 99).data.unwrap().as_ref(), b"committed");
+        assert_eq!(read(&r, u64::MAX, 99).data.unwrap(), b"committed");
+        assert_eq!(free(detached), 1);
     }
 
     #[test]
@@ -439,25 +655,27 @@ mod tests {
             let _np = NonPreemptGuard::enter();
             r.install(2, 10, true, None).unwrap().stamp(20);
         }
-        assert!(r.visible(15, 99).data.is_some(), "old snapshot still sees");
-        assert!(r.visible(25, 99).data.is_none(), "new snapshot sees delete");
+        assert!(read(&r, 15, 99).data.is_some(), "old snapshot still sees");
+        assert!(read(&r, 25, 99).data.is_none(), "new snapshot sees delete");
     }
 
     #[test]
-    fn trim_drops_invisible_tail() {
+    fn trim_detaches_invisible_tail() {
         let r = Record::new();
         for (i, ts) in [(1u64, 10u64), (2, 20), (3, 30), (4, 40)] {
             install(&r, i, ts.saturating_sub(10), b"v").unwrap().stamp(ts);
         }
         assert_eq!(r.chain_len(), 4);
         // Watermark 25: keep 40, 30, and the horizon version 20.
-        let freed = r.trim(25);
-        assert_eq!(freed, 1);
+        let detached = r.trim(25);
         assert_eq!(r.chain_len(), 3);
         // A snapshot at 25 still reads correctly.
-        assert!(r.visible(25, 99).data.is_some());
+        assert!(read(&r, 25, 99).data.is_some());
         // Everything visible at watermark stays intact.
-        assert_eq!(r.newest_committed_ts(), 40);
+        // SAFETY: nothing is freed concurrently.
+        assert_eq!(unsafe { r.newest_committed_ts() }, 40);
+        assert_eq!(free(detached), 1);
+        assert!(r.trim(25).is_none(), "nothing left below the horizon");
     }
 
     #[test]
@@ -465,18 +683,36 @@ mod tests {
         let r = Record::new();
         install(&r, 1, 0, b"first").unwrap();
         install(&r, 1, 0, b"second").unwrap();
-        assert_eq!(r.visible(u64::MAX, 1).data.unwrap().as_ref(), b"second");
-        {
+        assert_eq!(read(&r, u64::MAX, 1).data.unwrap(), b"second");
+        let detached = {
             let _np = NonPreemptGuard::enter();
-            r.unlink_pending(1);
-        }
+            r.unlink_pending(1)
+        };
         assert_eq!(r.chain_len(), 0, "abort removes both pendings");
+        assert_eq!(free(detached), 2);
+    }
+
+    #[test]
+    fn a_reader_paused_on_an_unlinked_version_walks_on() {
+        let r = Record::new();
+        install(&r, 1, 0, b"base").unwrap().stamp(10);
+        let doomed = install(&r, 2, 10, b"dirty").unwrap();
+        let detached = {
+            let _np = NonPreemptGuard::enter();
+            r.unlink_pending(2)
+        };
+        // The unlinked version still leads into the live chain.
+        let next = doomed.next.load(Ordering::SeqCst);
+        // SAFETY: `base` is linked and nothing is freed yet.
+        assert_eq!(unsafe { (*next).commit_ts() }, Some(10));
+        assert_eq!(free(detached), 1);
     }
 
     #[test]
     fn concurrent_readers_while_writer_installs() {
-        // Readers share the latch and never block each other; writers get
-        // brief exclusive windows. Smoke test with real threads.
+        // Readers never block and never write; writers get brief
+        // exclusive windows. Smoke test with real threads (no unlinks, so
+        // nothing to reclaim).
         let r = std::sync::Arc::new(Record::new());
         install(&r, 1, 0, b"base").unwrap().stamp(1);
         let mut handles = Vec::new();
@@ -484,14 +720,13 @@ mod tests {
             let r = r.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..5000 {
-                    let vis = r.visible(u64::MAX, 0);
-                    assert!(vis.data.is_some());
+                    assert!(read(&r, u64::MAX, 0).data.is_some());
                 }
             }));
         }
         for i in 0..100u64 {
             let _np = NonPreemptGuard::enter();
-            let v = r.install(100 + i, i + 1, true, Some(payload(b"newer"))).unwrap();
+            let v = r.install(100 + i, i + 1, true, Some(b"newer")).unwrap();
             v.stamp(i + 2);
         }
         for h in handles {
@@ -510,17 +745,16 @@ mod tests {
             let r = r.clone();
             handles.push(std::thread::spawn(move || {
                 for snap in (30..=50u64).cycle().take(2000) {
-                    let vis = r.visible(snap, 0);
-                    assert!(vis.data.is_some());
+                    assert!(read(&r, snap, 0).data.is_some());
                 }
             }));
         }
-        for wm in [10u64, 20, 30] {
-            r.trim(wm);
-        }
+        // Detached tails are held (the limbo's job) until readers finish.
+        let detached: Vec<_> = [10u64, 20, 30].into_iter().map(|wm| r.trim(wm)).collect();
         for h in handles {
             h.join().unwrap();
         }
         assert!(r.chain_len() <= 21);
+        assert_eq!(detached.into_iter().map(free).sum::<usize>(), 29);
     }
 }

@@ -885,19 +885,16 @@ impl WorkerCtx {
                     shard_installed = true;
                 }
             }
-            let mut found = None;
             let levels = self.level_tcbs.len() as u8;
-            let order: Vec<u8> = if prefer_high {
-                (0..levels).rev().collect()
-            } else {
-                (0..levels).collect()
+            let pop = |level: u8| {
+                let req = self.shared.queues[level as usize].pop()?;
+                Some((req, level))
             };
-            for level in order {
-                if let Some(req) = self.shared.queues[level as usize].pop() {
-                    found = Some((req, level));
-                    break;
-                }
-            }
+            let found = if prefer_high {
+                (0..levels).rev().find_map(pop)
+            } else {
+                (0..levels).find_map(pop)
+            };
             match found {
                 Some((req, from_level)) => {
                     runtime::preempt_point(DISPATCH_POP_COST);

@@ -488,6 +488,11 @@ fn conn_main(stream: TcpStream, id: u32, core: Arc<Core>, db: Arc<Database>) {
             return;
         }
     };
+    // Replies are small frames written one by one. With Nagle on, a reply
+    // to a client that has a second request in flight (and so sends
+    // nothing that would carry an ACK) waits out the peer's delayed-ACK
+    // timer, some 40 ms.
+    let _ = stream.set_nodelay(true);
     // Short poll timeout so the loop notices `stop` promptly.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let conn = Arc::new(Conn {

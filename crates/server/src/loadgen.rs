@@ -103,7 +103,8 @@ impl GenReport {
         }
     }
 
-    /// Percentile of client round-trip latency in microseconds.
+    /// Client round-trip latency at percentile `p` in [0, 100] (as
+    /// [`Histogram::percentile`] takes it), in microseconds.
     pub fn rtt_us(&self, p: f64) -> f64 {
         if self.freq_hz == 0 {
             return 0.0;
@@ -257,5 +258,32 @@ fn wait_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Option<Frame>
             }
             Err(_) => return None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `p` is a percentage, not a fraction. On the samples 1..=100 the
+    /// rank of percentile p is ceil(p), so 0.99 is the smallest sample
+    /// and 99.0 the 99th — passing 0.99 for "p99" reports the minimum.
+    #[test]
+    fn rtt_us_takes_a_percentage() {
+        let mut report = GenReport {
+            freq_hz: 1_000_000, // one cycle = one microsecond
+            ..GenReport::default()
+        };
+        for v in 1..=100u64 {
+            report.rtt.record(v);
+        }
+        // Values up to 32 are exact, above that within one 1/32 bucket.
+        assert_eq!(report.rtt.percentile(0.99), 1);
+        assert_eq!(report.rtt.percentile(50.0), 50);
+        assert_eq!(report.rtt.percentile(99.0), 98, "99 lands in the 98..100 bucket");
+        assert_ne!(report.rtt.percentile(0.99), report.rtt.percentile(99.0));
+        assert_eq!(report.rtt_us(0.99), 1.0);
+        assert_eq!(report.rtt_us(50.0), 50.0);
+        assert_eq!(report.rtt_us(99.0), 98.0);
     }
 }

@@ -172,6 +172,50 @@ fn handshake_and_point_ops_round_trip() {
     assert_eq!(stats.committed_deposits, deposits);
 }
 
+/// Two requests written back to back get both replies promptly. Without
+/// `TCP_NODELAY` on the accepted socket the second reply sits in the
+/// server's send buffer until the client's delayed ACK of the first
+/// (about 40 ms), because a client waiting for replies sends nothing an
+/// ACK could ride on.
+#[test]
+fn pipelined_replies_are_not_held_for_a_delayed_ack() {
+    let server = Server::start(test_config()).expect("start");
+    let mut c = Client::connect(&server, SloClass::High);
+    // Delayed ACKs only set in once the connection has ping-ponged a
+    // while (Linux ACKs a young connection's segments at once).
+    for id in 0..32 {
+        c.call_ok(id, Op::Read, id % ACCOUNTS, 0);
+    }
+    let mut worst = Duration::ZERO;
+    for round in 0..8u64 {
+        let ids = [1_000 + 2 * round, 1_001 + 2 * round];
+        let mut pair = Vec::new();
+        for id in ids {
+            let req = Frame::Req { id, op: Op::Read, a: id % ACCOUNTS, b: 0 };
+            proto::write_frame(&mut pair, &req).expect("encode");
+        }
+        let t0 = Instant::now();
+        c.send_bytes(&pair);
+        // Two workers: the replies may come back in either order.
+        let mut got = [0u64; 2];
+        for slot in &mut got {
+            match c.recv() {
+                Some(Frame::Resp { id, status: Status::Ok, .. }) => *slot = id,
+                other => panic!("expected an Ok resp, got {other:?}"),
+            }
+        }
+        worst = worst.max(t0.elapsed());
+        got.sort_unstable();
+        assert_eq!(got, ids);
+    }
+    assert!(
+        worst < Duration::from_millis(10),
+        "a pipelined pair took {worst:?}: replies are being held for a delayed ACK"
+    );
+    drop(c);
+    server.shutdown();
+}
+
 #[test]
 fn both_classes_share_the_ledger() {
     let server = Server::start(test_config()).expect("start");

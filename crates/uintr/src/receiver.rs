@@ -23,7 +23,7 @@ use preempt_context::cls::ClsCell;
 use preempt_context::{switch_in_progress, tcb};
 
 use crate::cycles::rdtsc;
-use crate::upid::{Upid, NUM_VECTORS};
+use crate::upid::Upid;
 
 /// Context-local UIF: `true` = delivery disabled (after `clui`).
 static UIF_DISABLED: ClsCell<bool> = ClsCell::new(|| false);
@@ -202,15 +202,16 @@ impl UintrReceiver {
             // registered handler is a worker-startup wiring bug; abort
             // is better than silently swallowing interrupts forever.
             .expect("user interrupt delivered with no handler registered");
-        let mut delivered = 0u32;
-        for vector in 0..NUM_VECTORS {
-            if bits & (1u64 << vector) != 0 {
-                preempt_trace::emit(preempt_trace::TraceEvent::HandlerEnter { vector });
-                handler(vector);
-                preempt_trace::emit(preempt_trace::TraceEvent::HandlerExit { vector });
-                delivered += 1;
-            }
+        // Lowest vector first, set bits only.
+        let mut left = bits;
+        while left != 0 {
+            let vector = left.trailing_zeros() as u8;
+            left &= left - 1;
+            preempt_trace::emit(preempt_trace::TraceEvent::HandlerEnter { vector });
+            handler(vector);
+            preempt_trace::emit(preempt_trace::TraceEvent::HandlerExit { vector });
         }
+        let delivered = bits.count_ones();
 
         let mut s = self.stats.get();
         s.delivered += delivered as u64;

@@ -25,13 +25,31 @@ use crate::cycles::rdtsc;
 /// Number of user-interrupt vectors, matching the hardware's UIRR width.
 pub const NUM_VECTORS: u8 = 64;
 
+/// The pending word on a cache line of its own. The receiver polls it at
+/// every preemption point; everything else in the descriptor (and the
+/// `Arc` counts in front of it) is written by senders per post, and must
+/// not keep pulling the polled line out of the receiver's cache.
+#[derive(Debug)]
+#[repr(align(64))]
+struct PendingLine(AtomicU64);
+
+// Ops read `pending.fetch_or(..)`, the shape preempt-lint's protocol table
+// matches on.
+impl std::ops::Deref for PendingLine {
+    type Target = AtomicU64;
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
+}
+
 /// User posted-interrupt descriptor: one per receiver thread.
 ///
 /// Sharable across threads; senders hold `Arc<Upid>` through their UITT.
 #[derive(Debug)]
+#[repr(C)] // `pending` first: the `Arc` counts end up on the line before it
 pub struct Upid {
     /// Posted-interrupt requests, one bit per vector (the UIRR analog).
-    pending: AtomicU64,
+    pending: PendingLine,
     /// Suppress-notification analog: `false` once the receiver tears down.
     active: AtomicBool,
     /// TSC stamp of the most recent post, for delivery-latency accounting.
@@ -45,7 +63,7 @@ pub struct Upid {
 impl Upid {
     pub fn new() -> Arc<Upid> {
         Arc::new(Upid {
-            pending: AtomicU64::new(0),
+            pending: PendingLine(AtomicU64::new(0)),
             active: AtomicBool::new(true),
             last_post_tsc: AtomicU64::new(0),
             posts: AtomicU64::new(0),
@@ -72,12 +90,14 @@ impl Upid {
         if !self.active.load(Ordering::Acquire) {
             return false;
         }
+        // Sender-side stamps first: once the bit is up the receiver may be
+        // in its handler reading them.
         self.last_post_tsc.store(rdtsc(), Ordering::Relaxed);
+        self.posts.fetch_add(1, Ordering::Relaxed);
         // Release pairs with the Acquire swap in the receiver so that
         // everything the sender wrote (e.g. the enqueued transaction)
         // happens-before the handler observing the vector.
         self.pending.fetch_or(1u64 << vector, Ordering::Release);
-        self.posts.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -222,6 +242,18 @@ impl Uitt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pending_word_has_a_cache_line_to_itself() {
+        let upid = Upid::new();
+        let line = |p: *const u8| p as usize / 64;
+        let pending = line(std::ptr::from_ref(&upid.pending).cast());
+        assert_eq!(std::mem::size_of::<PendingLine>(), 64);
+        assert_ne!(pending, line(std::ptr::from_ref(&upid.posts).cast()));
+        assert_ne!(pending, line(std::ptr::from_ref(&upid.active).cast()));
+        // The `Arc` counts sit on the line in front of the descriptor.
+        assert_eq!(pending, line(Arc::as_ptr(&upid).cast()));
+    }
 
     #[test]
     fn post_and_take_round_trip() {

@@ -84,8 +84,10 @@ fn main() {
     // Time travel: at the load snapshot, every account still has 1000 and
     // account 99 still exists.
     let rec99 = accounts2.record(oids[99]).unwrap();
-    assert!(rec99.visible(snapshot_ts, 0).data.is_some());
-    assert!(rec99.visible(u64::MAX, 0).data.is_none());
+    // SAFETY: `audit` is registered in `recovered` until its commit below,
+    // so no version these walks can reach is reclaimed under them.
+    let (then, now) = unsafe { (rec99.visible(snapshot_ts, 0), rec99.visible(u64::MAX, 0)) };
+    assert!(then.data.is_some() && now.data.is_none());
     println!("time-travel read at ts {snapshot_ts}: account 99 visible pre-delete ✓");
     audit.commit().unwrap();
 

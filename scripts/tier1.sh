@@ -21,6 +21,13 @@ cargo run -p preempt-analysis --release -- \
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
     cargo test -p preempt-uintr --test loom -q
 
+# The same for the storage engine's memory protocol (DESIGN.md §2.2):
+# latch-free chain walks against install/commit, abort-unlink, trim,
+# limbo reclamation and the segment-directory install race, with a teeth
+# check that frees at unlink time and must be caught.
+CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
+    cargo test -p preempt-mvcc --lib loom_tests -q
+
 # Adaptive-controller gate (DESIGN.md §9): unit + integration tests run
 # under `cargo test` above; this replays the load-shift benchmark at CI
 # scale and fails unless the controller beats the static sweep, honors

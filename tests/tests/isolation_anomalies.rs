@@ -140,9 +140,11 @@ fn concurrent_serializable_transfers_terminate_and_conserve() {
                     continue;
                 }
                 let mut tx = e.begin(IsolationLevel::Serializable);
+                // A row is borrowed until the next call on the transaction:
+                // decode each before reading the other.
                 let Some(fp) = tx.read(&t, from) else { continue };
-                let Some(tp) = tx.read(&t, to) else { continue };
                 let fv = i64::from_le_bytes(fp.as_ref().try_into().unwrap());
+                let Some(tp) = tx.read(&t, to) else { continue };
                 let tv = i64::from_le_bytes(tp.as_ref().try_into().unwrap());
                 if tx.update(&t, from, &(fv - 1).to_le_bytes()).is_err() {
                     continue;
