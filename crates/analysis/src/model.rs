@@ -14,7 +14,9 @@ use crate::lexer::{lex, Comment, Tok, TokKind};
 /// Kind of critical-section guard introduced by a `let` binding.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GuardKind {
-    /// An MVCC latch read/write guard (`… .latch … .read()/.write()`).
+    /// An MVCC latch guard: a record latch's `read()`/`write()`/
+    /// `try_write()`, or an index node's or hash shard's optimistic latch
+    /// taken for writing by `write()`/`upgrade(version)` (`… .latch …`).
     Latch,
     /// A `NonPreemptGuard::enter()` region.
     NonPreempt,
@@ -307,11 +309,11 @@ impl FileModel {
         } else if is_registry {
             kind = Some(GuardKind::Registry);
         } else if init.iter().any(|t| t.is_ident("latch")) {
-            // Find `.read(` / `.write(` / `.try_write(` and build the key
-            // from everything before the method's `.`.
+            // Find `.read(` / `.write(` / `.try_write(` / `.upgrade(` and
+            // build the key from everything before the method's `.`.
             for (off, w) in init.windows(3).enumerate() {
                 if w[0].is(".")
-                    && matches!(w[1].text.as_str(), "read" | "write" | "try_write")
+                    && matches!(w[1].text.as_str(), "read" | "write" | "try_write" | "upgrade")
                     && w[2].is("(")
                 {
                     kind = Some(GuardKind::Latch);
@@ -707,7 +709,9 @@ fn find_skips(toks: &[Tok], braces: &HashMap<usize, usize>) -> Vec<(usize, usize
             let negated = attr.iter().any(|t| t.is_ident("not"));
             if has_cfg && gated && !negated {
                 // Skip further attributes, then the next `{ … }` before a
-                // `;` is the gated body.
+                // `;` is the gated body. A `}` first means the gated item
+                // had no body and was the last of its block (a struct
+                // field): what follows the block is not gated.
                 let mut j = close + 1;
                 while j + 1 < toks.len() && toks[j].is("#") && toks[j + 1].is("[") {
                     let mut d = 0i32;
@@ -731,7 +735,7 @@ fn find_skips(toks: &[Tok], braces: &HashMap<usize, usize>) -> Vec<(usize, usize
                     match toks[j].text.as_str() {
                         "(" | "[" => depth += 1,
                         ")" | "]" => depth -= 1,
-                        ";" if depth == 0 => break,
+                        ";" | "}" if depth == 0 => break,
                         "{" if depth == 0 => {
                             if let Some(&end) = braces.get(&j) {
                                 skips.push((j, end));
@@ -763,6 +767,18 @@ mod tests {
         let x_idx = m.toks.iter().position(|t| t.is_ident("x")).unwrap();
         assert!(m.skipped(y_idx));
         assert!(!m.skipped(x_idx));
+    }
+
+    #[test]
+    fn a_gated_field_does_not_hide_the_next_block() {
+        let src = "struct S {\n    a: u8,\n    #[cfg(loom)]\n    teeth: bool,\n}\nimpl S { fn f() { x(); } }\n";
+        let m = FileModel::build("t.rs", src);
+        let x_idx = m.toks.iter().position(|t| t.is_ident("x")).unwrap();
+        assert!(!m.skipped(x_idx), "the impl after the struct is not gated");
+        let src = "fn f(s: &S) { #[cfg(loom)] if s.teeth { y(); } x(); }\n";
+        let m = FileModel::build("t.rs", src);
+        let pos = |name| m.toks.iter().position(|t| t.is_ident(name)).unwrap();
+        assert!(m.skipped(pos("y")) && !m.skipped(pos("x")));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Declarative atomic-protocol specifications.
 //!
-//! The engine's lock-free handoffs are seven small protocols; each has an
+//! The engine's lock-free handoffs are nine small protocols; each has an
 //! exact ordering contract per (field, op) and a loom model that
 //! explores its interleavings. v1 enforced a *deny*-list (specific bad
 //! orderings); this table is an *allow*-list with coverage: every atomic
@@ -50,7 +50,7 @@ pub const SCHED_SUITE: &str = "crates/uintr/tests/loom.rs";
 /// The storage-side suite (version chains, reclamation, directory).
 pub const MVCC_SUITE: &str = "crates/mvcc/src/loom_tests.rs";
 
-/// The seven protocols (DESIGN.md §2.2, §12–§13). Governed fields are closed per
+/// The nine protocols (DESIGN.md §2.2–§2.3, §12–§13). Governed fields are closed per
 /// file: any ordering-bearing atomic op on a listed field that has no
 /// row here is flagged until the table is extended.
 pub const SPEC: &[SpecRow] = &[
@@ -363,6 +363,203 @@ pub const SPEC: &[SpecRow] = &[
         why: "the winner publishes its initialized slice; the loser must \
               see the winner's",
     },
+    // ── Optimistic index latch and B+-tree nodes (DESIGN.md §2.3) ────
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "version",
+        op: "load",
+        allow: &["Acquire", "Relaxed"],
+        why: "a reader's first look must see everything the unlocking writer \
+              stored (Acquire); its re-check is ordered by the acquire fence \
+              in front of it, and a writer's peek before its CAS is only a \
+              hint (Relaxed)",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "version",
+        op: "compare_exchange",
+        allow: &["Acquire", "Relaxed"],
+        why: "taking the latch must see the previous holder's stores; the \
+              release fence after it orders the lock bit before the new \
+              holder's own",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "version",
+        op: "store",
+        allow: &["Release"],
+        why: "unlocking publishes the modification with its version",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "count",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "read between a version snapshot and its validation, or under \
+              the write latch",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "count",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "written under the write latch, published by the unlock",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "keys",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "as for `count`",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "keys",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "as for `count`",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "slots",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "as for `count`; a child pointer is dereferenced only after the \
+              node it was read from validated",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "slots",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "as for `count`",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "root",
+        op: "load",
+        allow: &["Acquire", "Relaxed"],
+        why: "a descent must see the initialized root behind the pointer; \
+              Relaxed only under the root's own write latch",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "root",
+        op: "store",
+        allow: &["Release"],
+        why: "publishes the new root's entries",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "nodes",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "the allocation list is only pushed to while the index is \
+              shared, and walked in `Drop`, with `&mut self`",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "nodes",
+        op: "compare_exchange",
+        allow: &["Release", "Relaxed"],
+        why: "a push publishes the node's link to whoever pushes next",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "next_alloc",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "read in `Drop`, with `&mut self`",
+    },
+    SpecRow {
+        protocol: "index-olc",
+        file: "index.rs",
+        field: "next_alloc",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "written before the push that publishes it",
+    },
+    // ── Hash shards: slot arrays under the same latch ────────────────
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "array",
+        op: "load",
+        allow: &["Acquire", "Relaxed"],
+        why: "a probe must see the initialized array behind the pointer; \
+              Relaxed only under the shard's write latch or in `Drop`",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "array",
+        op: "store",
+        allow: &["Release"],
+        why: "publishes the rehashed array",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "key",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "read between the shard's version snapshot and its validation, \
+              or under its write latch",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "key",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "written under the shard's write latch, published by the unlock",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "oid",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "as for `key`",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "oid",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "as for `key`",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "len",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "a statistic to everyone but the latched writer",
+    },
+    SpecRow {
+        protocol: "index-hash-seq",
+        file: "index.rs",
+        field: "len",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "written under the shard's write latch",
+    },
 ];
 
 /// Every protocol must keep a live loom model. `idents` are searched in
@@ -440,6 +637,54 @@ pub const MODELS: &[ModelRef] = &[
         model_fn: "racing_creators_share_one_directory",
         idents: &["create_record", "record"],
     },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "reader_vs_leaf_split",
+        idents: &["insert", "read_all"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "explorer_catches_skipped_validation",
+        idents: &["without_validation", "reader_vs_leaf_split"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "reader_vs_root_split",
+        idents: &["insert", "read_all"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "reader_vs_leaf_unlink",
+        idents: &["remove", "read_all"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "insert_vs_leaf_unlink",
+        idents: &["remove", "insert"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-olc",
+        model_fn: "racing_same_key_inserts",
+        idents: &["insert", "get"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-hash-seq",
+        model_fn: "reader_vs_shard_grow",
+        idents: &["insert", "remove", "get"],
+    },
+    ModelRef {
+        suite: MVCC_SUITE,
+        protocol: "index-hash-seq",
+        model_fn: "racing_same_key_inserts",
+        idents: &["hash", "insert"],
+    },
 ];
 
 const ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -458,14 +703,16 @@ pub fn check_orderings(models: &[FileModel], out: &mut Vec<Finding>) {
             if m.skipped(i) {
                 continue;
             }
-            let [f, dot, op, paren] =
+            let [recv, dot, op, paren] =
                 [&m.toks[i], &m.toks[i + 1], &m.toks[i + 2], &m.toks[i + 3]];
-            if f.kind != TokKind::Ident
-                || !dot.is(".")
-                || op.kind != TokKind::Ident
-                || !paren.is("(")
-                || !governed.contains(f.text.as_str())
-            {
+            if !dot.is(".") || op.kind != TokKind::Ident || !paren.is("(") {
+                continue;
+            }
+            // The field is the receiver's last name: `x.pending` or, for
+            // an array of atomics, the name in front of `[…]`.
+            let f = if recv.is("]") { indexed_name(m, i) } else { Some(recv) };
+            let Some(f) = f else { continue };
+            if f.kind != TokKind::Ident || !governed.contains(f.text.as_str()) {
                 continue;
             }
             // Only the call's own orderings (paren depth 1) count: a
@@ -508,6 +755,24 @@ pub fn check_orderings(models: &[FileModel], out: &mut Vec<Finding>) {
             }
         }
     }
+}
+
+/// The token in front of the `[` that the `]` at `close` closes.
+fn indexed_name(m: &FileModel, close: usize) -> Option<&crate::lexer::Tok> {
+    let mut depth = 0i32;
+    for i in (0..=close).rev() {
+        match m.toks[i].text.as_str() {
+            "]" => depth += 1,
+            "[" => {
+                depth -= 1;
+                if depth == 0 {
+                    return i.checked_sub(1).map(|name| &m.toks[name]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Orderings appearing at paren depth 1 of the call whose `(` is at
@@ -651,6 +916,26 @@ mod tests {
     }
 
     #[test]
+    fn an_array_of_atomics_is_governed_through_its_index() {
+        let f = run(
+            "crates/mvcc/src/index.rs",
+            "fn peek(n: &Node, i: usize) -> u64 { n.keys[i + 1].load(Ordering::Acquire) + n.slots[f(i)].load(Ordering::Relaxed) }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert!(f[0].msg.contains("`keys.load`") && f[0].msg.contains("index-olc"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn an_index_writer_must_not_unlock_relaxed() {
+        let f = run(
+            "crates/mvcc/src/index.rs",
+            "fn unlock(l: &OptLatch, v: u64) { l.version.store(v, Ordering::Relaxed); }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert!(f[0].msg.contains("index-olc"), "{}", f[0].msg);
+    }
+
+    #[test]
     fn a_suite_outside_the_tree_is_not_checked() {
         let mut out = Vec::new();
         check_models(&[], &mut out);
@@ -689,7 +974,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_covers_all_seven_protocols_with_models() {
+    fn spec_covers_all_nine_protocols_with_models() {
         use std::collections::HashSet;
         let spec: HashSet<&str> = SPEC.iter().map(|r| r.protocol).collect();
         let modeled: HashSet<&str> = MODELS.iter().map(|m| m.protocol).collect();
@@ -701,6 +986,8 @@ mod tests {
             "shard-deque",
             "version-chain",
             "segment-directory",
+            "index-olc",
+            "index-hash-seq",
         ] {
             assert!(spec.contains(p), "protocol {p} has no spec rows");
             assert!(modeled.contains(p), "protocol {p} has no loom model");

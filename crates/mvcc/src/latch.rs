@@ -21,6 +21,7 @@ use preempt_context::runtime::preempt_point;
 use preempt_trace::TraceEvent;
 
 use crate::orphan;
+use crate::sync::spin_wait;
 
 /// Writer-held marker in the state word.
 const WRITER: u32 = 1 << 31;
@@ -37,6 +38,62 @@ const SPIN_BOUND: u64 = 64_000_000;
 
 /// Virtual cycles charged per spin iteration (a pause + reload).
 const SPIN_COST: u64 = 4;
+
+/// One bounded wait for somebody else's store: a record latch to come
+/// free, an index node or hash shard to be unlocked. Every waiter in this crate spins through
+/// [`turn`](Self::turn), so every wait lets virtual time pass under the
+/// simulator and every wait on a holder that can never run again — a
+/// context preempted on this very thread — ends in the same diagnosis.
+/// Dropping a wait that spun at all records the contention.
+pub(crate) struct BoundedSpin {
+    spins: u64,
+}
+
+impl BoundedSpin {
+    pub(crate) const fn new() -> BoundedSpin {
+        BoundedSpin { spins: 0 }
+    }
+
+    /// One turn of the wait.
+    ///
+    /// # Panics
+    /// After `SPIN_BOUND` turns, with a same-thread-deadlock diagnosis
+    /// (see module docs).
+    pub(crate) fn turn(&mut self) {
+        spin_wait();
+        // Let virtual time pass (and real preemption fire if the waiter is
+        // itself preemptible) while waiting.
+        preempt_point(SPIN_COST);
+        self.spins += 1;
+        if self.spins >= SPIN_BOUND {
+            panic!(
+                "latch spin bound exceeded: suspected same-thread deadlock \
+                 (a preempted context is holding this latch; is the \
+                 critical section missing a non-preemptible region? \
+                 paper §4.4)"
+            );
+        }
+    }
+}
+
+impl Drop for BoundedSpin {
+    /// Records a contended acquisition (any wait that spun at least
+    /// once) in the metrics registry: one `LatchWaits` count plus the
+    /// approximate cycles burned waiting. Handler-safe — both emits are
+    /// relaxed `fetch_add`s on the caller's shard.
+    fn drop(&mut self) {
+        if self.spins > 0 {
+            preempt_metrics::counter_inc(preempt_metrics::Counter::LatchWaits);
+            preempt_metrics::hist_record(
+                preempt_metrics::FixedHist::LatchWaitCycles,
+                self.spins * SPIN_COST,
+            );
+            // Provenance: the running transaction's latch-stall phase
+            // (same approximation as the histogram; handler-safe add).
+            preempt_prov::latch_stall_add(self.spins * SPIN_COST);
+        }
+    }
+}
 
 /// A reader-writer spin latch.
 #[derive(Debug, Default)]
@@ -66,7 +123,7 @@ impl Latch {
     /// After `SPIN_BOUND` iterations, with a same-thread-deadlock
     /// diagnosis (see module docs).
     pub fn read(&self) -> ReadGuard<'_> {
-        let mut spins = 0u64;
+        let mut wait = BoundedSpin::new();
         loop {
             let s = self.state.load(Ordering::Relaxed);
             if s & WRITER == 0
@@ -76,16 +133,15 @@ impl Latch {
                     .is_ok()
             {
                 preempt_trace::emit(TraceEvent::LatchAcquire { mode: MODE_READ });
-                Self::note_contended(spins);
                 return ReadGuard { latch: self };
             }
-            spins = Self::spin_once(spins);
+            wait.turn();
         }
     }
 
     /// Acquires exclusive access, spinning until available.
     pub fn write(&self) -> WriteGuard<'_> {
-        let mut spins = 0u64;
+        let mut wait = BoundedSpin::new();
         loop {
             if self
                 .state
@@ -94,7 +150,6 @@ impl Latch {
             {
                 self.holder.store(orphan::current_owner_tag(), Ordering::Relaxed);
                 preempt_trace::emit(TraceEvent::LatchAcquire { mode: MODE_WRITE });
-                Self::note_contended(spins);
                 let guard = WriteGuard { latch: self };
                 // Chaos injection: panic *while holding* the latch, after
                 // the guard exists, so the unwind exercises the release
@@ -105,7 +160,7 @@ impl Latch {
                 }
                 return guard;
             }
-            spins = Self::spin_once(spins);
+            wait.turn();
         }
     }
 
@@ -149,41 +204,6 @@ impl Latch {
     /// Whether the latch is currently held in any mode (diagnostics).
     pub fn is_held(&self) -> bool {
         self.state.load(Ordering::Relaxed) != 0
-    }
-
-    #[inline]
-    /// Records a contended acquisition (any acquisition that spun at
-    /// least once) in the metrics registry: one `LatchWaits` count plus
-    /// the approximate cycles burned waiting. Handler-safe — both emits
-    /// are relaxed `fetch_add`s on the caller's shard.
-    fn note_contended(spins: u64) {
-        if spins > 0 {
-            preempt_metrics::counter_inc(preempt_metrics::Counter::LatchWaits);
-            preempt_metrics::hist_record(
-                preempt_metrics::FixedHist::LatchWaitCycles,
-                spins * SPIN_COST,
-            );
-            // Provenance: the running transaction's latch-stall phase
-            // (same approximation as the histogram; handler-safe add).
-            preempt_prov::latch_stall_add(spins * SPIN_COST);
-        }
-    }
-
-    fn spin_once(spins: u64) -> u64 {
-        std::hint::spin_loop();
-        // Let virtual time pass (and real preemption fire if the waiter is
-        // itself preemptible) while waiting.
-        preempt_point(SPIN_COST);
-        let spins = spins + 1;
-        if spins >= SPIN_BOUND {
-            panic!(
-                "latch spin bound exceeded: suspected same-thread deadlock \
-                 (a preempted context is holding this latch; is the \
-                 critical section missing a non-preemptible region? \
-                 paper §4.4)"
-            );
-        }
-        spins
     }
 }
 

@@ -189,6 +189,129 @@ mod tests {
         assert_eq!(idx.get(1), Some(oid));
     }
 
+    /// `(key, oid)` of an entry a transaction removed comes back exactly
+    /// on abort, in both kinds of index.
+    #[test]
+    fn aborted_index_removes_restore_the_exact_entry() {
+        let e = engine();
+        let t = e.create_table("t");
+        let hash = Arc::new(HashIndex::new("pk"));
+        let ordered = Arc::new(OrderedIndex::new("range"));
+        let mut setup = e.begin_si();
+        let oids: Vec<Oid> = (0..40u64)
+            .map(|k| {
+                let oid = setup.insert_indexed(&t, &hash, k, b"row").unwrap();
+                setup.index_insert_ordered(&ordered, k, oid).unwrap();
+                oid
+            })
+            .collect();
+        setup.commit().unwrap();
+
+        let mut tx = e.begin_si();
+        for k in [0u64, 17, 39] {
+            tx.delete(&t, oids[k as usize]).unwrap();
+            assert_eq!(tx.index_remove(&hash, k).unwrap(), Some(oids[k as usize]));
+            assert_eq!(
+                tx.index_remove_ordered(&ordered, k).unwrap(),
+                Some(oids[k as usize])
+            );
+            assert_eq!((hash.get(k), ordered.get(k)), (None, None));
+        }
+        assert_eq!(
+            tx.index_remove(&hash, 99).unwrap(),
+            None,
+            "absent: nothing to undo"
+        );
+        assert_eq!((hash.len(), ordered.len()), (37, 37));
+        tx.abort();
+
+        assert_eq!((hash.len(), ordered.len()), (40, 40));
+        for (k, &oid) in oids.iter().enumerate() {
+            assert_eq!(hash.get(k as u64), Some(oid));
+            assert_eq!(ordered.get(k as u64), Some(oid));
+        }
+        let mut scanned = Vec::new();
+        ordered.range_scan(0, u64::MAX, |k, oid| {
+            scanned.push((k, oid));
+            ControlFlow::Continue(())
+        });
+        assert_eq!(scanned, (0..40).zip(oids).collect::<Vec<_>>());
+    }
+
+    /// An aborted indexed insert leaves no entry and no count behind, in
+    /// both kinds of index, whether it aborted itself or was refused.
+    #[test]
+    fn aborted_indexed_inserts_leave_no_entry() {
+        let e = engine();
+        let t = e.create_table("t");
+        let hash = Arc::new(HashIndex::new("pk"));
+        let ordered = Arc::new(OrderedIndex::new("range"));
+        let mut setup = e.begin_si();
+        let base = setup.insert_indexed(&t, &hash, 1, b"base").unwrap();
+        let base_ordered = setup
+            .insert_indexed_ordered(&t, &ordered, 1, b"base")
+            .unwrap();
+        setup.commit().unwrap();
+
+        let mut tx = e.begin_si();
+        for k in 2..30u64 {
+            let oid = tx.insert_indexed(&t, &hash, k, b"new").unwrap();
+            tx.index_insert_ordered(&ordered, k, oid).unwrap();
+            tx.insert_indexed_ordered(&t, &ordered, 100 + k, b"new")
+                .unwrap();
+            tx.index_insert(&hash, 100 + k, oid).unwrap();
+        }
+        assert_eq!((hash.len(), ordered.len()), (57, 57));
+        tx.abort();
+        for k in (2..30u64).flat_map(|k| [k, 100 + k]) {
+            assert_eq!((hash.get(k), ordered.get(k)), (None, None), "key {k}");
+        }
+        assert_eq!((hash.len(), ordered.len()), (1, 1));
+
+        // A duplicate key aborts the transaction, and with it the entries
+        // it did get in; the entry it collided with is not its to remove.
+        let mut tx = e.begin_si();
+        tx.insert_indexed(&t, &hash, 2, b"new").unwrap();
+        assert_eq!(
+            tx.insert_indexed(&t, &hash, 1, b"dup"),
+            Err(TxError::WriteConflict)
+        );
+        let mut tx = e.begin_si();
+        tx.insert_indexed_ordered(&t, &ordered, 2, b"new").unwrap();
+        assert_eq!(
+            tx.insert_indexed_ordered(&t, &ordered, 1, b"dup"),
+            Err(TxError::WriteConflict)
+        );
+        assert_eq!((hash.get(2), ordered.get(2)), (None, None));
+        assert_eq!(
+            (hash.get(1), ordered.get(1)),
+            (Some(base), Some(base_ordered))
+        );
+        assert_eq!((hash.len(), ordered.len()), (1, 1));
+    }
+
+    /// The rule `IndexUndo` documents, broken: somebody takes the key
+    /// between the remove and the abort. The restored entry is lost, and
+    /// a debug build says so.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "was taken before the abort")]
+    fn a_key_taken_before_the_abort_is_reported() {
+        let e = engine();
+        let t = e.create_table("t");
+        let ordered = Arc::new(OrderedIndex::new("range"));
+        let mut setup = e.begin_si();
+        setup
+            .insert_indexed_ordered(&t, &ordered, 7, b"row")
+            .unwrap();
+        setup.commit().unwrap();
+
+        let mut tx = e.begin_si();
+        tx.index_remove_ordered(&ordered, 7).unwrap();
+        assert!(ordered.insert(7, 12345), "no write intent kept the key");
+        tx.abort();
+    }
+
     #[test]
     fn drop_without_commit_aborts() {
         let e = engine();

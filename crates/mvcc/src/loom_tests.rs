@@ -1,4 +1,5 @@
-//! Interleaving checks for the version-chain memory protocol (run with
+//! Interleaving checks for the version-chain memory protocol and the
+//! optimistic indexes (run with
 //! `RUSTFLAGS="--cfg loom" cargo test -p preempt-mvcc --lib loom_tests`).
 //!
 //! Readers walk chains with no latch and no reference count; what keeps a
@@ -22,15 +23,25 @@
 //! an ordering weaker than the protocol needs — is pinned statically by
 //! preempt-lint's ordering table (`crates/analysis/src/protocol.rs`).
 //!
-//! Only one thread per model writes, because the record latch spins on
-//! `std` atomics the stub cannot schedule around.
+//! Only one thread per engine model writes, because the record latch
+//! spins on `std` atomics the stub cannot schedule around.
+//!
+//! The index models (at the end) race one lookup-and-scan against each
+//! way an index is restructured under it — a leaf split, a root split, a
+//! hash shard's growth and a removal's backward shift — and two inserts
+//! of one key against each other. Every field of a node and a shard is a
+//! stub atomic in this build, nodes hold four keys and a shard's first
+//! array two slots, so a handful of inserts gets there.
 
 use std::sync::Arc;
 
 use loom::thread;
 use preempt_context::nonpreempt::NonPreemptGuard;
 
-use crate::{Engine, EngineConfig, IsolationLevel, Oid, Table};
+use crate::index::{hash, SHARD_BITS};
+use crate::{
+    ControlFlow, Engine, EngineConfig, HashIndex, IsolationLevel, Oid, OrderedIndex, Table,
+};
 
 const PREEMPTIONS: usize = 2;
 
@@ -238,5 +249,198 @@ fn explorer_catches_free_at_unlink() {
         // SAFETY: none — this is the bug the model must catch.
         unsafe { run.free() };
         reader.join().unwrap();
+    });
+}
+
+// ── Optimistic indexes ───────────────────────────────────────────────
+
+/// `key`'s OID in the index models: a pair read half before and half
+/// after a writer does not match.
+fn oid_of(key: u64) -> Oid {
+    key * 1000 + 7
+}
+
+/// What a reader may see of `idx` while a writer adds `optional` to the
+/// `preloaded` keys: every preloaded key exactly once, the optional ones
+/// or not, ascending, each with its own OID — by lookup and by scan.
+fn read_all(idx: &OrderedIndex, preloaded: &[u64], optional: &[u64]) {
+    for &key in preloaded {
+        assert_eq!(idx.get(key), Some(oid_of(key)), "preloaded key lost");
+    }
+    let mut seen = Vec::new();
+    idx.range_scan(0, u64::MAX, |key, oid| {
+        assert_eq!(oid, oid_of(key), "key {key} with another key's OID");
+        seen.push(key);
+        ControlFlow::Continue(())
+    });
+    assert!(
+        seen.windows(2).all(|w| w[0] < w[1]),
+        "out of order or twice: {seen:?}"
+    );
+    seen.retain(|key| !optional.contains(key));
+    assert_eq!(seen, preloaded, "preloaded key lost or invented");
+}
+
+/// A tree of two leaves under an inner root, the left one full:
+/// `[10 20 30 40] [50]`.
+fn two_leaves(idx: OrderedIndex) -> Arc<OrderedIndex> {
+    for key in [10, 20, 30, 40, 50] {
+        assert!(idx.insert(key, oid_of(key)));
+    }
+    Arc::new(idx)
+}
+
+/// Reader vs leaf split: the writer's key lands in the middle of the full
+/// leaf, which splits in half under the reader (a new sibling, a new
+/// entry in the parent, half the entries gone from where they were), and
+/// then takes the key.
+fn reader_vs_leaf_split(idx: OrderedIndex) {
+    let idx = two_leaves(idx);
+    let writer = {
+        let idx = idx.clone();
+        thread::spawn(move || assert!(idx.insert(25, oid_of(25))))
+    };
+    read_all(&idx, &[10, 20, 30, 40, 50], &[25]);
+    writer.join().unwrap();
+    read_all(&idx, &[10, 20, 25, 30, 40, 50], &[]);
+}
+
+#[test]
+fn reader_vs_leaf_split_validates() {
+    loom::model_bounded(PREEMPTIONS, || reader_vs_leaf_split(OrderedIndex::new("t")));
+}
+
+/// Teeth: the same race with readers that trust what they read — no
+/// version re-validation — must lose a key to the split.
+#[test]
+#[should_panic(expected = "preloaded key lost")]
+fn explorer_catches_skipped_validation() {
+    loom::model_bounded(PREEMPTIONS, || {
+        reader_vs_leaf_split(OrderedIndex::without_validation("t"))
+    });
+}
+
+/// Reader vs root split: the only node there is, full, splits under the
+/// reader and a new root goes in above it. A reader that started from
+/// the old root must notice that it is only the left half now.
+#[test]
+fn reader_vs_root_split() {
+    loom::model_bounded(PREEMPTIONS, || {
+        let idx = OrderedIndex::new("t");
+        for key in [10, 20, 30, 40] {
+            assert!(idx.insert(key, oid_of(key)));
+        }
+        let idx = Arc::new(idx);
+        let writer = {
+            let idx = idx.clone();
+            thread::spawn(move || assert!(idx.insert(25, oid_of(25))))
+        };
+        read_all(&idx, &[10, 20, 30, 40], &[25]);
+        writer.join().unwrap();
+        read_all(&idx, &[10, 20, 25, 30, 40], &[]);
+    });
+}
+
+/// Reader vs leaf unlink: the writer drains the right leaf, which leaves
+/// the tree (retired, its range absorbed by its neighbour), and then
+/// puts a key back where it was.
+#[test]
+fn reader_vs_leaf_unlink() {
+    loom::model_bounded(PREEMPTIONS, || {
+        let idx = two_leaves(OrderedIndex::new("t"));
+        let writer = {
+            let idx = idx.clone();
+            thread::spawn(move || {
+                assert_eq!(idx.remove(50), Some(oid_of(50)));
+                assert!(idx.insert(60, oid_of(60)));
+            })
+        };
+        read_all(&idx, &[10, 20, 30, 40], &[50, 60]);
+        writer.join().unwrap();
+        read_all(&idx, &[10, 20, 30, 40, 60], &[]);
+    });
+}
+
+/// Insert vs leaf unlink: one writer drains the right leaf out of the
+/// tree while another inserts into that very leaf's range. Whichever way
+/// they interleave, the insert must land somewhere a lookup finds it —
+/// never in the leaf that was just retired.
+#[test]
+fn insert_vs_leaf_unlink() {
+    loom::model_bounded(PREEMPTIONS, || {
+        let idx = two_leaves(OrderedIndex::new("t"));
+        let remover = {
+            let idx = idx.clone();
+            thread::spawn(move || assert_eq!(idx.remove(50), Some(oid_of(50))))
+        };
+        assert!(idx.insert(60, oid_of(60)));
+        remover.join().unwrap();
+        read_all(&idx, &[10, 20, 30, 40, 60], &[]);
+    });
+}
+
+/// Two inserts of one key, into a full leaf: both want the split, one
+/// gets it, and one — not necessarily the same — gets the key.
+#[test]
+fn racing_same_key_inserts() {
+    loom::model_bounded(PREEMPTIONS, || {
+        let idx = two_leaves(OrderedIndex::new("t"));
+        let hash = Arc::new(HashIndex::new("h"));
+        let other = {
+            let (idx, hash) = (idx.clone(), hash.clone());
+            thread::spawn(move || (idx.insert(25, 1), hash.insert(25, 1)))
+        };
+        let mine = (idx.insert(25, 2), hash.insert(25, 2));
+        let theirs = other.join().unwrap();
+        assert!(mine.0 != theirs.0, "one winner in the tree");
+        assert!(mine.1 != theirs.1, "one winner in the shard");
+        assert_eq!(idx.get(25), Some(if mine.0 { 2 } else { 1 }));
+        assert_eq!(hash.get(25), Some(if mine.1 { 2 } else { 1 }));
+        assert_eq!((idx.len(), hash.len()), (6, 1));
+    });
+}
+
+/// Reader vs shard growth and backward shift: four keys of one shard,
+/// two of them with the same home slot. The writer's insert replaces the
+/// shard's full array by one twice its size, and its removal of the
+/// first of the colliding pair moves the second back over the hole — key
+/// first, then OID — all under a reader of that second key.
+#[test]
+fn reader_vs_shard_grow() {
+    loom::model_bounded(PREEMPTIONS, || {
+        let home = |key: u64| (hash(key) << SHARD_BITS) >> (64 - 3);
+        let mut shard = (0..).filter(|&key| hash(key) >> (64 - SHARD_BITS) == 0);
+        let first = shard.next().unwrap();
+        let second = shard.find(|&key| home(key) == home(first)).unwrap();
+        let (other, late) = (shard.next().unwrap(), shard.next().unwrap());
+
+        let idx = Arc::new(HashIndex::new("h"));
+        for key in [other, first, second] {
+            assert!(idx.insert(key, oid_of(key)));
+        }
+        let writer = {
+            let idx = idx.clone();
+            thread::spawn(move || {
+                assert!(idx.insert(late, oid_of(late)));
+                assert_eq!(idx.remove(first), Some(oid_of(first)));
+            })
+        };
+        for key in [second, other] {
+            assert_eq!(
+                idx.get(key),
+                Some(oid_of(key)),
+                "preloaded key lost or torn"
+            );
+        }
+        let seen = idx.get(late);
+        assert!(
+            seen.is_none() || seen == Some(oid_of(late)),
+            "torn entry: {seen:?}"
+        );
+        writer.join().unwrap();
+        for key in [second, other, late] {
+            assert_eq!(idx.get(key), Some(oid_of(key)));
+        }
+        assert_eq!((idx.get(first), idx.len()), (None, 3));
     });
 }

@@ -2,15 +2,16 @@
 //! striping of the engine's hot counters.
 //!
 //! Under `--cfg loom` the protocol atomics (`Record.head`,
-//! `Version.{next,begin}`, registry slots, the commit clock, the limbo)
-//! become the vendored loom stub's, so `src/loom_tests.rs` can exhaust
-//! the interleavings of reader-walk vs install/unlink/trim/reclaim.
-//! Production builds use `std`.
+//! `Version.{next,begin}`, registry slots, the commit clock, the limbo,
+//! every field of an index node and hash shard) become the vendored loom
+//! stub's, so `src/loom_tests.rs` can exhaust the interleavings of
+//! reader-walk vs install/unlink/trim/reclaim and of optimistic index
+//! reads vs splits and shard growth. Production builds use `std`.
 
 #[cfg(loom)]
-pub(crate) use loom::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use loom::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 #[cfg(not(loom))]
-pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+pub(crate) use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
 use std::sync::atomic::{AtomicU64 as Counter, AtomicUsize as ThreadIds, Ordering::Relaxed};
 

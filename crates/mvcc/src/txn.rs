@@ -54,6 +54,21 @@ struct WriteEntry {
     version: *const Version,
 }
 
+/// What an abort does to an index, newest first.
+///
+/// The indexes themselves know nothing of transactions: an entry a
+/// transaction inserted is there for everyone at once, and one it
+/// removed is gone for everyone. What makes the undo exact is a rule for
+/// the caller: change an index entry only while holding a write intent
+/// (a pending version) on the record behind the key — insert the record
+/// first, delete or update it before removing its entry — and never map
+/// one key to two records. First-updater-wins then keeps every other
+/// transaction off that key until this one ends, so on abort the entry
+/// it inserted is still its own to remove, and the key it vacated is
+/// still vacant to restore `(key, oid)` into. A caller that breaks the
+/// rule can lose the restored entry to whoever took the key meanwhile;
+/// the index reports that (`insert` returns `false`), and a debug build
+/// asserts it.
 enum IndexUndo {
     Hash { index: Arc<HashIndex>, key: u64 },
     Ordered { index: Arc<OrderedIndex>, key: u64 },
@@ -508,10 +523,20 @@ impl<'e> Transaction<'e> {
                     index.remove(key);
                 }
                 IndexUndo::ReinsertHash { index, key, oid } => {
-                    index.insert(key, oid);
+                    let restored = index.insert(key, oid);
+                    debug_assert!(
+                        restored,
+                        "{}: key {key} was taken before the abort",
+                        index.name()
+                    );
                 }
                 IndexUndo::ReinsertOrdered { index, key, oid } => {
-                    index.insert(key, oid);
+                    let restored = index.insert(key, oid);
+                    debug_assert!(
+                        restored,
+                        "{}: key {key} was taken before the abort",
+                        index.name()
+                    );
                 }
             }
         }

@@ -13,23 +13,22 @@
 #    detector, catching accesses the other two never modeled.
 #
 # TSan on Rust needs a nightly toolchain plus the rust-src component
-# (`-Zbuild-std` rebuilds std with the sanitizer). The hermetic CI image
-# has no network, so a missing prerequisite is a graceful skip (exit 0),
-# not a failure — mirroring scripts/miri.sh. The loom + preempt-lint
-# gates in tier1.sh still run everywhere.
+# (`-Zbuild-std` rebuilds std with the sanitizer). A lane that did not
+# run must not read as green: with a prerequisite missing this prints
+# SKIPPED and exits 77, like scripts/miri.sh. tier1.sh does not call this
+# script (its loom + preempt-lint gates run everywhere); the CI job that
+# does installs both first.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if ! cargo +nightly --version >/dev/null 2>&1; then
-    echo "tsan.sh: nightly toolchain not installed — skipping." >&2
-    echo "tsan.sh: to enable: rustup toolchain install nightly" >&2
-    exit 0
+    echo "tsan.sh: SKIPPED — no nightly toolchain (rustup toolchain install nightly)" >&2
+    exit 77
 fi
 
 if ! rustup +nightly component list --installed 2>/dev/null | grep -q '^rust-src'; then
-    echo "tsan.sh: rust-src component missing (offline image?) — skipping." >&2
-    echo "tsan.sh: to enable: rustup +nightly component add rust-src" >&2
-    exit 0
+    echo "tsan.sh: SKIPPED — rust-src is missing (rustup +nightly component add rust-src)" >&2
+    exit 77
 fi
 
 host="$(rustc +nightly -vV | awk '/^host:/ {print $2}')"

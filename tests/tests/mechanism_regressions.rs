@@ -86,6 +86,94 @@ fn nonpreemptible_region_prevents_the_deadlock() {
     assert!(!latch.is_held());
 }
 
+/// The same deadlock through the indexes. Only their *writers* latch (a
+/// tree leaf, a hash shard), and they do so inside a non-preemptible
+/// region; `with_write_latch_held` takes the latch without one, and the
+/// holder is preempted. Everything a sibling context then does with that
+/// key's leaf or shard — insert, remove, even the latch-free `get`, which
+/// waits for the writer to finish before it reads — spins on a holder
+/// that cannot run, and the shared spin bound must say so.
+#[test]
+fn index_writer_without_nonpreemptible_region_deadlocks_and_is_diagnosed() {
+    use preemptdb::mvcc::{HashIndex, OrderedIndex};
+    type Op = fn(&HashIndex, &OrderedIndex);
+    let cases: [(&str, bool, Op); 4] = [
+        ("hash insert", true, |h, _| assert!(h.insert(7, 1))),
+        ("hash get", true, |h, _| assert!(h.get(7).is_some())),
+        ("ordered remove", false, |_, o| assert!(o.remove(7).is_some())),
+        ("ordered get", false, |_, o| assert!(o.get(7).is_some())),
+    ];
+    for (what, on_hash, op) in cases {
+        let hash = Arc::new(HashIndex::new("pk"));
+        let ordered = Arc::new(OrderedIndex::new("range"));
+        assert!(hash.insert(7, 70) && ordered.insert(7, 70));
+
+        let root = tcb::root_ptr() as usize;
+        let (h1, o1) = (hash.clone(), ordered.clone());
+        let holder = Context::with_default_stack("holder", move || {
+            // Preempted while holding the write latch; never resumed.
+            let preempted = || switch_to(unsafe { &*(root as *const Tcb) });
+            if on_hash {
+                h1.with_write_latch_held(7, preempted)
+            } else {
+                o1.with_write_latch_held(7, preempted)
+            }
+        })
+        .unwrap();
+        holder.resume();
+
+        let (h2, o2) = (hash.clone(), ordered.clone());
+        let spinner = Context::with_default_stack("spinner", move || op(&h2, &o2)).unwrap();
+        spinner.resume();
+        assert_eq!(spinner.tcb().state(), CtxState::Poisoned, "{what}");
+        let msg = spinner.tcb().panic_message().expect("captured diagnosis");
+        assert!(msg.contains("same-thread deadlock"), "{what}: {msg}");
+    }
+}
+
+/// Protected the way the index writers do it: the region defers the
+/// preemption, so the latch is released before the switch, and the
+/// sibling's operations on the same leaf and shard go through.
+#[test]
+fn nonpreemptible_region_prevents_the_index_writer_deadlock() {
+    use preemptdb::mvcc::{HashIndex, OrderedIndex};
+    let hash = HashIndex::new("pk");
+    let ordered = OrderedIndex::new("range");
+    assert!(hash.insert(7, 70) && ordered.insert(7, 70));
+
+    let delivered = Arc::new(AtomicU64::new(0));
+    let d = delivered.clone();
+    let mut rx = UintrReceiver::new();
+    rx.register_handler(move |_| {
+        d.fetch_add(1, Ordering::Relaxed);
+    });
+    let tx = UipiSender::new(rx.upid(), 1);
+
+    for on_hash in [true, false] {
+        let before = delivered.load(Ordering::Relaxed);
+        {
+            let _np = NonPreemptGuard::enter();
+            let latched = || {
+                tx.send();
+                assert_eq!(rx.poll(), 0, "deferred while latched");
+            };
+            if on_hash {
+                hash.with_write_latch_held(7, latched)
+            } else {
+                ordered.with_write_latch_held(7, latched)
+            }
+            assert_eq!(delivered.load(Ordering::Relaxed), before);
+        }
+        // After the region (and the latch) are released, delivery
+        // proceeds, and whoever runs next finds the index free.
+        assert_eq!(rx.poll(), 1);
+        assert_eq!(delivered.load(Ordering::Relaxed), before + 1);
+        assert_eq!((hash.get(7), ordered.get(7)), (Some(70), Some(70)));
+        assert!(!hash.insert(7, 1) && !ordered.insert(7, 1));
+    }
+    assert_eq!((hash.remove(7), ordered.remove(7)), (Some(70), Some(70)));
+}
+
 /// §4.3's CLS-necessity demonstration: two transaction contexts on one
 /// worker write redo entries "concurrently" (interleaved by preemption).
 /// With CLS (the engine's actual log buffer), both logs stay coherent.
