@@ -30,7 +30,7 @@
 //!    breaches its bound, and its phases sum to its latency.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin attr_gate [-- --check] [-- --dump DIR]
+//! cargo run --release -p preempt-bench --bin run_all -- attr_gate [--check] [--dump DIR]
 //! ```
 //!
 //! `--check` (alias `--quick`) shrinks the run for CI; `--dump DIR`
@@ -41,16 +41,17 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use preempt_bench::{bench_tpcc_scale, bench_tpch_scale, Table};
+use crate::cli::flag;
+use crate::{load_mixed, Scenario, Table};
 use preemptdb::metrics::{MetricsConfig, MetricsRegistry};
 use preemptdb::prov::{
     exemplars_to_chrome_json, AttributionReport, Phase, ProvConfig, CLASS_LABELS,
 };
 use preemptdb::sched::{
-    run, DriverConfig, Histogram, Policy, RobustnessConfig, RunReport, Runtime,
+    self, DriverConfig, Histogram, Policy, RobustnessConfig, RunReport, Runtime,
 };
 use preemptdb::trace::{TraceConfig, TraceSession};
-use preemptdb::workloads::{kinds, setup_mixed, MixedWorkload};
+use preemptdb::workloads::{kinds, MixedWorkload};
 use preemptdb::SimConfig;
 
 /// Relative width of one legacy log-histogram bucket (32 sub-buckets
@@ -64,35 +65,12 @@ const HIGH_KINDS: [&str; 2] = [kinds::NEW_ORDER, kinds::PAYMENT];
 
 /// The gate scenario: the Figure 12 mixed workload, sized to produce
 /// enough completions per class that a p99 is meaningful.
-#[derive(Clone, Copy)]
-struct Scenario {
-    workers: usize,
-    duration_ms: u64,
-    arrival_us: u64,
-    high_queue: usize,
-    seed: u64,
-}
-
-impl Scenario {
-    fn quick() -> Scenario {
-        Scenario {
-            workers: 8,
-            duration_ms: 60,
-            arrival_us: 1_000,
-            high_queue: 8,
-            seed: 42,
-        }
-    }
-
-    fn full() -> Scenario {
-        Scenario {
-            duration_ms: 200,
-            ..Scenario::quick()
-        }
-    }
-
-    fn batch_size(&self) -> usize {
-        self.workers * self.high_queue
+fn scenario(check: bool) -> Scenario {
+    Scenario {
+        workers: 8,
+        duration_ms: if check { 60 } else { 200 },
+        high_queue: 8,
+        ..Scenario::quick()
     }
 }
 
@@ -101,26 +79,12 @@ impl Scenario {
 /// same virtual-time execution from the same initial state.
 fn run_attributed(policy: Policy, sc: &Scenario, slo_cycles: [u64; 2]) -> RunReport {
     let sim = SimConfig::default();
-    let (_engine, tpcc, tpch) = setup_mixed(
-        sc.workers as u64,
-        Some(bench_tpcc_scale(sc.workers as u64)),
-        Some(bench_tpch_scale()),
-        sc.seed,
-    );
+    let (tpcc, tpch) = load_mixed(sc.workers, sc.seed);
     let cfg = DriverConfig {
-        policy,
-        n_workers: sc.workers,
-        shards: 1,
-        queue_caps: vec![1, sc.high_queue],
-        batch_size: sc.batch_size(),
-        arrival_interval: sim.us_to_cycles(sc.arrival_us),
-        duration: sim.ms_to_cycles(sc.duration_ms),
-        always_interrupt: false,
         robustness: RobustnessConfig {
             max_full_retries: 1_000,
             ..Default::default()
         },
-        recovery: Default::default(),
         metrics: Some(MetricsRegistry::new(MetricsConfig::default())),
         // Sized so the rings hold the whole run: check 1 asserts zero
         // drops, because a lossy trace cannot certify attribution.
@@ -132,9 +96,10 @@ fn run_attributed(policy: Policy, sc: &Scenario, slo_cycles: [u64; 2]) -> RunRep
             slo_cycles,
             exemplars_per_worker: 8,
         }),
+        ..sc.driver_config(policy, &sim)
     };
     let factory = MixedWorkload::new(tpcc, tpch, sc.seed);
-    run(Runtime::Simulated(sim), cfg, Box::new(factory))
+    sched::run(Runtime::Simulated(sim), cfg, Box::new(factory))
 }
 
 /// The attribution report, or a gate failure if the run lacks one.
@@ -269,15 +234,14 @@ fn relative_gap(a: f64, b: f64) -> f64 {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check" || a == "--quick");
+pub fn run(args: &[String]) -> ExitCode {
+    let check = flag(args, "--check") || flag(args, "--quick");
     let dump_dir = args
         .iter()
         .position(|a| a == "--dump")
         .and_then(|i| args.get(i + 1))
         .map(std::path::PathBuf::from);
-    let sc = if check { Scenario::quick() } else { Scenario::full() };
+    let sc = scenario(check);
     let sim = SimConfig::default();
     let mut failures: Vec<String> = Vec::new();
 

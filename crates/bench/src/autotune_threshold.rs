@@ -16,42 +16,19 @@
 //! all. Reporting both shows where the two objectives land.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin autotune_threshold -- [q2-share]
+//! cargo run --release -p preempt-bench --bin run_all -- autotune_threshold [q2-share]
 //! ```
 
-use preempt_bench::{bench_tpcc_scale, bench_tpch_scale, Scenario, Table};
-use preemptdb::sched::{run, DriverConfig, Policy, RunReport, Runtime};
-use preemptdb::workloads::{kinds, setup_mixed, MixedWorkload};
-use preemptdb::SimConfig;
+use std::process::ExitCode;
 
+use crate::{load_mixed, run_mixed, Scenario, Table};
+use preemptdb::sched::{Policy, RunReport};
+use preemptdb::workloads::kinds;
+
+/// One run of the overload scenario on a freshly loaded database.
 fn run_policy(policy: Policy, sc: &Scenario) -> RunReport {
-    let sim = SimConfig::default();
-    let (_e, tpcc, tpch) = setup_mixed(
-        sc.workers as u64,
-        Some(bench_tpcc_scale(sc.workers as u64)),
-        Some(bench_tpch_scale()),
-        sc.seed,
-    );
-    let cfg = DriverConfig {
-        policy,
-        n_workers: sc.workers,
-        shards: 1,
-        queue_caps: vec![1, 100],
-        batch_size: 100 * sc.workers,
-        arrival_interval: sim.us_to_cycles(sc.arrival_us),
-        duration: sim.ms_to_cycles(sc.duration_ms),
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
-    };
-    run(
-        Runtime::Simulated(sim),
-        cfg,
-        Box::new(MixedWorkload::new(tpcc, tpch, sc.seed)),
-    )
+    let (tpcc, tpch) = load_mixed(sc.workers, sc.seed);
+    run_mixed(policy, sc, tpcc, tpch)
 }
 
 fn probe(threshold: f64, sc: &Scenario) -> (f64, f64) {
@@ -67,14 +44,11 @@ fn probe(threshold: f64, sc: &Scenario) -> (f64, f64) {
     )
 }
 
-fn main() {
-    let target_share: f64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.5);
+pub fn run(args: &[String]) -> ExitCode {
+    let target_share: f64 = args.first().and_then(|a| a.parse().ok()).unwrap_or(0.5);
     let sc = Scenario {
         duration_ms: 100,
-        ..Scenario::quick()
+        ..Scenario::quick().overload()
     };
     eprintln!(
         "tuning L_max for a >= {:.0}% Q2 share under the Figure 12 overload ...",
@@ -139,4 +113,5 @@ fn main() {
          chases a high-priority p99 SLO online — the two land on the same \
          threshold only when the SLO and the share target agree"
     );
+    ExitCode::SUCCESS
 }

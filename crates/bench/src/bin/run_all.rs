@@ -1,69 +1,17 @@
-//! Runs every experiment in sequence and emits one markdown report —
-//! the data behind `EXPERIMENTS.md`.
+//! The bench crate's one binary: every figure, extension experiment and
+//! self-checking gate by name, the tier-1 gates with `--check`, or the
+//! whole report behind `EXPERIMENTS.md` (see `preempt_bench::cli`).
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin run_all           # quick
-//! cargo run --release -p preempt-bench --bin run_all -- --full # longer
+//! cargo run --release -p preempt-bench --bin run_all                  # report, quick
+//! cargo run --release -p preempt-bench --bin run_all -- --full        # report, longer
+//! cargo run --release -p preempt-bench --bin run_all -- --check       # tier-1 gates
+//! cargo run --release -p preempt-bench --bin run_all -- fig10 --full  # one experiment
 //! ```
 
-use preempt_bench::*;
+use std::process::ExitCode;
 
-fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let sc = if full {
-        Scenario::full()
-    } else {
-        Scenario::quick()
-    };
-    println!("# PreemptDB reproduction — experiment report\n");
-    println!(
-        "scenario: {} workers, {} ms virtual duration, {} us arrivals, \
-         high queue {}\n",
-        sc.workers, sc.duration_ms, sc.arrival_us, sc.high_queue
-    );
-
-    eprintln!("[1/8] uintr delivery latency ...");
-    uintr_latency(if full { 5_000 } else { 1_000 }).print();
-
-    eprintln!("[2/8] fig01 ...");
-    fig01(&sc).print();
-
-    eprintln!("[3/8] fig08 ...");
-    fig08(&sc, if full { &[1, 2, 4, 8, 16] } else { &[4, 16] }).print();
-
-    eprintln!("[4/8] fig09 ...");
-    fig09(&sc, if full { &[1, 2, 4, 8, 16] } else { &[2, 8, 16] }).print();
-
-    eprintln!("[5/8] fig10 ...");
-    let (top, bottom) = fig10(&sc);
-    top.print();
-    bottom.print();
-
-    eprintln!("[6/8] fig11 ...");
-    fig11(
-        &sc,
-        if full {
-            &[1, 10, 100, 1_000, 10_000, 100_000]
-        } else {
-            &[10, 1_000, 10_000, 100_000]
-        },
-    )
-    .print();
-
-    eprintln!("[7/8] fig12 ...");
-    fig12(&sc, if full { &[0.0, 0.25, 0.5, 0.75, 1.0, 100.0] } else { &[0.0, 0.75, 100.0] })
-        .print();
-
-    eprintln!("[8/8] fig13 ...");
-    fig13(
-        &sc,
-        if full {
-            &[50, 158, 500, 1_580, 5_000, 15_800, 50_000]
-        } else {
-            &[50, 500, 5_000, 50_000]
-        },
-    )
-    .print();
-
-    eprintln!("done.");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    preempt_bench::cli::main(&args)
 }

@@ -55,15 +55,15 @@ pub fn uintr_latency(samples: usize) -> Table {
     t.row(vec![
         "uintr (emulated, flag+poll)".into(),
         to_us(latency::median(&mut u)),
-        to_us(latency::percentile(&mut u, 0.90)),
-        to_us(latency::percentile(&mut u, 0.99)),
+        to_us(latency::percentile(&mut u, 90.0)),
+        to_us(latency::percentile(&mut u, 99.0)),
     ]);
     let mut s = latency::signal_latency_samples(samples);
     t.row(vec![
         "signal (pthread_kill)".into(),
         to_us(latency::median(&mut s)),
-        to_us(latency::percentile(&mut s, 0.90)),
-        to_us(latency::percentile(&mut s, 0.99)),
+        to_us(latency::percentile(&mut s, 90.0)),
+        to_us(latency::percentile(&mut s, 99.0)),
     ]);
     t
 }
@@ -85,14 +85,13 @@ pub fn fig08(sc: &Scenario, worker_counts: &[usize]) -> Table {
         let (tpcc, _tpch) = load_mixed(workers, sc.seed);
         let mut results = Vec::new();
         for on in [false, true] {
+            let policy = if on {
+                Policy::preemptdb()
+            } else {
+                Policy::Wait
+            };
             let cfg = DriverConfig {
-                policy: if on {
-                    Policy::preemptdb()
-                } else {
-                    Policy::Wait
-                },
                 n_workers: workers,
-                shards: 1,
                 // Deep low queue keeps workers saturated with OLTP (the
                 // overhead is invisible if workers idle between arrivals).
                 queue_caps: vec![64, 4],
@@ -100,11 +99,7 @@ pub fn fig08(sc: &Scenario, worker_counts: &[usize]) -> Table {
                 arrival_interval: sim.us_to_cycles(sc.arrival_us),
                 duration: sim.ms_to_cycles(sc.duration_ms),
                 always_interrupt: on,
-                robustness: Default::default(),
-                recovery: Default::default(),
-                trace: None,
-                metrics: None,
-                prov: None,
+                ..DriverConfig::paper_default(policy)
             };
             let factory = TpccWorkload::new(tpcc.clone(), sc.seed);
             results.push(run(Runtime::Simulated(sim), cfg, Box::new(factory)));
@@ -209,7 +204,6 @@ pub fn fig09_sharded(duration_ms: u64, worker_counts: &[usize]) -> (Table, Vec<S
     let run_one = |workers: usize, shards: usize| {
         let sim = SimConfig::default();
         let cfg = DriverConfig {
-            policy: Policy::preemptdb(),
             n_workers: workers,
             shards,
             // Deep low queues: the refill cadence (10 us) must never be
@@ -218,12 +212,7 @@ pub fn fig09_sharded(duration_ms: u64, worker_counts: &[usize]) -> (Table, Vec<S
             batch_size: 0,
             arrival_interval: sim.us_to_cycles(10),
             duration: sim.ms_to_cycles(duration_ms),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            ..DriverConfig::paper_default(Policy::preemptdb())
         };
         run(Runtime::Simulated(sim), cfg, Box::new(PointStream))
     };
@@ -337,11 +326,7 @@ pub fn fig11(sc: &Scenario, intervals: &[u64]) -> Table {
 /// Figure 12: starvation-threshold sweep under overload (high queue 100,
 /// 1600 high-priority transactions per 1 ms across 16 workers).
 pub fn fig12(sc: &Scenario, thresholds: &[f64]) -> Table {
-    let overload = Scenario {
-        high_queue: 100,
-        batch: Some(100 * sc.workers),
-        ..*sc
-    };
+    let overload = sc.overload();
     let (tpcc, tpch) = load_mixed(overload.workers, overload.seed);
     let mut t = Table::new(
         "Figure 12: starvation threshold under overload",
@@ -421,21 +406,7 @@ pub fn ablation_delivery(sc: &Scenario, delivery_us: &[f64]) -> Table {
             uintr_delivery_cycles: (d_us * 2_400.0) as u64,
             ..SimConfig::default()
         };
-        let cfg = preemptdb::sched::DriverConfig {
-            policy: Policy::preemptdb(),
-            n_workers: sc.workers,
-            shards: 1,
-            queue_caps: vec![1, sc.high_queue],
-            batch_size: sc.batch_size(),
-            arrival_interval: sim.us_to_cycles(sc.arrival_us),
-            duration: sim.ms_to_cycles(sc.duration_ms),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
-        };
+        let cfg = sc.driver_config(Policy::preemptdb(), &sim);
         let factory = MixedWorkload::new(tpcc.clone(), tpch.clone(), sc.seed);
         let r = run(Runtime::Simulated(sim), cfg, Box::new(factory));
         t.row(vec![

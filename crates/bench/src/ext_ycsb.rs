@@ -3,15 +3,16 @@
 //! YCSB-B (95/5 read/update, zipfian) instead of NewOrder/Payment.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin ext_ycsb
+//! cargo run --release -p preempt-bench --bin run_all -- ext_ycsb
 //! ```
 
-use preempt_bench::{bench_tpch_scale, Scenario, Table};
-use preemptdb::sched::{run, DriverConfig, Policy, Request, Runtime, WorkOutcome, WorkloadFactory};
+use crate::{bench_tpch_scale, competing_policies, Scenario, Table};
+use preemptdb::sched::{self, Request, Runtime, WorkOutcome, WorkloadFactory};
 use preemptdb::workloads::{Q2Params, TpchDb, YcsbConfig, YcsbDb, YcsbMix};
 use preemptdb::SimConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Q2 lows + YCSB highs.
@@ -41,42 +42,24 @@ impl WorkloadFactory for YcsbQ2 {
     }
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> ExitCode {
     let sc = Scenario::quick();
     let mut t = Table::new(
         "Extension: YCSB-B high-priority stream vs Q2 (paper's design, new workload)",
         &["policy", "ycsb p50", "ycsb p99", "ycsb tps", "q2 p99", "q2 tps"],
     );
-    for (name, policy) in [
-        ("Wait", Policy::Wait),
-        ("Cooperative", Policy::cooperative()),
-        ("PreemptDB", Policy::preemptdb()),
-    ] {
+    for (name, policy) in competing_policies() {
         let engine = preemptdb::Engine::new(preemptdb::EngineConfig::default());
         let ycsb = YcsbDb::load(&engine, YcsbConfig::default(), 21).unwrap();
         let tpch = TpchDb::load(&engine, bench_tpch_scale(), 22).unwrap();
         let sim = SimConfig::default();
-        let cfg = DriverConfig {
-            policy,
-            n_workers: sc.workers,
-            shards: 1,
-            queue_caps: vec![1, sc.high_queue],
-            batch_size: sc.batch_size(),
-            arrival_interval: sim.us_to_cycles(sc.arrival_us),
-            duration: sim.ms_to_cycles(sc.duration_ms),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
-        };
+        let cfg = sc.driver_config(policy, &sim);
         let factory = YcsbQ2 {
             ycsb,
             tpch,
             rng: SmallRng::seed_from_u64(23),
         };
-        let r = run(Runtime::Simulated(sim), cfg, Box::new(factory));
+        let r = sched::run(Runtime::Simulated(sim), cfg, Box::new(factory));
         t.row(vec![
             name.into(),
             format!("{:.1}us", r.latency_us("ycsb", 50.0)),
@@ -88,4 +71,5 @@ fn main() {
     }
     t.print();
     println!("the latency gap should mirror Figure 10: the mechanism is workload-agnostic.");
+    ExitCode::SUCCESS
 }

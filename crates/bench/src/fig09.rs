@@ -9,7 +9,7 @@
 //!    where one scheduler saturates).
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin fig09 [-- --check|--full]
+//! cargo run --release -p preempt-bench --bin run_all -- fig09 [--check|--full]
 //! ```
 //!
 //! `--check` runs only the scaling gate at CI scale (no tables, no file
@@ -18,7 +18,8 @@
 
 use std::process::ExitCode;
 
-use preempt_bench::{fig09, fig09_sharded, Scenario, ShardScalePoint};
+use crate::cli::flag;
+use crate::{fig09, fig09_sharded, Scenario, ShardScalePoint};
 
 fn write_json(path: &str, duration_ms: u64, points: &[ShardScalePoint]) -> std::io::Result<()> {
     let mut rows = String::new();
@@ -61,23 +62,21 @@ fn check_points(points: &[ShardScalePoint]) -> Vec<String> {
     failures
 }
 
-fn main() -> ExitCode {
-    let full = std::env::args().any(|a| a == "--full");
-    let check = std::env::args().any(|a| a == "--check");
+/// The paper's Figure 9 table (no gate): `run_all`'s report step.
+pub fn mixed_step(full: bool) {
+    let workers: &[usize] = if full {
+        &[1, 2, 4, 8, 16]
+    } else {
+        &[2, 8, 16]
+    };
+    fig09(&Scenario::pick(full), workers).print();
+}
 
-    if !check {
-        let sc = if full {
-            Scenario::full()
-        } else {
-            Scenario::quick()
-        };
-        let workers: &[usize] = if full {
-            &[1, 2, 4, 8, 16]
-        } else {
-            &[2, 8, 16]
-        };
-        eprintln!("running fig09 with {sc:?} workers={workers:?} ...");
-        fig09(&sc, workers).print();
+pub fn run(args: &[String]) -> ExitCode {
+    let full = flag(args, "--full");
+    if !flag(args, "--check") {
+        eprintln!("running fig09 ({}) ...", if full { "full" } else { "quick" });
+        mixed_step(full);
     }
 
     let (duration_ms, counts): (u64, &[usize]) = if full {
@@ -105,5 +104,43 @@ fn main() -> ExitCode {
             eprintln!("fig09 FAIL: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn point(workers: usize, baseline_tps: f64, sharded_tps: f64) -> ShardScalePoint {
+        ShardScalePoint {
+            workers,
+            shards: (workers / 2).max(1),
+            baseline_tps,
+            sharded_tps,
+        }
+    }
+
+    #[test]
+    fn healthy_sweep_passes() {
+        let points = [point(2, 5.0e6, 5.0e6), point(4, 8.0e6, 9.0e6), point(8, 9.0e6, 18.0e6)];
+        assert_eq!(check_points(&points), Vec::<String>::new());
+    }
+
+    #[test]
+    fn non_monotonic_series_fails() {
+        let points = [point(2, 5.0e6, 5.0e6), point(4, 8.0e6, 9.0e6), point(8, 8.5e6, 9.0e6)];
+        let failures = check_points(&points);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("not monotonic") && failures[0].contains("at 8 workers"));
+    }
+
+    #[test]
+    fn sharded_below_baseline_fails_only_from_four_workers() {
+        // Below four workers the planes may tie or trail; at four the
+        // sharded plane must at least match the single queue.
+        let points = [point(2, 5.0e6, 4.0e6), point(4, 9.0e6, 8.0e6)];
+        let failures = check_points(&points);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("4 workers") && failures[0].contains("below the single-queue"));
     }
 }

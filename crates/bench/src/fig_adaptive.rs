@@ -25,18 +25,19 @@
 //!    (`retry_abandoned_high == 0`).
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin fig_adaptive [-- --check]
+//! cargo run --release -p preempt-bench --bin run_all -- fig_adaptive [--check]
 //! ```
 //!
 //! `--check` (alias `--quick`) shrinks the run for CI.
 
 use std::process::ExitCode;
 
-use preempt_bench::{bench_tpcc_scale, bench_tpch_scale, Table};
+use crate::cli::flag;
+use crate::{load_mixed, Table};
 use preemptdb::sched::{
-    run, ControllerConfig, DriverConfig, Histogram, Policy, RobustnessConfig, RunReport, Runtime,
+    self, ControllerConfig, DriverConfig, Histogram, Policy, RobustnessConfig, RunReport, Runtime,
 };
-use preemptdb::workloads::{kinds, setup_mixed, LoadShift, MixedWorkload};
+use preemptdb::workloads::{kinds, LoadShift, MixedWorkload};
 use preemptdb::SimConfig;
 
 /// The load-shift scenario. High-priority demand is capped per arrival
@@ -97,21 +98,13 @@ impl Shift {
 /// the same virtual-time execution from the same initial state.
 fn run_shifted(policy: Policy, sc: &Shift, duration_ms: u64) -> RunReport {
     let sim = SimConfig::default();
-    let (_engine, tpcc, tpch) = setup_mixed(
-        sc.workers as u64,
-        Some(bench_tpcc_scale(sc.workers as u64)),
-        Some(bench_tpch_scale()),
-        sc.seed,
-    );
+    let (tpcc, tpch) = load_mixed(sc.workers, sc.seed);
     let cfg = DriverConfig {
-        policy,
         n_workers: sc.workers,
-        shards: 1,
         queue_caps: vec![1, sc.high_queue],
         batch_size: sc.batch_size(),
         arrival_interval: sim.us_to_cycles(sc.arrival_us),
         duration: sim.ms_to_cycles(duration_ms),
-        always_interrupt: false,
         // Give the dispatch loop enough no-progress retry budget that a
         // full-queue tick always ends on the paper's abandon-at-next-
         // arrival path, never the emergency give-up path — the checks
@@ -121,10 +114,7 @@ fn run_shifted(policy: Policy, sc: &Shift, duration_ms: u64) -> RunReport {
             max_full_retries: 1_000,
             ..Default::default()
         },
-        recovery: Default::default(),
-        metrics: None,
-        trace: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     };
     let factory = LoadShift::new(
         MixedWorkload::new(tpcc, tpch, sc.seed),
@@ -132,7 +122,7 @@ fn run_shifted(policy: Policy, sc: &Shift, duration_ms: u64) -> RunReport {
         sc.pre_cap,
         sc.post_cap,
     );
-    run(Runtime::Simulated(sim), cfg, Box::new(factory))
+    sched::run(Runtime::Simulated(sim), cfg, Box::new(factory))
 }
 
 /// Post-shift regime metrics extracted by prefix subtraction.
@@ -164,8 +154,29 @@ fn post_shift(pre: &RunReport, full: &RunReport, sim: &SimConfig) -> PostShift {
     }
 }
 
-fn main() -> ExitCode {
-    let check = std::env::args().any(|a| a == "--check" || a == "--quick");
+/// Check 1: the adaptive run's post-shift Q2 count against the best
+/// static threshold that met the SLO — the passing line to print, or the
+/// failure.
+fn competitive(best_static_q2: Option<u64>, adaptive_q2: u64) -> Result<String, String> {
+    match best_static_q2 {
+        Some(best) if best > 0 => {
+            let floor = (best as f64 * 0.95).ceil() as u64;
+            if adaptive_q2 < floor {
+                Err(format!(
+                    "adaptive post-shift Q2 {adaptive_q2} < 95% of best compliant static ({best})"
+                ))
+            } else {
+                Ok(format!(
+                    "adaptive post-shift Q2 {adaptive_q2} >= 95% of best compliant static ({best})"
+                ))
+            }
+        }
+        _ => Err("no static threshold met the p99 SLO post-shift".into()),
+    }
+}
+
+pub fn run(args: &[String]) -> ExitCode {
+    let check = flag(args, "--check") || flag(args, "--quick");
     let sc = if check { Shift::quick() } else { Shift::full() };
     let sim = SimConfig::default();
     // floor_decay 1.0: never re-probe below a threshold that violated.
@@ -264,22 +275,9 @@ fn main() -> ExitCode {
     }
 
     // 1. Competitive with the best SLO-compliant static threshold.
-    match best_static_q2 {
-        Some(best) if best > 0 => {
-            let floor = (best as f64 * 0.95).ceil() as u64;
-            if post.q2 < floor {
-                failures.push(format!(
-                    "adaptive post-shift Q2 {} < 95% of best compliant static ({best})",
-                    post.q2
-                ));
-            } else {
-                println!(
-                    "adaptive post-shift Q2 {} >= 95% of best compliant static ({best})",
-                    post.q2
-                );
-            }
-        }
-        _ => failures.push("no static threshold met the p99 SLO post-shift".into()),
+    match competitive(best_static_q2, post.q2) {
+        Ok(line) => println!("{line}"),
+        Err(f) => failures.push(f),
     }
 
     // 2. SLO compliance.
@@ -321,5 +319,26 @@ fn main() -> ExitCode {
             eprintln!("fig_adaptive FAIL: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::competitive;
+
+    #[test]
+    fn below_95_percent_of_best_static_fails() {
+        // ceil(0.95 * 200) = 190 is the floor.
+        assert!(competitive(Some(200), 190).is_ok());
+        let err = competitive(Some(200), 189).unwrap_err();
+        assert!(err.contains("189 < 95% of best compliant static (200)"), "{err}");
+    }
+
+    #[test]
+    fn no_compliant_static_fails() {
+        for best in [None, Some(0)] {
+            let err = competitive(best, 1_000).unwrap_err();
+            assert!(err.contains("no static threshold met the p99 SLO"), "{err}");
+        }
     }
 }

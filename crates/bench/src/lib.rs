@@ -13,9 +13,22 @@
 //! Absolute numbers are not expected to match the authors' Xeon testbed;
 //! the *shape* (who wins, by what factor, where crossovers fall) is the
 //! reproduction target.
+//!
+//! The crate builds one binary, `run_all`; [`cli`] holds the table of
+//! experiment names it accepts, and each self-checking experiment is a
+//! module here with a `run(args) -> ExitCode` entry point.
 
+pub mod attr_gate;
+pub mod autotune_threshold;
+pub mod cli;
 pub mod experiments;
+pub mod ext_ycsb;
+pub mod fig09;
+pub mod fig_adaptive;
+pub mod metrics_dump;
+pub mod server_bench;
 pub mod table;
+pub mod trace_dump;
 
 pub use experiments::*;
 pub use table::Table;
@@ -61,8 +74,41 @@ impl Scenario {
         }
     }
 
+    /// `full()` if `full`, else `quick()` — the `--full` switch.
+    pub fn pick(full: bool) -> Scenario {
+        if full {
+            Scenario::full()
+        } else {
+            Scenario::quick()
+        }
+    }
+
+    /// The Figure 12 overload: high queue 100, 100 × workers
+    /// high-priority transactions per arrival.
+    pub fn overload(&self) -> Scenario {
+        Scenario {
+            high_queue: 100,
+            batch: Some(100 * self.workers),
+            ..*self
+        }
+    }
+
     pub fn batch_size(&self) -> usize {
         self.batch.unwrap_or(self.workers * self.high_queue)
+    }
+
+    /// The driver configuration this scenario describes: paper defaults
+    /// with its worker count, high-queue depth, batch, arrival interval
+    /// and duration (converted at `sim`'s clock).
+    pub fn driver_config(&self, policy: Policy, sim: &SimConfig) -> DriverConfig {
+        DriverConfig {
+            n_workers: self.workers,
+            queue_caps: vec![1, self.high_queue],
+            batch_size: self.batch_size(),
+            arrival_interval: sim.us_to_cycles(self.arrival_us),
+            duration: sim.ms_to_cycles(self.duration_ms),
+            ..DriverConfig::paper_default(policy)
+        }
     }
 }
 
@@ -103,21 +149,7 @@ pub fn run_mixed(
     tpch: Arc<TpchDb>,
 ) -> RunReport {
     let sim = SimConfig::default();
-    let cfg = DriverConfig {
-        policy,
-        n_workers: sc.workers,
-        shards: 1,
-        queue_caps: vec![1, sc.high_queue],
-        batch_size: sc.batch_size(),
-        arrival_interval: sim.us_to_cycles(sc.arrival_us),
-        duration: sim.ms_to_cycles(sc.duration_ms),
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
-    };
+    let cfg = sc.driver_config(policy, &sim);
     let factory = MixedWorkload::new(tpcc, tpch, sc.seed);
     run(Runtime::Simulated(sim), cfg, Box::new(factory))
 }

@@ -13,16 +13,18 @@
 //!    and SLO burn-rate series.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin metrics_dump [-- --check]
+//! cargo run --release -p preempt-bench --bin run_all -- metrics_dump [--check]
 //! ```
 
+use std::process::ExitCode;
+
+use crate::Table;
 use preempt_faults::FaultPlan;
-use preempt_bench::Table;
 use preemptdb::metrics::{
     self, Counter, FixedHist, MetricsConfig, MetricsRegistry, MetricsSnapshot, SloSpec,
 };
 use preemptdb::sched::{
-    clock, cross_check_registry, run, DriverConfig, Policy, Request, RunReport, Runtime,
+    self, clock, cross_check_registry, DriverConfig, Policy, Request, RunReport, Runtime,
     WorkOutcome, WorkloadFactory,
 };
 use preemptdb::SimConfig;
@@ -51,19 +53,11 @@ impl WorkloadFactory for Synthetic {
 
 fn sim_cfg(policy: Policy, registry: Option<MetricsRegistry>) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: 4,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 16,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
-        duration: 120_000_000,       // 50 ms
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
+        duration: 120_000_000, // 50 ms of virtual time
         metrics: registry,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 
@@ -138,7 +132,7 @@ fn dump(snap: &MetricsSnapshot) {
 
 fn check_sim_cross_plane() -> RunReport {
     let registry = sim_registry();
-    let report = run(
+    let report = sched::run(
         Runtime::Simulated(faulty_sim()),
         sim_cfg(Policy::preemptdb(), Some(registry)),
         Box::new(Synthetic),
@@ -156,12 +150,12 @@ fn check_sim_cross_plane() -> RunReport {
 }
 
 fn check_adaptive_identity() {
-    let explicit = run(
+    let explicit = sched::run(
         Runtime::Simulated(SimConfig::default()),
         sim_cfg(Policy::preemptdb_adaptive(), Some(sim_registry())),
         Box::new(Synthetic),
     );
-    let fallback = run(
+    let fallback = sched::run(
         Runtime::Simulated(SimConfig::default()),
         sim_cfg(Policy::preemptdb_adaptive(), None),
         Box::new(Synthetic),
@@ -196,7 +190,7 @@ fn check_threaded_scrape() {
     cfg.n_workers = 2;
     cfg.arrival_interval = hz / 1_000;
     cfg.duration = hz / 5; // 200 ms wall clock
-    let worker = std::thread::spawn(move || run(Runtime::Threads, cfg, Box::new(Synthetic)));
+    let worker = std::thread::spawn(move || sched::run(Runtime::Threads, cfg, Box::new(Synthetic)));
 
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     let addr = loop {
@@ -235,15 +229,16 @@ fn check_threaded_scrape() {
     println!("threaded scrape check: ok ({} bytes of exposition)", body.len());
 }
 
-fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+/// A failed gate panics with the broken invariant (nonzero exit).
+pub fn run(args: &[String]) -> ExitCode {
     let report = check_sim_cross_plane();
-    if check {
+    if crate::cli::flag(args, "--check") {
         check_adaptive_identity();
         check_threaded_scrape();
         println!("metrics_dump --check: all gates passed");
-        return;
+    } else {
+        let snap = report.metrics_snapshot.expect("run carried a registry");
+        dump(&snap);
     }
-    let snap = report.metrics_snapshot.expect("run carried a registry");
-    dump(&snap);
+    ExitCode::SUCCESS
 }

@@ -17,8 +17,8 @@
 //!    the low class was saturating admission.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin server_bench [-- --check|--full]
-//! cargo run --release -p preempt-bench --bin server_bench -- --addr HOST:PORT
+//! cargo run --release -p preempt-bench --bin run_all -- server_bench [--check|--full]
+//! cargo run --release -p preempt-bench --bin run_all -- server_bench --addr HOST:PORT
 //! ```
 //!
 //! `--check` runs the gate at CI scale. `--full` stretches the run and
@@ -288,8 +288,7 @@ fn run_external(addr: &str) -> ExitCode {
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(args: &[String]) -> ExitCode {
     if let Some(i) = args.iter().position(|a| a == "--addr") {
         let addr = args.get(i + 1).map(String::as_str).unwrap_or("");
         if addr.is_empty() {
@@ -299,7 +298,7 @@ fn main() -> ExitCode {
         return run_external(addr);
     }
 
-    let full = args.iter().any(|a| a == "--full");
+    let full = crate::cli::flag(args, "--full");
     let (duration_ms, workers) = if full { (2_000, 4) } else { (400, 4) };
     eprintln!("running server front-door gate ({duration_ms} ms, {workers} workers) ...");
     let r = run_gate(duration_ms, workers);
@@ -321,5 +320,82 @@ fn main() -> ExitCode {
             eprintln!("server_bench FAIL: {f}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use preemptdb::sched::Histogram;
+
+    /// A run the gate accepts: 100 high replies, 40 low replies plus 60
+    /// low rejections, 30 committed deposits on a 1000-unit ledger.
+    fn passing() -> RunResult {
+        let mut rtt = Histogram::new();
+        for _ in 0..100 {
+            rtt.record(50_000); // 50 us at 1 GHz
+        }
+        let high = GenReport {
+            completed: 100,
+            ok: 100,
+            rtt,
+            freq_hz: 1_000_000_000,
+            ..GenReport::default()
+        };
+        let low = GenReport {
+            completed: 40,
+            ok: 40,
+            rejected: 60,
+            ..GenReport::default()
+        };
+        let stats = ServerStats {
+            replies: [40, 100],
+            rejected: [60, 0],
+            committed_deposits: 30,
+            ..ServerStats::default()
+        };
+        RunResult {
+            high,
+            low,
+            stats,
+            ledger_total: 1_060,
+            seeded_total: 1_000,
+            duration_ms: 400,
+            workers: 4,
+        }
+    }
+
+    fn only_failure(r: &RunResult) -> String {
+        let failures = check(r);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        failures.into_iter().next().unwrap()
+    }
+
+    #[test]
+    fn consistent_run_passes() {
+        assert_eq!(check(&passing()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_lost_reply_fails_accounting() {
+        let mut r = passing();
+        r.high.completed -= 1;
+        assert_eq!(only_failure(&r), "client saw 139 responses, server wrote 140");
+    }
+
+    #[test]
+    fn non_conserving_ledger_fails() {
+        let mut r = passing();
+        r.ledger_total += 2;
+        let f = only_failure(&r);
+        assert!(f.starts_with("ledger total 1062 != seeded 1000 + 2 x 30"), "{f}");
+    }
+
+    #[test]
+    fn zero_low_class_rejections_fails() {
+        let mut r = passing();
+        r.low.rejected = 0;
+        r.stats.rejected = [0, 0];
+        assert_eq!(only_failure(&r), "low-class admission never rejected (gate not engaged)");
     }
 }

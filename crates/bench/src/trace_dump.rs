@@ -7,11 +7,13 @@
 //! JSON file — open it at `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! ```sh
-//! cargo run --release -p preempt-bench --bin trace_dump -- [out.json]
+//! cargo run --release -p preempt-bench --bin run_all -- trace_dump [out.json]
 //! ```
 
+use std::process::ExitCode;
+
+use preemptdb::sched::{self, DriverConfig, Policy, Runtime};
 use preemptdb::trace::{LatencyStats, TraceConfig, TraceSession};
-use preemptdb::sched::{run, DriverConfig, Policy, Runtime};
 use preemptdb::workloads::{setup_mixed, MixedWorkload};
 use preemptdb::SimConfig;
 
@@ -27,10 +29,8 @@ fn row(name: &str, s: &LatencyStats, freq_hz: u64) {
     );
 }
 
-fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "trace.json".to_string());
+pub fn run(args: &[String]) -> ExitCode {
+    let out = args.first().map_or("trace.json", String::as_str);
     let sim = SimConfig::default();
     let workers = 8usize;
     let (_e, tpcc, tpch) = setup_mixed(workers as u64, None, None, 42);
@@ -38,22 +38,15 @@ fn main() {
     // this dump exists to show; keep only the interesting kinds.
     let trace = TraceSession::new(TraceConfig::default().without_latch_events());
     let cfg = DriverConfig {
-        policy: Policy::preemptdb(),
         n_workers: workers,
-        shards: 1,
         queue_caps: vec![1, 100],
         batch_size: 100 * workers,
-        arrival_interval: sim.us_to_cycles(1_000),
         duration: sim.ms_to_cycles(50),
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: Some(trace.clone()),
-        metrics: None,
-        prov: None,
+        trace: Some(trace),
+        ..DriverConfig::paper_default(Policy::preemptdb())
     };
     let factory = MixedWorkload::new(tpcc, tpch, 42);
-    let report = run(Runtime::Simulated(sim), cfg, Box::new(factory));
+    let report = sched::run(Runtime::Simulated(sim), cfg, Box::new(factory));
 
     let merged = report.trace.as_ref().expect("trace session was installed");
     println!(
@@ -71,6 +64,7 @@ fn main() {
     }
 
     let json = merged.to_chrome_json(sim.freq_hz);
-    std::fs::write(&out, &json).expect("write trace file");
+    std::fs::write(out, &json).expect("write trace file");
     println!("wrote {} bytes to {out} (load in chrome://tracing)", json.len());
+    ExitCode::SUCCESS
 }

@@ -739,19 +739,10 @@ mod tests {
 
     fn small_cfg(policy: Policy) -> DriverConfig {
         DriverConfig {
-            policy,
             n_workers: 4,
-            shards: 1,
-            queue_caps: vec![1, 4],
             batch_size: 16,
-            arrival_interval: 2_400_000, // 1 ms
-            duration: 120_000_000,       // 50 ms
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            duration: 120_000_000, // 50 ms
+            ..DriverConfig::paper_default(policy)
         }
     }
 

@@ -1383,19 +1383,10 @@ mod tests {
 
         let sim = Simulation::new(SimConfig::default());
         let cfg = DriverConfig {
-            policy: Policy::preemptdb(),
             n_workers: 2,
-            shards: 1,
-            queue_caps: vec![1, 4],
             batch_size: 8,
-            arrival_interval: 2_400_000,  // 1 ms
-            duration: 24_000_000,         // 10 ms
-            always_interrupt: false,
-            robustness: RobustnessConfig::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            duration: 24_000_000, // 10 ms
+            ..DriverConfig::paper_default(Policy::preemptdb())
         };
         let workers: Vec<_> = (0..cfg.n_workers)
             .map(|i| WorkerShared::new(i, &cfg.queue_caps))

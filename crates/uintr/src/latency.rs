@@ -135,12 +135,14 @@ pub fn median(samples: &mut [u64]) -> u64 {
     *samples.select_nth_unstable(mid).1
 }
 
-/// Percentile (0.0–1.0) of a sample set (destructive ordering; empty → 0).
+/// Percentile `p` in `[0, 100]` of a sample set, as `Histogram::percentile`
+/// and every other percentile in the workspace take it (destructive
+/// ordering; empty → 0).
 pub fn percentile(samples: &mut [u64], p: f64) -> u64 {
     if samples.is_empty() {
         return 0;
     }
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
+    let idx = ((samples.len() - 1) as f64 * p / 100.0).round() as usize;
     *samples.select_nth_unstable(idx).1
 }
 
@@ -168,7 +170,20 @@ mod tests {
         assert_eq!(median(&mut v), 5);
         let mut v = vec![10, 20, 30, 40];
         assert_eq!(percentile(&mut v, 0.0), 10);
-        assert_eq!(percentile(&mut v, 1.0), 40);
+        assert_eq!(percentile(&mut v, 100.0), 40);
         assert_eq!(median(&mut []), 0);
+    }
+
+    #[test]
+    fn percentile_takes_percent_not_fraction() {
+        let sample = [13, 2, 8, 21, 1, 5, 3, 34, 1];
+        let mut v = sample.to_vec();
+        let mid = median(&mut v);
+        assert_eq!(mid, 5);
+        assert_eq!(percentile(&mut sample.to_vec(), 50.0), mid);
+        assert_eq!(percentile(&mut sample.to_vec(), 100.0), 34);
+        // A fraction passed by mistake lands at the bottom of the sample,
+        // which is how a "p99" once read below its median.
+        assert_eq!(percentile(&mut sample.to_vec(), 0.99), 1);
     }
 }

@@ -50,19 +50,12 @@ fn main() {
         ..MetricsConfig::default()
     });
     let cfg = DriverConfig {
-        policy: Policy::preemptdb(),
         n_workers: 2,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
         arrival_interval: hz / 1_000, // 1 ms
         duration: hz / 2,             // 500 ms wall clock
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
         metrics: Some(registry.clone()),
-        prov: None,
+        ..DriverConfig::paper_default(Policy::preemptdb())
     };
 
     let worker = std::thread::spawn(move || run(Runtime::Threads, cfg, Box::new(Synthetic)));

@@ -37,19 +37,11 @@ fn main() {
         let factory = MixedWorkload::new(tpcc_db, tpch_db, 7);
 
         let cfg = DriverConfig {
-            policy,
             n_workers: workers,
-            shards: 1,
-            queue_caps: vec![1, 4],
             batch_size: workers * 4,
             arrival_interval: sim.ms_to_cycles(1),
             duration: sim.ms_to_cycles(250),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            ..DriverConfig::paper_default(policy)
         };
         let report = run(Runtime::Simulated(sim), cfg, Box::new(factory));
 

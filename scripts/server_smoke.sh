@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo build --release -p preemptdb-server -p preempt-bench --bin preemptdb-server --bin server_bench
+cargo build --release -p preempt-bench --bin run_all -p preemptdb-server --bin preemptdb-server
 
 log="$(mktemp)"
 ./target/release/preemptdb-server --addr 127.0.0.1:0 --workers 2 --accounts 64 \
@@ -31,7 +31,7 @@ if [ -z "$addr" ]; then
 fi
 echo "server up on $addr"
 
-./target/release/server_bench --addr "$addr"
+./target/release/run_all server_bench --addr "$addr"
 
 kill "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true

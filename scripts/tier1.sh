@@ -28,31 +28,31 @@ CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
 CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom" \
     cargo test -p preempt-mvcc --lib loom_tests -q
 
+# The four self-checking bench gates, one binary, in this order, stopping
+# at the first failure (`run_all --check`; names in crates/bench/src/cli.rs).
+#
 # Adaptive-controller gate (DESIGN.md §9): unit + integration tests run
 # under `cargo test` above; this replays the load-shift benchmark at CI
 # scale and fails unless the controller beats the static sweep, honors
 # the p99 SLO, replays deterministically, and abandons nothing on the
 # no-progress retry path.
-cargo run --release -p preempt-bench --bin fig_adaptive -- --check
-
+#
 # Sharded-plane scaling gate (DESIGN.md §13): replays the fig09 sweep at
 # CI scale and fails unless the sharded scheduler plane at least matches
 # the single-global-queue baseline at >= 4 workers and throughput grows
 # monotonically with the worker count. Full numbers: BENCH_fig09.json.
-cargo run --release -p preempt-bench --bin fig09 -- --check
-
+#
 # Network front-door gate (DESIGN.md §14): closed-loop TCP load against
 # the server with a throttled low class; fails unless accounting is
 # exact (every request gets one typed reply), admission rejections
 # surface as Overloaded frames, in-flight drains to zero, the ledger
 # conserves, and the high class holds its p99 SLO under mixed load.
 # Full numbers: BENCH_server.json.
-cargo run --release -p preempt-bench --bin server_bench -- --check
-
+#
 # Attribution gate (DESIGN.md §15): reconstructs per-class phase
 # attribution from the trace rings and fails unless it reconciles with
 # the registry plane exactly, phase sums match end-to-end p99 within
 # tolerance, Preempt shows lower high-class queue-wait than Wait on the
 # same seed, attribution replays byte-identically, and the flight
 # recorder fires on SLO breach. Full numbers: BENCH_attr.json.
-cargo run --release -p preempt-bench --bin attr_gate -- --check
+cargo run --release -p preempt-bench --bin run_all -- --check

@@ -15,8 +15,8 @@
 
 use preempt_faults::FaultPlan;
 use preemptdb::sched::{
-    run, ControllerConfig, DriverConfig, Policy, Request, RobustnessConfig, RunReport, Runtime,
-    WorkOutcome, WorkloadFactory,
+    run, ControllerConfig, DriverConfig, Policy, Request, RunReport, Runtime, WorkOutcome,
+    WorkloadFactory,
 };
 use preemptdb::trace::{TraceConfig, TraceEvent, TraceSession};
 use preemptdb::workloads::LoadShift;
@@ -69,19 +69,12 @@ fn test_controller() -> ControllerConfig {
 
 fn small_cfg(policy: Policy, duration_ms: u64, trace: Option<TraceSession>) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: N_WORKERS,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
         arrival_interval: MS,
         duration: duration_ms * MS,
-        always_interrupt: false,
-        robustness: RobustnessConfig::default(),
-        recovery: Default::default(),
         trace,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 

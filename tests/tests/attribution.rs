@@ -11,8 +11,7 @@
 use preemptdb::metrics::{FixedHist, MetricsConfig, MetricsRegistry};
 use preemptdb::prov::{Phase, ProvConfig};
 use preemptdb::sched::{
-    run, DriverConfig, Policy, Request, RobustnessConfig, RunReport, Runtime, WorkOutcome,
-    WorkloadFactory,
+    run, DriverConfig, Policy, Request, RunReport, Runtime, WorkOutcome, WorkloadFactory,
 };
 use preemptdb::trace::{TraceConfig, TraceSession};
 use preemptdb::SimConfig;
@@ -50,19 +49,13 @@ const N_WORKERS: usize = 4;
 
 fn prov_cfg(policy: Policy, duration_ms: u64, prov: ProvConfig) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: N_WORKERS,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
         duration: duration_ms * 2_400_000,
-        always_interrupt: false,
-        robustness: RobustnessConfig::default(),
-        recovery: Default::default(),
         trace: Some(TraceSession::new(TraceConfig::default())),
         metrics: Some(MetricsRegistry::new(MetricsConfig::default())),
         prov: Some(prov),
+        ..DriverConfig::paper_default(policy)
     }
 }
 

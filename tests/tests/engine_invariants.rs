@@ -34,19 +34,12 @@ fn tpcc_consistency_survives_preemption() {
     let (engine, tpcc, tpch) = setup_mixed(workers as u64, Some(tpcc_scale), Some(tpch_scale), 77);
     let sim = SimConfig::default();
     let cfg = DriverConfig {
-        policy: Policy::preemptdb(),
         n_workers: workers,
-        shards: 1,
         queue_caps: vec![1, 8],
         batch_size: workers * 8,
         arrival_interval: sim.us_to_cycles(500),
         duration: sim.ms_to_cycles(80),
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(Policy::preemptdb())
     };
     let report = run(
         Runtime::Simulated(sim),
@@ -129,19 +122,11 @@ fn consistency_is_policy_independent() {
             setup_mixed(workers as u64, Some(tpcc_scale), Some(tpch_scale), 99);
         let sim = SimConfig::default();
         let cfg = DriverConfig {
-            policy,
             n_workers: workers,
-            shards: 1,
-            queue_caps: vec![1, 4],
             batch_size: 8,
             arrival_interval: sim.us_to_cycles(1_000),
             duration: sim.ms_to_cycles(40),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            ..DriverConfig::paper_default(policy)
         };
         run(
             Runtime::Simulated(sim),

@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use preempt_faults::FaultPlan;
 use preemptdb::sched::{
-    run, DriverConfig, Policy, Request, RobustnessConfig, RunReport, Runtime, WorkOutcome,
-    WorkloadFactory,
+    run, DriverConfig, Policy, Request, RunReport, Runtime, WorkOutcome, WorkloadFactory,
 };
 use preemptdb::SimConfig;
 use proptest::prelude::*;
@@ -76,19 +75,11 @@ const HIGH_CAP: usize = 4;
 
 fn small_cfg(policy: Policy, duration_ms: u64) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: N_WORKERS,
-        shards: 1,
         queue_caps: vec![1, HIGH_CAP],
         batch_size: 8,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
         duration: duration_ms * 2_400_000,
-        always_interrupt: false,
-        robustness: RobustnessConfig::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 

@@ -48,19 +48,11 @@ impl WorkloadFactory for Synthetic {
 
 fn cfg(policy: Policy, registry: Option<MetricsRegistry>) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: 4,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 16,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
-        duration: 120_000_000,       // 50 ms
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
+        duration: 120_000_000, // 50 ms
         metrics: registry,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 

@@ -40,19 +40,12 @@ fn run_policy(policy: Policy, workers: usize, duration_ms: u64, high_queue: usiz
         17,
     );
     let cfg = DriverConfig {
-        policy,
         n_workers: workers,
-        shards: 1,
         queue_caps: vec![1, high_queue],
         batch_size: workers * high_queue,
         arrival_interval: sim.us_to_cycles(1_000),
         duration: sim.ms_to_cycles(duration_ms),
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     };
     let factory = MixedWorkload::new(tpcc, tpch, 23);
     run(Runtime::Simulated(sim), cfg, Box::new(factory))
@@ -109,21 +102,14 @@ fn starvation_prevention_trades_q2_for_neworder() {
         let sim = SimConfig::default();
         let (_e, tpcc, tpch) = setup_mixed(4, Some(small_tpcc(4)), Some(small_tpch()), 31);
         let cfg = DriverConfig {
-            policy: Policy::Preemptive {
-                starvation_threshold: thr,
-            },
             n_workers: 4,
-            shards: 1,
             queue_caps: vec![1, 100],
             batch_size: 400,
             arrival_interval: sim.us_to_cycles(1_000),
             duration: sim.ms_to_cycles(60),
-            always_interrupt: false,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            ..DriverConfig::paper_default(Policy::Preemptive {
+                starvation_threshold: thr,
+            })
         };
         run(
             Runtime::Simulated(sim),
@@ -169,20 +155,15 @@ fn uintr_machinery_overhead_is_small() {
     let mut results = Vec::new();
     for on in [false, true] {
         let (_e, tpcc, _tpch) = setup_mixed(4, Some(small_tpcc(4)), Some(small_tpch()), 3);
+        let policy = if on { Policy::preemptdb() } else { Policy::Wait };
         let cfg = DriverConfig {
-            policy: if on { Policy::preemptdb() } else { Policy::Wait },
             n_workers: 4,
-            shards: 1,
             queue_caps: vec![64, 4],
             batch_size: 0,
             arrival_interval: sim.us_to_cycles(1_000),
             duration: sim.ms_to_cycles(60),
             always_interrupt: on,
-            robustness: Default::default(),
-            recovery: Default::default(),
-            trace: None,
-            metrics: None,
-            prov: None,
+            ..DriverConfig::paper_default(policy)
         };
         results.push(run(
             Runtime::Simulated(sim),

@@ -9,19 +9,11 @@ use preemptdb::workloads::{kinds, setup_mixed, MixedWorkload, TpccScale, TpchSca
 fn thread_cfg(policy: Policy, duration_ms: u64) -> DriverConfig {
     let freq = clock::freq_hz();
     DriverConfig {
-        policy,
         n_workers: 2,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
         arrival_interval: freq / 1_000, // 1 ms of real time
         duration: freq / 1_000 * duration_ms,
-        always_interrupt: false,
-        robustness: Default::default(),
-        recovery: Default::default(),
-        trace: None,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 

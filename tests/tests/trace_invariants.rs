@@ -15,8 +15,7 @@
 
 use preempt_faults::FaultPlan;
 use preemptdb::sched::{
-    run, DriverConfig, Policy, Request, RobustnessConfig, RunReport, Runtime, WorkOutcome,
-    WorkloadFactory,
+    run, DriverConfig, Policy, Request, RunReport, Runtime, WorkOutcome, WorkloadFactory,
 };
 use preemptdb::trace::{MergedTrace, TraceConfig, TraceEvent, TraceSession};
 use preemptdb::SimConfig;
@@ -53,19 +52,11 @@ const N_WORKERS: usize = 4;
 
 fn traced_cfg(policy: Policy, duration_ms: u64, trace: Option<TraceSession>) -> DriverConfig {
     DriverConfig {
-        policy,
         n_workers: N_WORKERS,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
         duration: duration_ms * 2_400_000,
-        always_interrupt: false,
-        robustness: RobustnessConfig::default(),
-        recovery: Default::default(),
         trace,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(policy)
     }
 }
 

@@ -154,22 +154,15 @@ fn total_balance(engine: &Engine, table: &Table, oids: &[Oid]) -> u64 {
 fn bank_cfg(engine: &Engine, duration_ms: u64, rb: RobustnessConfig) -> DriverConfig {
     let sweep_engine = engine.clone();
     DriverConfig {
-        policy: Policy::preemptdb(),
         n_workers: N_WORKERS,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
-        arrival_interval: 2_400_000, // 1 ms of virtual time
         duration: duration_ms * 2_400_000,
-        always_interrupt: false,
         robustness: rb,
         recovery: RecoveryHooks {
             sweep: Some(Arc::new(move |owner| sweep_engine.orphan_sweep(owner))),
             spawner: None, // the sim runner installs its default respawner
         },
-        trace: None,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(Policy::preemptdb())
     }
 }
 
@@ -449,19 +442,12 @@ impl WorkloadFactory for Synthetic {
 
 fn synthetic_cfg(duration_ms: u64, rb: RobustnessConfig, trace: Option<TraceSession>) -> DriverConfig {
     DriverConfig {
-        policy: Policy::preemptdb(),
         n_workers: N_WORKERS,
-        shards: 1,
-        queue_caps: vec![1, 4],
         batch_size: 8,
-        arrival_interval: 2_400_000,
         duration: duration_ms * 2_400_000,
-        always_interrupt: false,
         robustness: rb,
-        recovery: Default::default(),
         trace,
-        metrics: None,
-        prov: None,
+        ..DriverConfig::paper_default(Policy::preemptdb())
     }
 }
 
