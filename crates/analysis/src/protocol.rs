@@ -251,7 +251,7 @@ pub const SPEC: &[SpecRow] = &[
         op: "load",
         allow: &["Acquire"],
         why: "a handoff waiting on its claim's phase stamp must observe the \
-              slot writes that published the stamp",
+              payload writes the stamp's publication covered",
     },
     SpecRow {
         protocol: "shard-deque",
@@ -259,8 +259,9 @@ pub const SPEC: &[SpecRow] = &[
         field: "seq",
         op: "compare_exchange",
         allow: &["AcqRel", "Acquire"],
-        why: "winning a phase transition acquires the previous phase's slot \
-              writes and publishes this claim's exclusive ownership",
+        why: "winning a phase transition acquires the previous phase's \
+              payload writes (the request is inline, plain memory under the \
+              stamp) and publishes this claim's exclusive ownership",
     },
     SpecRow {
         protocol: "shard-deque",
@@ -269,23 +270,7 @@ pub const SPEC: &[SpecRow] = &[
         op: "store",
         allow: &["Release"],
         why: "publishing FULL or re-opening EMPTY must happen-after the \
-              deposit or drain it covers",
-    },
-    SpecRow {
-        protocol: "shard-deque",
-        file: "deque.rs",
-        field: "slot",
-        op: "store",
-        allow: &["Release"],
-        why: "publishing the request pointer must happen-after its construction",
-    },
-    SpecRow {
-        protocol: "shard-deque",
-        file: "deque.rs",
-        field: "slot",
-        op: "swap",
-        allow: &["Acquire"],
-        why: "taking a claimed slot must observe the producer's request writes",
+              move of the request into or out of the cell",
     },
     // ── MVCC version chains: latch-free readers (DESIGN.md §2.2) ─────
     SpecRow {
@@ -599,13 +584,13 @@ pub const MODELS: &[ModelRef] = &[
         suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_no_lost_or_duplicated_requests",
-        idents: &["state", "slot", "steal"],
+        idents: &["dq_pop", "dq_steal", "dq_push"],
     },
     ModelRef {
         suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_slot_reuse_pairs_handoffs",
-        idents: &["seq", "steal", "push"],
+        idents: &["dq_push_handoff", "dq_steal_claim", "dq_take"],
     },
     ModelRef {
         suite: MVCC_SUITE,

@@ -153,6 +153,30 @@ struct Route {
     wake: WakeTarget,
 }
 
+/// Dropped as the last thing a worker thread does, unwinding included:
+/// renames the thread to `preemptdb-gone`. `join` returns when the kernel
+/// clears the thread's tid word, a moment *before* the task leaves
+/// `/proc/self/task`; a worker still named then is counted by whoever
+/// lists `preemptdb-worker-*` threads right after a `shutdown` (the
+/// benchmark's placement does, and refuses to run with two).
+struct RetireThreadName;
+
+impl Drop for RetireThreadName {
+    fn drop(&mut self) {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn prctl(option: i32, ...) -> i32;
+            }
+            const PR_SET_NAME: i32 = 15;
+            // SAFETY: PR_SET_NAME reads a NUL-terminated string of at most
+            // 16 bytes from its argument; the literal is static, 15 with
+            // its NUL.
+            unsafe { prctl(PR_SET_NAME, c"preemptdb-gone".as_ptr()) };
+        }
+    }
+}
+
 impl Database {
     /// Opens the engine and spawns the worker pool.
     pub fn open(cfg: DatabaseConfig) -> Database {
@@ -166,7 +190,10 @@ impl Database {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("preemptdb-worker-{i}"))
-                    .spawn(move || worker_main(ws, policy))
+                    .spawn(move || {
+                        let _name = RetireThreadName;
+                        worker_main(ws, policy)
+                    })
                     .expect("spawn worker"),
             );
             workers.push(shared);
@@ -232,6 +259,12 @@ impl Database {
         work: impl FnOnce() -> WorkOutcome + Send + 'static,
     ) {
         let level = priority.level() as usize;
+        let n = self.workers.len();
+        // Round-robin. The worker is picked before the request is built
+        // so that its queue word — last written by the worker's pop — is
+        // already on its way here while the closure is boxed.
+        let mut i = self.rr.fetch_add(1, Ordering::Relaxed) % n;
+        self.workers[i].queues[level].prefetch_push();
         // Request work is FnMut (re-executable under a retry budget);
         // `submit` takes one-shot closures, and never sets a retry budget,
         // so re-execution cannot happen — the None arm is a typed
@@ -244,11 +277,10 @@ impl Database {
             }
         })
         .with_provenance(req_id, ingress);
-        // Round-robin with overflow to the next worker (spin if all full:
+        // Overflow to the next worker (yield if all are full:
         // backpressure).
         loop {
-            for _ in 0..self.workers.len() {
-                let i = self.rr.fetch_add(1, Ordering::Relaxed) % self.workers.len();
+            for _ in 0..n {
                 let w = &self.workers[i];
                 match w.queues[level].push(req) {
                     Ok(()) => {
@@ -270,6 +302,7 @@ impl Database {
                     }
                     Err(back) => req = back,
                 }
+                i = self.rr.fetch_add(1, Ordering::Relaxed) % n;
             }
             std::thread::yield_now();
         }

@@ -19,40 +19,61 @@
 //! first *claims* a ticket with a single `compare_exchange` on the
 //! word (push claims `head + len`, pop advances `head`, steal claims
 //! `head + len - 1` from the tail), then completes the element handoff
-//! through the claimed slot. The word CAS needs no ABA stamp: the
+//! through the claimed cell. The word CAS needs no ABA stamp: the
 //! transition (new word, claimed ticket) is a pure function of the
 //! packed bits, so a CAS that succeeds against a recurred bit pattern
 //! performs exactly the transition a fresh snapshot would have.
 //!
-//! The handoff is paired to the claim by a per-slot **sequence stamp**
+//! The handoff is paired to the claim by a per-cell **sequence stamp**
 //! (`ticket << 2 | phase`, crossbeam-`ArrayQueue` style, extended with
 //! a steal-side ticket rollback):
 //!
 //! * a **push** that claimed ticket `t` CASes `seq` from `EMPTY(t)` to
-//!   `STORING(t)`, deposits the pointer, then publishes `FULL(t)`;
+//!   `STORING(t)`, moves the request into the cell, then publishes
+//!   `FULL(t)`;
 //! * a **pop/steal** that claimed ticket `t` CASes `seq` from
-//!   `FULL(t)` to `TAKING(t)`, swaps the pointer out, then opens the
-//!   slot for its next ticket: `EMPTY(t + capacity)` after a pop (the
+//!   `FULL(t)` to `TAKING(t)`, moves the request out, then opens the
+//!   cell for its next ticket: `EMPTY(t + capacity)` after a pop (the
 //!   head moved on), `EMPTY(t)` after a steal (the tail position is
 //!   reused by the next push).
 //!
-//! The seq CAS is what makes two in-flight operations on the same slot
+//! The seq CAS is what makes two in-flight operations on the same cell
 //! safe: a push that stalls between its word-claim and its deposit
 //! while a steal and a second push race past it (the tail ticket is
 //! *reused* after a steal) can never overwrite — the loser of the
-//! `EMPTY(t)` CAS re-waits for the slot to come round again. The
+//! `EMPTY(t)` CAS re-waits for the cell to come round again. The
 //! window between a successful seq CAS and the phase publication is
 //! the deque's **non-preemptible region** — a fiber parked there
-//! stalls every peer spinning on the same slot — so *every* operation
+//! stalls every peer spinning on the same cell — so *every* operation
 //! (owner pop and dispatch push just as much as the thief's steal)
 //! holds a `NonPreemptGuard` across its claim-to-handoff window;
 //! preempt-lint's `shard-deque` protocol rows pin the orderings (see
 //! `crates/analysis`'s spec table) and the loom models
 //! `steal_deque_no_lost_or_duplicated_requests` and
 //! `steal_deque_slot_reuse_pairs_handoffs` explore the claim/handoff
-//! split exhaustively, spin-waits and slot reuse included.
+//! split exhaustively, spin-waits, slot reuse and the two-word payload
+//! included.
+//!
+//! ## Layout (DESIGN.md §13.1)
+//!
+//! The request is stored *inline*, in the cell that carries its stamp:
+//! no allocation per push, no pointer to chase per pop. A cell is
+//! 64-byte aligned (a stamp plus an 80-byte `Request`: two lines) and
+//! the packed word has a line to itself, so one hand-off moves the
+//! `state` line and one cell between the two cores. The payload needs
+//! no atomics of its own: it is written only between winning
+//! `STORING(t)` and publishing `FULL(t)`, read only between winning
+//! `TAKING(t)` and publishing `EMPTY(..)`; the seq CAS admits one
+//! thread to each window, and the Release store that closes a window
+//! pairs with the Acquire CAS that opens the next — the stamp is the
+//! payload's lock. Those misses can be *started* early:
+//! [`prefetch_push`](StealDeque::prefetch_push) before the submitter
+//! builds its request, [`prefetch_pop`](StealDeque::prefetch_pop) from
+//! the user-interrupt handler, a context switch ahead of the `pop`.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use preempt_context::nonpreempt::NonPreemptGuard;
 
@@ -62,11 +83,13 @@ const LEN_SHIFT: u32 = 0;
 const HEAD_SHIFT: u32 = 32;
 const FIELD_MASK: u64 = 0xFFFF;
 
-/// Per-slot sequence phases (low two bits of the stamp).
+/// Per-cell sequence phases (low two bits of the stamp).
 const EMPTY: u64 = 0;
 const STORING: u64 = 1;
 const FULL: u64 = 2;
 const TAKING: u64 = 3;
+
+const LINE: usize = 64;
 
 #[inline]
 fn pack(head: u32, len: u16) -> u64 {
@@ -86,6 +109,37 @@ fn stamp(ticket: u32, phase: u64) -> u64 {
     (u64::from(ticket) << 2) | phase
 }
 
+/// Asks for the cache line holding `p` in exclusive state without
+/// waiting for it (`prefetchw`); a hint, sound for any address. Inline
+/// asm because `_mm_prefetch::<_MM_HINT_ET0>` lowers to a read prefetch
+/// unless the build enables `prfchw`; other architectures get nothing.
+#[inline(always)]
+fn prefetch_for_write<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetchw` reads no register but the address, writes no
+    // register or flag, touches no stack and never faults.
+    unsafe {
+        std::arch::asm!("prefetchw [{}]", in(reg) p, options(nostack, preserves_flags, readonly));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
+/// One ring position: the stamp and, under it, the request itself.
+#[repr(C, align(64))]
+struct Cell {
+    seq: AtomicU64,
+    /// Initialised exactly while `seq` is `FULL(t)` or `TAKING(t)`.
+    val: UnsafeCell<MaybeUninit<Request>>,
+}
+
+/// The packed word, alone on its line: every operation writes it, so
+/// nothing read-only may share it.
+#[repr(align(64))]
+struct StateLine {
+    state: AtomicU64,
+}
+
 /// Bounded lock-free stealing deque of [`Request`]s.
 ///
 /// `push` appends at the tail, `pop` takes the oldest element (FIFO —
@@ -93,23 +147,24 @@ fn stamp(ticket: u32, phase: u64) -> u64 {
 /// the *newest* element from the tail. Any thread may call any
 /// operation; the scheduler's cross-shard shootdown path makes foreign
 /// pushers a normal case, not an exception.
+#[repr(C)]
 pub struct StealDeque {
     /// Packed `head | len` word; see the module docs.
-    state: AtomicU64,
-    /// Ring of owned `Request` pointers; null = empty/in-handoff.
-    slots: Box<[AtomicPtr<Request>]>,
-    /// Per-slot sequence stamps pairing each handoff with its claim.
-    seqs: Box<[AtomicU64]>,
+    hot: StateLine,
+    /// The ring; see [`Cell`].
+    cells: Box<[Cell]>,
     /// Tickets wrap at this multiple of the capacity (see module docs);
     /// test builds shrink it to exercise the wrap.
     ticket_limit: u64,
 }
 
-// SAFETY: requests are moved in and out whole through owned raw
-// pointers; `Request` is `Send`, and the seq-stamp protocol hands each
-// slot to exactly one owner at a time.
+// SAFETY: requests are moved in and out whole; `Request` is `Send`, and
+// the seq-stamp protocol hands each cell's payload to exactly one owner
+// at a time (module docs, "Layout"). The other fields are atomics and
+// values fixed at construction.
 unsafe impl Send for StealDeque {}
-// SAFETY: as above — all shared mutation goes through the atomics.
+// SAFETY: as above — the payload is only touched inside a window its
+// stamp grants exclusively; everything else goes through the atomics.
 unsafe impl Sync for StealDeque {}
 
 impl StealDeque {
@@ -134,24 +189,26 @@ impl StealDeque {
             "ticket limit must be a positive multiple of the capacity"
         );
         StealDeque {
-            state: AtomicU64::new(0),
-            slots: (0..capacity)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-            // Slot `j`'s first push claims ticket `j`.
-            seqs: (0..capacity)
-                .map(|j| AtomicU64::new(stamp(j as u32, EMPTY)))
+            hot: StateLine {
+                state: AtomicU64::new(0),
+            },
+            // Cell `j`'s first push claims ticket `j`.
+            cells: (0..capacity)
+                .map(|j| Cell {
+                    seq: AtomicU64::new(stamp(j as u32, EMPTY)),
+                    val: UnsafeCell::new(MaybeUninit::uninit()),
+                })
                 .collect(),
             ticket_limit,
         }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.cells.len()
     }
 
     pub fn len(&self) -> usize {
-        let (_, len) = unpack(self.state.load(Ordering::Acquire));
+        let (_, len) = unpack(self.hot.state.load(Ordering::Acquire));
         len as usize
     }
 
@@ -161,6 +218,25 @@ impl StealDeque {
 
     pub fn is_full(&self) -> bool {
         self.len() == self.capacity()
+    }
+
+    /// Starts fetching what the next [`push`](Self::push) writes first.
+    #[inline]
+    pub fn prefetch_push(&self) {
+        prefetch_for_write(&self.hot);
+    }
+
+    /// Starts fetching what the next [`pop`](Self::pop) touches: the
+    /// `state` line, then the head cell. The load in between waits for
+    /// the first, but nothing after this call depends on it.
+    #[inline]
+    pub fn prefetch_pop(&self) {
+        prefetch_for_write(&self.hot);
+        let (head, _) = unpack(self.hot.state.load(Ordering::Acquire));
+        let cell: *const Cell = &self.cells[head as usize % self.capacity()];
+        for line in 0..std::mem::size_of::<Cell>() / LINE {
+            prefetch_for_write(cell.cast::<u8>().wrapping_add(line * LINE));
+        }
     }
 
     /// Ticket arithmetic modulo the wrap point.
@@ -177,28 +253,49 @@ impl StealDeque {
     where
         F: Fn(u32, u16) -> Option<(u32, u16, u32)>,
     {
-        let mut cur = self.state.load(Ordering::Acquire);
+        let state = &self.hot.state;
+        let mut cur = state.load(Ordering::Acquire);
         loop {
             let (head, len) = unpack(cur);
             let (new_head, new_len, ticket) = f(head, len)?;
             let next = pack(new_head, new_len);
-            match self
-                .state
-                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match state.compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire) {
                 Ok(_) => return Some(ticket),
                 Err(actual) => cur = actual,
             }
         }
     }
 
+    /// Waits for `ticket`'s cell to show phase `from` and wins the
+    /// transition to `to`, which makes the caller the payload's only
+    /// owner until it publishes the next phase. The cell may still be
+    /// mid-handoff for an earlier ticket (or for *this* ticket: after a
+    /// steal, the tail ticket is reused, so two pushes can legitimately
+    /// wait on the same `EMPTY(t)` — the CAS admits exactly one at a
+    /// time), or its push may have claimed but not yet deposited.
+    #[inline]
+    fn win(&self, ticket: u32, from: u64, to: u64) -> &Cell {
+        let cell = &self.cells[ticket as usize % self.capacity()];
+        let (from, to) = (stamp(ticket, from), stamp(ticket, to));
+        loop {
+            if cell.seq.load(Ordering::Acquire) == from
+                && cell
+                    .seq
+                    .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                return cell;
+            }
+            std::hint::spin_loop();
+        }
+    }
+
     /// Appends a request at the tail; `Err` gives it back when full.
     pub fn push(&self, req: Request) -> Result<(), Request> {
         let cap = self.capacity();
-        let ptr = Box::into_raw(Box::new(req));
         // Claim-to-handoff is the non-preemptible window: a fiber
         // parked between the seq CAS and the FULL publication stalls
-        // every consumer spinning on this slot (module docs).
+        // every consumer spinning on this cell (module docs).
         let _np = NonPreemptGuard::enter();
         let Some(ticket) = self.claim(|head, len| {
             if len as usize == cap {
@@ -206,70 +303,31 @@ impl StealDeque {
             }
             Some((head, len + 1, self.advance(head, len as usize)))
         }) else {
-            // SAFETY: the pointer was just created by `Box::into_raw`
-            // above and never shared.
-            return Err(*unsafe { Box::from_raw(ptr) });
+            return Err(req);
         };
-        let idx = ticket as usize % cap;
-        let seq = &self.seqs[idx];
-        let empty = stamp(ticket, EMPTY);
-        // The slot may still be mid-handoff for an earlier ticket (or
-        // for *this* ticket: after a steal, the tail ticket is reused,
-        // so two pushes can legitimately wait on the same `EMPTY(t)` —
-        // the CAS admits exactly one at a time).
-        loop {
-            if seq.load(Ordering::Acquire) == empty
-                && seq
-                    .compare_exchange(
-                        empty,
-                        stamp(ticket, STORING),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-            {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        let slot = &self.slots[idx];
-        slot.store(ptr, Ordering::Release);
-        seq.store(stamp(ticket, FULL), Ordering::Release);
+        let cell = self.win(ticket, EMPTY, STORING);
+        // SAFETY: winning `STORING(ticket)` makes this thread the only
+        // one touching `val` until the store below; the cell was left
+        // uninitialised by whoever published `EMPTY`.
+        unsafe { (*cell.val.get()).write(req) };
+        cell.seq.store(stamp(ticket, FULL), Ordering::Release);
         Ok(())
     }
 
-    /// Takes the element whose push claimed `ticket`, waiting out an
-    /// in-flight push that has claimed but not yet deposited. The slot
-    /// reopens at `next_empty` (pop: `ticket + capacity`; steal:
-    /// `ticket`, since the tail position is reused).
+    /// Takes the element whose push claimed `ticket`. The cell reopens
+    /// at `next_empty` (pop: `ticket + capacity`; steal: `ticket`,
+    /// since the tail position is reused).
     #[inline]
     fn take(&self, ticket: u32, next_empty: u32) -> Request {
-        let idx = ticket as usize % self.capacity();
-        let seq = &self.seqs[idx];
-        let full = stamp(ticket, FULL);
-        loop {
-            if seq.load(Ordering::Acquire) == full
-                && seq
-                    .compare_exchange(
-                        full,
-                        stamp(ticket, TAKING),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-            {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        let slot = &self.slots[idx];
-        let ptr = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-        debug_assert!(!ptr.is_null(), "FULL slot must hold a request");
-        seq.store(stamp(next_empty, EMPTY), Ordering::Release);
-        // SAFETY: the seq CAS gave this thread exclusive ownership of
-        // the slot's element; the pointer came from `Box::into_raw` in
-        // `push`.
-        *unsafe { Box::from_raw(ptr) }
+        let cell = self.win(ticket, FULL, TAKING);
+        // SAFETY: `FULL(ticket)` was published after the push wrote the
+        // request (Release, paired with the Acquire CAS in `win`), and
+        // winning `TAKING(ticket)` makes this thread the only one
+        // touching `val` until the store below, which marks the cell
+        // uninitialised again — the value is moved out exactly once.
+        let req = unsafe { (*cell.val.get()).assume_init_read() };
+        cell.seq.store(stamp(next_empty, EMPTY), Ordering::Release);
+        req
     }
 
     /// Removes the oldest request (the owner's FIFO dispatch path).
@@ -300,14 +358,9 @@ impl StealDeque {
 
 impl Drop for StealDeque {
     fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let ptr = slot.swap(std::ptr::null_mut(), Ordering::Acquire);
-            if !ptr.is_null() {
-                // SAFETY: dropping with `&mut self` — no other owner —
-                // and non-null slots hold pointers from `Box::into_raw`.
-                drop(unsafe { Box::from_raw(ptr) });
-            }
-        }
+        // The queued requests live in the cells: take each out and
+        // drop it (nothing is in flight under `&mut self`).
+        while self.pop().is_some() {}
     }
 }
 
@@ -405,13 +458,146 @@ mod tests {
         }
     }
 
+    /// A request whose header fields check each other and whose closure
+    /// counts its runs and its drops under `tag`: a cell that handed out
+    /// half of one request and half of another, twice the same one, or
+    /// none at all shows up in one of the three.
+    struct Ledger {
+        runs: Vec<AtomicUsize>,
+        drops: Vec<AtomicUsize>,
+    }
+
+    struct CountsDrop(Arc<Ledger>, u64);
+
+    impl Drop for CountsDrop {
+        fn drop(&mut self) {
+            self.0.drops[self.1 as usize].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn checksum(created_at: u64, req_id: u64) -> u64 {
+        (created_at ^ req_id.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    impl Ledger {
+        fn new(n: u64) -> Arc<Ledger> {
+            let zeros = || (0..n).map(|_| AtomicUsize::new(0)).collect();
+            Arc::new(Ledger {
+                runs: zeros(),
+                drops: zeros(),
+            })
+        }
+
+        fn req(self: &Arc<Self>, tag: u64) -> Request {
+            let token = CountsDrop(self.clone(), tag);
+            let req_id = !tag.wrapping_mul(31);
+            Request::new("t", 0, tag, move || {
+                token.0.runs[token.1 as usize].fetch_add(1, Ordering::Relaxed);
+                WorkOutcome::committed(token.1)
+            })
+            .with_provenance(req_id, checksum(tag, req_id))
+        }
+
+        /// Checks the header, runs the closure, drops the request.
+        fn consume(mut r: Request) {
+            assert_eq!(r.ingress, checksum(r.created_at, r.req_id), "torn header");
+            let ran = (r.work)().retries;
+            assert_eq!(ran, r.created_at, "closure of another request");
+        }
+
+        fn count(counters: &[AtomicUsize]) -> Vec<usize> {
+            counters.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        }
+    }
+
+    /// `Drop` of a half-full deque whose head has moved and whose tail
+    /// has been rolled back drops exactly the requests still queued,
+    /// each once (the payload is inline: nothing else frees it).
     #[test]
     fn drop_frees_live_elements() {
-        let d = StealDeque::new(8);
-        for i in 0..5 {
-            d.push(req(i)).unwrap();
+        let ledger = Ledger::new(6);
+        let d = StealDeque::with_ticket_limit(4, 8);
+        for i in 0..4 {
+            d.push(ledger.req(i)).unwrap();
         }
-        drop(d); // Miri/asan shape: no leak, no double free.
+        Ledger::consume(d.pop().unwrap()); // 0
+        Ledger::consume(d.steal().unwrap()); // 3
+        d.push(ledger.req(4)).unwrap();
+        d.push(ledger.req(5)).unwrap(); // wraps: queued 1, 2, 4, 5
+        assert_eq!(Ledger::count(&ledger.drops), [1, 0, 0, 1, 0, 0]);
+        drop(d);
+        assert_eq!(Ledger::count(&ledger.drops), [1; 6], "dropped exactly once");
+        assert_eq!(Ledger::count(&ledger.runs), [1, 0, 0, 1, 0, 0]);
+    }
+
+    /// The inline payload under real threads: two pushers, the owner
+    /// popping and a thief stealing on a capacity-4 ring whose tickets
+    /// wrap every two laps. Every request is handed out whole, exactly
+    /// once, and dropped exactly once — including the ones a full ring
+    /// gave back to their pusher.
+    #[test]
+    fn inline_payload_survives_concurrent_handoffs() {
+        const PER: u64 = 5_000;
+        let ledger = Ledger::new(2 * PER);
+        let d = Arc::new(StealDeque::with_ticket_limit(4, 8));
+        let left = Arc::new(AtomicUsize::new(2 * PER as usize));
+        std::thread::scope(|s| {
+            for p in 0..2 {
+                let (d, ledger) = (d.clone(), ledger.clone());
+                s.spawn(move || {
+                    for tag in p * PER..(p + 1) * PER {
+                        let mut r = ledger.req(tag);
+                        while let Err(back) = d.push(r) {
+                            r = back;
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }
+            for steals in [false, true] {
+                let (d, left) = (d.clone(), left.clone());
+                s.spawn(move || {
+                    while left.load(Ordering::Acquire) > 0 {
+                        match if steals { d.steal() } else { d.pop() } {
+                            Some(r) => {
+                                Ledger::consume(r);
+                                left.fetch_sub(1, Ordering::AcqRel);
+                            }
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                });
+            }
+        });
+        assert!(d.is_empty());
+        let all_once = |counters: &[AtomicUsize]| Ledger::count(counters).iter().all(|&n| n == 1);
+        assert!(all_once(&ledger.runs), "run exactly once");
+        assert!(all_once(&ledger.drops), "dropped exactly once");
+    }
+
+    /// The line rule of the module docs: the packed word has a line to
+    /// itself, and cells start on line boundaries and fill whole lines,
+    /// so a hand-off moves the `state` line and one cell, nothing else.
+    #[test]
+    fn state_and_cells_share_no_cache_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(offset_of!(StealDeque, hot), 0);
+        assert_eq!(size_of::<StateLine>(), LINE);
+        assert_eq!(align_of::<StateLine>(), LINE);
+        assert!(offset_of!(StealDeque, cells) >= LINE);
+        assert_eq!(align_of::<Cell>(), LINE);
+        assert_eq!(size_of::<Cell>() % LINE, 0);
+        // An `Arc`'s counts in front of the deque are off the line too.
+        let d = Arc::new(StealDeque::new(3));
+        let line = |p: *const u8| p as usize / LINE;
+        let state = line(std::ptr::from_ref(&d.hot.state).cast());
+        assert_ne!(state, line(Arc::as_ptr(&d).cast::<u8>().wrapping_sub(1)));
+        for cell in d.cells.iter() {
+            let first = std::ptr::from_ref(cell).cast::<u8>();
+            assert_eq!(first as usize % LINE, 0);
+            assert_ne!(state, line(first));
+            assert_ne!(state, line(first.wrapping_add(size_of::<Cell>() - 1)));
+        }
     }
 
     /// Concurrent owner + thief + producer: every pushed tag is consumed

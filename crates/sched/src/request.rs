@@ -162,6 +162,19 @@ impl RequestQueue {
         self.q.steal()
     }
 
+    /// Starts the cache misses the next [`push`](Self::push) would wait
+    /// for (a hint): call it before building the request.
+    #[inline]
+    pub fn prefetch_push(&self) {
+        self.q.prefetch_push()
+    }
+
+    /// As [`prefetch_push`](Self::prefetch_push), for [`pop`](Self::pop).
+    #[inline]
+    pub fn prefetch_pop(&self) {
+        self.q.prefetch_pop()
+    }
+
     pub fn len(&self) -> usize {
         self.q.len()
     }

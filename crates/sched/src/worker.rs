@@ -117,8 +117,19 @@ enum TxnEnd {
     Terminated,
 }
 
+/// Zero-sized and 64-byte aligned: in a `#[repr(C)]` struct, the field
+/// declared after one starts a new cache line.
+#[repr(align(64))]
+struct LineBreak;
+
 /// The scheduler-visible half of a worker.
+///
+/// Laid out by *writer*, one group of cache lines each: what a submitter
+/// reads per request (`queues`, `incarnation`, the stop flags) is not
+/// invalidated by what the worker writes per request (ack, counters).
+#[repr(C)]
 pub struct WorkerShared {
+    // ---- read-mostly: set at start-up, respawn or shutdown ----
     pub id: usize,
     /// `queues[level]`: level 0 = low priority; the paper's default has
     /// `queues[0]` (capacity 1) and `queues[1]` (capacity 4).
@@ -133,7 +144,6 @@ pub struct WorkerShared {
     /// Set by the runner/supervisor (sim) or the worker itself (threads);
     /// replaced on respawn.
     pub wake_target: Mutex<Option<WakeTarget>>,
-    pub starvation: StarvationState,
     /// This worker's slice of the run's metrics registry, set by the
     /// runner (or by the scheduler's fallback registry for adaptive
     /// policies) before dispatch begins. Read through the `OnceLock` at
@@ -145,8 +155,15 @@ pub struct WorkerShared {
     /// when the driver config carries a [`preempt_prov::ProvConfig`].
     /// Unset means exemplar capture is off.
     pub flight: OnceLock<Arc<preempt_prov::FlightRecorder>>,
+    /// Same-shard siblings this worker may steal level-0 work from,
+    /// pre-rotated to start just after this worker's id (fixed scan
+    /// order keeps sharded runs deterministic under the simulator). Set
+    /// by the runner **only** when `shards > 1`; unset means stealing is
+    /// off, which keeps single-shard trajectories byte-identical to the
+    /// pre-sharding plane. `Weak` breaks the sibling `Arc` cycle.
+    pub steal_peers: OnceLock<Vec<std::sync::Weak<WorkerShared>>>,
     pub stopped: AtomicBool,
-    // ---- failure containment (supervisor ↔ worker handshake) ----
+    // failure containment (supervisor ↔ worker handshake)
     /// Supervisor order for the *current incarnation* to unwind out of
     /// whatever it is doing and leave `worker_main` (declared dead).
     /// Unlike `stopped`, it is cleared before a respawn.
@@ -154,27 +171,27 @@ pub struct WorkerShared {
     /// Set (via an unwind-safe drop guard) when the current incarnation
     /// has left `worker_main` — the supervisor's license to orphan-sweep.
     pub exited: AtomicBool,
+    /// Set by the scheduler when interrupt delivery to this worker is
+    /// failing: the worker adds cooperative yield checks at level 0 so
+    /// high-priority work still gets in promptly.
+    pub degraded: AtomicBool,
     /// Incarnation number: 0 for the first spawn, +1 per respawn.
     pub incarnation: AtomicU64,
-    /// Messages of transaction panics contained by the firewall.
-    pub panics: Mutex<Vec<String>>,
-    /// Transaction panics contained by the firewall (all incarnations).
-    pub worker_panics: AtomicU64,
-    /// Worker-local metrics, flushed here when the worker exits.
-    pub metrics: Mutex<Metrics>,
-    // ---- delivery watchdog state (scheduler ↔ worker handshake) ----
+
+    // ---- scheduler-written, per send (delivery watchdog) ----
+    _sender_line: LineBreak,
     /// Bumped by the scheduler before every user-interrupt send.
     pub uintr_epoch: AtomicU64,
+
+    // ---- worker-written, per request ----
+    _worker_lines: LineBreak,
     /// Last epoch whose interrupt reached this worker's handler: the
     /// handler copies `uintr_epoch` here on every delivery (even declined
     /// ones). `ack < epoch` past the delivery latency means the interrupt
     /// was lost and the watchdog should re-send.
     pub uintr_ack: AtomicU64,
-    /// Set by the scheduler when interrupt delivery to this worker is
-    /// failing: the worker adds cooperative yield checks at level 0 so
-    /// high-priority work still gets in promptly.
-    pub degraded: AtomicBool,
-    // ---- counters (relaxed; reporting only) ----
+    pub starvation: StarvationState,
+    // counters (relaxed; reporting only)
     /// Passive (uintr-triggered) context switches taken.
     pub preemptions: AtomicU64,
     /// Cooperative yield switches taken.
@@ -188,13 +205,12 @@ pub struct WorkerShared {
     pub busy_cycles: AtomicU64,
     /// Requests stolen from same-shard siblings' queue tails.
     pub steals: AtomicU64,
-    /// Same-shard siblings this worker may steal level-0 work from,
-    /// pre-rotated to start just after this worker's id (fixed scan
-    /// order keeps sharded runs deterministic under the simulator). Set
-    /// by the runner **only** when `shards > 1`; unset means stealing is
-    /// off, which keeps single-shard trajectories byte-identical to the
-    /// pre-sharding plane. `Weak` breaks the sibling `Arc` cycle.
-    pub steal_peers: OnceLock<Vec<std::sync::Weak<WorkerShared>>>,
+    /// Transaction panics contained by the firewall (all incarnations).
+    pub worker_panics: AtomicU64,
+    /// Messages of transaction panics contained by the firewall.
+    pub panics: Mutex<Vec<String>>,
+    /// Worker-local metrics, flushed here when the worker exits.
+    pub metrics: Mutex<Metrics>,
 }
 
 impl WorkerShared {
@@ -211,19 +227,19 @@ impl WorkerShared {
             upid: Mutex::new(None),
             trace: OnceLock::new(),
             wake_target: Mutex::new(None),
-            starvation: StarvationState::new(),
             metrics_shard: OnceLock::new(),
             flight: OnceLock::new(),
+            steal_peers: OnceLock::new(),
             stopped: AtomicBool::new(false),
             terminated: AtomicBool::new(false),
             exited: AtomicBool::new(false),
-            incarnation: AtomicU64::new(0),
-            panics: Mutex::new(Vec::new()),
-            worker_panics: AtomicU64::new(0),
-            metrics: Mutex::new(Metrics::new()),
-            uintr_epoch: AtomicU64::new(0),
-            uintr_ack: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
+            incarnation: AtomicU64::new(0),
+            _sender_line: LineBreak,
+            uintr_epoch: AtomicU64::new(0),
+            _worker_lines: LineBreak,
+            uintr_ack: AtomicU64::new(0),
+            starvation: StarvationState::new(),
             preemptions: AtomicU64::new(0),
             coop_yields: AtomicU64::new(0),
             high_on_regular: AtomicU64::new(0),
@@ -231,7 +247,9 @@ impl WorkerShared {
             uintr_deferred: AtomicU64::new(0),
             busy_cycles: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            steal_peers: OnceLock::new(),
+            worker_panics: AtomicU64::new(0),
+            panics: Mutex::new(Vec::new()),
+            metrics: Mutex::new(Metrics::new()),
         })
     }
 
@@ -466,11 +484,11 @@ impl WorkerCtx {
         if level <= cur.max(self.current_level.get()) {
             return None;
         }
-        if self.shared.queues[level as usize].is_empty() {
-            // Spurious/empty interrupt (Figure 8's overhead experiment):
-            // switch to the preemptive context and straight back, which is
-            // exactly what the paper measures as pure overhead.
-        }
+        // Taken, even when the queue turns out empty (Figure 8's overhead
+        // experiment: switch to the preemptive context and straight back
+        // is exactly what the paper measures as pure overhead). The drain
+        // loop's `pop` is a context switch away: start its misses now.
+        self.shared.queues[level as usize].prefetch_pop();
         Some(level)
     }
 
@@ -1162,6 +1180,25 @@ mod tests {
             runtime::preempt_point(cost);
             WorkOutcome::default()
         })
+    }
+
+    /// Laid out by writer: nothing a submitter reads per request shares
+    /// a cache line with anything the scheduler writes per send or the
+    /// worker writes per request.
+    #[test]
+    fn shared_state_is_grouped_by_writer() {
+        use std::mem::{align_of, offset_of};
+        assert_eq!(align_of::<WorkerShared>(), 64);
+        macro_rules! lines {
+            ($($f:ident),*) => { [$((stringify!($f), offset_of!(WorkerShared, $f) / 64)),*] };
+        }
+        let submitter = lines!(id, queues, wake_target, incarnation, stopped, terminated);
+        let sender = lines!(uintr_epoch);
+        let worker = lines!(uintr_ack, starvation, preemptions, busy_cycles, metrics);
+        let last = |g: &[(&str, usize)]| g.iter().map(|f| f.1).max().unwrap();
+        let first = |g: &[(&str, usize)]| g.iter().map(|f| f.1).min().unwrap();
+        assert!(last(&submitter) < first(&sender), "{submitter:?}");
+        assert!(last(&sender) < first(&worker), "{sender:?} {worker:?}");
     }
 
     /// End-to-end smoke test in the simulator: one worker, one scheduler

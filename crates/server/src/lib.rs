@@ -634,15 +634,11 @@ fn handle_req(conn: &Arc<Conn>, db: &Arc<Database>, class: SloClass, id: u64, op
         SloClass::Low => Priority::Low,
     };
     let core2 = core.clone();
-    type WorkFn = Box<dyn FnOnce(&Core) -> (Status, u64) + Send>;
-    let (kind, work): (&'static str, WorkFn) = match op {
-        Op::Read => ("net_read", Box::new(move |c| op_read(c, a))),
-        Op::Deposit => ("net_deposit", Box::new(move |c| op_deposit(c, a, b))),
-        Op::Sum => ("net_sum", Box::new(op_sum)),
-        Op::Boom => (
-            "net_boom",
-            Box::new(move |_| panic!("injected chaos op (net_boom)")),
-        ),
+    let kind = match op {
+        Op::Read => "net_read",
+        Op::Deposit => "net_deposit",
+        Op::Sum => "net_sum",
+        Op::Boom => "net_boom",
     };
     // Provenance identity: connection id (+1, so the id is never the
     // "unassigned" 0) in the high half, wire request id in the low —
@@ -650,7 +646,12 @@ fn handle_req(conn: &Arc<Conn>, db: &Arc<Database>, class: SloClass, id: u64, op
     // wire ids.
     let req_id = (((u64::from(conn.id) + 1) & 0xFFFF) << 32) | (id & 0xFFFF_FFFF);
     db.submit_traced(kind, priority, req_id, t0, move || {
-        let (status, value) = work(&core2);
+        let (status, value) = match op {
+            Op::Read => op_read(&core2, a),
+            Op::Deposit => op_deposit(&core2, a, b),
+            Op::Sum => op_sum(&core2),
+            Op::Boom => panic!("injected chaos op (net_boom)"),
+        };
         let ok = matches!(status, Status::Ok);
         pending.finish(status, value);
         if ok {

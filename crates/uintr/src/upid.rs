@@ -25,37 +25,34 @@ use crate::cycles::rdtsc;
 /// Number of user-interrupt vectors, matching the hardware's UIRR width.
 pub const NUM_VECTORS: u8 = 64;
 
-/// The pending word on a cache line of its own. The receiver polls it at
-/// every preemption point; everything else in the descriptor (and the
-/// `Arc` counts in front of it) is written by senders per post, and must
-/// not keep pulling the polled line out of the receiver's cache.
+/// What a post writes, on one cache line: the pending word the receiver
+/// polls at every preemption point, and the sender's stamp and count.
+/// The sender writes all three back to back under one ownership of the
+/// line, and the receiver that takes the bit gets the stamp with it.
+/// Nothing the *receiver* or a third party writes may share the line —
+/// it would keep pulling the polled word out of the receiver's cache.
 #[derive(Debug)]
-#[repr(align(64))]
-struct PendingLine(AtomicU64);
-
-// Ops read `pending.fetch_or(..)`, the shape preempt-lint's protocol table
-// matches on.
-impl std::ops::Deref for PendingLine {
-    type Target = AtomicU64;
-    fn deref(&self) -> &AtomicU64 {
-        &self.0
-    }
+#[repr(C, align(64))]
+struct PostLine {
+    /// Posted-interrupt requests, one bit per vector (the UIRR analog).
+    pending: AtomicU64,
+    /// TSC stamp of the most recent post, for delivery-latency accounting.
+    last_post_tsc: AtomicU64,
+    /// Total posts (senduipi executions) targeting this descriptor.
+    posts: AtomicU64,
 }
 
 /// User posted-interrupt descriptor: one per receiver thread.
 ///
 /// Sharable across threads; senders hold `Arc<Upid>` through their UITT.
 #[derive(Debug)]
-#[repr(C)] // `pending` first: the `Arc` counts end up on the line before it
+#[repr(C)] // `post` first: the `Arc` counts end up on the line before it
 pub struct Upid {
-    /// Posted-interrupt requests, one bit per vector (the UIRR analog).
-    pending: PendingLine,
+    post: PostLine,
+    // Read by every post, written at set-up and tear-down only: the line
+    // after `post`, so senders keep it in shared state.
     /// Suppress-notification analog: `false` once the receiver tears down.
     active: AtomicBool,
-    /// TSC stamp of the most recent post, for delivery-latency accounting.
-    last_post_tsc: AtomicU64,
-    /// Total posts (senduipi executions) targeting this descriptor.
-    posts: AtomicU64,
     /// Owning worker id for trace attribution (`u16::MAX` = unattributed).
     owner: AtomicU64,
 }
@@ -63,10 +60,12 @@ pub struct Upid {
 impl Upid {
     pub fn new() -> Arc<Upid> {
         Arc::new(Upid {
-            pending: PendingLine(AtomicU64::new(0)),
+            post: PostLine {
+                pending: AtomicU64::new(0),
+                last_post_tsc: AtomicU64::new(0),
+                posts: AtomicU64::new(0),
+            },
             active: AtomicBool::new(true),
-            last_post_tsc: AtomicU64::new(0),
-            posts: AtomicU64::new(0),
             owner: AtomicU64::new(u64::from(u16::MAX)),
         })
     }
@@ -92,12 +91,13 @@ impl Upid {
         }
         // Sender-side stamps first: once the bit is up the receiver may be
         // in its handler reading them.
-        self.last_post_tsc.store(rdtsc(), Ordering::Relaxed);
-        self.posts.fetch_add(1, Ordering::Relaxed);
+        self.post.last_post_tsc.store(rdtsc(), Ordering::Relaxed);
+        self.post.posts.fetch_add(1, Ordering::Relaxed);
         // Release pairs with the Acquire swap in the receiver so that
         // everything the sender wrote (e.g. the enqueued transaction)
         // happens-before the handler observing the vector.
-        self.pending.fetch_or(1u64 << vector, Ordering::Release);
+        let bit = 1u64 << vector;
+        self.post.pending.fetch_or(bit, Ordering::Release);
         true
     }
 
@@ -107,23 +107,23 @@ impl Upid {
     pub fn take_pending(&self) -> u64 {
         // Fast path for the overwhelmingly common empty case: a single
         // relaxed load — this runs at *every* preemption point.
-        if self.pending.load(Ordering::Relaxed) == 0 {
+        if self.post.pending.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        self.pending.swap(0, Ordering::Acquire)
+        self.post.pending.swap(0, Ordering::Acquire)
     }
 
     /// Whether any vector is pending (no side effects).
     #[inline]
     pub fn has_pending(&self) -> bool {
-        self.pending.load(Ordering::Relaxed) != 0
+        self.post.pending.load(Ordering::Relaxed) != 0
     }
 
     /// Re-posts vectors that could not be delivered (deferral by a
     /// non-preemptible region or masked UIF).
     #[inline]
     pub fn repost(&self, vectors: u64) {
-        self.pending.fetch_or(vectors, Ordering::Release);
+        self.post.pending.fetch_or(vectors, Ordering::Release);
     }
 
     /// Marks the receiver as gone; subsequent posts fail.
@@ -137,12 +137,12 @@ impl Upid {
 
     /// TSC stamp of the most recent post.
     pub fn last_post_tsc(&self) -> u64 {
-        self.last_post_tsc.load(Ordering::Relaxed)
+        self.post.last_post_tsc.load(Ordering::Relaxed)
     }
 
     /// Total number of posts so far.
     pub fn posts(&self) -> u64 {
-        self.posts.load(Ordering::Relaxed)
+        self.post.posts.load(Ordering::Relaxed)
     }
 }
 
@@ -243,16 +243,24 @@ impl Uitt {
 mod tests {
     use super::*;
 
+    /// To itself among *writers*: the line holds the sender's bit, stamp
+    /// and count and nothing anyone else writes; `active`/`owner` (read
+    /// by every post) and the `Arc` counts are on other lines.
     #[test]
     fn pending_word_has_a_cache_line_to_itself() {
         let upid = Upid::new();
         let line = |p: *const u8| p as usize / 64;
-        let pending = line(std::ptr::from_ref(&upid.pending).cast());
-        assert_eq!(std::mem::size_of::<PendingLine>(), 64);
-        assert_ne!(pending, line(std::ptr::from_ref(&upid.posts).cast()));
+        let of = |a: &AtomicU64| line(std::ptr::from_ref(a).cast());
+        let pending = of(&upid.post.pending);
+        assert_eq!(std::mem::size_of::<PostLine>(), 64);
+        assert_eq!(pending, of(&upid.post.last_post_tsc));
+        assert_eq!(pending, of(&upid.post.posts));
         assert_ne!(pending, line(std::ptr::from_ref(&upid.active).cast()));
+        assert_ne!(pending, of(&upid.owner));
         // The `Arc` counts sit on the line in front of the descriptor.
         assert_eq!(pending, line(Arc::as_ptr(&upid).cast()));
+        let counts = Arc::as_ptr(&upid).cast::<u8>().wrapping_sub(16);
+        assert_ne!(pending, line(counts));
     }
 
     #[test]

@@ -239,16 +239,20 @@ fn explorer_catches_exit_flag_before_release() {
 // ─── Sharded-plane steal deque (crates/sched/src/deque.rs) ──────────────
 //
 // Mirror of the deque's two-level protocol: a packed (head ticket, len)
-// word claimed by CAS, then a per-slot *sequence stamp*
+// word claimed by CAS, then a per-cell *sequence stamp*
 // (`ticket << 2 | phase`, phases EMPTY→STORING→FULL→TAKING) that pairs
 // every deposit and every take with the exact claim that owns it.
-// Values live in `AtomicU64` slots (0 = empty). The real deque's
-// spin-waits — a pusher waiting for its slot's EMPTY stamp, a consumer
-// waiting for FULL — are modeled faithfully with
+// The request lives *inline* in the cell, under the stamp and with no
+// atomics of its own; the replica models it as two plain words (`v` and
+// `!v`, written and read one at a time with `Relaxed`, each access its
+// own scheduling point), so a take that overlaps a deposit — or two
+// deposits that overlap each other — reads a pair that does not match.
+// The real deque's spin-waits — a pusher waiting for its cell's EMPTY
+// stamp, a consumer waiting for FULL — are modeled faithfully with
 // `loom::thread::yield_waiting()`, which parks the spinner until
 // another thread performs a write, so the explorer covers stalled
-// pushers, slot reuse on full rings, and racing handoffs rather than
-// only pre-stored slots. The spin window is exactly the region the
+// pushers, cell reuse on full rings, and racing handoffs rather than
+// only pre-stored cells. The spin window is exactly the region the
 // deque's internal `NonPreemptGuard` keeps uintr-free; preempt-lint's
 // non-preemptible-region rule pins that statically.
 
@@ -269,21 +273,59 @@ fn dq_stamp(ticket: u64, phase: u64) -> u64 {
     (ticket << 2) | phase
 }
 
+/// The replica: `StealDeque`'s `state` word and its ring of cells.
+struct Dq {
+    state: AtomicU64,
+    seqs: Vec<AtomicU64>,
+    /// Cell `j`'s inline payload, `[v, !v]`; `[0, 0]` = uninitialised
+    /// (never written, or moved out by a take).
+    payload: Vec<[AtomicU64; 2]>,
+}
+
+impl Dq {
+    /// A fresh ring of `cap` cells with `init` already pushed: tickets
+    /// `0..init.len()` are FULL and hold `init`, the rest are EMPTY.
+    fn new(cap: u64, init: &[u64]) -> Arc<Dq> {
+        let filled = init.len() as u64;
+        Arc::new(Dq {
+            state: AtomicU64::new(dq_pack(0, filled)),
+            seqs: (0..cap)
+                .map(|i| {
+                    let phase = if i < filled { DQ_FULL } else { DQ_EMPTY };
+                    AtomicU64::new(dq_stamp(i, phase))
+                })
+                .collect(),
+            payload: (0..cap as usize)
+                .map(|i| match init.get(i) {
+                    Some(&v) => [AtomicU64::new(v), AtomicU64::new(!v)],
+                    None => [AtomicU64::new(0), AtomicU64::new(0)],
+                })
+                .collect(),
+        })
+    }
+
+    fn cap(&self) -> u64 {
+        self.seqs.len() as u64
+    }
+
+    fn len(&self) -> u64 {
+        dq_unpack(self.state.load(Ordering::Acquire)).1
+    }
+}
+
 /// Mirrors `StealDeque::claim`: CAS the packed (head ticket, len) word.
 /// No ABA stamp — every transition is a pure function of the packed
 /// bits, so a word that CASes back to an observed value carries the
 /// same meaning. `f(head, len)` returns the new (head, len) and the
 /// claimed ticket, or `None` to give up.
-fn dq_claim(
-    state: &AtomicU64,
-    f: impl Fn(u64, u64) -> Option<(u64, u64, u64)>,
-) -> Option<u64> {
+fn dq_claim(dq: &Dq, f: impl Fn(u64, u64) -> Option<(u64, u64, u64)>) -> Option<u64> {
     loop {
-        let cur = state.load(Ordering::Acquire);
+        let cur = dq.state.load(Ordering::Acquire);
         let (head, len) = dq_unpack(cur);
         let (new_head, new_len, ticket) = f(head, len)?;
         let next = dq_pack(new_head, new_len);
-        if state
+        if dq
+            .state
             .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
@@ -293,8 +335,9 @@ fn dq_claim(
 }
 
 /// The push's word claim alone: bumps len and returns the tail ticket.
-fn dq_push_claim(state: &AtomicU64, cap: u64) -> Option<u64> {
-    dq_claim(state, |head, len| {
+fn dq_push_claim(dq: &Dq) -> Option<u64> {
+    let cap = dq.cap();
+    dq_claim(dq, |head, len| {
         if len == cap {
             None
         } else {
@@ -305,8 +348,8 @@ fn dq_push_claim(state: &AtomicU64, cap: u64) -> Option<u64> {
 
 /// The steal's word claim alone: drops len and returns the tail ticket
 /// (rolled back — the next push reuses the position).
-fn dq_steal_claim(state: &AtomicU64) -> Option<u64> {
-    dq_claim(state, |head, len| {
+fn dq_steal_claim(dq: &Dq) -> Option<u64> {
+    dq_claim(dq, |head, len| {
         if len == 0 {
             None
         } else {
@@ -315,176 +358,122 @@ fn dq_steal_claim(state: &AtomicU64) -> Option<u64> {
     })
 }
 
-/// Mirrors the push handoff: wait for the claimed ticket's EMPTY stamp,
-/// win the slot by CAS (a steal rolls its ticket back, so two pushes
-/// can legitimately hold the same ticket — the CAS admits one at a
-/// time), deposit, publish FULL.
-fn dq_push_handoff(seqs: &[AtomicU64], slots: &[AtomicU64], cap: u64, t: u64, v: u64) {
-    let j = (t % cap) as usize;
+/// Mirrors `StealDeque::win`: wait for ticket `t`'s cell to show phase
+/// `from` and win the transition to `to` by CAS (a steal rolls its
+/// ticket back, so two pushes can legitimately hold the same ticket —
+/// the CAS admits one at a time). Returns the cell's index.
+fn dq_win(dq: &Dq, t: u64, from: u64, to: u64) -> usize {
+    let j = (t % dq.cap()) as usize;
     loop {
-        if seqs[j].load(Ordering::Acquire) == dq_stamp(t, DQ_EMPTY)
-            && seqs[j]
+        if dq.seqs[j].load(Ordering::Acquire) == dq_stamp(t, from)
+            && dq.seqs[j]
                 .compare_exchange(
-                    dq_stamp(t, DQ_EMPTY),
-                    dq_stamp(t, DQ_STORING),
+                    dq_stamp(t, from),
+                    dq_stamp(t, to),
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 )
                 .is_ok()
         {
-            break;
+            return j;
         }
         thread::yield_waiting();
     }
-    slots[j].store(v, Ordering::Release);
-    seqs[j].store(dq_stamp(t, DQ_FULL), Ordering::Release);
+}
+
+/// Mirrors the push handoff: win STORING, write the payload word by
+/// word, publish FULL.
+fn dq_push_handoff(dq: &Dq, t: u64, v: u64) {
+    let j = dq_win(dq, t, DQ_EMPTY, DQ_STORING);
+    dq.payload[j][0].store(v, Ordering::Relaxed);
+    dq.payload[j][1].store(!v, Ordering::Relaxed);
+    dq.seqs[j].store(dq_stamp(t, DQ_FULL), Ordering::Release);
 }
 
 /// Claim + handoff: the full push.
-fn dq_push(
-    state: &AtomicU64,
-    seqs: &[AtomicU64],
-    slots: &[AtomicU64],
-    cap: u64,
-    v: u64,
-) -> bool {
-    let Some(t) = dq_push_claim(state, cap) else {
+fn dq_push(dq: &Dq, v: u64) -> bool {
+    let Some(t) = dq_push_claim(dq) else {
         return false;
     };
-    dq_push_handoff(seqs, slots, cap, t, v);
+    dq_push_handoff(dq, t, v);
     true
 }
 
-/// Mirrors the take handoff shared by pop and steal: wait for the
-/// claimed ticket's FULL stamp, win it by CAS, swap the value out, and
-/// open the slot for `next_empty` (pop: `ticket + cap`, the position
-/// one lap later; steal: `ticket` itself, rolled back for the next
-/// push).
-fn dq_take(
-    seqs: &[AtomicU64],
-    slots: &[AtomicU64],
-    cap: u64,
-    ticket: u64,
-    next_empty: u64,
-) -> u64 {
-    let j = (ticket % cap) as usize;
-    loop {
-        if seqs[j].load(Ordering::Acquire) == dq_stamp(ticket, DQ_FULL)
-            && seqs[j]
-                .compare_exchange(
-                    dq_stamp(ticket, DQ_FULL),
-                    dq_stamp(ticket, DQ_TAKING),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-        {
-            break;
-        }
-        thread::yield_waiting();
-    }
-    let v = slots[j].swap(0, Ordering::Acquire);
-    assert_ne!(v, 0, "claimed slot had no stored request");
-    seqs[j].store(dq_stamp(next_empty, DQ_EMPTY), Ordering::Release);
+/// Mirrors the take handoff shared by pop and steal: win TAKING, move
+/// the payload out word by word — the `[0, 0]` written back stands for
+/// the `MaybeUninit` the real `assume_init_read` leaves behind, so a
+/// second take of the same cell is caught — and open the cell for
+/// `next_empty` (pop: `ticket + cap`, the position one lap later;
+/// steal: `ticket` itself, rolled back for the next push). The two
+/// words must be one request's.
+fn dq_take(dq: &Dq, ticket: u64, next_empty: u64) -> u64 {
+    let j = dq_win(dq, ticket, DQ_FULL, DQ_TAKING);
+    let v = dq.payload[j][0].swap(0, Ordering::Relaxed);
+    let check = dq.payload[j][1].swap(0, Ordering::Relaxed);
+    assert_ne!((v, check), (0, 0), "claimed cell had no stored request");
+    assert_eq!(check, !v, "torn payload: two words of different requests");
+    dq.seqs[j].store(dq_stamp(next_empty, DQ_EMPTY), Ordering::Release);
     v
 }
 
-/// Owner pop: claim the FIFO head ticket, then take its slot.
-fn dq_pop(
-    state: &AtomicU64,
-    seqs: &[AtomicU64],
-    slots: &[AtomicU64],
-    cap: u64,
-) -> Option<u64> {
-    let t = dq_claim(state, |head, len| {
+/// Owner pop: claim the FIFO head ticket, then take its cell.
+fn dq_pop(dq: &Dq) -> Option<u64> {
+    let t = dq_claim(dq, |head, len| {
         if len == 0 {
             None
         } else {
             Some((head + 1, len - 1, head))
         }
     })?;
-    Some(dq_take(seqs, slots, cap, t, t + cap))
+    Some(dq_take(dq, t, t + dq.cap()))
 }
 
-/// Sibling steal: claim the newest tail ticket, then take its slot,
+/// Sibling steal: claim the newest tail ticket, then take its cell,
 /// rolling the ticket back so the next push reuses the position.
-fn dq_steal(
-    state: &AtomicU64,
-    seqs: &[AtomicU64],
-    slots: &[AtomicU64],
-    cap: u64,
-) -> Option<u64> {
-    let t = dq_steal_claim(state)?;
-    Some(dq_take(seqs, slots, cap, t, t))
-}
-
-fn dq_slots(cap: u64, init: &[u64]) -> Arc<Vec<AtomicU64>> {
-    Arc::new(
-        (0..cap)
-            .map(|i| AtomicU64::new(init.get(i as usize).copied().unwrap_or(0)))
-            .collect(),
-    )
-}
-
-/// Sequence stamps for a fresh ring with the first `filled` tickets
-/// pre-stored (matching `dq_slots(cap, init)` with `init.len() == filled`).
-fn dq_seqs(cap: u64, filled: u64) -> Arc<Vec<AtomicU64>> {
-    Arc::new(
-        (0..cap)
-            .map(|i| {
-                AtomicU64::new(if i < filled {
-                    dq_stamp(i, DQ_FULL)
-                } else {
-                    dq_stamp(i, DQ_EMPTY)
-                })
-            })
-            .collect(),
-    )
+fn dq_steal(dq: &Dq) -> Option<u64> {
+    let t = dq_steal_claim(dq)?;
+    Some(dq_take(dq, t, t))
 }
 
 /// The sharded plane's two races, each explored exhaustively: a
 /// shard-local owner pops FIFO from its own queue while a same-shard
 /// sibling steals the newest tail entry; and a foreign owner drains its
 /// queue while the wedged shard's scheduler shoots a starved request
-/// into it. In every interleaving no request is lost or duplicated, the
-/// owner gets the FIFO head, the thief gets the newest tail, and the
-/// shot-down request survives to be drained exactly once. (Two separate
-/// explorations rather than one four-thread model: the races touch
-/// disjoint deques, so composing them only multiplies the state space
-/// without adding interactions.)
+/// into it. In every interleaving no request is lost, duplicated or
+/// torn, the owner gets the FIFO head, the thief gets the newest tail,
+/// and the shot-down request survives to be drained exactly once. (Two
+/// separate explorations rather than one four-thread model: the races
+/// touch disjoint deques, so composing them only multiplies the state
+/// space without adding interactions.)
 #[test]
 fn steal_deque_no_lost_or_duplicated_requests() {
     // Race 1: owner pop vs sibling steal on one shard's queue.
     loom::model(|| {
         // Requests 1 (oldest) and 2 (newest) pre-stored.
-        let state = Arc::new(AtomicU64::new(dq_pack(0, 2)));
-        let slots = dq_slots(4, &[1, 2]);
-        let seqs = dq_seqs(4, 2);
+        let dq = Dq::new(4, &[1, 2]);
 
-        let (st, sq, sl) = (state.clone(), seqs.clone(), slots.clone());
-        let owner = thread::spawn(move || dq_pop(&st, &sq, &sl, 4));
+        let owner_dq = dq.clone();
+        let owner = thread::spawn(move || dq_pop(&owner_dq));
         // Model closure = the same-shard sibling stealing the tail.
-        let stolen = dq_steal(&state, &seqs, &slots, 4);
+        let stolen = dq_steal(&dq);
         let popped = owner.join().unwrap();
 
         assert_eq!(popped, Some(1), "owner pop takes the FIFO head");
         assert_eq!(stolen, Some(2), "steal takes the newest tail entry");
-        assert!(dq_pop(&state, &seqs, &slots, 4).is_none());
-        assert!(dq_steal(&state, &seqs, &slots, 4).is_none());
+        assert!(dq_pop(&dq).is_none());
+        assert!(dq_steal(&dq).is_none());
     });
 
     // Race 2: foreign owner pop vs cross-shard shootdown push.
     loom::model(|| {
         // The foreign queue holds request 3; the wedged shard's
         // scheduler shoots request 4 into it concurrently.
-        let state = Arc::new(AtomicU64::new(dq_pack(0, 1)));
-        let slots = dq_slots(4, &[3]);
-        let seqs = dq_seqs(4, 1);
+        let dq = Dq::new(4, &[3]);
 
-        let (st, sq, sl) = (state.clone(), seqs.clone(), slots.clone());
-        let owner = thread::spawn(move || dq_pop(&st, &sq, &sl, 4));
+        let owner_dq = dq.clone();
+        let owner = thread::spawn(move || dq_pop(&owner_dq));
         assert!(
-            dq_push(&state, &seqs, &slots, 4, 4),
+            dq_push(&dq, 4),
             "foreign queue had room for the shot-down request"
         );
         let popped = owner.join().unwrap();
@@ -492,18 +481,18 @@ fn steal_deque_no_lost_or_duplicated_requests() {
         assert_eq!(popped, Some(3), "foreign owner drains its own head");
         // Quiescent drain: exactly the shot-down request remains.
         assert_eq!(
-            dq_pop(&state, &seqs, &slots, 4),
+            dq_pop(&dq),
             Some(4),
             "shot-down request neither lost nor duplicated"
         );
-        assert!(dq_pop(&state, &seqs, &slots, 4).is_none());
+        assert!(dq_pop(&dq).is_none());
     });
 }
 
 /// The review's high-severity scenario, explored exhaustively on a
 /// capacity-1 ring: a push's handoff stalls while a steal's claim
 /// rolls the tail ticket back and a second push claims the *same
-/// slot*. The three claims are taken up front in the model closure —
+/// cell*. The three claims are taken up front in the model closure —
 /// exactly the "claims advance around the ring while a deposit is in
 /// flight" window, and it keeps the DFS small — then both deposits and
 /// the steal's take race freely under a preemption bound of 4 (spin
@@ -511,63 +500,85 @@ fn steal_deque_no_lost_or_duplicated_requests() {
 /// switches cover a deposit stalled at any point across both of the
 /// other threads' critical windows). The sequence stamps must pair
 /// every deposit and take with its own claim: in every explored
-/// interleaving both requests survive, are consumed exactly once, and
-/// the ring ends quiescent — no overwrite, no duplication, no stuck
-/// slot.
+/// interleaving both requests survive whole — the two payload words
+/// of each take belong together — are consumed exactly once, and the
+/// ring ends quiescent: no overwrite, no duplication, no stuck cell.
 #[test]
 fn steal_deque_slot_reuse_pairs_handoffs() {
     loom::model_bounded(4, || {
-        let state = Arc::new(AtomicU64::new(dq_pack(0, 0)));
-        let slots = dq_slots(1, &[]);
-        let seqs = dq_seqs(1, 0);
+        let dq = Dq::new(1, &[]);
 
         // Claims, in ring order: push A (ticket 0), steal (ticket 0,
-        // rolled back), push B (ticket 0 again — the reused slot).
-        let ta = dq_push_claim(&state, 1).expect("empty ring accepts a push");
-        let ts = dq_steal_claim(&state).expect("claimed entry is stealable");
-        let tb = dq_push_claim(&state, 1).expect("stolen entry frees the ring");
-        assert_eq!((ta, ts, tb), (0, 0, 0), "all three claims share the slot");
+        // rolled back), push B (ticket 0 again — the reused cell).
+        let ta = dq_push_claim(&dq).expect("empty ring accepts a push");
+        let ts = dq_steal_claim(&dq).expect("claimed entry is stealable");
+        let tb = dq_push_claim(&dq).expect("stolen entry frees the ring");
+        assert_eq!((ta, ts, tb), (0, 0, 0), "all three claims share the cell");
 
         // Both deposits race each other and the steal's take.
-        let (sq, sl) = (seqs.clone(), slots.clone());
-        let a = thread::spawn(move || dq_push_handoff(&sq, &sl, 1, ta, 1));
-        let (sq, sl) = (seqs.clone(), slots.clone());
-        let b = thread::spawn(move || dq_push_handoff(&sq, &sl, 1, tb, 2));
-        let stolen = dq_take(&seqs, &slots, 1, ts, ts);
+        let a_dq = dq.clone();
+        let a = thread::spawn(move || dq_push_handoff(&a_dq, ta, 1));
+        let b_dq = dq.clone();
+        let b = thread::spawn(move || dq_push_handoff(&b_dq, tb, 2));
+        let stolen = dq_take(&dq, ts, ts);
 
         a.join().unwrap();
         b.join().unwrap();
-        let popped = dq_pop(&state, &seqs, &slots, 1)
-            .expect("second deposit still queued");
+        let popped = dq_pop(&dq).expect("second deposit still queued");
 
         let mut got = [stolen, popped];
         got.sort_unstable();
-        assert_eq!(got, [1, 2], "slot reuse lost or duplicated a request");
-        assert!(dq_pop(&state, &seqs, &slots, 1).is_none());
-        let (_, len) = dq_unpack(state.load(Ordering::Acquire));
-        assert_eq!(len, 0, "ring quiescent after both handoffs");
+        assert_eq!(got, [1, 2], "cell reuse lost or duplicated a request");
+        assert!(dq_pop(&dq).is_none());
+        assert_eq!(dq.len(), 0, "ring quiescent after both handoffs");
     });
 }
 
-/// Teeth check: a stealer that reads the slot value *without* first
-/// claiming the packed word — skipping the CAS — races the owner's pop
-/// of the same slot. The explorer must find the interleaving where both
-/// take request 7: the duplication the word-CAS claim exists to prevent.
+/// Teeth check for the inline payload: a push that publishes FULL after
+/// the *first* payload word lets the owner's pop in while the second
+/// word is still the previous lap's. The explorer must find the torn
+/// read — the reason the payload may only be written between STORING
+/// and FULL.
+#[test]
+#[should_panic(expected = "torn payload")]
+fn explorer_catches_full_published_before_payload_complete() {
+    loom::model(|| {
+        let dq = Dq::new(1, &[]);
+        let pusher_dq = dq.clone();
+        let pusher = thread::spawn(move || {
+            let t = dq_push_claim(&pusher_dq).expect("empty ring accepts a push");
+            let j = dq_win(&pusher_dq, t, DQ_EMPTY, DQ_STORING);
+            pusher_dq.payload[j][0].store(5, Ordering::Relaxed);
+            // BUG: FULL goes up with half the request still to write.
+            pusher_dq.seqs[j].store(dq_stamp(t, DQ_FULL), Ordering::Release);
+            pusher_dq.payload[j][1].store(!5, Ordering::Relaxed);
+        });
+        while dq_pop(&dq).is_none() {
+            thread::yield_waiting();
+        }
+        pusher.join().unwrap();
+    });
+}
+
+/// Teeth check: a stealer that reads the cell *without* first claiming
+/// the packed word — skipping the CAS — races the owner's pop of the
+/// same cell. The explorer must find the interleaving where both take
+/// request 7: the duplication the word-CAS claim exists to prevent.
 #[test]
 #[should_panic(expected = "duplicated")]
 fn explorer_catches_unclaimed_slot_steal() {
     loom::model(|| {
-        let state = Arc::new(AtomicU64::new(dq_pack(0, 1)));
-        let slots = dq_slots(4, &[7]);
-        let seqs = dq_seqs(4, 1);
+        let dq = Dq::new(4, &[7]);
 
-        let (st, sq, sl) = (state.clone(), seqs.clone(), slots.clone());
-        let owner = thread::spawn(move || dq_pop(&st, &sq, &sl, 4));
+        let owner_dq = dq.clone();
+        let owner = thread::spawn(move || dq_pop(&owner_dq));
 
         // BUG: take the tail value without claiming the word first.
-        let stolen = slots[0].load(Ordering::Acquire);
+        let stolen = dq.payload[0][0].load(Ordering::Relaxed);
 
         let popped = owner.join().unwrap();
+        // 0 = the owner had already moved the request out: no race in
+        // this schedule, nothing to report.
         if stolen != 0 {
             assert_ne!(
                 popped,
@@ -578,24 +589,27 @@ fn explorer_catches_unclaimed_slot_steal() {
     });
 }
 
-/// The pre-fix push handoff (teeth only): the deposit waits for the
-/// slot to *read* empty instead of winning its claim's sequence stamp,
-/// so it is not tied to any particular claim.
-fn dq_push_handoff_unpaired(slots: &[AtomicU64], cap: u64, t: u64, v: u64) {
-    let j = (t % cap) as usize;
-    while slots[j].load(Ordering::Acquire) != 0 {
+/// The pre-stamp push handoff (teeth only): the deposit waits for the
+/// cell to *read* moved-out instead of winning its claim's sequence
+/// stamp, so it is not tied to any particular claim.
+fn dq_push_handoff_unpaired(dq: &Dq, t: u64, v: u64) {
+    let j = (t % dq.cap()) as usize;
+    while dq.payload[j][0].load(Ordering::Relaxed) != 0 {
         thread::yield_waiting();
     }
-    slots[j].store(v, Ordering::Release);
+    dq.payload[j][0].store(v, Ordering::Relaxed);
+    dq.payload[j][1].store(!v, Ordering::Relaxed);
 }
 
-/// The pre-fix take handoff (teeth only): spin-swap until a value
-/// appears — any value, not necessarily the claimed ticket's.
-fn dq_take_unpaired(slots: &[AtomicU64], cap: u64, t: u64) -> u64 {
-    let j = (t % cap) as usize;
+/// The pre-stamp take handoff (teeth only): spin until a request
+/// appears — any request, not necessarily the claimed ticket's — and
+/// move it out.
+fn dq_take_unpaired(dq: &Dq, t: u64) -> u64 {
+    let j = (t % dq.cap()) as usize;
     loop {
-        let v = slots[j].swap(0, Ordering::Acquire);
+        let v = dq.payload[j][0].swap(0, Ordering::Relaxed);
         if v != 0 {
+            dq.payload[j][1].swap(0, Ordering::Relaxed);
             return v;
         }
         thread::yield_waiting();
@@ -606,36 +620,36 @@ fn dq_take_unpaired(slots: &[AtomicU64], cap: u64, t: u64) -> u64 {
 /// sequence stamps, the explorer must find the push-push overwrite the
 /// review flagged. Same claim layout as
 /// `steal_deque_slot_reuse_pairs_handoffs`: on a capacity-1 ring a
-/// steal's claim reuses the stalled pusher's slot for a second push.
-/// Both deposits observe the slot empty and both store, so one request
-/// is overwritten. After the steal's take, the word says one request
-/// is still queued — in the losing schedule its slot is empty instead.
+/// steal's claim reuses the stalled pusher's cell for a second push.
+/// Both deposits observe the cell moved-out and both write, so one
+/// request is overwritten. After the steal's take, the word says one
+/// request is still queued — in the losing schedule its cell is empty
+/// instead, or holds half of each.
 #[test]
 #[should_panic(expected = "overwrote")]
 fn explorer_catches_push_push_slot_overwrite() {
     loom::model(|| {
-        let state = Arc::new(AtomicU64::new(dq_pack(0, 0)));
-        let slots = dq_slots(1, &[]);
+        let dq = Dq::new(1, &[]);
 
-        let ta = dq_push_claim(&state, 1).expect("empty ring accepts a push");
-        let ts = dq_steal_claim(&state).expect("claimed entry is stealable");
-        let tb = dq_push_claim(&state, 1).expect("stolen entry frees the ring");
+        let ta = dq_push_claim(&dq).expect("empty ring accepts a push");
+        let ts = dq_steal_claim(&dq).expect("claimed entry is stealable");
+        let tb = dq_push_claim(&dq).expect("stolen entry frees the ring");
 
-        let sl = slots.clone();
-        let a = thread::spawn(move || dq_push_handoff_unpaired(&sl, 1, ta, 1));
-        let sl = slots.clone();
-        let b = thread::spawn(move || dq_push_handoff_unpaired(&sl, 1, tb, 2));
-        let _stolen = dq_take_unpaired(&slots, 1, ts);
+        let a_dq = dq.clone();
+        let a = thread::spawn(move || dq_push_handoff_unpaired(&a_dq, ta, 1));
+        let b_dq = dq.clone();
+        let b = thread::spawn(move || dq_push_handoff_unpaired(&b_dq, tb, 2));
+        let _stolen = dq_take_unpaired(&dq, ts);
 
         a.join().unwrap();
         b.join().unwrap();
 
-        let (_, len) = dq_unpack(state.load(Ordering::Acquire));
-        assert_eq!(len, 1, "one steal from two pushes leaves one request queued");
-        assert_ne!(
-            slots[0].load(Ordering::Acquire),
-            0,
-            "request lost: a second push overwrote an undeposited slot"
+        assert_eq!(dq.len(), 1, "one steal from two pushes leaves one request queued");
+        let v = dq.payload[0][0].load(Ordering::Relaxed);
+        let check = dq.payload[0][1].load(Ordering::Relaxed);
+        assert!(
+            v != 0 && check == !v,
+            "request lost: a second push overwrote an undeposited cell"
         );
     });
 }
