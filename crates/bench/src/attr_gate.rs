@@ -54,7 +54,7 @@ use preemptdb::trace::{TraceConfig, TraceSession};
 use preemptdb::workloads::{kinds, MixedWorkload};
 use preemptdb::SimConfig;
 
-/// Relative width of one legacy log-histogram bucket (32 sub-buckets
+/// Relative width of one log-histogram bucket (32 sub-buckets
 /// per octave): the registry plane's p99 is a bucket lower bound, so
 /// cross-plane p99 agreement is only meaningful to this resolution.
 const BUCKET_WIDTH: f64 = 1.0 / 32.0;
@@ -111,9 +111,9 @@ fn attribution<'a>(label: &str, r: &'a RunReport, failures: &mut Vec<String>) ->
     attr
 }
 
-/// Per-class end-to-end latency from the *legacy* metrics plane (the
-/// per-kind histograms predating provenance) — the independent p99 the
-/// phase sums must reconcile with.
+/// Per-class end-to-end latency from the per-kind latency histograms
+/// (`finished - created` per request, recorded apart from the phase
+/// vectors) — the independent p99 the phase sums must reconcile with.
 fn class_latency(r: &RunReport, high: bool) -> Histogram {
     let mut h = Histogram::new();
     for (kind, m) in r.metrics.kinds() {
@@ -152,16 +152,13 @@ fn check_lossless(label: &str, r: &RunReport, failures: &mut Vec<String>) {
 }
 
 /// Checks 2–3: the trace-side attribution reconciles with the
-/// registry-side phase histograms (exactly) and with the legacy
+/// registry-side phase histograms (exactly) and with the per-kind
 /// end-to-end latency plane (p99 within 1% + one bucket).
 fn check_reconciles(label: &str, r: &RunReport, failures: &mut Vec<String>) {
     let Some(attr) = attribution(label, r, failures) else {
         return;
     };
-    let Some(snap) = r.metrics_snapshot.as_ref() else {
-        failures.push(format!("{label}: run produced no metrics snapshot"));
-        return;
-    };
+    let snap = &r.metrics_snapshot;
     for (c, cls) in attr.classes.iter().enumerate() {
         let high = c == 1;
         // Exact: every phase histogram in the registry carries one
@@ -190,36 +187,36 @@ fn check_reconciles(label: &str, r: &RunReport, failures: &mut Vec<String>) {
             }
         }
         // Identity: phase sums equal the end-to-end population. The
-        // legacy per-kind plane measured `finished - created` per
+        // per-kind latency series measured `finished - created` per
         // request wholly independently of the phase vectors.
-        let legacy = class_latency(r, high);
-        if legacy.count() != cls.completed {
+        let e2e = class_latency(r, high);
+        if e2e.count() != cls.completed {
             failures.push(format!(
-                "{label}: class {} legacy completion count {} != attributed {}",
+                "{label}: class {} per-kind completion count {} != attributed {}",
                 CLASS_LABELS[c],
-                legacy.count(),
+                e2e.count(),
                 cls.completed
             ));
             continue;
         }
         let phase_total: u64 = cls.phase_sums.iter().sum();
-        let legacy_total = legacy.mean() * legacy.count() as f64;
-        if relative_gap(phase_total as f64, legacy_total) > 0.01 {
+        let e2e_total = e2e.mean() * e2e.count() as f64;
+        if relative_gap(phase_total as f64, e2e_total) > 0.01 {
             failures.push(format!(
                 "{label}: class {} phase-sum total {} vs end-to-end total {:.0} off by > 1%",
-                CLASS_LABELS[c], phase_total, legacy_total
+                CLASS_LABELS[c], phase_total, e2e_total
             ));
         }
-        // p99: attribution is sample-exact; the legacy histogram
+        // p99: attribution is sample-exact; the per-kind histogram
         // reports a log-bucket lower bound, so allow one bucket width
         // on top of the 1% reconciliation tolerance.
         let attr_p99 = cls.e2e.p99 as f64;
-        let legacy_p99 = legacy.percentile(99.0) as f64;
-        if relative_gap(attr_p99, legacy_p99) > 0.01 + BUCKET_WIDTH {
+        let e2e_p99 = e2e.percentile(99.0) as f64;
+        if relative_gap(attr_p99, e2e_p99) > 0.01 + BUCKET_WIDTH {
             failures.push(format!(
                 "{label}: class {} phase-sum p99 {:.0} vs end-to-end p99 {:.0} \
                  off by > 1% + bucket width",
-                CLASS_LABELS[c], attr_p99, legacy_p99
+                CLASS_LABELS[c], attr_p99, e2e_p99
             ));
         }
     }

@@ -208,8 +208,9 @@ mod tests {
         assert_eq!(main(&["fig99".to_string()]), ExitCode::FAILURE);
     }
 
-    /// The docs, scripts and CI may name only what this crate builds:
-    /// the one binary, and experiment names the table resolves.
+    /// The docs, scripts and CI may name only what this crate builds —
+    /// the one binary, and experiment names the table resolves — and not
+    /// the accounting machinery that was removed.
     #[test]
     fn docs_scripts_and_ci_name_only_run_all_and_known_experiments() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -244,6 +245,16 @@ mod tests {
                     !(at(i) == "cargo" && at(i + 1) == "bench"),
                     "{}: still says `cargo bench` (there are no bench targets)",
                     file.display()
+                );
+                // One accounting plane: the cross-checker between two and
+                // the registry the scheduler used to make for itself are gone.
+                assert!(
+                    at(i) != "cross_check_registry"
+                        && !(at(i) == "fallback" && at(i + 1) == "registry"),
+                    "{}: names `{} {}`, which no longer exists",
+                    file.display(),
+                    at(i),
+                    at(i + 1)
                 );
                 if at(i) == "-p" && at(i + 1) == "preempt-bench" && at(i + 2) == "--bin" {
                     commands += 1;

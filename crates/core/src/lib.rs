@@ -363,29 +363,25 @@ impl Database {
         }
     }
 
-    /// Merged latency metrics across workers (so far; workers flush at
-    /// shutdown, so call after [`shutdown`](Self::shutdown) for totals).
+    /// Per-kind counts and latencies across workers so far, read live
+    /// from the workers' metrics shards. (A worker counts a request just
+    /// after its closure returns, so a `call`'s own completion can land a
+    /// moment after the call does.)
     pub fn metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
-        for w in &self.workers {
-            m.merge(&w.metrics.lock());
-        }
-        m
+        let shards = self.workers.iter().map(|w| &*w.metrics_shard);
+        Metrics::from_snapshot(&metrics::MetricsSnapshot::of_shards(shards))
     }
 
-    /// Stops the workers (in-flight work completes) and joins them.
-    pub fn shutdown(self) -> Metrics {
+    /// Stops the workers (in-flight work completes), joins them and
+    /// returns the final [`metrics`](Self::metrics).
+    pub fn shutdown(mut self) -> Metrics {
         for w in &self.workers {
             w.stop();
         }
-        for h in self.handles {
+        for h in self.handles.drain(..) {
             h.join().expect("worker panicked");
         }
-        let mut m = Metrics::new();
-        for w in &self.workers {
-            m.merge(&w.metrics.lock());
-        }
-        m
+        self.metrics()
     }
 
     /// Scheduler-visible worker state (advanced integrations and tests).
@@ -471,5 +467,28 @@ mod tests {
         let db = Arc::into_inner(db).expect("all clones joined");
         let m = db.shutdown();
         assert_eq!(m.kind("calc").unwrap().completed, 200);
+    }
+
+    /// `metrics()` is a live view of the workers' shards: complete before
+    /// `shutdown`, and `shutdown` returns the same thing.
+    #[test]
+    fn metrics_are_complete_before_shutdown() {
+        let db = Database::open(DatabaseConfig::default().workers(2));
+        for i in 0..200u64 {
+            let p = [Priority::High, Priority::Low][(i % 2) as usize];
+            assert_eq!(db.call("calc", p, move || i * 3), i * 3);
+        }
+        // A worker counts a request right after its closure has released
+        // the caller: give the 200th a moment to land.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while db.metrics().total_completed() < 200 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        let live = db.metrics();
+        let calc = live.kind("calc").unwrap();
+        assert_eq!((calc.completed, calc.latency.count()), (200, 200));
+        let last = db.shutdown();
+        assert_eq!(last.kind("calc").unwrap().completed, 200);
+        assert_eq!(last.total_completed(), 200);
     }
 }

@@ -9,12 +9,14 @@
 //! waits, controller decisions), readable while a run executes.
 //!
 //! Architecture (DESIGN.md §10):
-//! * [`registry::Shard`] — one per writer (worker or scheduler); every
-//!   emit is a relaxed `fetch_add` into the writer's own cache lines.
-//! * [`MetricsRegistry`] — owns a run's shards; carried on the driver
-//!   config. [`MetricsRegistry::snapshot`] sums shards and merges
-//!   histograms; monotonic cells make mid-run snapshots
-//!   crash-consistent.
+//! * [`registry::Shard`] — one per writer (worker or scheduler), owned by
+//!   that writer and the only place its counts are kept; every emit is a
+//!   relaxed `fetch_add` into the writer's own cache lines.
+//! * [`MetricsRegistry`] — the shards of one run (registered on it, or
+//!   attached to it), its gauges and its exporter config.
+//!   [`MetricsRegistry::snapshot`] sums shards and merges histograms;
+//!   monotonic cells make mid-run snapshots crash-consistent. The run
+//!   report's structs are views of the final snapshot.
 //! * [`counter_add`] / [`hist_record`] — instrumentation entry points
 //!   for code with no shard reference (interrupt receivers, latches,
 //!   fault hooks). Same discipline as `preempt-trace`'s [`emit`]: one

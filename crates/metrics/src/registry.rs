@@ -61,10 +61,19 @@ pub enum Counter {
     NetRejected,
     NetProtocolErrors,
     TraceDropped,
+    Preemptions,
+    CoopYields,
+    HighOnRegular,
+    BusyCycles,
+    SchedTicks,
+    AbandonedBatches,
+    RetryAbandonedHigh,
+    OrphanLatchesReleased,
+    RejectedOrphaned,
 }
 
 /// Number of fixed counters (the width of a shard's counter block).
-pub const COUNTERS: usize = 39;
+pub const COUNTERS: usize = 48;
 
 impl Counter {
     /// Every counter, in export order.
@@ -108,6 +117,15 @@ impl Counter {
         Counter::NetRejected,
         Counter::NetProtocolErrors,
         Counter::TraceDropped,
+        Counter::Preemptions,
+        Counter::CoopYields,
+        Counter::HighOnRegular,
+        Counter::BusyCycles,
+        Counter::SchedTicks,
+        Counter::AbandonedBatches,
+        Counter::RetryAbandonedHigh,
+        Counter::OrphanLatchesReleased,
+        Counter::RejectedOrphaned,
     ];
 
     pub fn name(self) -> &'static str {
@@ -151,6 +169,15 @@ impl Counter {
             Counter::NetRejected => "net_requests_rejected",
             Counter::NetProtocolErrors => "net_protocol_errors",
             Counter::TraceDropped => "trace_events_dropped",
+            Counter::Preemptions => "sched_preemptions",
+            Counter::CoopYields => "sched_coop_yields",
+            Counter::HighOnRegular => "txn_high_on_regular",
+            Counter::BusyCycles => "worker_busy_cycles",
+            Counter::SchedTicks => "sched_ticks",
+            Counter::AbandonedBatches => "sched_abandoned_batches",
+            Counter::RetryAbandonedHigh => "txn_retry_abandoned_high",
+            Counter::OrphanLatchesReleased => "orphan_latches_released",
+            Counter::RejectedOrphaned => "txn_rejected_orphaned",
         }
     }
 
@@ -197,6 +224,15 @@ impl Counter {
             Counter::TraceDropped => {
                 "Trace-ring events overwritten before merge (lossy ring wraparound)"
             }
+            Counter::Preemptions => "Passive (user-interrupt) switches into a preemptive context",
+            Counter::CoopYields => "Cooperative yield switches into a higher-priority context",
+            Counter::HighOnRegular => "High-priority requests run on the regular (level-0) path",
+            Counter::BusyCycles => "Cycles workers spent executing requests",
+            Counter::SchedTicks => "High-priority arrival ticks processed by the scheduler",
+            Counter::AbandonedBatches => "Ticks whose batch remainder was left undelivered",
+            Counter::RetryAbandonedHigh => "High requests stranded by the dispatch retry cap",
+            Counter::OrphanLatchesReleased => "Write latches force-released by the orphan sweep",
+            Counter::RejectedOrphaned => "Queued requests rejected with a quarantined worker",
         }
     }
 }
@@ -622,15 +658,19 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(label: &'static str, index: u32) -> Shard {
-        Shard {
+    /// A free-standing shard: its writer owns it and counts into it from
+    /// the start; [`MetricsRegistry::attach`] adds it to a registry's
+    /// snapshots (and [`MetricsSnapshot::of_shards`] reads a set of them
+    /// with no registry at all).
+    pub fn new(label: &'static str, index: u32) -> Arc<Shard> {
+        Arc::new(Shard {
             label,
             index,
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| AtomicHist::new(buckets::FINE_SUB_BITS)),
             sensor_high_latency: AtomicHist::new(buckets::WINDOW_SUB_BITS),
             kinds: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        }
+        })
     }
 
     /// This shard's owner label, e.g. `("worker", 3)`.
@@ -952,13 +992,20 @@ impl MetricsRegistry {
 
     /// Registers (and returns) a new shard for one writer.
     pub fn register_shard(&self, label: &'static str, index: u32) -> Arc<Shard> {
-        let shard = Arc::new(Shard::new(label, index));
+        let shard = Shard::new(label, index);
+        self.attach(&shard);
+        shard
+    }
+
+    /// Adds a shard its writer already owns to this registry's snapshots,
+    /// sensor reads and scrapes. Whatever it has counted so far comes
+    /// with it.
+    pub fn attach(&self, shard: &Arc<Shard>) {
         self.inner
             .shards
             .lock()
             .expect("metrics shard list poisoned")
             .push(shard.clone());
-        shard
     }
 
     pub fn shard_count(&self) -> usize {
@@ -1039,43 +1086,18 @@ impl MetricsRegistry {
             .shards
             .lock()
             .expect("metrics shard list poisoned");
-        let mut counters = [0u64; COUNTERS];
-        let mut fixed: Vec<HistSnapshot> = (0..FIXED_HISTS)
-            .map(|_| HistSnapshot::empty(buckets::FINE_SUB_BITS))
-            .collect();
-        let mut sensor_high_latency = HistSnapshot::empty(buckets::WINDOW_SUB_BITS);
-        let mut kinds: Vec<KindSnapshot> = Vec::new();
-        for s in shards.iter() {
-            s.add_counters_into(&mut counters);
-            for (h, acc) in s.hists.iter().zip(fixed.iter_mut()) {
-                h.add_into(acc);
-            }
-            s.sensor_high_latency.add_into(&mut sensor_high_latency);
-            s.add_kinds_into(&mut kinds);
-        }
-        let delivery_latency = fixed[FixedHist::DeliveryLatencyCycles as usize].clone();
-        let latch_wait = fixed[FixedHist::LatchWaitCycles as usize].clone();
-        kinds.sort_by(|a, b| a.name.cmp(&b.name));
-        let gauges: Vec<(String, f64)> = Gauge::ALL
+        let mut snap = MetricsSnapshot::of_shards(shards.iter().map(|s| &**s));
+        snap.gauges = Gauge::ALL
             .iter()
             .map(|&g| (g.name().to_string(), self.gauge_get(g)))
             .collect();
-        MetricsSnapshot {
-            counters: counters.to_vec(),
-            gauges,
-            slo_burn: self
-                .inner
-                .slo_gauges
-                .lock()
-                .expect("slo gauge list poisoned")
-                .clone(),
-            delivery_latency,
-            latch_wait,
-            fixed,
-            sensor_high_latency,
-            kinds,
-            shards: shards.len(),
-        }
+        snap.slo_burn = self
+            .inner
+            .slo_gauges
+            .lock()
+            .expect("slo gauge list poisoned")
+            .clone();
+        snap
     }
 
     /// Recomputes the SLO burn-rate gauges from per-kind latency
@@ -1159,6 +1181,39 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Sums `shards` with no registry involved (so no gauges and no SLO
+    /// burn rates): how an embedded pool reads its workers' shards.
+    pub fn of_shards<'a>(shards: impl IntoIterator<Item = &'a Shard>) -> MetricsSnapshot {
+        let mut counters = [0u64; COUNTERS];
+        let mut fixed: Vec<HistSnapshot> = (0..FIXED_HISTS)
+            .map(|_| HistSnapshot::empty(buckets::FINE_SUB_BITS))
+            .collect();
+        let mut sensor_high_latency = HistSnapshot::empty(buckets::WINDOW_SUB_BITS);
+        let mut kinds: Vec<KindSnapshot> = Vec::new();
+        let mut n = 0;
+        for s in shards {
+            s.add_counters_into(&mut counters);
+            for (h, acc) in s.hists.iter().zip(fixed.iter_mut()) {
+                h.add_into(acc);
+            }
+            s.sensor_high_latency.add_into(&mut sensor_high_latency);
+            s.add_kinds_into(&mut kinds);
+            n += 1;
+        }
+        kinds.sort_by(|a, b| a.name.cmp(&b.name));
+        MetricsSnapshot {
+            counters: counters.to_vec(),
+            gauges: Vec::new(),
+            slo_burn: Vec::new(),
+            delivery_latency: fixed[FixedHist::DeliveryLatencyCycles as usize].clone(),
+            latch_wait: fixed[FixedHist::LatchWaitCycles as usize].clone(),
+            fixed,
+            sensor_high_latency,
+            kinds,
+            shards: n,
+        }
+    }
+
     /// Total of one fixed counter.
     pub fn counter(&self, c: Counter) -> u64 {
         self.counters[c as usize]

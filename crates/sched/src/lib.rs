@@ -38,10 +38,10 @@ pub use controller::{
 pub use metrics::{Histogram, KindMetrics, Metrics};
 pub use policy::{Policy, STARVATION_DISABLED};
 pub use request::{Priority, Request, RequestQueue, WorkOutcome};
-pub use runner::{cross_check_registry, run, RunReport, Runtime, WorkerTotals};
+pub use runner::{run, RunReport, Runtime, WorkerTotals};
 pub use scheduler::{
     scheduler_main, scheduler_shard_main, split_factory, DriverConfig, RecoveryHooks,
-    RobustnessConfig, SchedRun, SchedulerStats, SharedFactory, SpawnFn, SweepFn,
+    RobustnessConfig, SchedulerStats, SharedFactory, SpawnFn, SweepFn,
     WorkloadFactory,
 };
 pub use starvation::StarvationState;

@@ -6,14 +6,17 @@
 //! 32 sub-buckets and a reported percentile (the bucket's lower bound)
 //! undershoots the true value by strictly less than 1/32 ≈ 3.2 % — values
 //! below 32 are exact. Recording is two shifts and an increment, and
-//! histograms merge by bucket addition so each worker records locally
-//! with no synchronization.
+//! histograms merge by bucket addition.
 //!
-//! The bucket math itself lives in [`preempt_metrics::buckets`] and is
-//! shared with the metrics registry and the adaptive controller's sensor
-//! plane, so every layer agrees bit-for-bit on where a sample lands.
+//! [`Histogram`] is the local value type (the server, the load generator
+//! and the benches record into their own). A run's counts are not kept
+//! here: workers and the scheduler count into their registry shards
+//! (`preempt_metrics`), and [`Metrics`] is a view of the final
+//! [`MetricsSnapshot`] — same bucket layout ([`preempt_metrics::buckets`]),
+//! so a percentile read through either is the same number.
 
 use preempt_metrics::buckets::{self, FINE_SUB_BITS};
+use preempt_metrics::{Counter, HistSnapshot, MetricsSnapshot};
 
 /// Mantissa bits per octave: 32 sub-buckets, ≤ 3.2 % bucket width.
 const SUB_BITS: u32 = FINE_SUB_BITS;
@@ -42,6 +45,30 @@ impl Histogram {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// The histogram a registry snapshot holds, as this type. Buckets,
+    /// count and sum carry over exactly; `min`, `max` and the geometric
+    /// mean are at bucket resolution (each sample stands at its bucket's
+    /// lower bound, as every percentile already does).
+    pub fn from_snapshot(snap: &HistSnapshot) -> Histogram {
+        debug_assert_eq!(snap.sub_bits, SUB_BITS);
+        let mut h = Histogram {
+            counts: snap.buckets.clone(),
+            count: 0,
+            sum: snap.sum,
+            log_sum: 0.0,
+            min: u64::MAX,
+            max: 0,
+        };
+        for (b, &c) in snap.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let v = Self::bucket_value(b);
+            h.count += c;
+            h.log_sum += (v.max(1) as f64).ln() * c as f64;
+            h.min = h.min.min(v);
+            h.max = v;
+        }
+        h
     }
 
     #[inline]
@@ -196,7 +223,7 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// Per-transaction-kind metrics a worker records locally.
+/// One transaction kind's series, as a run report shows them.
 #[derive(Clone, Default)]
 pub struct KindMetrics {
     /// End-to-end latency: generation → completion (paper Figures 10–13).
@@ -213,92 +240,52 @@ pub struct KindMetrics {
     /// Requests that exhausted their worker-level retry budget without
     /// committing.
     pub failed: u64,
-    /// Requests whose work closure panicked; the worker's firewall
-    /// contained the panic and kept running.
-    pub panicked: u64,
 }
 
-impl KindMetrics {
-    pub fn merge(&mut self, other: &KindMetrics) {
-        self.latency.merge(&other.latency);
-        self.sched_latency.merge(&other.sched_latency);
-        self.completed += other.completed;
-        self.retries += other.retries;
-        self.deadline_aborted += other.deadline_aborted;
-        self.failed += other.failed;
-        self.panicked += other.panicked;
-    }
-}
-
-/// Metrics for a fixed set of transaction kinds, recorded lock-free by a
-/// single owner (one per worker) and merged at the end of a run.
+/// Per-kind transaction metrics: a view of a [`MetricsSnapshot`]'s kind
+/// table (contained panics are not per kind; see `WorkerTotals.panics`).
 #[derive(Clone, Default)]
 pub struct Metrics {
-    kinds: Vec<(&'static str, KindMetrics)>,
+    kinds: Vec<(String, KindMetrics)>,
+    completed: u64,
 }
 
 impl Metrics {
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
-    fn entry(&mut self, kind: &'static str) -> &mut KindMetrics {
-        if let Some(i) = self.kinds.iter().position(|(k, _)| *k == kind) {
-            &mut self.kinds[i].1
-        } else {
-            self.kinds.push((kind, KindMetrics::default()));
-            &mut self.kinds.last_mut().expect("just pushed").1
-        }
-    }
-
-    /// Records a completed request.
-    pub fn record(&mut self, kind: &'static str, latency: u64, sched_latency: u64, retries: u64) {
-        let e = self.entry(kind);
-        e.latency.record(latency);
-        e.sched_latency.record(sched_latency);
-        e.completed += 1;
-        e.retries += retries;
-    }
-
-    /// Records a request abandoned at its deadline (no latency sample:
-    /// the transaction never completed).
-    pub fn record_deadline_abort(&mut self, kind: &'static str) {
-        self.entry(kind).deadline_aborted += 1;
-    }
-
-    /// Records a request that burned its retry budget without committing.
-    pub fn record_failed(&mut self, kind: &'static str, retries: u64) {
-        let e = self.entry(kind);
-        e.failed += 1;
-        e.retries += retries;
-    }
-
-    /// Records a request whose work closure panicked (contained by the
-    /// worker's panic firewall; no latency sample).
-    pub fn record_panicked(&mut self, kind: &'static str) {
-        self.entry(kind).panicked += 1;
-    }
-
-    pub fn merge(&mut self, other: &Metrics) {
-        for (kind, m) in &other.kinds {
-            self.entry(kind).merge(m);
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Metrics {
+        Metrics {
+            kinds: snap
+                .kinds
+                .iter()
+                .map(|k| {
+                    let m = KindMetrics {
+                        latency: Histogram::from_snapshot(&k.latency),
+                        sched_latency: Histogram::from_snapshot(&k.sched_latency),
+                        completed: k.completed,
+                        retries: k.retries,
+                        deadline_aborted: k.deadline_aborted,
+                        failed: k.failed,
+                    };
+                    (k.name.clone(), m)
+                })
+                .collect(),
+            completed: snap.counter(Counter::TxnCompletedHigh)
+                + snap.counter(Counter::TxnCompletedLow),
         }
     }
 
     pub fn kind(&self, kind: &str) -> Option<&KindMetrics> {
-        self.kinds
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, m)| m)
+        self.kinds.iter().find(|(k, _)| k == kind).map(|(_, m)| m)
     }
 
-    pub fn kinds(&self) -> impl Iterator<Item = (&'static str, &KindMetrics)> {
-        self.kinds.iter().map(|(k, m)| (*k, m))
+    /// Every kind, in name order.
+    pub fn kinds(&self) -> impl Iterator<Item = (&str, &KindMetrics)> {
+        self.kinds.iter().map(|(k, m)| (k.as_str(), m))
     }
 
-    /// Total completions across kinds.
+    /// Total completions, from the aggregate counters: exact even when a
+    /// shard saw more kinds than its kind table holds.
     pub fn total_completed(&self) -> u64 {
-        self.kinds.iter().map(|(_, m)| m.completed).sum()
+        self.completed
     }
 
     /// Total deadline aborts across kinds.
@@ -309,11 +296,6 @@ impl Metrics {
     /// Total retry-budget exhaustions across kinds.
     pub fn total_failed(&self) -> u64 {
         self.kinds.iter().map(|(_, m)| m.failed).sum()
-    }
-
-    /// Total contained transaction panics across kinds.
-    pub fn total_panicked(&self) -> u64 {
-        self.kinds.iter().map(|(_, m)| m.panicked).sum()
     }
 }
 
@@ -386,30 +368,43 @@ mod tests {
         assert_eq!(a.max(), u.max());
     }
 
+    fn view(shards: &[std::sync::Arc<preempt_metrics::Shard>]) -> Metrics {
+        Metrics::from_snapshot(&MetricsSnapshot::of_shards(shards.iter().map(|s| &**s)))
+    }
+
     #[test]
     fn metrics_record_and_merge() {
-        let mut m1 = Metrics::new();
-        let mut m2 = Metrics::new();
-        m1.record("neworder", 100, 10, 0);
-        m2.record("neworder", 200, 20, 1);
-        m2.record("q2", 5000, 1, 0);
-        m1.merge(&m2);
-        let no = m1.kind("neworder").unwrap();
+        let (w0, w1) = (
+            preempt_metrics::Shard::new("worker", 0),
+            preempt_metrics::Shard::new("worker", 1),
+        );
+        w0.txn_completed("neworder", 1, 100, 10, 0);
+        w1.txn_completed("neworder", 1, 200, 20, 1);
+        w1.txn_completed("q2", 0, 5000, 1, 0);
+        let m = view(&[w0, w1]);
+        let no = m.kind("neworder").unwrap();
         assert_eq!(no.completed, 2);
         assert_eq!(no.retries, 1);
-        assert_eq!(m1.kind("q2").unwrap().completed, 1);
-        assert_eq!(m1.total_completed(), 3);
-        assert!(m1.kind("nonexistent").is_none());
+        assert_eq!(no.latency.count(), 2);
+        assert_eq!((no.latency.min(), no.latency.max()), (100, 200));
+        assert_eq!(no.sched_latency.percentile(100.0), 20);
+        assert_eq!(m.kind("q2").unwrap().completed, 1);
+        assert_eq!(m.total_completed(), 3);
+        assert!(m.kind("nonexistent").is_none());
+        let names: Vec<&str> = m.kinds().map(|(k, _)| k).collect();
+        assert_eq!(names, ["neworder", "q2"]);
     }
 
     #[test]
     fn deadline_aborts_and_failures_are_counted() {
-        let mut m = Metrics::new();
-        m.record_deadline_abort("point");
-        m.record_failed("point", 3);
-        let mut other = Metrics::new();
-        other.record_deadline_abort("point");
-        m.merge(&other);
+        let (w0, w1) = (
+            preempt_metrics::Shard::new("worker", 0),
+            preempt_metrics::Shard::new("worker", 1),
+        );
+        w0.txn_deadline_abort("point");
+        w0.txn_failed("point", 3);
+        w1.txn_deadline_abort("point");
+        let m = view(&[w0, w1]);
         let k = m.kind("point").unwrap();
         assert_eq!(k.deadline_aborted, 2);
         assert_eq!(k.failed, 1);
@@ -418,6 +413,33 @@ mod tests {
         assert_eq!(m.total_deadline_aborted(), 2);
         assert_eq!(m.total_failed(), 1);
         assert_eq!(m.total_completed(), 0);
+    }
+
+    /// A snapshot's histogram read back as a `Histogram`: identical
+    /// count, sum, mean and percentiles; min/max/geomean within one
+    /// bucket (3.2 %) of the exact values.
+    #[test]
+    fn from_snapshot_is_exact_up_to_bucket_width() {
+        let mut exact = Histogram::new();
+        let mut snap = HistSnapshot::empty(SUB_BITS);
+        for v in (1..=5_000u64).map(|v| v * 37 + 1_000) {
+            exact.record(v);
+            snap.buckets[buckets::bucket_of(v, SUB_BITS)] += 1;
+            snap.sum += v;
+        }
+        let view = Histogram::from_snapshot(&snap);
+        assert_eq!(view.count(), exact.count());
+        assert_eq!(view.mean(), exact.mean());
+        for p in [0.0, 10.0, 50.0, 99.0, 99.9, 100.0] {
+            assert_eq!(view.percentile(p), exact.percentile(p), "p{p}");
+        }
+        let within = |a: f64, b: f64| a <= b && (b - a) / b < 1.0 / 32.0;
+        assert!(within(view.min() as f64, exact.min() as f64));
+        assert!(within(view.max() as f64, exact.max() as f64));
+        assert!(within(view.geomean(), exact.geomean()), "{}", view.geomean());
+        let empty = Histogram::from_snapshot(&HistSnapshot::empty(SUB_BITS));
+        assert_eq!((empty.count(), empty.min(), empty.max()), (0, 0, 0));
+        assert_eq!(empty.geomean(), 0.0);
     }
 
     #[test]
@@ -512,7 +534,7 @@ mod tests {
         // share one bucketing; identical samples must report identical
         // percentiles in both layers.
         let mut h = Histogram::new();
-        let mut snap = preempt_metrics::HistSnapshot::empty(SUB_BITS);
+        let mut snap = HistSnapshot::empty(SUB_BITS);
         for v in (1..=5_000u64).map(|v| v * 37) {
             h.record(v);
             snap.buckets[buckets::bucket_of(v, SUB_BITS)] += 1;
@@ -521,7 +543,7 @@ mod tests {
         for p in [10.0, 50.0, 90.0, 99.0, 99.9] {
             assert_eq!(h.percentile(p), snap.percentile(p), "p{p}");
         }
-        // The legacy histogram tracks the exact max beside the buckets;
+        // A recorded histogram tracks the exact max beside the buckets;
         // the registry reports the max bucket's lower bound. They land
         // in the same bucket.
         assert_eq!(

@@ -5,12 +5,13 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use preempt_metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 use preempt_sim::{SimConfig, Simulation};
 
 use crate::controller::ControllerReport;
 use crate::metrics::Metrics;
 use crate::scheduler::{
-    scheduler_main, scheduler_shard_main, split_factory, DriverConfig, SchedRun, SchedulerStats,
+    scheduler_main, scheduler_shard_main, split_factory, DriverConfig, SchedulerStats,
     WorkloadFactory,
 };
 use crate::worker::{worker_main, WakeTarget, WorkerShared};
@@ -29,7 +30,8 @@ pub enum Runtime {
     Threads,
 }
 
-/// Aggregated worker-side counters.
+/// Aggregated worker-side counters: a view of the run's final registry
+/// snapshot ([`WorkerTotals::from_snapshot`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorkerTotals {
     pub preemptions: u64,
@@ -47,7 +49,24 @@ pub struct WorkerTotals {
     pub steals: u64,
 }
 
-/// Everything measured in one run.
+impl WorkerTotals {
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> WorkerTotals {
+        let c = |c| snap.counter(c);
+        WorkerTotals {
+            preemptions: c(Counter::Preemptions),
+            coop_yields: c(Counter::CoopYields),
+            high_on_regular: c(Counter::HighOnRegular),
+            uintr_delivered: c(Counter::UintrDelivered),
+            uintr_deferred: c(Counter::UintrDeferred),
+            busy_cycles: c(Counter::BusyCycles),
+            panics: c(Counter::WorkerPanics),
+            steals: c(Counter::Steals),
+        }
+    }
+}
+
+/// Everything measured in one run. `metrics`, `scheduler` and `workers`
+/// are views of `metrics_snapshot`; nothing is counted anywhere else.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     pub policy_label: String,
@@ -84,10 +103,10 @@ pub struct RunReport {
     /// handler→switch) derived from the trace; reported next to the
     /// histogram-based latencies.
     pub preempt_breakdown: Option<preempt_trace::PreemptBreakdown>,
-    /// Final crash-consistent snapshot of the run's metrics registry,
-    /// when the run carried one ([`DriverConfig::metrics`], or the
-    /// scheduler's fallback registry under an adaptive policy).
-    pub metrics_snapshot: Option<preempt_metrics::MetricsSnapshot>,
+    /// Final snapshot of the run's metrics registry
+    /// ([`DriverConfig::metrics`] when the caller supplied one, else the
+    /// run's own).
+    pub metrics_snapshot: MetricsSnapshot,
     /// Captured messages of every transaction panic the firewall
     /// contained, in per-worker order ("kind: payload").
     pub panic_messages: Vec<String>,
@@ -189,65 +208,54 @@ impl RunReport {
 
 /// Runs `factory`'s workload under `cfg` on the chosen runtime.
 pub fn run(runtime: Runtime, cfg: DriverConfig, factory: Box<dyn WorkloadFactory>) -> RunReport {
+    // Every count of the run lives in this registry's shards.
+    let registry = match &cfg.metrics {
+        Some(supplied) => supplied.clone(),
+        None => MetricsRegistry::new(Default::default()),
+    };
     match runtime {
-        Runtime::Simulated(sim_cfg) => run_simulated(sim_cfg, cfg, factory),
-        Runtime::Threads => run_threads(cfg, factory),
+        Runtime::Simulated(sim_cfg) => run_simulated(sim_cfg, cfg, &registry, factory),
+        Runtime::Threads => run_threads(cfg, &registry, factory),
     }
 }
 
 fn collect(
     cfg: &DriverConfig,
+    registry: &MetricsRegistry,
     workers: &[Arc<WorkerShared>],
-    sched: SchedRun,
+    controller: Option<ControllerReport>,
     freq_hz: u64,
 ) -> RunReport {
-    use std::sync::atomic::Ordering;
-    let mut metrics = Metrics::new();
-    let mut totals = WorkerTotals::default();
-    let mut panic_messages = Vec::new();
-    for w in workers {
-        metrics.merge(&w.metrics.lock());
-        totals.preemptions += w.preemptions.load(Ordering::Relaxed);
-        totals.coop_yields += w.coop_yields.load(Ordering::Relaxed);
-        totals.high_on_regular += w.high_on_regular.load(Ordering::Relaxed);
-        totals.uintr_delivered += w.uintr_delivered.load(Ordering::Relaxed);
-        totals.uintr_deferred += w.uintr_deferred.load(Ordering::Relaxed);
-        totals.busy_cycles += w.busy_cycles.load(Ordering::Relaxed);
-        totals.panics += w.worker_panics.load(Ordering::Relaxed);
-        totals.steals += w.steals.load(Ordering::Relaxed);
-        panic_messages.extend(w.panics.lock().iter().cloned());
-    }
     let trace = cfg.trace.as_ref().map(|s| s.merge());
     let preempt_breakdown = trace.as_ref().map(|t| t.breakdown());
     let attribution = trace.as_ref().map(preempt_prov::reconstruct);
     // Trace-ring loss lands in the registry at collect time (the rings
     // only know their overwrite counts once merged), through a dedicated
     // collector shard so the snapshot below carries it.
-    if let (Some(t), Some(reg)) = (&trace, sched.registry.as_ref()) {
-        if t.dropped > 0 {
-            reg.register_shard("collector", u32::MAX)
-                .bump_by(preempt_metrics::Counter::TraceDropped, t.dropped);
-        }
+    if let Some(t) = trace.as_ref().filter(|t| t.dropped > 0) {
+        registry
+            .register_shard("collector", u32::MAX)
+            .bump_by(Counter::TraceDropped, t.dropped);
     }
+    let mut panic_messages = Vec::new();
     let mut exemplars: Vec<preempt_prov::Exemplar> = Vec::new();
     let mut flight_missed = 0;
     for w in workers {
+        panic_messages.extend(w.panics.lock().iter().cloned());
         if let Some(fr) = w.flight.get() {
             exemplars.extend(fr.snapshot());
             flight_missed += fr.missed();
         }
     }
     exemplars.sort_by_key(|e| (std::cmp::Reverse(e.overage()), e.req_id));
-    let metrics_snapshot = sched.registry.as_ref().map(|r| {
-        r.refresh_slo_gauges(None);
-        r.snapshot()
-    });
-    let report = RunReport {
+    registry.refresh_slo_gauges(None);
+    let metrics_snapshot = registry.snapshot();
+    RunReport {
         policy_label: cfg.policy.label(),
-        metrics,
-        scheduler: sched.stats,
-        controller: sched.controller,
-        workers: totals,
+        metrics: Metrics::from_snapshot(&metrics_snapshot),
+        scheduler: SchedulerStats::from_snapshot(&metrics_snapshot),
+        controller,
+        workers: WorkerTotals::from_snapshot(&metrics_snapshot),
         duration_cycles: cfg.duration,
         freq_hz,
         faults: None,
@@ -260,156 +268,7 @@ fn collect(
         metrics_snapshot,
         panic_messages,
         core_failures: Vec::new(),
-    };
-    debug_assert_eq!(
-        cross_check_registry(&report),
-        Ok(()),
-        "legacy counters and registry snapshot diverged"
-    );
-    report
-}
-
-/// Cross-checks the legacy per-run accounting ([`Metrics`],
-/// [`SchedulerStats`], [`WorkerTotals`]) against the registry snapshot:
-/// both planes observe the same events at the same sites, so every
-/// shared series must agree exactly. `Ok(())` when the report carries no
-/// snapshot. Run in debug builds by `collect`; invariant tests and
-/// `metrics_dump --check` call it directly in release.
-pub fn cross_check_registry(report: &RunReport) -> Result<(), String> {
-    use preempt_metrics::Counter;
-    let Some(snap) = &report.metrics_snapshot else {
-        return Ok(());
-    };
-    let err = |what: &str, legacy: u64, reg: u64| -> Result<(), String> {
-        if legacy == reg {
-            Ok(())
-        } else {
-            Err(format!("{what}: legacy={legacy} registry={reg}"))
-        }
-    };
-    // Transaction plane: per-kind counters and identical bucket math.
-    for (kind, m) in report.metrics.kinds() {
-        let k = snap
-            .kind(kind)
-            .ok_or_else(|| format!("kind {kind:?} missing from registry snapshot"))?;
-        err(&format!("{kind}.completed"), m.completed, k.completed)?;
-        err(&format!("{kind}.retries"), m.retries, k.retries)?;
-        err(
-            &format!("{kind}.deadline_aborted"),
-            m.deadline_aborted,
-            k.deadline_aborted,
-        )?;
-        err(&format!("{kind}.failed"), m.failed, k.failed)?;
-        for p in [50.0, 99.0, 100.0] {
-            err(
-                &format!("{kind}.latency.p{p}"),
-                m.latency.percentile(p),
-                k.latency.percentile(p),
-            )?;
-            err(
-                &format!("{kind}.sched_latency.p{p}"),
-                m.sched_latency.percentile(p),
-                k.sched_latency.percentile(p),
-            )?;
-        }
-        err(&format!("{kind}.latency.count"), m.latency.count(), k.latency.count())?;
     }
-    err(
-        "total_completed",
-        report.metrics.total_completed(),
-        snap.counter(Counter::TxnCompletedHigh) + snap.counter(Counter::TxnCompletedLow),
-    )?;
-    err(
-        "total_aborted",
-        report.metrics.total_deadline_aborted() + report.metrics.total_failed(),
-        snap.counter(Counter::TxnAborted),
-    )?;
-    // Scheduler plane: every stats field emitted beside a counter.
-    let s = &report.scheduler;
-    err("dispatched_high", s.dispatched_high, snap.counter(Counter::TxnAdmittedHigh))?;
-    err("dispatched_low", s.dispatched_low, snap.counter(Counter::TxnAdmittedLow))?;
-    err("dropped_high", s.dropped_high, snap.counter(Counter::DroppedHigh))?;
-    err(
-        "skipped_starving",
-        s.skipped_starving,
-        snap.counter(Counter::StarvationSkips),
-    )?;
-    err("interrupts_sent", s.interrupts_sent, snap.counter(Counter::UintrSent))?;
-    err(
-        "watchdog_resends",
-        s.watchdog_resends,
-        snap.counter(Counter::WatchdogResends),
-    )?;
-    err(
-        "controller_evals",
-        s.controller_evals,
-        snap.counter(Counter::ControllerEvals),
-    )?;
-    err("dispatch_faults", s.dispatch_faults, snap.counter(Counter::DispatchFaults))?;
-    err(
-        "delivery_errors",
-        s.delivery_errors,
-        snap.counter(Counter::DeliveryErrors),
-    )?;
-    err("policy_downgrades", s.policy_downgrades, snap.counter(Counter::Degrades))?;
-    err("policy_upgrades", s.policy_upgrades, snap.counter(Counter::Upgrades))?;
-    // Worker plane: delivery counts recorded by the uintr receiver.
-    err(
-        "uintr_delivered",
-        report.workers.uintr_delivered,
-        snap.counter(Counter::UintrDelivered),
-    )?;
-    err(
-        "uintr_deferred",
-        report.workers.uintr_deferred,
-        snap.counter(Counter::UintrDeferred),
-    )?;
-    // Containment plane: the panic firewall and the supervisor's
-    // escalation ladder emit to both planes at the same sites. Contained
-    // panics are deliberately *not* transaction aborts, so the
-    // `total_aborted` identity above also proves they are never
-    // double-counted into the abort series.
-    err(
-        "worker_panics",
-        report.workers.panics,
-        snap.counter(Counter::WorkerPanics),
-    )?;
-    err(
-        "worker_panics(per-kind)",
-        report.metrics.total_panicked(),
-        snap.counter(Counter::WorkerPanics),
-    )?;
-    err(
-        "worker_panics(messages)",
-        report.panic_messages.len() as u64,
-        snap.counter(Counter::WorkerPanics),
-    )?;
-    err("workers_dead", s.workers_dead, snap.counter(Counter::WorkersDead))?;
-    err(
-        "workers_respawned",
-        s.workers_respawned,
-        snap.counter(Counter::WorkersRespawned),
-    )?;
-    err(
-        "workers_quarantined",
-        s.workers_quarantined,
-        snap.counter(Counter::WorkersQuarantined),
-    )?;
-    err(
-        "orphans_aborted",
-        s.orphans_aborted,
-        snap.counter(Counter::OrphansAborted),
-    )?;
-    // Sharded plane: steals are recorded by the thief worker, shootdowns
-    // by the wedged scheduler shard; both planes see the same events.
-    err("steals", report.workers.steals, snap.counter(Counter::Steals))?;
-    err("shootdowns", s.shootdowns, snap.counter(Counter::Shootdowns))?;
-    // Provenance plane: ring loss is folded into the registry at collect
-    // time, so a report carrying both a trace and a snapshot must agree.
-    if let Some(t) = &report.trace {
-        err("trace_dropped", t.dropped, snap.counter(Counter::TraceDropped))?;
-    }
-    Ok(())
 }
 
 /// Contiguous worker id ranges for `shards` scheduler shards (the first
@@ -446,88 +305,45 @@ fn wire_steal_peers(workers: &[Arc<WorkerShared>], ranges: &[std::ops::Range<usi
     }
 }
 
-/// Merges per-shard [`SchedRun`]s: stats are summed; the controller
-/// trajectory and registry come from the lowest shard that produced one
-/// (all shards share the run's registry, so any shard's handle works).
-fn merge_shard_runs(outs: Vec<Arc<Mutex<SchedRun>>>) -> SchedRun {
-    let mut it = outs.into_iter();
-    let first = it.next().expect("at least one scheduler shard");
-    let mut merged = first.lock().clone();
-    for out in it {
-        let run = out.lock();
-        merged.stats.absorb(&run.stats);
-        if merged.controller.is_none() {
-            merged.controller = run.controller.clone();
-        }
-        if merged.registry.is_none() {
-            merged.registry = run.registry.clone();
-        }
-    }
-    merged
+/// Where one scheduler shard leaves its controller's trajectory. The
+/// report carries the lowest shard's that produced one; counts need no
+/// merging, every shard counts into the run's one registry.
+type ControllerOut = Arc<Mutex<Option<ControllerReport>>>;
+
+fn first_controller(outs: &[ControllerOut]) -> Option<ControllerReport> {
+    outs.iter().find_map(|out| out.lock().clone())
 }
 
-/// Sharded adaptive runs need one shared sensor plane: when the config
-/// carries no registry but the policy runs a controller, each shard
-/// would otherwise create a private fallback registry and the per-shard
-/// sensor reads (and the run's cross-check) would see disjoint planes.
-fn ensure_shared_registry(cfg: &mut DriverConfig, shards: usize) {
-    if shards > 1 && cfg.metrics.is_none() && cfg.policy.controller_config().is_some() {
-        cfg.metrics = Some(preempt_metrics::MetricsRegistry::new(
-            preempt_metrics::MetricsConfig::default(),
-        ));
-    }
-}
-
-/// Registers one trace ring per worker when the config carries a session.
-/// Must run before the workers start (the ring is read once at startup).
-fn register_worker_rings(cfg: &DriverConfig, workers: &[Arc<WorkerShared>]) {
-    if let Some(session) = &cfg.trace {
-        for w in workers {
-            let _ = w.trace.set(session.register("worker", w.id as u16));
+/// The run's workers, each with its trace ring and flight recorder (when
+/// configured) and its metrics shard attached to `registry` — all before
+/// any worker starts (the ring is read once at startup).
+fn make_workers(cfg: &DriverConfig, registry: &MetricsRegistry) -> Vec<Arc<WorkerShared>> {
+    let make = |i| {
+        let w = WorkerShared::new(i, &cfg.queue_caps);
+        if let Some(session) = &cfg.trace {
+            let _ = w.trace.set(session.register("worker", i as u16));
         }
-    }
-}
-
-/// Registers one metrics shard per worker when the config carries a
-/// registry. Runs before the workers start; the scheduler's fallback
-/// path covers adaptive runs whose config has no registry.
-fn register_worker_shards(cfg: &DriverConfig, workers: &[Arc<WorkerShared>]) {
-    if let Some(registry) = &cfg.metrics {
-        for w in workers {
-            let _ = w
-                .metrics_shard
-                .set(registry.register_shard("worker", w.id as u32));
-        }
-    }
-}
-
-/// Installs one SLO-violation flight recorder per worker when the config
-/// carries a provenance section. Runs before the workers start.
-fn register_worker_flight(cfg: &DriverConfig, workers: &[Arc<WorkerShared>]) {
-    if let Some(prov) = &cfg.prov {
-        for w in workers {
+        registry.attach(&w.metrics_shard);
+        if let Some(prov) = &cfg.prov {
             let _ = w.flight.set(Arc::new(preempt_prov::FlightRecorder::new(
                 prov.exemplars_per_worker,
                 prov.slo_cycles,
             )));
         }
-    }
+        w
+    };
+    (0..cfg.n_workers).map(make).collect()
 }
 
 fn run_simulated(
     sim_cfg: SimConfig,
     mut cfg: DriverConfig,
+    registry: &MetricsRegistry,
     factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
     let shards = cfg.shards.clamp(1, cfg.n_workers.max(1));
-    ensure_shared_registry(&mut cfg, shards);
     let sim = Simulation::new(sim_cfg);
-    let workers: Vec<Arc<WorkerShared>> = (0..cfg.n_workers)
-        .map(|i| WorkerShared::new(i, &cfg.queue_caps))
-        .collect();
-    register_worker_rings(&cfg, &workers);
-    register_worker_shards(&cfg, &workers);
-    register_worker_flight(&cfg, &workers);
+    let workers = make_workers(&cfg, registry);
     let ranges = shard_ranges(cfg.n_workers, shards);
     if shards > 1 {
         wire_steal_peers(&workers, &ranges);
@@ -556,36 +372,37 @@ fn run_simulated(
     // slice and its own slice of the workload. A 1-shard plane spawns
     // exactly the pre-sharding scheduler.
     let parts = split_factory(factory, shards);
-    let sched_outs: Vec<Arc<Mutex<SchedRun>>> = (0..shards)
-        .map(|_| Arc::new(Mutex::new(SchedRun::default())))
-        .collect();
+    let controllers: Vec<ControllerOut> = (0..shards).map(|_| Default::default()).collect();
     for (si, (mut part, range)) in parts.into_iter().zip(ranges).enumerate() {
         let local: Vec<Arc<WorkerShared>> = workers[range].to_vec();
         let all = workers.clone();
-        let cfg = cfg.clone();
-        let out = sched_outs[si].clone();
+        let (cfg, registry) = (cfg.clone(), registry.clone());
+        let out = controllers[si].clone();
         sim.spawn_core("scheduler", SCHED_STACK, move || {
-            *out.lock() = scheduler_shard_main(&cfg, si, &local, &all, &mut part);
+            *out.lock() = scheduler_shard_main(&cfg, &registry, si, &local, &all, &mut part);
         });
     }
     sim.run();
-    let sched = merge_shard_runs(sched_outs);
-    let mut report = collect(&cfg, &workers, sched, sim_cfg.freq_hz);
+    let mut report = collect(
+        &cfg,
+        registry,
+        &workers,
+        first_controller(&controllers),
+        sim_cfg.freq_hz,
+    );
     report.faults = sim.fault_stats();
     report.fault_trace = sim.fault_trace();
     report.core_failures = sim.core_failures();
     report
 }
 
-fn run_threads(mut cfg: DriverConfig, mut factory: Box<dyn WorkloadFactory>) -> RunReport {
+fn run_threads(
+    mut cfg: DriverConfig,
+    registry: &MetricsRegistry,
+    mut factory: Box<dyn WorkloadFactory>,
+) -> RunReport {
     let shards = cfg.shards.clamp(1, cfg.n_workers.max(1));
-    ensure_shared_registry(&mut cfg, shards);
-    let workers: Vec<Arc<WorkerShared>> = (0..cfg.n_workers)
-        .map(|i| WorkerShared::new(i, &cfg.queue_caps))
-        .collect();
-    register_worker_rings(&cfg, &workers);
-    register_worker_shards(&cfg, &workers);
-    register_worker_flight(&cfg, &workers);
+    let workers = make_workers(&cfg, registry);
     let ranges = shard_ranges(cfg.n_workers, shards);
     if shards > 1 {
         wire_steal_peers(&workers, &ranges);
@@ -608,9 +425,10 @@ fn run_threads(mut cfg: DriverConfig, mut factory: Box<dyn WorkloadFactory>) -> 
         }));
     }
     // Live observability is wall-clock-driven, so it only exists on the
-    // thread runtime: a sampler thread refreshes SLO burn-rate gauges on
-    // the configured interval and (behind the `serve` flag) answers
-    // `GET /metrics` scrapes with the Prometheus exposition.
+    // thread runtime, and only for a registry the caller supplied: a
+    // sampler thread refreshes SLO burn-rate gauges on the configured
+    // interval and (behind the `serve` flag) answers `GET /metrics`
+    // scrapes with the Prometheus exposition.
     let sampler = cfg
         .metrics
         .as_ref()
@@ -632,29 +450,28 @@ fn run_threads(mut cfg: DriverConfig, mut factory: Box<dyn WorkloadFactory>) -> 
                 .expect("spawn worker"),
         );
     }
-    let sched = if shards <= 1 {
-        scheduler_main(&cfg, &workers, &mut *factory)
+    let controller = if shards <= 1 {
+        scheduler_main(&cfg, registry, &workers, &mut *factory)
     } else {
         // One scheduler thread per shard, joined before collection.
         let parts = split_factory(factory, shards);
-        let sched_outs: Vec<Arc<Mutex<SchedRun>>> = (0..shards)
-            .map(|_| Arc::new(Mutex::new(SchedRun::default())))
-            .collect();
+        let controllers: Vec<ControllerOut> = (0..shards).map(|_| Default::default()).collect();
         std::thread::scope(|scope| {
             for (si, (mut part, range)) in parts.into_iter().zip(ranges).enumerate() {
                 let local: Vec<Arc<WorkerShared>> = workers[range].to_vec();
                 let all = workers.clone();
                 let cfg = &cfg;
-                let out = sched_outs[si].clone();
+                let out = controllers[si].clone();
                 std::thread::Builder::new()
                     .name(format!("scheduler-{si}"))
                     .spawn_scoped(scope, move || {
-                        *out.lock() = scheduler_shard_main(cfg, si, &local, &all, &mut part);
+                        *out.lock() =
+                            scheduler_shard_main(cfg, registry, si, &local, &all, &mut part);
                     })
                     .expect("spawn scheduler shard");
             }
         });
-        merge_shard_runs(sched_outs)
+        first_controller(&controllers)
     };
     // A worker thread the supervisor declared dead may have exited via a
     // contained panic; a failed join is the expected shape of that, not
@@ -665,7 +482,7 @@ fn run_threads(mut cfg: DriverConfig, mut factory: Box<dyn WorkloadFactory>) -> 
     if let Some(s) = sampler {
         s.stop();
     }
-    collect(&cfg, &workers, sched, crate::clock::freq_hz())
+    collect(&cfg, registry, &workers, controller, crate::clock::freq_hz())
 }
 
 #[cfg(test)]
@@ -674,31 +491,22 @@ mod tests {
     use crate::policy::Policy;
     use crate::request::{Request, WorkOutcome};
 
+    /// A report over what `shard` counted, with the given time base.
+    fn report_of(shard: &Arc<preempt_metrics::Shard>, duration: u64, freq_hz: u64) -> RunReport {
+        let registry = MetricsRegistry::new(Default::default());
+        registry.attach(shard);
+        let mut cfg = DriverConfig::paper_default(Policy::Wait);
+        cfg.duration = duration;
+        collect(&cfg, &registry, &[], None, freq_hz)
+    }
+
     #[test]
     fn report_math_converts_cycles_correctly() {
-        let mut metrics = Metrics::new();
+        let shard = preempt_metrics::Shard::new("worker", 0);
         // 2.4 GHz: 2400 cycles = 1 us.
-        metrics.record("k", 2_400, 240, 1);
-        metrics.record("k", 24_000, 2_400, 0);
-        let r = RunReport {
-            policy_label: "test".into(),
-            metrics,
-            scheduler: SchedulerStats::default(),
-            controller: None,
-            workers: WorkerTotals::default(),
-            duration_cycles: 2_400_000_000, // 1 s
-            freq_hz: 2_400_000_000,
-            faults: None,
-            fault_trace: None,
-            trace: None,
-            attribution: None,
-            exemplars: Vec::new(),
-            flight_missed: 0,
-            preempt_breakdown: None,
-            metrics_snapshot: None,
-            panic_messages: Vec::new(),
-            core_failures: Vec::new(),
-        };
+        shard.txn_completed("k", 1, 2_400, 240, 1);
+        shard.txn_completed("k", 1, 24_000, 2_400, 0);
+        let r = report_of(&shard, 2_400_000_000, 2_400_000_000); // 1 s
         assert_eq!(r.completed("k"), 2);
         assert!((r.tps("k") - 2.0).abs() < 1e-9);
         assert!((r.total_tps() - 2.0).abs() < 1e-9);
@@ -750,27 +558,9 @@ mod tests {
     /// a NaN/inf division.
     #[test]
     fn zero_freq_yields_zero_rates() {
-        let mut metrics = Metrics::new();
-        metrics.record("k", 2_400, 240, 0);
-        let r = RunReport {
-            policy_label: "test".into(),
-            metrics,
-            scheduler: SchedulerStats::default(),
-            controller: None,
-            workers: WorkerTotals::default(),
-            duration_cycles: 1_000,
-            freq_hz: 0,
-            faults: None,
-            fault_trace: None,
-            trace: None,
-            attribution: None,
-            exemplars: Vec::new(),
-            flight_missed: 0,
-            preempt_breakdown: None,
-            metrics_snapshot: None,
-            panic_messages: Vec::new(),
-            core_failures: Vec::new(),
-        };
+        let shard = preempt_metrics::Shard::new("worker", 0);
+        shard.txn_completed("k", 1, 2_400, 240, 0);
+        let r = report_of(&shard, 1_000, 0);
         for v in [
             r.tps("k"),
             r.total_tps(),

@@ -16,10 +16,11 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use preempt_metrics::{Counter, Gauge, MetricsRegistry};
+use preempt_metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Shard};
 use preempt_uintr::UipiSender;
 
 use crate::clock::now_cycles;
+use crate::controller::ControllerReport;
 use crate::policy::Policy;
 use crate::request::Request;
 use crate::worker::{WakeTarget, WorkerShared};
@@ -329,13 +330,12 @@ pub struct DriverConfig {
     /// merged trace and preemption-latency breakdown. `None` (the
     /// default) records nothing and costs one relaxed load per site.
     pub trace: Option<preempt_trace::TraceSession>,
-    /// Metrics registry: when set, the runner registers one shard per
-    /// worker (plus the scheduler's own), every lifecycle stage emits
-    /// counters/histograms into it, and the run report carries a final
-    /// snapshot. `None` (the default) records nothing and costs one
-    /// atomic load per site — except under an adaptive policy, where the
-    /// scheduler creates a private fallback registry because the
-    /// controller's sensor plane *is* the registry.
+    /// The registry the caller wants to export or serve: the run attaches
+    /// its shards to it, threaded runs sample it (and answer
+    /// `GET /metrics` when its config says so), and the caller can
+    /// snapshot it mid-run. `None` (the default) changes nothing about
+    /// what is counted — the run then counts into a registry of its own,
+    /// and the report carries the same final snapshot either way.
     pub metrics: Option<MetricsRegistry>,
     /// Latency-provenance configuration: when set, the runner installs
     /// one SLO-violation flight recorder per worker (exemplar capture on
@@ -374,7 +374,9 @@ impl DriverConfig {
     }
 }
 
-/// Counters reported by the scheduling thread.
+/// Counters reported by the scheduling thread(s): a view of the run's
+/// final registry snapshot ([`SchedulerStats::from_snapshot`]), summed
+/// over scheduler shards like every other series.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedulerStats {
     pub ticks: u64,
@@ -426,30 +428,31 @@ pub struct SchedulerStats {
 }
 
 impl SchedulerStats {
-    /// Sums another scheduler shard's counters into this one (the runner
-    /// merges per-shard stats into the report's single plane).
-    pub fn absorb(&mut self, o: &SchedulerStats) {
-        self.ticks += o.ticks;
-        self.dispatched_low += o.dispatched_low;
-        self.dispatched_high += o.dispatched_high;
-        self.dropped_high += o.dropped_high;
-        self.skipped_starving += o.skipped_starving;
-        self.interrupts_sent += o.interrupts_sent;
-        self.watchdog_resends += o.watchdog_resends;
-        self.abandoned_batches += o.abandoned_batches;
-        self.retry_abandoned_high += o.retry_abandoned_high;
-        self.controller_evals += o.controller_evals;
-        self.dispatch_faults += o.dispatch_faults;
-        self.delivery_errors += o.delivery_errors;
-        self.policy_downgrades += o.policy_downgrades;
-        self.policy_upgrades += o.policy_upgrades;
-        self.workers_dead += o.workers_dead;
-        self.workers_respawned += o.workers_respawned;
-        self.workers_quarantined += o.workers_quarantined;
-        self.orphans_aborted += o.orphans_aborted;
-        self.orphan_latches_released += o.orphan_latches_released;
-        self.rejected_orphaned += o.rejected_orphaned;
-        self.shootdowns += o.shootdowns;
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> SchedulerStats {
+        let c = |c| snap.counter(c);
+        SchedulerStats {
+            ticks: c(Counter::SchedTicks),
+            dispatched_low: c(Counter::TxnAdmittedLow),
+            dispatched_high: c(Counter::TxnAdmittedHigh),
+            dropped_high: c(Counter::DroppedHigh),
+            skipped_starving: c(Counter::StarvationSkips),
+            interrupts_sent: c(Counter::UintrSent),
+            watchdog_resends: c(Counter::WatchdogResends),
+            abandoned_batches: c(Counter::AbandonedBatches),
+            retry_abandoned_high: c(Counter::RetryAbandonedHigh),
+            controller_evals: c(Counter::ControllerEvals),
+            dispatch_faults: c(Counter::DispatchFaults),
+            delivery_errors: c(Counter::DeliveryErrors),
+            policy_downgrades: c(Counter::Degrades),
+            policy_upgrades: c(Counter::Upgrades),
+            workers_dead: c(Counter::WorkersDead),
+            workers_respawned: c(Counter::WorkersRespawned),
+            workers_quarantined: c(Counter::WorkersQuarantined),
+            orphans_aborted: c(Counter::OrphansAborted),
+            orphan_latches_released: c(Counter::OrphanLatchesReleased),
+            rejected_orphaned: c(Counter::RejectedOrphaned),
+            shootdowns: c(Counter::Shootdowns),
+        }
     }
 }
 
@@ -511,16 +514,12 @@ fn recover_worker(
     w: &Arc<WorkerShared>,
     rb: &RobustnessConfig,
     recovery: &RecoveryHooks,
-    stats: &mut SchedulerStats,
-    sched_shard: &Option<Arc<preempt_metrics::Shard>>,
+    shard: &Shard,
 ) -> bool {
     preempt_trace::emit(preempt_trace::TraceEvent::WorkerDead {
         worker: w.id as u16,
     });
-    stats.workers_dead += 1;
-    if let Some(sh) = sched_shard {
-        sh.bump(Counter::WorkersDead);
-    }
+    shard.bump(Counter::WorkersDead);
     // Order the incarnation out and wait (bounded) for it to leave
     // worker_main. The orphan sweep is only sound once the dead worker
     // can never run again — its abandoned guards must never drop.
@@ -538,7 +537,7 @@ fn recover_worker(
         // a loop with no preemption points). Quarantine without sweeping
         // — force-releasing under a possibly-still-running owner would
         // hand its latches to new holders it could stomp on.
-        quarantine(w, stats, sched_shard);
+        quarantine(w, shard);
         return true;
     }
     // Exit observed: force-release whatever the dead incarnation still
@@ -550,11 +549,8 @@ fn recover_worker(
             latches: result.latches_released.min(u16::MAX as usize) as u16,
             slots: result.slots_released.min(u16::MAX as usize) as u16,
         });
-        stats.orphan_latches_released += result.latches_released as u64;
-        stats.orphans_aborted += result.slots_released as u64;
-        if let Some(sh) = sched_shard {
-            sh.bump_by(Counter::OrphansAborted, result.slots_released as u64);
-        }
+        shard.bump_by(Counter::OrphanLatchesReleased, result.latches_released as u64);
+        shard.bump_by(Counter::OrphansAborted, result.slots_released as u64);
     }
     // Respawn a fresh incarnation — its queued requests are implicitly
     // requeued, since the queues live in `WorkerShared` and the
@@ -569,15 +565,12 @@ fn recover_worker(
                 worker: w.id as u16,
                 incarnation: inc.min(u8::MAX as u64) as u8,
             });
-            stats.workers_respawned += 1;
-            if let Some(sh) = sched_shard {
-                sh.bump(Counter::WorkersRespawned);
-            }
+            shard.bump(Counter::WorkersRespawned);
             spawner(w);
             false
         }
         _ => {
-            quarantine(w, stats, sched_shard);
+            quarantine(w, shard);
             true
         }
     }
@@ -586,18 +579,11 @@ fn recover_worker(
 /// Quarantines a worker slot: the caller stops dispatching to it, and
 /// its queued requests are rejected (counted as orphaned) rather than
 /// left stranded forever.
-fn quarantine(
-    w: &Arc<WorkerShared>,
-    stats: &mut SchedulerStats,
-    sched_shard: &Option<Arc<preempt_metrics::Shard>>,
-) {
-    stats.workers_quarantined += 1;
-    if let Some(sh) = sched_shard {
-        sh.bump(Counter::WorkersQuarantined);
-    }
+fn quarantine(w: &Arc<WorkerShared>, shard: &Shard) {
+    shard.bump(Counter::WorkersQuarantined);
     for q in &w.queues {
         while q.pop().is_some() {
-            stats.rejected_orphaned += 1;
+            shard.bump(Counter::RejectedOrphaned);
         }
     }
 }
@@ -615,8 +601,7 @@ fn shootdown_remainder(
     local: &[Arc<WorkerShared>],
     all_workers: &[Arc<WorkerShared>],
     pending: &mut VecDeque<Request>,
-    stats: &mut SchedulerStats,
-    sched_shard: &Option<Arc<preempt_metrics::Shard>>,
+    shard: &Shard,
 ) {
     let level = cfg.levels() as usize - 1;
     let is_local = |id: usize| local.iter().any(|w| w.id == id);
@@ -636,22 +621,15 @@ fn shootdown_remainder(
             match w.queues[level].push(req) {
                 Ok(()) => {
                     charge(DISPATCH_PUSH_COST);
-                    stats.shootdowns += 1;
-                    stats.dispatched_high += 1;
-                    if let Some(sh) = sched_shard {
-                        sh.bump(Counter::Shootdowns);
-                        sh.bump(Counter::TxnAdmittedHigh);
-                    }
+                    shard.bump(Counter::Shootdowns);
+                    shard.bump(Counter::TxnAdmittedHigh);
                     preempt_trace::emit(preempt_trace::TraceEvent::Shootdown {
                         from_shard: shard_idx as u16,
                         worker: w.id as u16,
                     });
                     if cfg.policy.sends_uintr() {
                         if send_uintr(w, level as u8) {
-                            stats.interrupts_sent += 1;
-                            if let Some(sh) = sched_shard {
-                                sh.bump(Counter::UintrSent);
-                            }
+                            shard.bump(Counter::UintrSent);
                         } else {
                             // Don't strand the moved request behind a
                             // failed interrupt.
@@ -674,19 +652,6 @@ fn shootdown_remainder(
     }
 }
 
-/// Everything the scheduling thread hands back at the end of a run.
-#[derive(Clone, Debug, Default)]
-pub struct SchedRun {
-    pub stats: SchedulerStats,
-    /// The adaptive controller's threshold trajectory
-    /// (`None` under static policies).
-    pub controller: Option<crate::controller::ControllerReport>,
-    /// The registry the run actually recorded into: the driver config's
-    /// when one was supplied, else the scheduler's private fallback under
-    /// an adaptive policy. The runner snapshots it into the report.
-    pub registry: Option<preempt_metrics::MetricsRegistry>,
-}
-
 /// Runs the scheduling thread until `cfg.duration` elapses, then stops
 /// all workers. Call on the dedicated scheduler thread or simulated core.
 ///
@@ -695,10 +660,11 @@ pub struct SchedRun {
 /// `cfg.shards == 1`.
 pub fn scheduler_main(
     cfg: &DriverConfig,
+    registry: &MetricsRegistry,
     workers: &[Arc<WorkerShared>],
     factory: &mut dyn WorkloadFactory,
-) -> SchedRun {
-    scheduler_shard_main(cfg, 0, workers, workers, factory)
+) -> Option<ControllerReport> {
+    scheduler_shard_main(cfg, registry, 0, workers, workers, factory)
 }
 
 /// Runs one shard of the scheduler plane until `cfg.duration` elapses,
@@ -712,14 +678,20 @@ pub fn scheduler_main(
 /// its local slice, so fault containment and adaptation are shard-local.
 /// With `shard_idx == 0` and `workers == all_workers` this is exactly
 /// the single scheduling thread of the paper.
+///
+/// Everything it counts goes to its own shard of `registry` (the run's
+/// one registry, which the workers' shards are attached to as well — the
+/// adaptive controller's sensors are windowed reads of it); the return
+/// value is the controller's threshold trajectory, `None` under static
+/// policies.
 pub fn scheduler_shard_main(
     cfg: &DriverConfig,
+    registry: &MetricsRegistry,
     shard_idx: usize,
     workers: &[Arc<WorkerShared>],
     all_workers: &[Arc<WorkerShared>],
     factory: &mut dyn WorkloadFactory,
-) -> SchedRun {
-    let mut stats = SchedulerStats::default();
+) -> Option<ControllerReport> {
     // Each shard records into its own ring (worker id u16::MAX - shard:
     // shard 0 keeps the historical scheduler id, so single-shard traces
     // stay byte-identical). The ring pointer is context-local and this
@@ -741,34 +713,11 @@ pub fn scheduler_shard_main(
         }
     }
 
-    // Metrics: use the run's registry when the driver config carries
-    // one; otherwise, if the adaptive controller runs, create a private
-    // fallback registry — the controller's per-window sensors are
-    // windowed reads of the registry, so there is exactly one sensor
-    // plane whether or not the run exports metrics.
-    let registry = cfg.metrics.clone().or_else(|| {
-        cfg.policy
-            .controller_config()
-            .map(|_| MetricsRegistry::new(preempt_metrics::MetricsConfig::default()))
-    });
-    let sched_shard = registry.as_ref().map(|r| {
-        // The runner registers worker shards up front when the config
-        // carries a registry; the fallback path registers them here,
-        // before any request is dispatched, so every completion lands
-        // in the sensor plane.
-        for w in workers {
-            if w.metrics_shard.get().is_none() {
-                let _ = w.metrics_shard.set(r.register_shard("worker", w.id as u32));
-            }
-        }
-        r.register_shard("scheduler", u32::MAX - shard_idx as u32)
-    });
     // Context-local install so fault hooks firing on the scheduling
     // thread attribute to the scheduler's shard; uninstalled before
     // returning, like the trace ring above.
-    if let Some(sh) = &sched_shard {
-        preempt_metrics::install_current(sh);
-    }
+    let shard = registry.register_shard("scheduler", u32::MAX - shard_idx as u32);
+    preempt_metrics::install_current(&shard);
 
     let start = now_cycles();
     let deadline = start + cfg.duration;
@@ -780,9 +729,7 @@ pub fn scheduler_shard_main(
         for w in workers {
             w.starvation.set_threshold(l0);
         }
-        if let Some(reg) = registry.as_ref() {
-            reg.gauge_set(Gauge::StarvationThreshold, l0);
-        }
+        registry.gauge_set(Gauge::StarvationThreshold, l0);
     }
     let mut controller = cfg
         .policy
@@ -846,10 +793,7 @@ pub fn scheduler_shard_main(
                         if w.queues[0].push(r).is_err() {
                             break;
                         }
-                        stats.dispatched_low += 1;
-                        if let Some(sh) = &sched_shard {
-                            sh.bump(Counter::TxnAdmittedLow);
-                        }
+                        shard.bump(Counter::TxnAdmittedLow);
                         charge(DISPATCH_PUSH_COST);
                         pushed_any = true;
                     }
@@ -862,16 +806,13 @@ pub fn scheduler_shard_main(
         }
 
         if now >= next_high_tick {
-            stats.ticks += 1;
+            shard.bump(Counter::SchedTicks);
             charge(TICK_BASE_COST);
 
             // Abandon the previous batch's undelivered remainder (§6.1:
             // "until the batch is depleted or the next arrival interval
             // passes").
-            stats.dropped_high += pending.len() as u64;
-            if let Some(sh) = &sched_shard {
-                sh.bump_by(Counter::DroppedHigh, pending.len() as u64);
-            }
+            shard.bump_by(Counter::DroppedHigh, pending.len() as u64);
             pending.clear();
 
             // Generate this tick's high-priority batch with one shared
@@ -916,10 +857,7 @@ pub fn scheduler_shard_main(
                         preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost {
                             site: 1,
                         });
-                        stats.skipped_starving += 1;
-                        if let Some(sh) = &sched_shard {
-                            sh.bump(Counter::StarvationSkips);
-                        }
+                        shard.bump(Counter::StarvationSkips);
                         continue;
                     }
                     let level = cfg.levels() as usize - 1; // highest level queue
@@ -928,20 +866,14 @@ pub fn scheduler_shard_main(
                         // transient allocation or queue error); the
                         // request stays pending for a later round.
                         if preempt_faults::on_dispatch() {
-                            stats.dispatch_faults += 1;
-                            if let Some(sh) = &sched_shard {
-                                sh.bump(Counter::DispatchFaults);
-                            }
+                            shard.bump(Counter::DispatchFaults);
                             charge(DISPATCH_PUSH_COST);
                             pending.push_front(r);
                             continue;
                         }
                         match w.queues[level].push(r) {
                             Ok(()) => {
-                                stats.dispatched_high += 1;
-                                if let Some(sh) = &sched_shard {
-                                    sh.bump(Counter::TxnAdmittedHigh);
-                                }
+                                shard.bump(Counter::TxnAdmittedHigh);
                                 charge(DISPATCH_PUSH_COST);
                                 kick[wi] = true;
                                 progress = true;
@@ -968,13 +900,12 @@ pub fn scheduler_shard_main(
                                 workers,
                                 all_workers,
                                 &mut pending,
-                                &mut stats,
-                                &sched_shard,
+                                &shard,
                             );
                         }
                         // Whatever could not be re-homed is dropped at
                         // the next interval.
-                        stats.retry_abandoned_high += pending.len() as u64;
+                        shard.bump_by(Counter::RetryAbandonedHigh, pending.len() as u64);
                         break;
                     }
                     if now_cycles() + FULL_RETRY_PAUSE >= tick_end {
@@ -987,7 +918,7 @@ pub fn scheduler_shard_main(
             }
             if !pending.is_empty() {
                 // Remainder is dropped at the next tick (dropped_high).
-                stats.abandoned_batches += 1;
+                shard.bump(Counter::AbandonedBatches);
             }
 
             // Notify workers: user interrupts under the preemptive policy
@@ -1002,19 +933,13 @@ pub fn scheduler_shard_main(
                 if should_interrupt {
                     let level = cfg.levels() - 1;
                     if send_uintr(w, level) {
-                        stats.interrupts_sent += 1;
-                        if let Some(sh) = &sched_shard {
-                            sh.bump(Counter::UintrSent);
-                        }
+                        shard.bump(Counter::UintrSent);
                         dw.send_ok();
                         wd_backoff[i] = rb.watchdog_backoff_min.max(1);
                         wd_next[i] = now_cycles() + wd_backoff[i];
                     } else {
-                        stats.delivery_errors += 1;
-                        if let Some(sh) = &sched_shard {
-                            sh.bump(Counter::UintrSendFailed);
-                            sh.bump(Counter::DeliveryErrors);
-                        }
+                        shard.bump(Counter::UintrSendFailed);
+                        shard.bump(Counter::DeliveryErrors);
                         dw.send_failed();
                         last_failure_at = now_cycles();
                         // Fall back to a plain wake so the work is not
@@ -1048,15 +973,9 @@ pub fn scheduler_shard_main(
                             target: w.id as u16,
                         });
                         if send_uintr(w, top as u8) {
-                            stats.interrupts_sent += 1;
-                            if let Some(sh) = &sched_shard {
-                                sh.bump(Counter::UintrSent);
-                            }
+                            shard.bump(Counter::UintrSent);
                         }
-                        stats.watchdog_resends += 1;
-                        if let Some(sh) = &sched_shard {
-                            sh.bump(Counter::WatchdogResends);
-                        }
+                        shard.bump(Counter::WatchdogResends);
                         dw.send_failed();
                         last_failure_at = wnow;
                         wd_backoff[i] =
@@ -1110,10 +1029,7 @@ pub fn scheduler_shard_main(
                     if snow.saturating_sub(since) >= rb.dead_after {
                         calm_since[i] = None;
                         if send_uintr(w, top as u8) {
-                            stats.interrupts_sent += 1;
-                            if let Some(sh) = &sched_shard {
-                                sh.bump(Counter::UintrSent);
-                            }
+                            shard.bump(Counter::UintrSent);
                         }
                     } else {
                         sup_earliest = sup_earliest.min(since + rb.dead_after);
@@ -1130,8 +1046,7 @@ pub fn scheduler_shard_main(
                 stale_since[i] = None;
                 wd_backoff[i] = rb.watchdog_backoff_min.max(1);
                 wd_next[i] = 0;
-                quarantined[i] =
-                    recover_worker(w, &rb, &cfg.recovery, &mut stats, &sched_shard);
+                quarantined[i] = recover_worker(w, &rb, &cfg.recovery, &shard);
             }
         }
 
@@ -1145,13 +1060,8 @@ pub fn scheduler_shard_main(
                 if rate_ppm >= rb.degrade_threshold_ppm as u64 {
                     degraded = true;
                     preempt_trace::emit(preempt_trace::TraceEvent::Degrade { on: true });
-                    stats.policy_downgrades += 1;
-                    if let Some(sh) = &sched_shard {
-                        sh.bump(Counter::Degrades);
-                    }
-                    if let Some(reg) = registry.as_ref() {
-                        reg.gauge_set(Gauge::DeliveryDegraded, 1.0);
-                    }
+                    shard.bump(Counter::Degrades);
+                    registry.gauge_set(Gauge::DeliveryDegraded, 1.0);
                     for w in workers {
                         w.degraded.store(true, std::sync::atomic::Ordering::Release);
                     }
@@ -1160,13 +1070,8 @@ pub fn scheduler_shard_main(
         } else if dnow.saturating_sub(last_failure_at) >= rb.upgrade_quiet {
             degraded = false;
             preempt_trace::emit(preempt_trace::TraceEvent::Degrade { on: false });
-            stats.policy_upgrades += 1;
-            if let Some(sh) = &sched_shard {
-                sh.bump(Counter::Upgrades);
-            }
-            if let Some(reg) = registry.as_ref() {
-                reg.gauge_set(Gauge::DeliveryDegraded, 0.0);
-            }
+            shard.bump(Counter::Upgrades);
+            registry.gauge_set(Gauge::DeliveryDegraded, 0.0);
             dw.reset(dnow);
             // Restart the watchdog clocks too: a stale pre-degradation
             // wd_next would fire (and count a "failure") the instant
@@ -1190,9 +1095,6 @@ pub fn scheduler_shard_main(
         if let Some(ctl) = controller.as_mut() {
             let cnow = now_cycles();
             if cnow >= ctl.next_eval() {
-                let reg = registry
-                    .as_ref()
-                    .expect("adaptive policy always has a registry");
                 // Sharded plane: each shard's controller reads only its
                 // own workers' (and its own scheduler shard's) sensors,
                 // so every shard adapts to its local load. The
@@ -1202,13 +1104,13 @@ pub fn scheduler_shard_main(
                     let own = u32::MAX - shard_idx as u32;
                     let local_ids: Vec<u32> =
                         workers.iter().map(|w| w.id as u32).collect();
-                    reg.sensor_totals_where(|label, index| match label {
+                    registry.sensor_totals_where(|label, index| match label {
                         "scheduler" => index == own,
                         "worker" => local_ids.contains(&index),
                         _ => false,
                     })
                 } else {
-                    reg.sensor_totals()
+                    registry.sensor_totals()
                 };
                 let win = totals.delta_since(&ctl_prev_sensors);
                 let snapshot = crate::controller::SensorSnapshot {
@@ -1237,19 +1139,14 @@ pub fn scheduler_shard_main(
                     threshold_milli: (thr * 1000.0).round() as u32,
                     decision,
                 });
-                stats.controller_evals += 1;
-                if let Some(reg) = registry.as_ref() {
-                    reg.gauge_set(Gauge::StarvationThreshold, thr);
-                    reg.gauge_set(Gauge::ViolationFloor, ctl.violation_floor());
-                }
-                if let Some(sh) = &sched_shard {
-                    sh.bump(Counter::ControllerEvals);
-                    sh.bump(match ctl.last_decision() {
-                        Some(crate::controller::Decision::Raise) => Counter::ControllerRaises,
-                        Some(crate::controller::Decision::Lower) => Counter::ControllerLowers,
-                        _ => Counter::ControllerHolds,
-                    });
-                }
+                registry.gauge_set(Gauge::StarvationThreshold, thr);
+                registry.gauge_set(Gauge::ViolationFloor, ctl.violation_floor());
+                shard.bump(Counter::ControllerEvals);
+                shard.bump(match ctl.last_decision() {
+                    Some(crate::controller::Decision::Raise) => Counter::ControllerRaises,
+                    Some(crate::controller::Decision::Lower) => Counter::ControllerLowers,
+                    _ => Counter::ControllerHolds,
+                });
             }
             ctl_earliest = ctl.next_eval();
         }
@@ -1269,24 +1166,15 @@ pub fn scheduler_shard_main(
     }
 
     // Shut down.
-    stats.dropped_high += pending.len() as u64;
-    if let Some(sh) = &sched_shard {
-        sh.bump_by(Counter::DroppedHigh, pending.len() as u64);
-    }
+    shard.bump_by(Counter::DroppedHigh, pending.len() as u64);
     for w in workers {
         w.stop();
     }
     if sched_ring.is_some() {
         preempt_trace::clear_current();
     }
-    if sched_shard.is_some() {
-        preempt_metrics::clear_current();
-    }
-    SchedRun {
-        stats,
-        controller: controller.map(crate::controller::Controller::into_report),
-        registry,
-    }
+    preempt_metrics::clear_current();
+    controller.map(crate::controller::Controller::into_report)
 }
 
 #[cfg(test)]
@@ -1397,31 +1285,28 @@ mod tests {
             let core = sim.spawn_core("worker", 256 * 1024, move || worker_main(ws, pol));
             w.set_wake_target(WakeTarget::Sim(core));
         }
-        let ws = workers.clone();
-        let cfg2 = cfg.clone();
-        let stats = std::sync::Arc::new(parking_lot::Mutex::new(SchedulerStats::default()));
-        let st = stats.clone();
+        let registry = MetricsRegistry::new(preempt_metrics::MetricsConfig::default());
+        for w in &workers {
+            registry.attach(&w.metrics_shard);
+        }
+        let (ws, cfg2, reg) = (workers.clone(), cfg.clone(), registry.clone());
         sim.spawn_core("sched", 256 * 1024, move || {
             let mut f = CountingFactory {
                 low_left: 10,
                 high_left: 40,
             };
-            *st.lock() = scheduler_main(&cfg2, &ws, &mut f).stats;
+            scheduler_main(&cfg2, &reg, &ws, &mut f);
         });
         sim.run();
 
-        let st = stats.lock();
+        let snap = registry.snapshot();
+        let st = SchedulerStats::from_snapshot(&snap);
         assert!(st.ticks >= 9, "ticks={}", st.ticks);
         assert_eq!(st.dispatched_low, 10);
         assert_eq!(st.dispatched_high + st.dropped_high, 40);
         assert!(st.interrupts_sent > 0);
-
-        let mut total = crate::metrics::Metrics::new();
-        for w in &workers {
-            total.merge(&w.metrics.lock());
-        }
         assert_eq!(
-            total.total_completed(),
+            crate::Metrics::from_snapshot(&snap).total_completed(),
             10 + st.dispatched_high,
             "every dispatched request completed"
         );

@@ -32,10 +32,10 @@ use parking_lot::Mutex;
 use preempt_context::runtime::{self, PreemptHook};
 use preempt_context::switch::{switch_to, Context};
 use preempt_context::tcb::{self, Tcb};
+use preempt_metrics::Counter;
 use preempt_uintr::{UintrReceiver, Upid};
 
 use crate::clock::now_cycles;
-use crate::metrics::Metrics;
 use crate::policy::Policy;
 use crate::request::{Request, RequestQueue, WorkOutcome};
 use crate::starvation::StarvationState;
@@ -126,7 +126,9 @@ struct LineBreak;
 ///
 /// Laid out by *writer*, one group of cache lines each: what a submitter
 /// reads per request (`queues`, `incarnation`, the stop flags) is not
-/// invalidated by what the worker writes per request (ack, counters).
+/// invalidated by what the worker writes per request (ack, starvation
+/// state). Everything the worker *counts* lives in its metrics shard, an
+/// allocation of its own.
 #[repr(C)]
 pub struct WorkerShared {
     // ---- read-mostly: set at start-up, respawn or shutdown ----
@@ -144,13 +146,11 @@ pub struct WorkerShared {
     /// Set by the runner/supervisor (sim) or the worker itself (threads);
     /// replaced on respawn.
     pub wake_target: Mutex<Option<WakeTarget>>,
-    /// This worker's slice of the run's metrics registry, set by the
-    /// runner (or by the scheduler's fallback registry for adaptive
-    /// policies) before dispatch begins. Read through the `OnceLock` at
-    /// every emit site — never cached — so a registration that lands
-    /// after worker startup still captures every completion; `None`
-    /// means metrics are off and each emit costs one atomic load.
-    pub metrics_shard: OnceLock<Arc<preempt_metrics::Shard>>,
+    /// Where this worker counts: commits, aborts, latencies, level
+    /// switches, steals, busy cycles — the only copy. `sched::run`
+    /// attaches it to the run's registry; an embedded pool reads it
+    /// directly (`MetricsSnapshot::of_shards`).
+    pub metrics_shard: Arc<preempt_metrics::Shard>,
     /// This worker's SLO-violation flight recorder, set by the runner
     /// when the driver config carries a [`preempt_prov::ProvConfig`].
     /// Unset means exemplar capture is off.
@@ -191,26 +191,9 @@ pub struct WorkerShared {
     /// was lost and the watchdog should re-send.
     pub uintr_ack: AtomicU64,
     pub starvation: StarvationState,
-    // counters (relaxed; reporting only)
-    /// Passive (uintr-triggered) context switches taken.
-    pub preemptions: AtomicU64,
-    /// Cooperative yield switches taken.
-    pub coop_yields: AtomicU64,
-    /// High-priority requests executed on the regular path.
-    pub high_on_regular: AtomicU64,
-    /// User interrupts delivered / deferred (from the receiver, at exit).
-    pub uintr_delivered: AtomicU64,
-    pub uintr_deferred: AtomicU64,
-    /// Cycles spent executing requests (utilization numerator).
-    pub busy_cycles: AtomicU64,
-    /// Requests stolen from same-shard siblings' queue tails.
-    pub steals: AtomicU64,
-    /// Transaction panics contained by the firewall (all incarnations).
-    pub worker_panics: AtomicU64,
-    /// Messages of transaction panics contained by the firewall.
+    /// Messages of transaction panics contained by the firewall (all
+    /// incarnations; their count is `Counter::WorkerPanics`).
     pub panics: Mutex<Vec<String>>,
-    /// Worker-local metrics, flushed here when the worker exits.
-    pub metrics: Mutex<Metrics>,
 }
 
 impl WorkerShared {
@@ -227,7 +210,7 @@ impl WorkerShared {
             upid: Mutex::new(None),
             trace: OnceLock::new(),
             wake_target: Mutex::new(None),
-            metrics_shard: OnceLock::new(),
+            metrics_shard: preempt_metrics::Shard::new("worker", id as u32),
             flight: OnceLock::new(),
             steal_peers: OnceLock::new(),
             stopped: AtomicBool::new(false),
@@ -240,16 +223,7 @@ impl WorkerShared {
             _worker_lines: LineBreak,
             uintr_ack: AtomicU64::new(0),
             starvation: StarvationState::new(),
-            preemptions: AtomicU64::new(0),
-            coop_yields: AtomicU64::new(0),
-            high_on_regular: AtomicU64::new(0),
-            uintr_delivered: AtomicU64::new(0),
-            uintr_deferred: AtomicU64::new(0),
-            busy_cycles: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
             panics: Mutex::new(Vec::new()),
-            metrics: Mutex::new(Metrics::new()),
         })
     }
 
@@ -355,7 +329,6 @@ struct WorkerCtx {
     hints_since_check: Cell<u64>,
     /// Worker-local transaction sequence number for trace records.
     txn_seq: Cell<u64>,
-    metrics: std::cell::RefCell<Metrics>,
 }
 
 /// The worker whose transaction is executing on the current *context*
@@ -406,9 +379,7 @@ impl WorkerCtx {
         self.push_return(from);
         self.current_level.set(level);
         preempt_trace::emit(preempt_trace::TraceEvent::StackSwitch { from, to: level });
-        if let Some(sh) = self.shared.metrics_shard.get() {
-            sh.bump(preempt_metrics::Counter::SchedEnterLevel);
-        }
+        self.shared.metrics_shard.bump(Counter::SchedEnterLevel);
         // Provenance: everything from here until the switch back — the
         // switch cost itself plus whatever the higher level ran — is
         // time this context's transaction spent preempted-out.
@@ -430,9 +401,7 @@ impl WorkerCtx {
         let back = self.pop_return();
         self.current_level.set(back);
         preempt_trace::emit(preempt_trace::TraceEvent::StackSwitch { from, to: back });
-        if let Some(sh) = self.shared.metrics_shard.get() {
-            sh.bump(preempt_metrics::Counter::SchedLeaveLevel);
-        }
+        self.shared.metrics_shard.bump(Counter::SchedLeaveLevel);
         charge(SWITCH_COST);
         // SAFETY: as in enter_level.
         switch_to(unsafe { &*self.level_tcbs[back as usize].get() });
@@ -454,7 +423,7 @@ impl WorkerCtx {
             now_cycles().saturating_sub(handler_start),
         );
         if let Some(level) = take {
-            self.shared.preemptions.fetch_add(1, Ordering::Relaxed);
+            self.shared.metrics_shard.bump(Counter::Preemptions);
             self.enter_level(level);
         }
     }
@@ -637,7 +606,7 @@ impl WorkerCtx {
     fn maybe_coop_switch(&self) {
         for level in (1..self.level_tcbs.len() as u8).rev() {
             if !self.shared.queues[level as usize].is_empty() {
-                self.shared.coop_yields.fetch_add(1, Ordering::Relaxed);
+                self.shared.metrics_shard.bump(Counter::CoopYields);
                 self.enter_level(level);
                 return;
             }
@@ -686,10 +655,7 @@ impl WorkerCtx {
         if let Some(dl) = req.deadline {
             if started >= dl {
                 preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn });
-                self.metrics.borrow_mut().record_deadline_abort(kind);
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    sh.txn_deadline_abort(kind);
-                }
+                self.shared.metrics_shard.txn_deadline_abort(kind);
                 return 0;
             }
         }
@@ -780,15 +746,12 @@ impl WorkerCtx {
             TxnEnd::Panicked(_) => preempt_trace::emit(preempt_trace::TraceEvent::TxnPanic { txn }),
             _ => preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn }),
         }
-        let mut metrics = self.metrics.borrow_mut();
+        let shard = &self.shared.metrics_shard;
         match end {
             TxnEnd::Committed(o) => {
                 let latency = finished.saturating_sub(created);
                 let retries = o.retries + attempts as u64;
-                metrics.record(kind, latency, sched_latency, retries);
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    sh.txn_completed(kind, priority, latency, sched_latency, retries);
-                }
+                shard.txn_completed(kind, priority, latency, sched_latency, retries);
                 if let Some(phases) = &committed_phases {
                     preempt_prov::record_phase_hists(phases, priority > 0);
                     // Flight recorder: on an end-to-end SLO breach, freeze
@@ -813,30 +776,15 @@ impl WorkerCtx {
                     }
                 }
             }
-            TxnEnd::TimedOut => {
-                metrics.record_deadline_abort(kind);
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    sh.txn_deadline_abort(kind);
-                }
-            }
-            TxnEnd::Exhausted | TxnEnd::Terminated => {
-                metrics.record_failed(kind, attempts as u64);
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    sh.txn_failed(kind, attempts as u64);
-                }
-            }
+            TxnEnd::TimedOut => shard.txn_deadline_abort(kind),
+            TxnEnd::Exhausted | TxnEnd::Terminated => shard.txn_failed(kind, attempts as u64),
             TxnEnd::Panicked(msg) => {
-                metrics.record_panicked(kind);
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    sh.bump(preempt_metrics::Counter::WorkerPanics);
-                }
-                self.shared.worker_panics.fetch_add(1, Ordering::Relaxed);
+                shard.bump(Counter::WorkerPanics);
                 self.shared.panics.lock().push(format!("{kind}: {msg}"));
             }
         }
-        drop(metrics);
         let dur = finished.saturating_sub(started);
-        self.shared.busy_cycles.fetch_add(dur, Ordering::Relaxed);
+        shard.bump_by(Counter::BusyCycles, dur);
         dur
     }
 
@@ -865,9 +813,7 @@ impl WorkerCtx {
                     preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost {
                         site: 2,
                     });
-                    if let Some(sh) = self.shared.metrics_shard.get() {
-                        sh.bump(preempt_metrics::Counter::StarvationBreaks);
-                    }
+                    self.shared.metrics_shard.bump(Counter::StarvationBreaks);
                     break;
                 }
             }
@@ -890,19 +836,7 @@ impl WorkerCtx {
     ///   here (path ②).
     fn regular_loop(&self) {
         let prefer_high = !self.policy.is_preemptive();
-        // The scheduler's fallback registry (adaptive runs whose config
-        // carries no metrics) registers this worker's shard *after* the
-        // worker started, so the startup install in `worker_main` can
-        // miss it; retry here until it lands so main-context emits from
-        // the uintr/latch/fault layers aren't silently dropped.
-        let mut shard_installed = self.shared.metrics_shard.get().is_some();
         while !self.shared.should_exit() {
-            if !shard_installed {
-                if let Some(sh) = self.shared.metrics_shard.get() {
-                    preempt_metrics::install_current(sh);
-                    shard_installed = true;
-                }
-            }
             let levels = self.level_tcbs.len() as u8;
             let pop = |level: u8| {
                 let req = self.shared.queues[level as usize].pop()?;
@@ -917,7 +851,7 @@ impl WorkerCtx {
                 Some((req, from_level)) => {
                     runtime::preempt_point(DISPATCH_POP_COST);
                     if from_level > 0 {
-                        self.shared.high_on_regular.fetch_add(1, Ordering::Relaxed);
+                        self.shared.metrics_shard.bump(Counter::HighOnRegular);
                     }
                     self.run_request(req, 0);
                 }
@@ -966,10 +900,7 @@ impl WorkerCtx {
             thief: self.shared.id as u16,
             level: 0,
         });
-        if let Some(sh) = self.shared.metrics_shard.get() {
-            sh.bump(preempt_metrics::Counter::Steals);
-        }
-        self.shared.steals.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics_shard.bump(Counter::Steals);
         Some(req)
     }
 }
@@ -1055,40 +986,8 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         ops_since_check: Cell::new(0),
         hints_since_check: Cell::new(0),
         txn_seq: Cell::new(0),
-        metrics: std::cell::RefCell::new(Metrics::new()),
     });
     let wc_ptr = &*wc as *const WorkerCtx as usize;
-    // Flushes local metrics and receiver stats to the shared side on
-    // every way out of this frame. Cumulative (`fetch_add`, `merge`)
-    // because a respawned incarnation must add to — not overwrite — its
-    // predecessors' totals, and unwind-safe so even an incarnation dying
-    // of a contained panic settles its accounting (collect() cross-checks
-    // these against the registry, which records at delivery time).
-    struct FlushStats {
-        shared: Arc<WorkerShared>,
-        wc: *const WorkerCtx,
-    }
-    impl Drop for FlushStats {
-        fn drop(&mut self) {
-            // SAFETY: declared after `wc`, so it drops first, while the
-            // WorkerCtx (and its receiver) is still alive.
-            let wc = unsafe { &*self.wc };
-            if let Ok(m) = wc.metrics.try_borrow() {
-                self.shared.metrics.lock().merge(&m);
-            }
-            let rs = wc.receiver.stats();
-            self.shared
-                .uintr_delivered
-                .fetch_add(rs.delivered, Ordering::Relaxed);
-            self.shared
-                .uintr_deferred
-                .fetch_add(rs.deferred, Ordering::Relaxed);
-        }
-    }
-    let _flush_stats = FlushStats {
-        shared: shared.clone(),
-        wc: wc_ptr as *const WorkerCtx,
-    };
     // The runner registers a ring before starting the worker (or never);
     // every context this worker runs records into the same ring.
     let trace_ring = shared.trace.get().cloned();
@@ -1119,13 +1018,8 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
             if let Some(r) = &tr {
                 preempt_trace::install_current(r);
             }
-            // The context body first runs at the first switch-in, after
-            // dispatch began — by then any fallback registry has set the
-            // shard. The `OnceLock` in `shared` keeps the Arc alive past
-            // every emit on this context.
-            if let Some(sh) = ms.metrics_shard.get() {
-                preempt_metrics::install_current(sh);
-            }
+            // `shared` keeps the shard alive past every emit here.
+            preempt_metrics::install_current(&ms.metrics_shard);
             // Pre-touch the provenance accumulator so handler-path charges
             // never allocate a CLS slot inside an interrupt.
             preempt_prov::init_context();
@@ -1142,9 +1036,7 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     if let Some(r) = &trace_ring {
         preempt_trace::install_current(r);
     }
-    if let Some(sh) = shared.metrics_shard.get() {
-        preempt_metrics::install_current(sh);
-    }
+    preempt_metrics::install_current(&shared.metrics_shard);
     preempt_prov::init_context();
     if preempt_sim::api::active() {
         // Simulator: per-core hook (a thread-local hook would fire for
@@ -1166,7 +1058,6 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     preempt_mvcc::clear_current_owner();
     preempt_trace::clear_current();
     preempt_metrics::clear_current();
-    // Metrics and receiver stats flush via `_flush_stats`' drop.
 }
 
 #[cfg(test)]
@@ -1174,6 +1065,11 @@ mod tests {
     use super::*;
     use crate::request::WorkOutcome;
     use preempt_sim::{SimConfig, Simulation};
+
+    fn completed_view(shared: &WorkerShared) -> crate::Metrics {
+        let snap = preempt_metrics::MetricsSnapshot::of_shards([&*shared.metrics_shard]);
+        crate::Metrics::from_snapshot(&snap)
+    }
 
     fn mk_req(kind: &'static str, priority: u8, created: u64, cost: u64) -> Request {
         Request::new(kind, priority, created, move || {
@@ -1192,9 +1088,10 @@ mod tests {
         macro_rules! lines {
             ($($f:ident),*) => { [$((stringify!($f), offset_of!(WorkerShared, $f) / 64)),*] };
         }
-        let submitter = lines!(id, queues, wake_target, incarnation, stopped, terminated);
+        let submitter =
+            lines!(id, queues, wake_target, metrics_shard, incarnation, stopped, terminated);
         let sender = lines!(uintr_epoch);
-        let worker = lines!(uintr_ack, starvation, preemptions, busy_cycles, metrics);
+        let worker = lines!(uintr_ack, starvation);
         let last = |g: &[(&str, usize)]| g.iter().map(|f| f.1).max().unwrap();
         let first = |g: &[(&str, usize)]| g.iter().map(|f| f.1).min().unwrap();
         assert!(last(&submitter) < first(&sender), "{submitter:?}");
@@ -1225,7 +1122,7 @@ mod tests {
         });
 
         sim.run();
-        let m = shared.metrics.lock();
+        let m = completed_view(&shared);
         assert_eq!(m.kind("low").unwrap().completed, 1);
         assert_eq!(m.kind("high").unwrap().completed, 1);
     }
@@ -1290,8 +1187,8 @@ mod tests {
         // Delivered ~1.5µs (3600 cycles) after the 1M-cycle send; the high
         // txn is 20k cycles; it must finish well before 1.1M.
         assert!(h < 1_100_000, "high finished promptly at {h}");
-        assert_eq!(shared.preemptions.load(Ordering::Relaxed), 1);
-        let m = shared.metrics.lock();
+        assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 1);
+        let m = completed_view(&shared);
         assert_eq!(m.kind("q2").unwrap().completed, 1);
         assert_eq!(m.kind("neworder").unwrap().completed, 1);
     }
@@ -1344,7 +1241,7 @@ mod tests {
         let h = high_done.load(Ordering::Relaxed);
         let l = low_done.load(Ordering::Relaxed);
         assert!(h > l, "Wait runs the high txn only after the low finishes");
-        assert_eq!(shared.preemptions.load(Ordering::Relaxed), 0);
+        assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 0);
     }
 
     /// Cooperative yields at the configured interval.
@@ -1401,8 +1298,8 @@ mod tests {
         let h = high_done.load(Ordering::Relaxed);
         let l = low_done.load(Ordering::Relaxed);
         assert!(h < l, "cooperative lets the high txn in mid-low txn");
-        assert!(shared.coop_yields.load(Ordering::Relaxed) >= 1);
-        assert_eq!(shared.preemptions.load(Ordering::Relaxed), 0);
+        assert!(shared.metrics_shard.counter(Counter::CoopYields) >= 1);
+        assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 0);
     }
 
     /// Worker also runs on a plain OS thread (no simulator).
@@ -1429,7 +1326,6 @@ mod tests {
         }
         shared.stop();
         handle.join().unwrap();
-        let m = shared.metrics.lock();
-        assert_eq!(m.total_completed(), 2);
+        assert_eq!(completed_view(&shared).total_completed(), 2);
     }
 }

@@ -87,8 +87,10 @@ pub struct ServerConfig {
     /// Allow [`proto::Op::Boom`] (deliberate in-transaction panics) for
     /// chaos testing.
     pub enable_chaos_ops: bool,
-    /// Metrics registry to instrument (a `("server", 0)` shard is
-    /// registered on it).
+    /// Metrics registry to instrument: a `("server", 0)` shard for the
+    /// `net_*` series is registered on it and the pool workers' shards
+    /// (transactions, latencies, uintr delivery, level switches, latch
+    /// waits) are attached to it.
     pub metrics: Option<MetricsRegistry>,
     /// Trace session; each connection thread registers a `"conn"` ring
     /// and records request lifecycle events on it.
@@ -327,9 +329,14 @@ impl Server {
         tx.commit()
             .map_err(|e| std::io::Error::other(format!("seed commit: {e}")))?;
 
-        let metrics = cfg
-            .metrics
-            .map(|reg| (reg.clone(), reg.register_shard("server", 0)));
+        // The pool's workers count into shards of their own; attached
+        // here, their series are scraped next to the `net_*` ones.
+        let metrics = cfg.metrics.map(|reg| {
+            for w in db.workers() {
+                reg.attach(&w.metrics_shard);
+            }
+            (reg.clone(), reg.register_shard("server", 0))
+        });
         let core = Arc::new(Core {
             stop: AtomicBool::new(false),
             engine,

@@ -172,6 +172,40 @@ fn handshake_and_point_ops_round_trip() {
     assert_eq!(stats.committed_deposits, deposits);
 }
 
+/// With a registry configured, the pool workers' shards are attached to
+/// it: the worker-side series (transactions by class and kind, latency,
+/// uintr delivery) are scraped next to the `net_*` ones.
+#[test]
+fn metrics_registry_carries_the_worker_side_series() {
+    use preemptdb::metrics::{Counter, MetricsConfig, MetricsRegistry};
+    let registry = MetricsRegistry::new(MetricsConfig::default());
+    let mut cfg = test_config();
+    cfg.metrics = Some(registry.clone());
+    let server = Server::start(cfg).expect("start");
+    let mut c = Client::connect(&server, SloClass::High);
+    let deposits = 40u64;
+    for i in 0..deposits {
+        c.call_ok(1 + i, Op::Deposit, i % ACCOUNTS, (i + 1) % ACCOUNTS);
+    }
+    // A worker counts a request right after its closure has sent the
+    // reply: give the last one a moment to land.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while registry.counter_total(Counter::TxnCompletedHigh) < deposits {
+        assert!(Instant::now() < deadline, "completions never reached the registry");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter(Counter::TxnCompletedHigh), deposits);
+    assert_eq!(snap.counter(Counter::TxnCompletedLow), 0);
+    assert_eq!(snap.counter(Counter::NetAdmitted), deposits);
+    let kind = snap.kind("net_deposit").expect("per-kind series");
+    assert_eq!((kind.completed, kind.latency.count()), (deposits, deposits));
+    assert!(snap.counter(Counter::UintrDelivered) > 0, "high requests interrupt");
+    assert_eq!(snap.shards, 1 + 2, "the server's shard and one per worker");
+    drop(c);
+    server.shutdown();
+}
+
 /// Two requests written back to back get both replies promptly. Without
 /// `TCP_NODELAY` on the accepted socket the second reply sits in the
 /// server's send buffer until the client's delayed ACK of the first

@@ -96,10 +96,6 @@ fn main() {
         "\nrun done: {} points completed, p99 = {:.1} µs; final snapshot has {} delivered interrupts",
         report.completed("point"),
         report.latency_us("point", 99.0),
-        report
-            .metrics_snapshot
-            .as_ref()
-            .map(|s| s.counter(Counter::UintrDelivered))
-            .unwrap_or(0),
+        report.metrics_snapshot.counter(Counter::UintrDelivered),
     );
 }

@@ -88,7 +88,7 @@ fn phase_sums_equal_end_to_end_latency() {
     // Cross-plane identity: the reconstruction (trace rings only) and
     // the registry histograms (worker commit path only) are independent
     // measurement paths; they must agree exactly.
-    let snap = r.metrics_snapshot.as_ref().expect("registry snapshot");
+    let snap = &r.metrics_snapshot;
     for (c, cls) in attr.classes.iter().enumerate() {
         assert!(cls.completed > 0, "class {c} must complete work");
         for (i, phase) in Phase::ALL.iter().enumerate() {

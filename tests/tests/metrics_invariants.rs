@@ -1,27 +1,29 @@
-//! Observability-plane invariants (ISSUE 5 tentpole): the lock-free
-//! per-worker metrics registry must agree *exactly* with every
-//! pre-existing accounting plane it shadows —
+//! Accounting-plane invariants. Every count of a run lives in its
+//! metrics registry (`RunReport.{metrics, scheduler, workers}` are views
+//! of the final snapshot), so the independent witness is the *trace*:
 //!
-//! * per-kind transaction counts and latency histograms bit-for-bit
-//!   equal to [`RunReport::metrics`] (same bucket math, same sites);
-//! * scheduler/worker counters equal to [`SchedulerStats`] and
-//!   [`WorkerTotals`];
-//! * the adaptive controller, which now reads per-window deltas of the
-//!   registry's sensor plane, byte-identical whether the registry came
-//!   from the driver config or the scheduler's private fallback;
-//! * a disabled registry costing exactly one relaxed load per emit;
-//! * a threaded run serving `GET /metrics` that round-trips through the
-//!   strict Prometheus parser with the delivery, starvation,
-//!   degradation, fault, and SLO burn-rate series present.
+//! * events counted off the merged trace equal the registry's counters —
+//!   commits per class, aborts, contained panics, level switches,
+//!   steals, shootdowns, watchdog re-sends, worker deaths and respawns,
+//!   ring loss — on a plain run, under fault injection, under chaos
+//!   (wedges and panics) and on a 4-shard plane;
+//! * the adaptive controller, which steers from per-window deltas of the
+//!   registry's sensor plane, is byte-identical whether the caller
+//!   supplied the registry or the runner created it;
+//! * totals stay exact past a shard's 16-kind table;
+//! * same-seed snapshots are identical, and a threaded run serving
+//!   `GET /metrics` round-trips through the strict Prometheus parser with
+//!   the delivery, starvation, degradation, fault, and SLO burn-rate
+//!   series present.
+
+use std::collections::HashMap;
 
 use preempt_faults::FaultPlan;
-use preemptdb::metrics::{
-    self, Counter, MetricsConfig, MetricsRegistry, SloSpec,
-};
+use preemptdb::metrics::{self, Counter, MetricsConfig, MetricsRegistry, SloSpec};
 use preemptdb::sched::{
-    clock, cross_check_registry, run, DriverConfig, Policy, Request, RunReport, Runtime,
-    WorkOutcome, WorkloadFactory,
+    clock, run, DriverConfig, Policy, Request, RunReport, Runtime, WorkOutcome, WorkloadFactory,
 };
+use preemptdb::trace::{TraceConfig, TraceEvent, TraceSession};
 use preemptdb::SimConfig;
 
 /// The canonical synthetic mix: long low-priority "scans" and short
@@ -75,56 +77,158 @@ fn run_sim(policy: Policy, registry: Option<MetricsRegistry>) -> RunReport {
     )
 }
 
-/// The registry's per-kind series equal the legacy report's, histogram
-/// percentiles included — one seeded run, two accounting planes.
-#[test]
-fn registry_snapshot_matches_legacy_metrics() {
-    let report = run_sim(Policy::preemptdb(), Some(registry_with_slo()));
-    cross_check_registry(&report).expect("planes agree");
-    let snap = report.metrics_snapshot.as_ref().expect("snapshot");
-    // The run actually exercised the interesting series.
-    assert!(report.completed("point") > 100);
-    assert!(snap.counter(Counter::UintrDelivered) > 0);
-    assert!(snap.counter(Counter::SchedEnterLevel) > 0);
+/// The registry's counters equal what the merged trace saw: two planes
+/// fed at the same sites by separate code, compared event for event.
+fn assert_trace_matches_registry(report: &RunReport) {
+    let snap = &report.metrics_snapshot;
+    let trace = report.trace.as_ref().expect("run carried a trace session");
     assert_eq!(
-        snap.counter(Counter::SchedEnterLevel),
-        snap.counter(Counter::SchedLeaveLevel),
-        "every preemptive level entered is left"
+        trace.dropped,
+        snap.counter(Counter::TraceDropped),
+        "ring loss"
     );
+    assert_eq!(
+        trace.dropped, 0,
+        "a lossy trace cannot witness the counters"
+    );
+
+    let mut priority_of: HashMap<(u16, u64), u8> = HashMap::new();
+    let mut commits = [0u64; 2];
+    let mut seen: HashMap<&str, u64> = HashMap::new();
+    for r in &trace.records {
+        let name = match r.event {
+            TraceEvent::TxnBegin { txn, priority } => {
+                priority_of.insert((r.worker, txn), priority);
+                continue;
+            }
+            TraceEvent::TxnCommit { txn } => {
+                commits[usize::from(priority_of[&(r.worker, txn)] > 0)] += 1;
+                continue;
+            }
+            TraceEvent::TxnAbort { .. } => "abort",
+            TraceEvent::TxnPanic { .. } => "panic",
+            TraceEvent::StackSwitch { from, to } if to > from => "switch_up",
+            TraceEvent::StackSwitch { .. } => "switch_down",
+            TraceEvent::Steal { .. } => "steal",
+            TraceEvent::Shootdown { .. } => "shootdown",
+            TraceEvent::WatchdogResend { .. } => "resend",
+            TraceEvent::WorkerDead { .. } => "dead",
+            TraceEvent::WorkerRespawn { .. } => "respawn",
+            _ => continue,
+        };
+        *seen.entry(name).or_default() += 1;
+    }
+    let seen = |name: &str| seen.get(name).copied().unwrap_or(0);
+    let c = |c: Counter| snap.counter(c);
+    assert_eq!(commits[1], c(Counter::TxnCompletedHigh), "high commits");
+    assert_eq!(commits[0], c(Counter::TxnCompletedLow), "low commits");
+    assert_eq!(seen("abort"), c(Counter::TxnAborted), "aborts");
+    assert_eq!(seen("panic"), c(Counter::WorkerPanics), "contained panics");
+    assert_eq!(
+        seen("panic"),
+        report.panic_messages.len() as u64,
+        "panic messages"
+    );
+    assert_eq!(
+        seen("switch_up"),
+        c(Counter::SchedEnterLevel),
+        "level entries"
+    );
+    assert_eq!(
+        seen("switch_up"),
+        c(Counter::Preemptions) + c(Counter::CoopYields),
+        "every level entry is a preemption or a cooperative yield"
+    );
+    assert_eq!(
+        seen("switch_down"),
+        c(Counter::SchedLeaveLevel),
+        "level returns"
+    );
+    assert_eq!(seen("steal"), c(Counter::Steals), "steals");
+    assert_eq!(seen("shootdown"), c(Counter::Shootdowns), "shootdowns");
+    assert_eq!(
+        seen("resend"),
+        c(Counter::WatchdogResends),
+        "watchdog re-sends"
+    );
+    assert_eq!(seen("dead"), c(Counter::WorkersDead), "worker deaths");
+    assert_eq!(seen("respawn"), c(Counter::WorkersRespawned), "respawns");
+
+    // The report's three structs are views of the same snapshot.
+    assert_eq!(report.metrics.total_completed(), commits[0] + commits[1]);
+    assert_eq!(report.workers.preemptions, c(Counter::Preemptions));
+    assert_eq!(report.scheduler.watchdog_resends, seen("resend"));
     for (kind, m) in report.metrics.kinds() {
         let k = snap.kind(kind).expect("kind present in registry");
         assert_eq!(m.completed, k.completed, "{kind} completed");
         assert_eq!(m.latency.count(), k.latency.count(), "{kind} samples");
-        for p in [25.0, 50.0, 75.0, 90.0, 99.0, 99.9, 100.0] {
+        for p in [25.0, 50.0, 90.0, 99.0, 99.9, 100.0] {
             assert_eq!(
                 m.latency.percentile(p),
                 k.latency.percentile(p),
-                "{kind} latency p{p}"
-            );
-            assert_eq!(
-                m.sched_latency.percentile(p),
-                k.sched_latency.percentile(p),
-                "{kind} sched latency p{p}"
+                "{kind} p{p}"
             );
         }
     }
 }
 
-/// Same invariant under an adversarial fault plan: drops, re-sends,
-/// dispatch failures, and forced aborts all land in both planes equally.
-#[test]
-fn cross_plane_agreement_survives_fault_injection() {
+fn traced(policy: Policy, faults: Option<FaultPlan>, shards: usize) -> RunReport {
+    let mut c = cfg(policy, Some(registry_with_slo()));
+    c.shards = shards;
+    c.trace = Some(TraceSession::new(TraceConfig::default()));
     let sim = SimConfig {
-        faults: Some(FaultPlan::lossy(7, 100_000, 20_000)),
+        faults,
         ..SimConfig::default()
     };
-    let report = run(
-        Runtime::Simulated(sim),
-        cfg(Policy::preemptdb(), Some(registry_with_slo())),
-        Box::new(Synthetic),
+    run(Runtime::Simulated(sim), c, Box::new(Synthetic))
+}
+
+/// Supervision tuned so that a wedged worker is declared dead, and
+/// respawned, well inside a 50 ms run.
+fn short_leases(c: &mut DriverConfig) {
+    c.robustness.dead_after = 4_800_000; // 2 ms
+    c.robustness.exit_wait = 2_400_000;
+    c.robustness.max_respawns = 100;
+}
+
+/// Plain seeded run: the trace and the registry count the same events.
+#[test]
+fn registry_snapshot_matches_trace() {
+    let report = traced(Policy::preemptdb(), None, 1);
+    assert_trace_matches_registry(&report);
+    let snap = &report.metrics_snapshot;
+    // The run actually exercised the interesting series.
+    assert!(report.completed("point") > 100);
+    assert!(snap.counter(Counter::UintrDelivered) > 0);
+    assert!(snap.counter(Counter::Preemptions) > 0);
+    assert_eq!(
+        snap.counter(Counter::SchedEnterLevel),
+        snap.counter(Counter::SchedLeaveLevel),
+        "every preemptive level entered is left"
     );
-    cross_check_registry(&report).expect("planes agree under faults");
-    let snap = report.metrics_snapshot.as_ref().expect("snapshot");
+    // Cooperative yields land in the other addend of the level identity.
+    let coop = traced(
+        Policy::Cooperative {
+            yield_interval: 500,
+        },
+        None,
+        1,
+    );
+    assert_trace_matches_registry(&coop);
+    assert!(coop.workers.coop_yields > 0 && coop.workers.preemptions == 0);
+}
+
+/// Same identities under an adversarial fault plan: drops, re-sends and
+/// forced aborts land in the trace and in the registry equally.
+#[test]
+fn cross_plane_agreement_survives_fault_injection() {
+    let report = traced(
+        Policy::preemptdb(),
+        Some(FaultPlan::lossy(7, 100_000, 20_000)),
+        1,
+    );
+    assert_trace_matches_registry(&report);
+    let snap = &report.metrics_snapshot;
     assert!(snap.counter(Counter::FaultsInjected) > 0, "plan injected");
     assert!(
         snap.counter(Counter::WatchdogResends) > 0,
@@ -132,22 +236,129 @@ fn cross_plane_agreement_survives_fault_injection() {
     );
 }
 
-/// The controller reads the registry's sensor plane; whether that
-/// registry was supplied by the config or created as the scheduler's
-/// fallback must not change a single byte of the trajectory.
+/// Chaos: wedged workers are declared dead and respawned, transactions
+/// panic into the firewall — the containment counters have a witness too.
+#[test]
+fn cross_plane_agreement_survives_worker_deaths_and_panics() {
+    let mut c = cfg(Policy::preemptdb(), None);
+    c.trace = Some(TraceSession::new(TraceConfig::default()));
+    short_leases(&mut c);
+    let sim = SimConfig {
+        faults: Some(
+            FaultPlan::quiet(11)
+                .with_wedge(6, 1 << 40)
+                .with_txn_panic_ppm(20_000),
+        ),
+        ..SimConfig::default()
+    };
+    let report = run(Runtime::Simulated(sim), c, Box::new(Synthetic));
+    assert_trace_matches_registry(&report);
+    assert!(report.scheduler.workers_dead > 0, "a lease expired");
+    assert!(report.scheduler.workers_respawned > 0, "and was respawned");
+    assert!(report.workers.panics > 0, "the firewall contained panics");
+}
+
+/// Four scheduler shards count into one registry — steals, shootdowns
+/// and worker deaths included — with nothing merged by hand.
+#[test]
+fn cross_plane_agreement_holds_on_a_sharded_plane() {
+    let report = traced(
+        Policy::preemptdb(),
+        Some(FaultPlan::lossy(7, 100_000, 20_000)),
+        4,
+    );
+    assert_trace_matches_registry(&report);
+    assert_eq!(
+        report.scheduler.ticks,
+        4 * 50,
+        "every shard's ticks are summed"
+    );
+
+    /// Three lows per refill round: the first worker of a shard gets
+    /// them all, so its sibling has something to steal.
+    struct Bursty {
+        at: u64,
+        left: u32,
+    }
+    impl WorkloadFactory for Bursty {
+        fn make_low(&mut self, now: u64) -> Option<Request> {
+            if now != self.at {
+                (self.at, self.left) = (now, 3);
+            }
+            self.left = self.left.checked_sub(1)?;
+            Synthetic.make_low(now)
+        }
+        fn make_high(&mut self, now: u64) -> Option<Request> {
+            Synthetic.make_high(now)
+        }
+    }
+    let mut c = cfg(Policy::preemptdb(), None);
+    (c.n_workers, c.shards, c.batch_size) = (8, 4, 32);
+    c.queue_caps = vec![4, 4];
+    c.trace = Some(TraceSession::new(TraceConfig::default()));
+    short_leases(&mut c);
+    let sim = SimConfig {
+        faults: Some(FaultPlan::quiet(11).with_wedge(6, 1 << 40)),
+        ..SimConfig::default()
+    };
+    let report = run(
+        Runtime::Simulated(sim),
+        c,
+        Box::new(Bursty { at: 0, left: 0 }),
+    );
+    assert_trace_matches_registry(&report);
+    assert!(
+        report.workers.steals > 0,
+        "idle workers stole from siblings"
+    );
+    assert!(
+        report.scheduler.shootdowns > 0,
+        "wedged shards re-homed work"
+    );
+    assert!(report.scheduler.workers_dead > 0);
+}
+
+/// A ring too small for the run: the loss the merge reports is the loss
+/// the registry carries.
+#[test]
+fn trace_loss_is_counted_in_the_registry() {
+    let mut c = cfg(Policy::preemptdb(), None);
+    c.trace = Some(TraceSession::new(TraceConfig {
+        capacity: 256,
+        ..TraceConfig::default()
+    }));
+    let report = run(
+        Runtime::Simulated(SimConfig::default()),
+        c,
+        Box::new(Synthetic),
+    );
+    let dropped = report.trace.as_ref().expect("trace").dropped;
+    assert!(dropped > 0, "the ring wrapped");
+    assert_eq!(
+        dropped,
+        report.metrics_snapshot.counter(Counter::TraceDropped)
+    );
+}
+
+/// The controller reads the registry's sensor plane; whether the caller
+/// supplied that registry or the runner created it must not change a
+/// single byte of the trajectory — or of anything else counted.
 #[test]
 fn adaptive_trajectory_identical_across_registry_sources() {
-    let explicit = run_sim(Policy::preemptdb_adaptive(), Some(registry_with_slo()));
-    let fallback = run_sim(Policy::preemptdb_adaptive(), None);
-    let a = explicit.controller.expect("controller report");
-    let b = fallback.controller.expect("controller report");
+    let supplied = run_sim(Policy::preemptdb_adaptive(), Some(registry_with_slo()));
+    let created = run_sim(Policy::preemptdb_adaptive(), None);
+    let a = supplied.controller.as_ref().expect("controller report");
+    let b = created.controller.as_ref().expect("controller report");
     assert!(a.trajectory_text().lines().count() > 1, "multiple windows");
     assert_eq!(a.trajectory_text(), b.trajectory_text());
-    // The explicit run additionally exposes the controller series.
-    let snap = explicit.metrics_snapshot.expect("snapshot");
+    assert_eq!(
+        supplied.metrics_snapshot.counters, created.metrics_snapshot.counters,
+        "the same run was counted"
+    );
+    let snap = &created.metrics_snapshot;
     assert_eq!(
         snap.counter(Counter::ControllerEvals),
-        explicit.scheduler.controller_evals
+        a.trajectory_text().lines().count() as u64
     );
     assert_eq!(
         snap.counter(Counter::ControllerRaises)
@@ -162,13 +373,45 @@ fn adaptive_trajectory_identical_across_registry_sources() {
     );
 }
 
-/// Metrics-off runs must not even allocate a snapshot: emits behind a
-/// dead registry pointer are one relaxed load and out.
+/// Seventeen kinds on one worker overflow its shard's 16-slot kind
+/// table: the per-kind breakdown drops one kind, the totals do not.
 #[test]
-fn static_run_without_registry_carries_no_snapshot() {
-    let report = run_sim(Policy::preemptdb(), None);
-    assert!(report.metrics_snapshot.is_none());
-    assert!(report.completed("point") > 100, "run still executed");
+fn totals_stay_exact_past_the_kind_table() {
+    struct ManyKinds(usize);
+    impl WorkloadFactory for ManyKinds {
+        fn make_low(&mut self, _now: u64) -> Option<Request> {
+            None
+        }
+        fn make_high(&mut self, now: u64) -> Option<Request> {
+            const KINDS: [&str; 17] = [
+                "k00", "k01", "k02", "k03", "k04", "k05", "k06", "k07", "k08", "k09", "k10", "k11",
+                "k12", "k13", "k14", "k15", "k16",
+            ];
+            self.0 += 1;
+            Some(Request::new(KINDS[self.0 % 17], 1, now, || {
+                preemptdb::context::runtime::preempt_point(1_000);
+                WorkOutcome::default()
+            }))
+        }
+    }
+    let mut c = cfg(Policy::preemptdb(), None);
+    c.n_workers = 1;
+    c.batch_size = 4;
+    let report = run(
+        Runtime::Simulated(SimConfig::default()),
+        c,
+        Box::new(ManyKinds(0)),
+    );
+    let snap = &report.metrics_snapshot;
+    let counted = snap.counter(Counter::TxnCompletedHigh) + snap.counter(Counter::TxnCompletedLow);
+    assert!(counted >= 17 * 4, "every kind ran: {counted}");
+    assert_eq!(report.metrics.total_completed(), counted);
+    assert_eq!(report.metrics.kinds().count(), 16, "table capacity");
+    let by_kind: u64 = report.metrics.kinds().map(|(_, m)| m.completed).sum();
+    assert!(
+        by_kind < counted,
+        "the 17th kind is counted but not broken out"
+    );
 }
 
 /// Determinism of the metrics plane itself: two same-seed runs produce
@@ -177,14 +420,15 @@ fn static_run_without_registry_carries_no_snapshot() {
 fn registry_snapshots_are_deterministic() {
     let a = run_sim(Policy::preemptdb(), Some(registry_with_slo()));
     let b = run_sim(Policy::preemptdb(), Some(registry_with_slo()));
-    let (sa, sb) = (
-        a.metrics_snapshot.expect("snapshot a"),
-        b.metrics_snapshot.expect("snapshot b"),
-    );
+    let (sa, sb) = (a.metrics_snapshot, b.metrics_snapshot);
     assert_eq!(sa.counters, sb.counters, "counter plane deterministic");
     for (ka, kb) in sa.kinds.iter().zip(sb.kinds.iter()) {
         assert_eq!(ka.name, kb.name);
-        assert_eq!(ka.latency.buckets, kb.latency.buckets, "{} buckets", ka.name);
+        assert_eq!(
+            ka.latency.buckets, kb.latency.buckets,
+            "{} buckets",
+            ka.name
+        );
         assert_eq!(
             ka.sched_latency.buckets, kb.sched_latency.buckets,
             "{} sched buckets",
@@ -251,10 +495,16 @@ fn threaded_run_serves_parseable_prometheus() {
         );
     }
     assert!(
-        exp.value("preemptdb_slo_burn_rate", &[("kind", "point")]).is_some(),
+        exp.value("preemptdb_slo_burn_rate", &[("kind", "point")])
+            .is_some(),
         "burn-rate gauge missing"
     );
-    // The final snapshot still agrees with the legacy planes after the
-    // sampler and scrapes raced the workers.
-    cross_check_registry(&report).expect("threaded planes agree");
+    // The final snapshot is at or past the mid-run scrape on every
+    // counter: the sampler and the scrape raced the workers and saw
+    // values the cells really held.
+    let delivered = exp
+        .value("preemptdb_uintr_delivered_total", &[])
+        .expect("delivered series");
+    assert!(report.workers.uintr_delivered as f64 >= delivered);
+    assert!(report.scheduler.ticks > 0 && report.metrics.total_completed() > 0);
 }

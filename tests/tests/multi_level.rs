@@ -11,7 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use preemptdb::context::runtime::preempt_point;
-use preemptdb::sched::{worker_main, Policy, Request, WakeTarget, WorkOutcome, WorkerShared};
+use preemptdb::metrics::{Counter, MetricsSnapshot};
+use preemptdb::sched::{
+    worker_main, Metrics, Policy, Request, WakeTarget, WorkOutcome, WorkerShared,
+};
 use preemptdb::sim::{SimConfig, SimUipiSender, Simulation};
 
 fn nested_scenario(send_urgent: bool) -> (Vec<u64>, Arc<WorkerShared>) {
@@ -105,10 +108,10 @@ fn urgent_preempts_mid_which_preempted_low() {
         "urgent done at {urgent}, dispatched at 4.8M"
     );
     // Two passive switches: into level 1, then nested into level 2.
-    assert_eq!(shared.preemptions.load(Ordering::Relaxed), 2);
+    assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 2);
 
     // All three metrics kinds recorded.
-    let m = shared.metrics.lock();
+    let m = Metrics::from_snapshot(&MetricsSnapshot::of_shards([&*shared.metrics_shard]));
     for kind in ["low", "mid", "urgent"] {
         assert_eq!(m.kind(kind).unwrap().completed, 1, "{kind}");
     }
@@ -120,7 +123,7 @@ fn two_level_baseline_without_urgent() {
     assert!(stamps[0] > 0 && stamps[1] > 0);
     assert_eq!(stamps[2], 0);
     assert!(stamps[1] < stamps[0], "mid preempted low");
-    assert_eq!(shared.preemptions.load(Ordering::Relaxed), 1);
+    assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 1);
 }
 
 /// A lower-priority interrupt must NOT preempt a higher-priority
