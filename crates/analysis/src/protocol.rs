@@ -272,6 +272,25 @@ pub const SPEC: &[SpecRow] = &[
         why: "publishing FULL or re-opening EMPTY must happen-after the \
               move of the request into or out of the cell",
     },
+    SpecRow {
+        protocol: "shard-deque",
+        file: "deque.rs",
+        field: "hint",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "a side's guess of its next ticket is only a prefetch address, \
+              never dereferenced for data; an ordering here would suggest \
+              it publishes something",
+    },
+    SpecRow {
+        protocol: "shard-deque",
+        file: "deque.rs",
+        field: "hint",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "as for the load: the claim on `state` is what orders the \
+              hand-off, the hint only points a prefetch",
+    },
     // ── MVCC version chains: latch-free readers (DESIGN.md §2.2) ─────
     SpecRow {
         protocol: "version-chain",
@@ -918,6 +937,16 @@ mod tests {
         );
         assert_eq!(f.len(), 1, "{f:#?}");
         assert!(f[0].msg.contains("index-olc"), "{}", f[0].msg);
+    }
+
+    #[test]
+    fn a_deque_hint_publishes_nothing() {
+        let f = run(
+            "crates/sched/src/deque.rs",
+            "fn guess(d: &D) -> u32 { d.pop_hint.hint.load(Ordering::Acquire) }\n",
+        );
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert!(f[0].msg.contains("`hint.load`") && f[0].msg.contains("shard-deque"), "{}", f[0].msg);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! One experiment per evaluation artifact (paper §6). See DESIGN.md §4
 //! for the per-experiment index and expected shapes.
 
-use preemptdb::sched::{run, DriverConfig, Policy, Runtime};
+use preemptdb::context::runtime::preempt_point;
+use preemptdb::sched::{run, DriverConfig, Policy, Runtime, UINTR_POLL_COST};
 use preemptdb::uintr::{cycles, latency};
 use preemptdb::workloads::{kinds, MixedWorkload, TpccWorkload};
-use preemptdb::SimConfig;
+use preemptdb::{Database, DatabaseConfig, Priority, SimConfig};
 
 use crate::table::{tps, us, Table};
 use crate::{competing_policies, load_mixed, run_mixed, Scenario};
@@ -43,28 +44,50 @@ pub fn fig01(sc: &Scenario) -> Table {
 
 /// §6.1 measurement: user-interrupt delivery latency between two POSIX
 /// threads ("consistently lower than 1 µs" on UINTR hardware), compared
-/// with the kernel-mediated signal path. Runs on real threads.
+/// with the kernel-mediated signal path; then what the receiver pays for
+/// it at every preemption point — on a pool worker (the preemptive
+/// policy's hook, nothing pending), with no hook installed, and as the
+/// simulator models it (`UINTR_POLL_COST` cycles at the nominal clock).
+/// Runs on real threads.
 pub fn uintr_latency(samples: usize) -> Table {
     let mut t = Table::new(
         "§6.1: delivery latency, user-level vs kernel-mediated (real threads)",
         &["mechanism", "median", "p90", "p99"],
     );
     let to_us = |c: u64| format!("{:.2}us", cycles::cycles_to_ns(c) as f64 / 1000.0);
+    let mut row = |name: &str, mut s: Vec<u64>, fmt: &dyn Fn(u64) -> String| {
+        t.row(vec![
+            name.into(),
+            fmt(latency::median(&mut s)),
+            fmt(latency::percentile(&mut s, 90.0)),
+            fmt(latency::percentile(&mut s, 99.0)),
+        ]);
+    };
+    row("uintr (emulated, flag+poll)", latency::uintr_latency_samples(samples), &to_us);
+    row("signal (pthread_kill)", latency::signal_latency_samples(samples), &to_us);
 
-    let mut u = latency::uintr_latency_samples(samples);
-    t.row(vec![
-        "uintr (emulated, flag+poll)".into(),
-        to_us(latency::median(&mut u)),
-        to_us(latency::percentile(&mut u, 90.0)),
-        to_us(latency::percentile(&mut u, 99.0)),
-    ]);
-    let mut s = latency::signal_latency_samples(samples);
-    t.row(vec![
-        "signal (pthread_kill)".into(),
-        to_us(latency::median(&mut s)),
-        to_us(latency::percentile(&mut s, 90.0)),
-        to_us(latency::percentile(&mut s, 99.0)),
-    ]);
+    // One sample per round of `POINTS` points, in picoseconds per point.
+    const POINTS: u64 = 100_000;
+    let rounds = samples / 10;
+    let per_point = move || -> Vec<u64> {
+        (0..rounds)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                for _ in 0..POINTS {
+                    preempt_point(std::hint::black_box(1));
+                }
+                (t0.elapsed().as_nanos() * 1000 / u128::from(POINTS)) as u64
+            })
+            .collect()
+    };
+    let to_ns = |ps: u64| format!("{:.2}ns", ps as f64 / 1000.0);
+    let db = Database::open(DatabaseConfig::default().workers(1));
+    let on_worker = db.call("point_cost", Priority::Low, per_point);
+    db.shutdown();
+    row("preempt_point, pool worker", on_worker, &to_ns);
+    row("preempt_point, no hook", per_point(), &to_ns);
+    let model_ps = UINTR_POLL_COST * 1_000_000_000_000 / SimConfig::default().freq_hz;
+    row("preempt_point, model (UINTR_POLL_COST)", vec![model_ps], &to_ns);
     t
 }
 

@@ -261,10 +261,15 @@ impl Database {
         let level = priority.level() as usize;
         let n = self.workers.len();
         // Round-robin. The worker is picked before the request is built
-        // so that its queue word — last written by the worker's pop — is
-        // already on its way here while the closure is boxed.
+        // so that the lines the push and the send write — the queue word
+        // and tail cell, last written by the worker's pop, and the pending
+        // word, last cleared by its handler — are already on their way
+        // here while the closure is boxed.
         let mut i = self.rr.fetch_add(1, Ordering::Relaxed) % n;
         self.workers[i].queues[level].prefetch_push();
+        if priority == Priority::High {
+            self.routes[i].high.prefetch();
+        }
         // Request work is FnMut (re-executable under a retry budget);
         // `submit` takes one-shot closures, and never sets a retry budget,
         // so re-execution cannot happen — the None arm is a typed

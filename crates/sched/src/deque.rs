@@ -70,12 +70,18 @@
 //! [`prefetch_push`](StealDeque::prefetch_push) before the submitter
 //! builds its request, [`prefetch_pop`](StealDeque::prefetch_pop) from
 //! the user-interrupt handler, a context switch ahead of the `pop`.
+//! Neither waits on `state` to find its cell: each side keeps a *hint*
+//! of the ticket its next operation will claim, on a line only that
+//! side writes. A hint goes stale (a steal rolls the tail back, a
+//! foreign pop moves the head) and is then a wasted prefetch; it is
+//! never used to find data.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use preempt_context::nonpreempt::NonPreemptGuard;
+use preempt_uintr::prefetch_for_write;
 
 use crate::request::Request;
 
@@ -88,8 +94,6 @@ const EMPTY: u64 = 0;
 const STORING: u64 = 1;
 const FULL: u64 = 2;
 const TAKING: u64 = 3;
-
-const LINE: usize = 64;
 
 #[inline]
 fn pack(head: u32, len: u16) -> u64 {
@@ -109,22 +113,6 @@ fn stamp(ticket: u32, phase: u64) -> u64 {
     (u64::from(ticket) << 2) | phase
 }
 
-/// Asks for the cache line holding `p` in exclusive state without
-/// waiting for it (`prefetchw`); a hint, sound for any address. Inline
-/// asm because `_mm_prefetch::<_MM_HINT_ET0>` lowers to a read prefetch
-/// unless the build enables `prfchw`; other architectures get nothing.
-#[inline(always)]
-fn prefetch_for_write<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `prefetchw` reads no register but the address, writes no
-    // register or flag, touches no stack and never faults.
-    unsafe {
-        std::arch::asm!("prefetchw [{}]", in(reg) p, options(nostack, preserves_flags, readonly));
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// One ring position: the stamp and, under it, the request itself.
 #[repr(C, align(64))]
 struct Cell {
@@ -140,6 +128,13 @@ struct StateLine {
     state: AtomicU64,
 }
 
+/// The ticket one side's next operation will probably claim, alone on
+/// its line (see the module docs): a prefetch address, nothing more.
+#[repr(align(64))]
+struct HintLine {
+    hint: AtomicU32,
+}
+
 /// Bounded lock-free stealing deque of [`Request`]s.
 ///
 /// `push` appends at the tail, `pop` takes the oldest element (FIFO —
@@ -151,6 +146,10 @@ struct StateLine {
 pub struct StealDeque {
     /// Packed `head | len` word; see the module docs.
     hot: StateLine,
+    /// The tail after the last push; written by pushers only.
+    push_hint: HintLine,
+    /// The head after the last pop; written by the popping owner only.
+    pop_hint: HintLine,
     /// The ring; see [`Cell`].
     cells: Box<[Cell]>,
     /// Tickets wrap at this multiple of the capacity (see module docs);
@@ -192,6 +191,12 @@ impl StealDeque {
             hot: StateLine {
                 state: AtomicU64::new(0),
             },
+            push_hint: HintLine {
+                hint: AtomicU32::new(0),
+            },
+            pop_hint: HintLine {
+                hint: AtomicU32::new(0),
+            },
             // Cell `j`'s first push claims ticket `j`.
             cells: (0..capacity)
                 .map(|j| Cell {
@@ -220,23 +225,26 @@ impl StealDeque {
         self.len() == self.capacity()
     }
 
-    /// Starts fetching what the next [`push`](Self::push) writes first.
+    /// Starts fetching what the next [`push`](Self::push) writes: the
+    /// `state` line and the tail cell the pushers' hint names.
     #[inline]
     pub fn prefetch_push(&self) {
         prefetch_for_write(&self.hot);
+        prefetch_for_write(self.cell(self.push_hint.hint.load(Ordering::Relaxed)));
     }
 
-    /// Starts fetching what the next [`pop`](Self::pop) touches: the
-    /// `state` line, then the head cell. The load in between waits for
-    /// the first, but nothing after this call depends on it.
+    /// Starts fetching what the next [`pop`](Self::pop) writes: the
+    /// `state` line and the head cell the owner's hint names.
     #[inline]
     pub fn prefetch_pop(&self) {
         prefetch_for_write(&self.hot);
-        let (head, _) = unpack(self.hot.state.load(Ordering::Acquire));
-        let cell: *const Cell = &self.cells[head as usize % self.capacity()];
-        for line in 0..std::mem::size_of::<Cell>() / LINE {
-            prefetch_for_write(cell.cast::<u8>().wrapping_add(line * LINE));
-        }
+        prefetch_for_write(self.cell(self.pop_hint.hint.load(Ordering::Relaxed)));
+    }
+
+    /// The cell `ticket` maps to.
+    #[inline]
+    fn cell(&self, ticket: u32) -> &Cell {
+        &self.cells[ticket as usize % self.capacity()]
     }
 
     /// Ticket arithmetic modulo the wrap point.
@@ -275,7 +283,7 @@ impl StealDeque {
     /// time), or its push may have claimed but not yet deposited.
     #[inline]
     fn win(&self, ticket: u32, from: u64, to: u64) -> &Cell {
-        let cell = &self.cells[ticket as usize % self.capacity()];
+        let cell = self.cell(ticket);
         let (from, to) = (stamp(ticket, from), stamp(ticket, to));
         loop {
             if cell.seq.load(Ordering::Acquire) == from
@@ -305,6 +313,9 @@ impl StealDeque {
         }) else {
             return Err(req);
         };
+        self.push_hint
+            .hint
+            .store(self.advance(ticket, 1), Ordering::Relaxed);
         let cell = self.win(ticket, EMPTY, STORING);
         // SAFETY: winning `STORING(ticket)` makes this thread the only
         // one touching `val` until the store below; the cell was left
@@ -327,6 +338,9 @@ impl StealDeque {
         // uninitialised again — the value is moved out exactly once.
         let req = unsafe { (*cell.val.get()).assume_init_read() };
         cell.seq.store(stamp(next_empty, EMPTY), Ordering::Release);
+        // The closure's captures, written by the submitter, are the next
+        // miss the taker waits for.
+        prefetch_for_write(&*req.work);
         req
     }
 
@@ -339,6 +353,9 @@ impl StealDeque {
             }
             Some((self.advance(head, 1), len - 1, head))
         })?;
+        self.pop_hint
+            .hint
+            .store(self.advance(ticket, 1), Ordering::Relaxed);
         Some(self.take(ticket, self.advance(ticket, self.capacity())))
     }
 
@@ -371,6 +388,8 @@ mod tests {
     use std::collections::VecDeque;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+
+    const LINE: usize = 64;
 
     fn req(tag: u64) -> Request {
         Request::new("t", 0, tag, WorkOutcome::default)
@@ -456,6 +475,34 @@ mod tests {
             // the FIFO expectation stays dense.
             next = newest;
         }
+    }
+
+    /// Each side's hint names the ticket its next operation claims, across
+    /// the ticket wrap; a steal leaves the pushers' hint one past the tail
+    /// (a wasted prefetch), and their next push puts it right again.
+    #[test]
+    fn hints_name_the_next_tickets() {
+        let d = StealDeque::with_ticket_limit(3, 6);
+        let tickets = |d: &StealDeque| {
+            let (head, len) = unpack(d.hot.state.load(Ordering::Relaxed));
+            (d.advance(head, len as usize), head)
+        };
+        let hints = |d: &StealDeque| {
+            let load = |h: &HintLine| h.hint.load(Ordering::Relaxed);
+            (load(&d.push_hint), load(&d.pop_hint))
+        };
+        for i in 0..20 {
+            d.push(req(i)).unwrap();
+            d.push(req(i)).unwrap();
+            d.pop().unwrap();
+            assert_eq!(hints(&d), tickets(&d), "lap {i}");
+            d.pop().unwrap();
+        }
+        d.push(req(0)).unwrap();
+        d.steal().unwrap();
+        assert_ne!(hints(&d).0, tickets(&d).0, "stale after a steal");
+        d.push(req(1)).unwrap();
+        assert_eq!(hints(&d), tickets(&d));
     }
 
     /// A request whose header fields check each other and whose closure
@@ -575,16 +622,23 @@ mod tests {
         assert!(all_once(&ledger.drops), "dropped exactly once");
     }
 
-    /// The line rule of the module docs: the packed word has a line to
-    /// itself, and cells start on line boundaries and fill whole lines,
-    /// so a hand-off moves the `state` line and one cell, nothing else.
+    /// The line rule of the module docs: the packed word and each side's
+    /// hint have a line to themselves, and cells start on line boundaries
+    /// and fill whole lines, so a hand-off moves the `state` line and one
+    /// cell, nothing else.
     #[test]
     fn state_and_cells_share_no_cache_line() {
         use std::mem::{align_of, offset_of, size_of};
         assert_eq!(offset_of!(StealDeque, hot), 0);
         assert_eq!(size_of::<StateLine>(), LINE);
         assert_eq!(align_of::<StateLine>(), LINE);
-        assert!(offset_of!(StealDeque, cells) >= LINE);
+        assert_eq!(
+            (size_of::<HintLine>(), align_of::<HintLine>()),
+            (LINE, LINE)
+        );
+        assert_eq!(offset_of!(StealDeque, push_hint), LINE);
+        assert_eq!(offset_of!(StealDeque, pop_hint), 2 * LINE);
+        assert!(offset_of!(StealDeque, cells) >= 3 * LINE);
         assert_eq!(align_of::<Cell>(), LINE);
         assert_eq!(size_of::<Cell>() % LINE, 0);
         // An `Arc`'s counts in front of the deque are off the line too.
@@ -600,8 +654,11 @@ mod tests {
         }
     }
 
-    /// Concurrent owner + thief + producer: every pushed tag is consumed
-    /// exactly once, across pops and steals combined.
+    /// Concurrent owner + thief + two producers, each side prefetching
+    /// through its hint before every operation while the others' steals,
+    /// pops and pushes keep making those hints stale: every pushed tag is
+    /// consumed exactly once, across pops and steals combined, and the
+    /// owner pops each producer's requests in the order they were pushed.
     #[test]
     fn concurrent_push_pop_steal_loses_nothing() {
         const N: u64 = 2_000;
@@ -610,29 +667,34 @@ mod tests {
         let stolen = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
         let done = Arc::new(AtomicUsize::new(0));
 
-        let producer = {
-            let d = d.clone();
-            let done = done.clone();
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while i < N {
-                    if d.push(req(i)).is_ok() {
-                        i += 1;
-                    } else {
-                        std::thread::yield_now();
+        let producers: Vec<_> = (0..2u64)
+            .map(|p| {
+                let d = d.clone();
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let mut i = 0u64;
+                    while i < N {
+                        d.prefetch_push();
+                        if d.push(req(p * N + i)).is_ok() {
+                            i += 1;
+                        } else {
+                            std::thread::yield_now();
+                        }
                     }
-                }
-                done.store(1, Ordering::Release);
+                    done.fetch_add(1, Ordering::AcqRel);
+                })
             })
-        };
+            .collect();
+        let finished = move |d: &StealDeque| done.load(Ordering::Acquire) == 2 && d.is_empty();
         let owner = {
             let d = d.clone();
             let popped = popped.clone();
-            let done = done.clone();
+            let finished = finished.clone();
             std::thread::spawn(move || loop {
+                d.prefetch_pop();
                 match d.pop() {
                     Some(r) => popped.lock().push(tag(&r)),
-                    None if done.load(Ordering::Acquire) == 1 && d.is_empty() => break,
+                    None if finished(&d) => break,
                     None => std::thread::yield_now(),
                 }
             })
@@ -640,27 +702,34 @@ mod tests {
         let thief = {
             let d = d.clone();
             let stolen = stolen.clone();
-            let done = done.clone();
             std::thread::spawn(move || loop {
                 match d.steal() {
                     Some(r) => stolen.lock().push(tag(&r)),
-                    None if done.load(Ordering::Acquire) == 1 && d.is_empty() => break,
+                    None if finished(&d) => break,
                     None => std::thread::yield_now(),
                 }
             })
         };
-        producer.join().unwrap();
+        for p in producers {
+            p.join().unwrap();
+        }
         owner.join().unwrap();
         thief.join().unwrap();
 
         let mut all: Vec<u64> = popped.lock().clone();
         all.extend(stolen.lock().iter().copied());
         all.sort_unstable();
-        let want: Vec<u64> = (0..N).collect();
+        let want: Vec<u64> = (0..2 * N).collect();
         assert_eq!(all, want, "every request consumed exactly once");
-        // The owner's view alone is still in FIFO order.
+        // The owner's view alone is still in FIFO order, per producer.
         let p = popped.lock();
-        assert!(p.windows(2).all(|w| w[0] < w[1]), "pops preserve FIFO order");
+        for producer in 0..2 {
+            let mine: Vec<u64> = p.iter().copied().filter(|t| t / N == producer).collect();
+            assert!(
+                mine.windows(2).all(|w| w[0] < w[1]),
+                "pops preserve FIFO order"
+            );
+        }
     }
 
     /// Two producers racing into a capacity-1 ring with a stealer in
@@ -723,9 +792,14 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// 0 = push, 1 = pop, 2 = steal.
+    /// 0 = push, 1 = pop, 2 = steal, 3 = prefetch either side (a hint
+    /// that steals and pops have made stale changes nothing).
     fn apply(d: &StealDeque, model: &mut VecDeque<u64>, op: u8, next: &mut u64) -> Option<String> {
-        match op % 3 {
+        match op % 4 {
+            3 => {
+                d.prefetch_push();
+                d.prefetch_pop();
+            }
             0 => {
                 let r = d.push(req(*next));
                 if model.len() < d.capacity() {
@@ -760,15 +834,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Sequential linearizability against a `VecDeque` model: any
-        /// interleaving of push/pop/steal matches push_back / pop_front
-        /// / pop_back exactly — no lost, duplicated, or reordered
-        /// requests, and FIFO (priority) order is preserved for pops.
-        /// A shrunk ticket limit keeps the wrap in play.
+        /// interleaving of push/pop/steal (and prefetches through hints
+        /// the steals leave stale) matches push_back / pop_front /
+        /// pop_back exactly — no lost, duplicated, or reordered requests,
+        /// and FIFO (priority) order is preserved for pops. A shrunk
+        /// ticket limit keeps the wrap in play.
         #[test]
         fn matches_vecdeque_model(
             cap in 1usize..9,
             laps in 1u64..4,
-            ops in prop::collection::vec(0u8..3, 1..200),
+            ops in prop::collection::vec(0u8..4, 1..200),
         ) {
             let d = StealDeque::with_ticket_limit(cap, cap as u64 * laps);
             let mut model = VecDeque::new();
@@ -815,6 +890,7 @@ mod tests {
                 prods.push(std::thread::spawn(move || {
                     let mut i = 0u64;
                     while i < n {
+                        d.prefetch_push();
                         if d.push(req(p * n + i)).is_ok() {
                             i += 1;
                         } else {
@@ -830,7 +906,12 @@ mod tests {
                 let produced = produced.clone();
                 let consumed = consumed.clone();
                 consumers.push(std::thread::spawn(move || loop {
-                    let got = if steals { d.steal() } else { d.pop() };
+                    let got = if steals {
+                        d.steal()
+                    } else {
+                        d.prefetch_pop();
+                        d.pop()
+                    };
                     match got {
                         Some(r) => consumed.lock().push(tag(&r)),
                         None if produced.load(Ordering::Acquire) == producers

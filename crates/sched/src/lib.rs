@@ -45,4 +45,6 @@ pub use scheduler::{
     WorkloadFactory,
 };
 pub use starvation::StarvationState;
-pub use worker::{worker_main, yield_hint, WakeTarget, WorkerShared};
+pub use worker::{
+    worker_main, yield_hint, WakeTarget, WorkerShared, DEGRADED_YIELD_INTERVAL, UINTR_POLL_COST,
+};

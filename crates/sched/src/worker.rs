@@ -17,10 +17,11 @@
 //! transaction" rule.
 //!
 //! The worker integrates with whichever runtime hosts it through the
-//! preemption-point hook chain: its `WorkerHook` first delegates to the
-//! outer hook (the virtual-time simulator, if any), then polls the
-//! worker's user-interrupt receiver and performs cooperative yield
-//! accounting.
+//! preemption-point hook: the simulator's per-core hook (which accounts
+//! virtual time first), or on a real thread the `WorkerHook`; either
+//! polls the worker's user-interrupt receiver and performs cooperative
+//! yield accounting. A preemptive worker on a real thread takes a
+//! one-load fast path instead (`WorkerCtx::on_thread_point`).
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -48,12 +49,14 @@ const SWITCH_COST: u64 = 800;
 /// Virtual cost of one cooperative yield check (queue-length peek).
 const COOP_CHECK_COST: u64 = 40;
 /// Virtual cost of the per-operation user-interrupt poll (one relaxed
-/// load + branch) — the distributed overhead Figure 8 quantifies.
-const UINTR_POLL_COST: u64 = 3;
+/// load + branch) — the distributed overhead Figure 8 quantifies, and
+/// what each poll books to `handler` on either runtime. `run_all
+/// uintr_latency` prints it beside a pool worker's measured poll.
+pub const UINTR_POLL_COST: u64 = 3;
 /// Yield-check cadence while the scheduler has degraded this worker from
 /// preemptive to cooperative notification (delivery failures): frequent
 /// enough to bound high-priority latency, rare enough to stay cheap.
-const DEGRADED_YIELD_INTERVAL: u64 = 64;
+pub const DEGRADED_YIELD_INTERVAL: u64 = 64;
 /// Base of the exponential backoff between worker-level re-executions of
 /// an uncommitted request, in cycles (≈ 1 µs at the nominal 2.4 GHz).
 const RETRY_BACKOFF_BASE: u64 = 2_400;
@@ -329,6 +332,10 @@ struct WorkerCtx {
     hints_since_check: Cell<u64>,
     /// Worker-local transaction sequence number for trace records.
     txn_seq: Cell<u64>,
+    /// `handler` cycles (polls, handler decisions) the running context
+    /// owes its accumulator: a plain cell, so neither touches
+    /// context-local storage. See `flush_handler_owed`.
+    handler_owed: Cell<u64>,
 }
 
 /// The worker whose transaction is executing on the current *context*
@@ -376,6 +383,8 @@ impl WorkerCtx {
     fn enter_level(&self, level: u8) {
         let from = self.current_level.get();
         debug_assert!(level > from);
+        // This context's debt waits out the switch, off the hand-off's path.
+        let owed = self.handler_owed.replace(0);
         self.push_return(from);
         self.current_level.set(level);
         preempt_trace::emit(preempt_trace::TraceEvent::StackSwitch { from, to: level });
@@ -389,6 +398,7 @@ impl WorkerCtx {
         // (or the worker's main context), alive for the worker's run.
         switch_to(unsafe { &*self.level_tcbs[level as usize].get() });
         // Resumed: the drain loop restored current_level on its way back.
+        self.handler_owed.set(self.handler_owed.get() + owed);
         preempt_prov::charge(
             preempt_prov::Phase::Preempted,
             now_cycles().saturating_sub(away_start),
@@ -397,6 +407,7 @@ impl WorkerCtx {
 
     /// Switches from a drain loop back to the preempted context.
     fn leave_level(&self) {
+        self.flush_handler_owed();
         let from = self.current_level.get();
         let back = self.pop_return();
         self.current_level.set(back);
@@ -414,14 +425,13 @@ impl WorkerCtx {
     fn on_uintr(&self, vector: u8) {
         // Provenance: the decision overhead lands on the interrupted
         // transaction as handler time (zero under the simulator, which
-        // charges no virtual cycles here; real on threads). The switch
-        // and the preempted-away window are charged by `enter_level`.
+        // charges no virtual cycles here; real on threads), owed like a
+        // poll's. The switch and the preempted-away window are charged by
+        // `enter_level`.
         let handler_start = now_cycles();
         let take = self.uintr_decide(vector);
-        preempt_prov::charge(
-            preempt_prov::Phase::Handler,
-            now_cycles().saturating_sub(handler_start),
-        );
+        let spent = now_cycles().saturating_sub(handler_start);
+        self.handler_owed.set(self.handler_owed.get() + spent);
         if let Some(level) = take {
             self.shared.metrics_shard.bump(Counter::Preemptions);
             self.enter_level(level);
@@ -463,25 +473,10 @@ impl WorkerCtx {
 
     // ---- cooperative yielding ----
 
-    /// Called at every preemption point (through the hook).
+    /// Called at every preemption point through the simulator's core hook,
+    /// and on real threads under the policies that send no interrupts.
     fn on_point(&self) {
-        // Supervisor termination: unwind the live transaction into the
-        // panic firewall (`run_request` catches the token and releases
-        // everything on the way). Never raised mid-unwind — a panic
-        // during a panic aborts the process — and never inside a
-        // non-preemptible region: `Transaction::commit` runs preemption
-        // points *after* stamping versions under its §4.4 guard, and an
-        // unwind there would tear down a transaction that is already
-        // durably committed (a lost commit). The token obeys the same
-        // discipline as preemption itself and fires at the next
-        // preemptible point instead.
-        if self.shared.is_terminated()
-            && self.current_txn_priority.get().is_some()
-            && !std::thread::panicking()
-            && !tcb::with_current(|t| t.is_nonpreemptible())
-        {
-            std::panic::panic_any(TerminateToken);
-        }
+        self.terminate_if_ordered();
 
         // Fault injection: a stalled worker (page fault, scheduling blip,
         // SMI) modeled as extra cycles at a preemption point.
@@ -500,29 +495,7 @@ impl WorkerCtx {
         if self.policy.sends_uintr() {
             charge(UINTR_POLL_COST);
             preempt_prov::charge(preempt_prov::Phase::Handler, UINTR_POLL_COST);
-            self.receiver.poll();
-
-            // Degraded mode: interrupt delivery to this worker is failing,
-            // so fall back to cooperative yield checks (the scheduler has
-            // stopped sending uintrs and is using plain wakes). Same
-            // guard as Cooperative: only level-0 low-priority work yields.
-            // Acquire pairs with the scheduler's Release store when it
-            // flips degraded mode, so the worker also observes the queue
-            // state that justified the transition.
-            if self.shared.degraded.load(Ordering::Acquire)
-                && self.current_level.get() == 0
-                && self.current_txn_priority.get() == Some(0)
-            {
-                let n = self.ops_since_check.get() + 1;
-                if n >= DEGRADED_YIELD_INTERVAL {
-                    self.ops_since_check.set(0);
-                    charge(COOP_CHECK_COST);
-                    preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
-                    self.maybe_coop_switch();
-                } else {
-                    self.ops_since_check.set(n);
-                }
-            }
+            self.deliver_uintr();
         }
 
         if let Policy::Cooperative { yield_interval } = self.policy {
@@ -539,6 +512,91 @@ impl WorkerCtx {
                 } else {
                     self.ops_since_check.set(n);
                 }
+            }
+        }
+    }
+
+    /// [`on_point`](Self::on_point) on a real thread under a preemptive
+    /// policy, where the simulator, fault plans and cooperative yields are
+    /// absent: unless something is pending or flagged, one look at the
+    /// pending word and the two flags, with the poll's charge owed.
+    #[inline]
+    fn on_thread_point(&self) {
+        debug_assert!(
+            !preempt_faults::enabled() && !preempt_sim::api::active(),
+            "fault plans and virtual time exist only under the simulator"
+        );
+        self.handler_owed.set(self.handler_owed.get() + UINTR_POLL_COST);
+        let sh = &*self.shared;
+        if self.receiver.has_pending()
+            || sh.terminated.load(Ordering::Acquire)
+            || sh.degraded.load(Ordering::Acquire)
+        {
+            self.on_rare_point();
+        }
+    }
+
+    /// The rest of [`on_point`](Self::on_point) that can apply on a real
+    /// thread; out of line, so the fast path saves no registers.
+    #[cold]
+    #[inline(never)]
+    fn on_rare_point(&self) {
+        self.terminate_if_ordered();
+        self.deliver_uintr();
+    }
+
+    /// Books what the running context owes onto its accumulator: before
+    /// `preempt_prov::take` and when a drain loop hands the worker back.
+    fn flush_handler_owed(&self) {
+        let owed = self.handler_owed.replace(0);
+        if owed != 0 {
+            preempt_prov::charge(preempt_prov::Phase::Handler, owed);
+        }
+    }
+
+    /// Supervisor termination: unwind the live transaction into the
+    /// panic firewall (`run_request` catches the token and releases
+    /// everything on the way). Never raised mid-unwind — a panic during a
+    /// panic aborts the process — and never inside a non-preemptible
+    /// region: `Transaction::commit` runs preemption points *after*
+    /// stamping versions under its §4.4 guard, and an unwind there would
+    /// tear down a transaction that is already durably committed (a lost
+    /// commit). The token obeys the same discipline as preemption itself
+    /// and fires at the next preemptible point instead.
+    fn terminate_if_ordered(&self) {
+        if self.shared.is_terminated()
+            && self.current_txn_priority.get().is_some()
+            && !std::thread::panicking()
+            && !tcb::with_current(|t| t.is_nonpreemptible())
+        {
+            std::panic::panic_any(TerminateToken);
+        }
+    }
+
+    /// Polls the receiver (which may run the handler and switch away),
+    /// then makes the degraded-mode yield check.
+    fn deliver_uintr(&self) {
+        self.receiver.poll();
+
+        // Degraded mode: interrupt delivery to this worker is failing,
+        // so fall back to cooperative yield checks (the scheduler has
+        // stopped sending uintrs and is using plain wakes). Same guard
+        // as Cooperative: only level-0 low-priority work yields. Acquire
+        // pairs with the scheduler's Release store when it flips
+        // degraded mode, so the worker also observes the queue state that
+        // justified the transition.
+        if self.shared.degraded.load(Ordering::Acquire)
+            && self.current_level.get() == 0
+            && self.current_txn_priority.get() == Some(0)
+        {
+            let n = self.ops_since_check.get() + 1;
+            if n >= DEGRADED_YIELD_INTERVAL {
+                self.ops_since_check.set(0);
+                charge(COOP_CHECK_COST);
+                preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
+                self.maybe_coop_switch();
+            } else {
+                self.ops_since_check.set(n);
             }
         }
     }
@@ -635,9 +693,10 @@ impl WorkerCtx {
         let txn = self.txn_seq.get();
         self.txn_seq.set(txn.wrapping_add(1));
         // Provenance window opens: drop any stale between-transaction
-        // charges (idle-path polls) so the accumulator holds exactly this
-        // transaction's phases.
+        // charges (idle-path polls, owed or booked) so the accumulator
+        // holds exactly this transaction's phases.
         preempt_prov::reset();
+        self.handler_owed.set(0);
         // Wire-assigned id, or synthesized (worker+1 in the high bits so
         // id 0 stays "unassigned") — simulator workloads attribute too.
         let req_id = if req.req_id != 0 {
@@ -732,6 +791,7 @@ impl WorkerCtx {
             } else {
                 created.saturating_sub(ingress)
             };
+            self.flush_handler_owed();
             preempt_prov::phase_vector(admission, sched_latency, window, &preempt_prov::take())
         });
         match &end {
@@ -921,23 +981,43 @@ fn idle_wait(shared: &WorkerShared) {
     }
 }
 
-/// The worker's preemption-point hook: chains to the hosting runtime's
-/// hook (virtual time), then runs delivery/yield logic.
+/// The worker's preemption-point hook on a real thread: chains to any
+/// hook installed around the worker, then runs delivery/yield logic.
 struct WorkerHook {
     wc: usize,
     parent: Option<NonNull<dyn PreemptHook>>,
 }
 
-impl PreemptHook for WorkerHook {
-    fn preempt_point(&self, cost_cycles: u64) {
-        if let Some(p) = self.parent {
-            // SAFETY: the parent hook outlives the worker's scope (it was
-            // installed by the runtime that spawned this worker).
-            unsafe { p.as_ref().preempt_point(cost_cycles) };
-        }
+impl WorkerHook {
+    #[inline]
+    fn worker_point(&self) {
         // SAFETY: `wc` outlives the hook's installation (both are scoped
         // to worker_main's frame).
-        unsafe { (*(self.wc as *const WorkerCtx)).on_point() };
+        let wc = unsafe { &*(self.wc as *const WorkerCtx) };
+        if wc.policy.sends_uintr() {
+            wc.on_thread_point();
+        } else {
+            wc.on_point();
+        }
+    }
+
+    /// Out of line, so that the common, unchained hook saves no registers.
+    #[cold]
+    #[inline(never)]
+    fn chained_point(&self, parent: NonNull<dyn PreemptHook>, cost_cycles: u64) {
+        // SAFETY: the parent hook outlives the worker's scope (it was
+        // installed by the runtime that spawned this worker).
+        unsafe { parent.as_ref().preempt_point(cost_cycles) };
+        self.worker_point();
+    }
+}
+
+impl PreemptHook for WorkerHook {
+    fn preempt_point(&self, cost_cycles: u64) {
+        match self.parent {
+            Some(parent) => self.chained_point(parent, cost_cycles),
+            None => self.worker_point(),
+        }
     }
 }
 
@@ -986,6 +1066,7 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         ops_since_check: Cell::new(0),
         hints_since_check: Cell::new(0),
         txn_seq: Cell::new(0),
+        handler_owed: Cell::new(0),
     });
     let wc_ptr = &*wc as *const WorkerCtx as usize;
     // The runner registers a ring before starting the worker (or never);

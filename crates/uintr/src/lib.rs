@@ -48,3 +48,26 @@ pub mod upid;
 pub use receiver::{clui, stui, testui, DeliveryStats, MaskGuard, UintrReceiver};
 pub use signal::{DeliveryError, SignalKicker};
 pub use upid::{Uitt, UipiSender, Upid, NUM_VECTORS};
+
+/// Asks for every cache line of `value` in exclusive state without
+/// waiting for them (`prefetchw`); a hint, sound for any address — the
+/// lines are named, never read. Inline asm because
+/// `_mm_prefetch::<_MM_HINT_ET0>` lowers to a read prefetch unless the
+/// build enables `prfchw`; other architectures get nothing.
+#[inline(always)]
+pub fn prefetch_for_write<T: ?Sized>(value: &T) {
+    const LINE: usize = 64;
+    let first = std::ptr::from_ref(value).cast::<u8>();
+    let skew = first as usize % LINE;
+    let mut off = 0;
+    while off < skew + std::mem::size_of_val(value) {
+        let _line = first.wrapping_add(off).wrapping_sub(skew);
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `prefetchw` reads no register but the address, writes no
+        // register or flag, touches no stack and never faults.
+        unsafe {
+            std::arch::asm!("prefetchw [{}]", in(reg) _line, options(nostack, preserves_flags, readonly));
+        }
+        off += LINE;
+    }
+}

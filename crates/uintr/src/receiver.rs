@@ -141,10 +141,17 @@ impl UintrReceiver {
     /// 3. the current context has masked delivery (`clui`).
     #[inline]
     pub fn poll(&self) -> u32 {
-        if !self.upid.has_pending() {
+        if !self.has_pending() {
             return 0;
         }
         self.deliver_pending()
+    }
+
+    /// Whether any vector is pending: the one load [`poll`](Self::poll)
+    /// makes when there is nothing to deliver.
+    #[inline]
+    pub fn has_pending(&self) -> bool {
+        self.upid.has_pending()
     }
 
     /// Slow path of [`poll`], kept out of line so the fast path inlines

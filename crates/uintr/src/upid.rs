@@ -192,6 +192,14 @@ impl UipiSender {
         }
     }
 
+    /// Starts fetching the line [`send`](Self::send) writes — the target's
+    /// pending word with its stamp and count — without waiting for it, so
+    /// a caller can overlap the miss with the work it does before sending.
+    #[inline]
+    pub fn prefetch(&self) {
+        crate::prefetch_for_write(&self.upid.post);
+    }
+
     /// The target descriptor (for tests and stats).
     pub fn upid(&self) -> &Arc<Upid> {
         &self.upid
