@@ -50,7 +50,8 @@ pub const SCHED_SUITE: &str = "crates/uintr/tests/loom.rs";
 /// The storage-side suite (version chains, reclamation, directory).
 pub const MVCC_SUITE: &str = "crates/mvcc/src/loom_tests.rs";
 
-/// The nine protocols (DESIGN.md §2.2–§2.3, §12–§13). Governed fields are closed per
+/// The nine protocols (DESIGN.md §2.2–§2.3, §12–§13) and the scheduler
+/// plane's relaxed hints (§13). Governed fields are closed per
 /// file: any ordering-bearing atomic op on a listed field that has no
 /// row here is flagged until the table is extended.
 pub const SPEC: &[SpecRow] = &[
@@ -98,7 +99,7 @@ pub const SPEC: &[SpecRow] = &[
     // ── Epoch/ack delivery watchdog ──────────────────────────────────
     SpecRow {
         protocol: "watchdog-epoch-ack",
-        file: "scheduler.rs",
+        file: "plane.rs",
         field: "uintr_epoch",
         op: "fetch_add",
         allow: &["Release"],
@@ -106,7 +107,7 @@ pub const SPEC: &[SpecRow] = &[
     },
     SpecRow {
         protocol: "watchdog-epoch-ack",
-        file: "scheduler.rs",
+        file: "plane.rs",
         field: "uintr_epoch",
         op: "load",
         allow: &["Acquire"],
@@ -114,7 +115,7 @@ pub const SPEC: &[SpecRow] = &[
     },
     SpecRow {
         protocol: "watchdog-epoch-ack",
-        file: "scheduler.rs",
+        file: "plane.rs",
         field: "uintr_ack",
         op: "load",
         allow: &["Acquire"],
@@ -139,11 +140,19 @@ pub const SPEC: &[SpecRow] = &[
     // ── Degraded-mode flag ───────────────────────────────────────────
     SpecRow {
         protocol: "degraded",
-        file: "scheduler.rs",
+        file: "plane.rs",
         field: "degraded",
         op: "store",
         allow: &["Release"],
         why: "degraded-mode entry publishes the wake-fallback configuration",
+    },
+    SpecRow {
+        protocol: "degraded",
+        file: "plane.rs",
+        field: "degraded",
+        op: "load",
+        allow: &["Acquire"],
+        why: "dispatch picks interrupt or wake by the mode last published",
     },
     SpecRow {
         protocol: "degraded",
@@ -220,11 +229,182 @@ pub const SPEC: &[SpecRow] = &[
     },
     SpecRow {
         protocol: "terminate-exited",
-        file: "scheduler.rs",
-        field: "incarnation",
+        file: "plane.rs",
+        field: "routes",
         op: "load",
         allow: &["Acquire"],
-        why: "respawn-budget check against the published incarnation",
+        why: "a dispatcher sees the route's senders and wake target as captured",
+    },
+    SpecRow {
+        protocol: "terminate-exited",
+        file: "plane.rs",
+        field: "routes",
+        op: "compare_exchange",
+        allow: &["AcqRel", "Acquire"],
+        why: "the winner publishes its captured route; the loser must see the \
+              winner's to compare its incarnation",
+    },
+    SpecRow {
+        protocol: "terminate-exited",
+        file: "plane.rs",
+        field: "quarantined",
+        op: "store",
+        allow: &["Release"],
+        why: "quarantine is published before the slot's queue is rejected",
+    },
+    SpecRow {
+        protocol: "terminate-exited",
+        file: "plane.rs",
+        field: "quarantined",
+        op: "load",
+        allow: &["Acquire"],
+        why: "a dispatcher that sees the quarantine skips the slot; one that \
+              misses it leaves a push the pool's next pass rejects",
+    },
+    // ── Scheduler-plane hints (DESIGN.md §13) ────────────────────────
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "rr",
+        op: "fetch_add",
+        allow: &["Relaxed"],
+        why: "the round-robin cursor only spreads load; any value is a valid target",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "rr",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "a prefetch guess at the next target",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "threshold",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "a copy of the workers' live cells, written after them",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "threshold",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "only decides whether the worker's own cell is read at all",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "last_notify",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "a timestamp that restarts the watchdog clock; late is harmless",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "last_notify",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "the epoch/ack pair, not this stamp, decides a re-send",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "sends",
+        op: "fetch_add",
+        allow: &["Relaxed"],
+        why: "a dispatcher counts a send into the open window",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "sends",
+        op: "fetch_sub",
+        allow: &["Relaxed"],
+        why: "the housekeeper closes a window by what it read, so a concurrent send lands in the next",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "sends",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "a statistic; the housekeeper is the only reader",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "sends",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "reset by the housekeeper on re-arming",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "failures",
+        op: "fetch_add",
+        allow: &["Relaxed"],
+        why: "a dispatcher counts a failed send into the open window",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "failures",
+        op: "fetch_sub",
+        allow: &["Relaxed"],
+        why: "closed like `sends`",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "failures",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "a statistic; the housekeeper is the only reader",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "failures",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "reset by the housekeeper on re-arming",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "window_start",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "read and written by the housekeeper only",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "window_start",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "read and written by the housekeeper only",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "last_failure",
+        op: "store",
+        allow: &["Relaxed"],
+        why: "a timestamp; the latest failure wins either way",
+    },
+    SpecRow {
+        protocol: "plane-hints",
+        file: "plane.rs",
+        field: "last_failure",
+        op: "load",
+        allow: &["Relaxed"],
+        why: "the quiet period is judged on whole milliseconds",
     },
     // ── Sharded steal deque (DESIGN.md §13) ──────────────────────────
     SpecRow {

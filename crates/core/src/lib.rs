@@ -64,11 +64,10 @@ pub use preempt_sched::{
 };
 pub use preempt_sim::SimConfig;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 
-use preempt_sched::{worker_main, WakeTarget, WorkerShared};
-use preempt_uintr::UipiSender;
+use preempt_sched::{spawn_worker_thread, Plane, RecoveryHooks, WorkerShared};
 
 /// Application-facing priority of submitted work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,93 +131,57 @@ fn num_cpus_fallback() -> usize {
 /// priority. This is the adoption-facing API; the figure-reproduction
 /// experiments use [`sched::run`] with the virtual-time simulator
 /// instead.
+///
+/// The pool is a one-shard scheduler [`Plane`] with the default
+/// robustness settings: every submission is dispatched inline on the
+/// submitting thread, and a `preemptdb-plane` thread runs the delivery
+/// watchdog, degradation, and supervision — a worker that stops
+/// acknowledging its interrupts is declared dead, its orphans are swept
+/// from the engine, and a fresh incarnation takes over its queue.
 pub struct Database {
     engine: Engine,
-    workers: Vec<Arc<WorkerShared>>,
-    /// `routes[i]` reaches `workers[i]`'s first incarnation.
-    routes: Vec<Route>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    rr: AtomicUsize,
-}
-
-/// How `submit` reaches a worker: its interrupt descriptor and wake
-/// target, captured once at `open` so the per-request path neither takes
-/// the two `WorkerShared` mutexes nor bumps the reference counts behind
-/// them (lines the worker itself is busy on). Valid while the worker's
-/// incarnation is the one captured; a respawned worker publishes fresh
-/// ones, and `submit` falls back to reading them under the locks.
-struct Route {
-    incarnation: u64,
-    high: UipiSender,
-    wake: WakeTarget,
-}
-
-/// Dropped as the last thing a worker thread does, unwinding included:
-/// renames the thread to `preemptdb-gone`. `join` returns when the kernel
-/// clears the thread's tid word, a moment *before* the task leaves
-/// `/proc/self/task`; a worker still named then is counted by whoever
-/// lists `preemptdb-worker-*` threads right after a `shutdown` (the
-/// benchmark's placement does, and refuses to run with two).
-struct RetireThreadName;
-
-impl Drop for RetireThreadName {
-    fn drop(&mut self) {
-        #[cfg(target_os = "linux")]
-        {
-            extern "C" {
-                fn prctl(option: i32, ...) -> i32;
-            }
-            const PR_SET_NAME: i32 = 15;
-            // SAFETY: PR_SET_NAME reads a NUL-terminated string of at most
-            // 16 bytes from its argument; the literal is static, 15 with
-            // its NUL.
-            unsafe { prctl(PR_SET_NAME, c"preemptdb-gone".as_ptr()) };
-        }
-    }
+    plane: Arc<Plane>,
+    housekeeper: Option<JoinHandle<()>>,
+    /// Every worker incarnation's thread, respawned ones included.
+    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Database {
-    /// Opens the engine and spawns the worker pool.
+    /// Opens the engine, spawns the worker pool and the plane's
+    /// housekeeper, all from the calling thread.
     pub fn open(cfg: DatabaseConfig) -> Database {
         let engine = Engine::new(cfg.engine);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        let mut handles = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let shared = WorkerShared::new(i, &cfg.queue_caps);
-            let ws = shared.clone();
-            let policy = cfg.policy;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("preemptdb-worker-{i}"))
-                    .spawn(move || {
-                        let _name = RetireThreadName;
-                        worker_main(ws, policy)
-                    })
-                    .expect("spawn worker"),
-            );
-            workers.push(shared);
-        }
-        // Wait for workers to publish their user-interrupt descriptors
-        // (each sets its wake target first).
-        let routes = workers
-            .iter()
-            .map(|w| loop {
-                if let (Some(upid), Some(wake)) = (w.upid(), w.wake_target()) {
-                    break Route {
-                        incarnation: w.incarnation(),
-                        high: UipiSender::new(upid, Priority::High.level()),
-                        wake,
-                    };
-                }
-                std::thread::yield_now();
-            })
+        let workers: Vec<_> = (0..cfg.workers)
+            .map(|i| WorkerShared::new(i, &cfg.queue_caps))
             .collect();
+        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
+        let spawn = {
+            let (threads, policy) = (threads.clone(), cfg.policy);
+            move |w: &Arc<WorkerShared>| {
+                let h = spawn_worker_thread(w, policy);
+                threads.lock().expect("thread list poisoned").push(h);
+            }
+        };
+        for w in &workers {
+            spawn(w);
+        }
+        let sweep_engine = engine.clone();
+        let driver = DriverConfig {
+            n_workers: cfg.workers,
+            queue_caps: cfg.queue_caps,
+            recovery: RecoveryHooks {
+                sweep: Some(Arc::new(move |owner| sweep_engine.orphan_sweep(owner))),
+                spawner: Some(Arc::new(spawn)),
+            },
+            ..DriverConfig::paper_default(cfg.policy)
+        };
+        let shard = metrics::Shard::new("scheduler", u32::MAX);
+        let plane = Arc::new(Plane::new(&driver, 0, &workers, &workers, shard, None));
         Database {
             engine,
-            workers,
-            routes,
-            handles,
-            rr: AtomicUsize::new(0),
+            housekeeper: Some(plane.spawn_housekeeper()),
+            plane,
+            threads,
         }
     }
 
@@ -229,7 +192,7 @@ impl Database {
 
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.plane.workers().len()
     }
 
     /// Submits `work` at `priority` without waiting for completion.
@@ -250,6 +213,9 @@ impl Database {
     /// (0 = no front door; admission-wait attributes as zero). The
     /// server's wire protocol threads both through here so attribution
     /// and SLO exemplars can name the originating connection.
+    ///
+    /// Dispatches on the calling thread. When every worker's queue is
+    /// full, it yields and retries (backpressure).
     pub fn submit_traced(
         &self,
         kind: &'static str,
@@ -258,57 +224,24 @@ impl Database {
         ingress: u64,
         work: impl FnOnce() -> WorkOutcome + Send + 'static,
     ) {
-        let level = priority.level() as usize;
-        let n = self.workers.len();
-        // Round-robin. The worker is picked before the request is built
-        // so that the lines the push and the send write — the queue word
-        // and tail cell, last written by the worker's pop, and the pending
-        // word, last cleared by its handler — are already on their way
-        // here while the closure is boxed.
-        let mut i = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-        self.workers[i].queues[level].prefetch_push();
-        if priority == Priority::High {
-            self.routes[i].high.prefetch();
-        }
+        let level = priority.level();
+        // The lines the dispatch writes are on their way while the
+        // closure is boxed.
+        self.plane.prefetch(level);
         // Request work is FnMut (re-executable under a retry budget);
         // `submit` takes one-shot closures, and never sets a retry budget,
         // so re-execution cannot happen — the None arm is a typed
         // impossibility, not a reachable path.
         let mut work = Some(work);
-        let mut req = Request::new(kind, priority.level(), sched::clock::now_cycles(), move || {
+        let mut req = Request::new(kind, level, sched::clock::now_cycles(), move || {
             match work.take() {
                 Some(f) => f(),
                 None => WorkOutcome::failed(0),
             }
         })
         .with_provenance(req_id, ingress);
-        // Overflow to the next worker (yield if all are full:
-        // backpressure).
-        loop {
-            for _ in 0..n {
-                let w = &self.workers[i];
-                match w.queues[level].push(req) {
-                    Ok(()) => {
-                        let route = &self.routes[i];
-                        if w.incarnation() == route.incarnation {
-                            if priority == Priority::High {
-                                route.high.send();
-                            }
-                            route.wake.wake();
-                        } else {
-                            if priority == Priority::High {
-                                if let Some(upid) = w.upid() {
-                                    UipiSender::new(upid, priority.level()).send();
-                                }
-                            }
-                            w.wake();
-                        }
-                        return;
-                    }
-                    Err(back) => req = back,
-                }
-                i = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-            }
+        while let Err(back) = self.plane.dispatch(req, level) {
+            req = back;
             std::thread::yield_now();
         }
     }
@@ -368,22 +301,36 @@ impl Database {
         }
     }
 
-    /// Per-kind counts and latencies across workers so far, read live
-    /// from the workers' metrics shards. (A worker counts a request just
-    /// after its closure returns, so a `call`'s own completion can land a
-    /// moment after the call does.)
+    /// Per-kind counts and latencies across workers so far, and the
+    /// pool's counters (the plane's dispatch, delivery and supervision
+    /// included), read live from their metrics shards. (A worker counts a
+    /// request just after its closure returns, so a `call`'s own
+    /// completion can land a moment after the call does.)
     pub fn metrics(&self) -> Metrics {
-        let shards = self.workers.iter().map(|w| &*w.metrics_shard);
+        let workers = self.plane.workers().iter().map(|w| &*w.metrics_shard);
+        let shards = std::iter::once(&**self.plane.shard()).chain(workers);
         Metrics::from_snapshot(&metrics::MetricsSnapshot::of_shards(shards))
     }
 
-    /// Stops the workers (in-flight work completes), joins them and
-    /// returns the final [`metrics`](Self::metrics).
-    pub fn shutdown(mut self) -> Metrics {
-        for w in &self.workers {
-            w.stop();
+    /// Attaches the pool's metrics shards — one per worker and the
+    /// plane's — to `registry`, so its snapshots and scrapes carry them.
+    pub fn attach_metrics(&self, registry: &metrics::MetricsRegistry) {
+        registry.attach(self.plane.shard());
+        for w in self.plane.workers() {
+            registry.attach(&w.metrics_shard);
         }
-        for h in self.handles.drain(..) {
+    }
+
+    /// Stops the workers (in-flight work completes), joins them and the
+    /// housekeeper, and returns the final [`metrics`](Self::metrics).
+    pub fn shutdown(mut self) -> Metrics {
+        self.plane.stop();
+        if let Some(h) = self.housekeeper.take() {
+            h.thread().unpark();
+            h.join().expect("the plane's housekeeper panicked");
+        }
+        let threads = std::mem::take(&mut *self.threads.lock().expect("thread list poisoned"));
+        for h in threads {
             h.join().expect("worker panicked");
         }
         self.metrics()
@@ -391,13 +338,25 @@ impl Database {
 
     /// Scheduler-visible worker state (advanced integrations and tests).
     pub fn workers(&self) -> &[Arc<WorkerShared>] {
-        &self.workers
+        self.plane.workers()
     }
 
     /// Wake-target helper (used internally; exposed for tests).
     pub fn wake_all(&self) {
-        for w in &self.workers {
+        for w in self.plane.workers() {
             w.wake();
+        }
+    }
+}
+
+/// A `Database` dropped without [`shutdown`](Database::shutdown) stops its
+/// plane: the workers finish what they run and exit, and so does the
+/// housekeeper. Neither is joined.
+impl Drop for Database {
+    fn drop(&mut self) {
+        self.plane.stop();
+        if let Some(h) = &self.housekeeper {
+            h.thread().unpark();
         }
     }
 }
@@ -405,7 +364,7 @@ impl Database {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("workers", &self.workers.len())
+            .field("workers", &self.worker_count())
             .field("engine", &self.engine)
             .finish()
     }

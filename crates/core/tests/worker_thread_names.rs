@@ -11,10 +11,21 @@
 //! (the issue saw 86 of 3 000 fail next to a busy co-tenant), while one
 //! of some sixty benchmark runs of that tree died of it. 500 cycles take
 //! about 0.1 s.
+//!
+//! A supervised respawn follows the same contract: the replacement
+//! takes the name, the dead incarnation gives it up, and the scheduler
+//! plane's own thread is named so the prefix does not match it.
 
 #![cfg(target_os = "linux")]
 
-use preemptdb::{Database, DatabaseConfig};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use preemptdb::context::nonpreempt::NonPreemptGuard;
+use preemptdb::context::runtime::preempt_point;
+use preemptdb::metrics::Counter;
+use preemptdb::{Database, DatabaseConfig, Priority, WorkOutcome};
 
 fn threads_named(prefix: &str) -> Vec<String> {
     std::fs::read_dir("/proc/self/task")
@@ -32,4 +43,48 @@ fn a_joined_worker_no_longer_carries_the_worker_name() {
         assert_eq!(named, ["preemptdb-worke\n"], "open/shutdown cycle {cycle}");
         db.shutdown();
     }
+    one_respawn_leaves_one_worker_name();
+}
+
+/// Wedges the only worker of a pool until the supervisor replaces it,
+/// then lists the names again.
+fn one_respawn_leaves_one_worker_name() {
+    let db = Database::open(DatabaseConfig::default().workers(1));
+    let worker = db.workers()[0].clone();
+    let old_tid = Arc::new(AtomicU64::new(0));
+    let tid = old_tid.clone();
+    let w = worker.clone();
+    // Inside the non-preemptible region the high request's interrupt is
+    // deferred, never acknowledged: the supervisor's lease expires.
+    db.submit("wedge", Priority::Low, move || {
+        let me = std::fs::read_link("/proc/thread-self").expect("a thread can name itself");
+        let me = me.file_name().and_then(|n| n.to_str()?.parse().ok());
+        tid.store(me.expect("a numeric tid"), Ordering::Release);
+        {
+            let _guard = NonPreemptGuard::enter();
+            while !w.is_terminated() {
+                preempt_point(1);
+            }
+        }
+        loop {
+            preempt_point(1);
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while old_tid.load(Ordering::Acquire) == 0 {
+        assert!(Instant::now() < deadline, "the wedge never ran");
+        std::thread::yield_now();
+    }
+    db.call("after", Priority::High, WorkOutcome::default);
+    assert_eq!(worker.incarnation(), 1, "the high request ran on the respawned worker");
+    assert_eq!(db.metrics().counter(Counter::WorkersRespawned), 1);
+
+    assert_eq!(threads_named("preemptdb-worke"), ["preemptdb-worke\n"], "after the respawn");
+    // The dead incarnation has left or is on its way out, renamed.
+    let old = format!("/proc/self/task/{}/comm", old_tid.load(Ordering::Acquire));
+    if let Ok(comm) = std::fs::read_to_string(old) {
+        assert_eq!(comm, "preemptdb-gone\n");
+    }
+    assert_eq!(threads_named("preemptdb-plane"), ["preemptdb-plane\n"]);
+    db.shutdown();
 }

@@ -870,6 +870,28 @@ impl SensorTotals {
         }
     }
 
+    /// The sensor series summed over `shards` — how a scheduler plane
+    /// reads its own shard and its workers' without a registry.
+    pub fn of_shards<'a>(shards: impl IntoIterator<Item = &'a Shard>) -> SensorTotals {
+        let mut t = SensorTotals::zero();
+        for s in shards {
+            t.high_completed += s.counter(Counter::TxnCompletedHigh);
+            t.low_completed += s.counter(Counter::TxnCompletedLow);
+            t.aborts += s.counter(Counter::TxnAborted);
+            t.watchdog_resends += s.counter(Counter::WatchdogResends);
+            t.skipped_starving += s.counter(Counter::StarvationSkips);
+            t.dropped_high += s.counter(Counter::DroppedHigh);
+            for (a, c) in t
+                .high_latency
+                .iter_mut()
+                .zip(s.sensor_high_latency.counts.iter())
+            {
+                *a += c.load(Ordering::Relaxed);
+            }
+        }
+        t
+    }
+
     /// The window `self − prev`: what the drained `WindowSensors` used
     /// to hand the controller, now as a difference of two cumulative
     /// registry reads. Sum-of-per-shard-deltas equals delta-of-sums, so
@@ -1036,44 +1058,15 @@ impl MetricsRegistry {
             .sum()
     }
 
-    /// One-pass cumulative read of the controller's sensor series.
+    /// One-pass cumulative read of the controller's sensor series over
+    /// every shard.
     pub fn sensor_totals(&self) -> SensorTotals {
-        self.sensor_totals_where(|_, _| true)
-    }
-
-    /// [`sensor_totals`](Self::sensor_totals) restricted to the shards
-    /// whose `(label, index)` satisfies `pred` — how a shard-local
-    /// controller on the sharded scheduling plane reads only its own
-    /// workers' series. With an always-true predicate this is exactly
-    /// the global read, so single-shard runs are byte-identical to the
-    /// pre-sharding trajectory.
-    pub fn sensor_totals_where(&self, pred: impl Fn(&'static str, u32) -> bool) -> SensorTotals {
-        let mut t = SensorTotals::zero();
         let shards = self
             .inner
             .shards
             .lock()
             .expect("metrics shard list poisoned");
-        for s in shards.iter() {
-            let (label, index) = s.label();
-            if !pred(label, index) {
-                continue;
-            }
-            t.high_completed += s.counter(Counter::TxnCompletedHigh);
-            t.low_completed += s.counter(Counter::TxnCompletedLow);
-            t.aborts += s.counter(Counter::TxnAborted);
-            t.watchdog_resends += s.counter(Counter::WatchdogResends);
-            t.skipped_starving += s.counter(Counter::StarvationSkips);
-            t.dropped_high += s.counter(Counter::DroppedHigh);
-            for (a, c) in t
-                .high_latency
-                .iter_mut()
-                .zip(s.sensor_high_latency.counts.iter())
-            {
-                *a += c.load(Ordering::Relaxed);
-            }
-        }
-        t
+        SensorTotals::of_shards(shards.iter().map(|s| &**s))
     }
 
     /// Point-in-time aggregate of every series: shards summed, per-kind

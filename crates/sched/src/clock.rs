@@ -32,6 +32,15 @@ fn monotonic_tsc() -> u64 {
     })
 }
 
+/// Charges virtual cycles when running under the simulator (on real
+/// threads the work itself costs real time).
+#[inline]
+pub(crate) fn charge(cycles: u64) {
+    if preempt_sim::api::active() {
+        preempt_sim::api::advance(cycles);
+    }
+}
+
 /// Cycles per second of [`now_cycles`]'s time base.
 pub fn freq_hz() -> u64 {
     if preempt_sim::api::active() {

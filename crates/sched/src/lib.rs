@@ -23,6 +23,7 @@ pub mod clock;
 pub mod controller;
 pub mod deque;
 pub mod metrics;
+pub mod plane;
 pub mod policy;
 pub mod request;
 pub mod runner;
@@ -36,15 +37,17 @@ pub use controller::{
     Controller, ControllerConfig, ControllerReport, Decision, SensorSnapshot, ThresholdPoint,
 };
 pub use metrics::{Histogram, KindMetrics, Metrics};
+pub use plane::Plane;
 pub use policy::{Policy, STARVATION_DISABLED};
 pub use request::{Priority, Request, RequestQueue, WorkOutcome};
 pub use runner::{run, RunReport, Runtime, WorkerTotals};
 pub use scheduler::{
-    scheduler_main, scheduler_shard_main, split_factory, DriverConfig, RecoveryHooks,
+    scheduler_shard_main, split_factory, DriverConfig, RecoveryHooks,
     RobustnessConfig, SchedulerStats, SharedFactory, SpawnFn, SweepFn,
     WorkloadFactory,
 };
 pub use starvation::StarvationState;
 pub use worker::{
-    worker_main, yield_hint, WakeTarget, WorkerShared, DEGRADED_YIELD_INTERVAL, UINTR_POLL_COST,
+    spawn_worker_thread, worker_main, yield_hint, WakeTarget, WorkerShared,
+    DEGRADED_YIELD_INTERVAL, UINTR_POLL_COST,
 };

@@ -242,12 +242,14 @@ pub struct KindMetrics {
     pub failed: u64,
 }
 
-/// Per-kind transaction metrics: a view of a [`MetricsSnapshot`]'s kind
-/// table (contained panics are not per kind; see `WorkerTotals.panics`).
+/// Per-kind transaction metrics and the aggregate counters: a view of a
+/// [`MetricsSnapshot`] (contained panics are not per kind; see
+/// `WorkerTotals.panics`).
 #[derive(Clone, Default)]
 pub struct Metrics {
     kinds: Vec<(String, KindMetrics)>,
-    completed: u64,
+    /// Indexed by `Counter`; empty in a default view.
+    counters: Vec<u64>,
 }
 
 impl Metrics {
@@ -268,9 +270,13 @@ impl Metrics {
                     (k.name.clone(), m)
                 })
                 .collect(),
-            completed: snap.counter(Counter::TxnCompletedHigh)
-                + snap.counter(Counter::TxnCompletedLow),
+            counters: Counter::ALL.iter().map(|&c| snap.counter(c)).collect(),
         }
+    }
+
+    /// One aggregate counter, summed over the snapshot's shards.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters.get(c as usize).copied().unwrap_or(0)
     }
 
     pub fn kind(&self, kind: &str) -> Option<&KindMetrics> {
@@ -285,7 +291,7 @@ impl Metrics {
     /// Total completions, from the aggregate counters: exact even when a
     /// shard saw more kinds than its kind table holds.
     pub fn total_completed(&self) -> u64 {
-        self.completed
+        self.counter(Counter::TxnCompletedHigh) + self.counter(Counter::TxnCompletedLow)
     }
 
     /// Total deadline aborts across kinds.

@@ -11,10 +11,9 @@ use preempt_sim::{SimConfig, Simulation};
 use crate::controller::ControllerReport;
 use crate::metrics::Metrics;
 use crate::scheduler::{
-    scheduler_main, scheduler_shard_main, split_factory, DriverConfig, SchedulerStats,
-    WorkloadFactory,
+    scheduler_shard_main, split_factory, DriverConfig, SchedulerStats, WorkloadFactory,
 };
-use crate::worker::{worker_main, WakeTarget, WorkerShared};
+use crate::worker::{spawn_worker_thread, worker_main, WakeTarget, WorkerShared};
 
 /// Worker main-context stack size (runs full transaction logic).
 const WORKER_STACK: usize = 512 * 1024;
@@ -305,19 +304,14 @@ fn wire_steal_peers(workers: &[Arc<WorkerShared>], ranges: &[std::ops::Range<usi
     }
 }
 
-/// Where one scheduler shard leaves its controller's trajectory. The
-/// report carries the lowest shard's that produced one; counts need no
-/// merging, every shard counts into the run's one registry.
-type ControllerOut = Arc<Mutex<Option<ControllerReport>>>;
-
-fn first_controller(outs: &[ControllerOut]) -> Option<ControllerReport> {
-    outs.iter().find_map(|out| out.lock().clone())
-}
-
 /// The run's workers, each with its trace ring and flight recorder (when
 /// configured) and its metrics shard attached to `registry` — all before
-/// any worker starts (the ring is read once at startup).
-fn make_workers(cfg: &DriverConfig, registry: &MetricsRegistry) -> Vec<Arc<WorkerShared>> {
+/// any worker starts (the ring is read once at startup) — and each
+/// scheduler shard's range of them.
+fn make_workers(
+    cfg: &DriverConfig,
+    registry: &MetricsRegistry,
+) -> (Vec<Arc<WorkerShared>>, Vec<std::ops::Range<usize>>) {
     let make = |i| {
         let w = WorkerShared::new(i, &cfg.queue_caps);
         if let Some(session) = &cfg.trace {
@@ -332,7 +326,21 @@ fn make_workers(cfg: &DriverConfig, registry: &MetricsRegistry) -> Vec<Arc<Worke
         }
         w
     };
-    (0..cfg.n_workers).map(make).collect()
+    let workers: Vec<_> = (0..cfg.n_workers).map(make).collect();
+    let ranges = shard_ranges(cfg.n_workers, cfg.shards);
+    if ranges.len() > 1 {
+        wire_steal_peers(&workers, &ranges);
+    }
+    (workers, ranges)
+}
+
+/// Where one scheduler shard leaves its controller's trajectory. The
+/// report carries the lowest shard's that produced one; counts need no
+/// merging, every shard counts into the run's one registry.
+type ControllerOut = Arc<Mutex<Option<ControllerReport>>>;
+
+fn first_controller(outs: &[ControllerOut]) -> Option<ControllerReport> {
+    outs.iter().find_map(|out| out.lock().clone())
 }
 
 fn run_simulated(
@@ -341,13 +349,8 @@ fn run_simulated(
     registry: &MetricsRegistry,
     factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
-    let shards = cfg.shards.clamp(1, cfg.n_workers.max(1));
     let sim = Simulation::new(sim_cfg);
-    let workers = make_workers(&cfg, registry);
-    let ranges = shard_ranges(cfg.n_workers, shards);
-    if shards > 1 {
-        wire_steal_peers(&workers, &ranges);
-    }
+    let (workers, ranges) = make_workers(&cfg, registry);
     for w in &workers {
         let ws = w.clone();
         let policy = cfg.policy;
@@ -371,25 +374,17 @@ fn run_simulated(
     // One scheduler core per shard, each owning a contiguous worker
     // slice and its own slice of the workload. A 1-shard plane spawns
     // exactly the pre-sharding scheduler.
-    let parts = split_factory(factory, shards);
-    let controllers: Vec<ControllerOut> = (0..shards).map(|_| Default::default()).collect();
+    let parts = split_factory(factory, ranges.len());
+    let outs: Vec<ControllerOut> = ranges.iter().map(|_| Default::default()).collect();
     for (si, (mut part, range)) in parts.into_iter().zip(ranges).enumerate() {
-        let local: Vec<Arc<WorkerShared>> = workers[range].to_vec();
-        let all = workers.clone();
-        let (cfg, registry) = (cfg.clone(), registry.clone());
-        let out = controllers[si].clone();
+        let (local, all) = (workers[range].to_vec(), workers.clone());
+        let (cfg, registry, out) = (cfg.clone(), registry.clone(), outs[si].clone());
         sim.spawn_core("scheduler", SCHED_STACK, move || {
             *out.lock() = scheduler_shard_main(&cfg, &registry, si, &local, &all, &mut part);
         });
     }
     sim.run();
-    let mut report = collect(
-        &cfg,
-        registry,
-        &workers,
-        first_controller(&controllers),
-        sim_cfg.freq_hz,
-    );
+    let mut report = collect(&cfg, registry, &workers, first_controller(&outs), sim_cfg.freq_hz);
     report.faults = sim.fault_stats();
     report.fault_trace = sim.fault_trace();
     report.core_failures = sim.core_failures();
@@ -399,30 +394,22 @@ fn run_simulated(
 fn run_threads(
     mut cfg: DriverConfig,
     registry: &MetricsRegistry,
-    mut factory: Box<dyn WorkloadFactory>,
+    factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
-    let shards = cfg.shards.clamp(1, cfg.n_workers.max(1));
-    let workers = make_workers(&cfg, registry);
-    let ranges = shard_ranges(cfg.n_workers, shards);
-    if shards > 1 {
-        wire_steal_peers(&workers, &ranges);
+    let (workers, ranges) = make_workers(&cfg, registry);
+    // Every incarnation's thread, first and respawned alike, comes from
+    // one spawner; the handles are parked so the run can join them
+    // before collecting metrics.
+    let threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
+    let spawn = {
+        let (threads, policy) = (threads.clone(), cfg.policy);
+        move |w: &Arc<WorkerShared>| threads.lock().push(spawn_worker_thread(w, policy))
+    };
+    for w in &workers {
+        spawn(w);
     }
-    // Default respawn hook: replacement OS threads, with their handles
-    // parked so the run can join them before collecting metrics.
-    let respawned: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-        Arc::new(Mutex::new(Vec::new()));
     if cfg.recovery.spawner.is_none() {
-        let policy = cfg.policy;
-        let respawned = respawned.clone();
-        cfg.recovery.spawner = Some(Arc::new(move |w: &Arc<WorkerShared>| {
-            let ws = w.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("worker-{}r{}", w.id, w.incarnation()))
-                .spawn(move || worker_main(ws, policy))
-                .expect("spawn replacement worker");
-            w.set_wake_target(WakeTarget::Thread(h.thread().clone()));
-            respawned.lock().push(h);
-        }));
+        cfg.recovery.spawner = Some(Arc::new(spawn));
     }
     // Live observability is wall-clock-driven, so it only exists on the
     // thread runtime, and only for a registry the caller supplied: a
@@ -439,50 +426,30 @@ fn run_threads(
                 None
             }
         });
-    let mut handles = Vec::new();
-    for w in &workers {
-        let ws = w.clone();
-        let policy = cfg.policy;
-        handles.push(
+    // One scheduler thread per shard, joined before collection.
+    let parts = split_factory(factory, ranges.len());
+    let outs: Vec<ControllerOut> = ranges.iter().map(|_| Default::default()).collect();
+    std::thread::scope(|scope| {
+        for (si, (mut part, range)) in parts.into_iter().zip(ranges).enumerate() {
+            let (local, all, cfg, out) = (&workers[range], &workers, &cfg, &outs[si]);
             std::thread::Builder::new()
-                .name(format!("worker-{}", w.id))
-                .spawn(move || worker_main(ws, policy))
-                .expect("spawn worker"),
-        );
-    }
-    let controller = if shards <= 1 {
-        scheduler_main(&cfg, registry, &workers, &mut *factory)
-    } else {
-        // One scheduler thread per shard, joined before collection.
-        let parts = split_factory(factory, shards);
-        let controllers: Vec<ControllerOut> = (0..shards).map(|_| Default::default()).collect();
-        std::thread::scope(|scope| {
-            for (si, (mut part, range)) in parts.into_iter().zip(ranges).enumerate() {
-                let local: Vec<Arc<WorkerShared>> = workers[range].to_vec();
-                let all = workers.clone();
-                let cfg = &cfg;
-                let out = controllers[si].clone();
-                std::thread::Builder::new()
-                    .name(format!("scheduler-{si}"))
-                    .spawn_scoped(scope, move || {
-                        *out.lock() =
-                            scheduler_shard_main(cfg, registry, si, &local, &all, &mut part);
-                    })
-                    .expect("spawn scheduler shard");
-            }
-        });
-        first_controller(&controllers)
-    };
+                .name(format!("scheduler-{si}"))
+                .spawn_scoped(scope, move || {
+                    *out.lock() = scheduler_shard_main(cfg, registry, si, local, all, &mut part);
+                })
+                .expect("spawn scheduler shard");
+        }
+    });
     // A worker thread the supervisor declared dead may have exited via a
     // contained panic; a failed join is the expected shape of that, not
     // a run failure (the report carries the panic counters).
-    for h in handles.into_iter().chain(respawned.lock().drain(..)) {
+    for h in std::mem::take(&mut *threads.lock()) {
         let _ = h.join();
     }
     if let Some(s) = sampler {
         s.stop();
     }
-    collect(&cfg, registry, &workers, controller, crate::clock::freq_hz())
+    collect(&cfg, registry, &workers, first_controller(&outs), crate::clock::freq_hz())
 }
 
 #[cfg(test)]

@@ -7,27 +7,26 @@
 //! lock-free queues round-robin, and — under the preemptive policy —
 //! sends one user interrupt per worker per batch (*batched on-demand
 //! preemption*, §5). Undelivered remainder of a batch is abandoned when
-//! the next arrival interval passes (§6.1).
+//! the next arrival interval passes (§6.1). The dispatch itself, and
+//! everything behind it, is the [`Plane`]'s.
 //!
-//! Starvation decision site 1 (§5) also lives here: a worker whose
-//! starvation level exceeds the threshold receives no additional
-//! high-priority transactions and no user interrupt this round.
+//! Starvation decision site 1 (§5) also applies here, in the plane's
+//! placement: a worker whose starvation level exceeds the threshold
+//! receives no additional high-priority transactions and no user
+//! interrupt this round.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use preempt_metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, Shard};
-use preempt_uintr::UipiSender;
+use preempt_metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 
-use crate::clock::now_cycles;
+use crate::clock::{charge, now_cycles};
 use crate::controller::ControllerReport;
+use crate::plane::{Plane, DISPATCH_PUSH_COST};
 use crate::policy::Policy;
 use crate::request::Request;
-use crate::worker::{WakeTarget, WorkerShared};
+use crate::worker::WorkerShared;
 
-/// Cycles the scheduler spends pushing one request (modeling §4.1's
-/// dispatch work in virtual time).
-const DISPATCH_PUSH_COST: u64 = 250;
 /// Per-tick bookkeeping cost.
 const TICK_BASE_COST: u64 = 400;
 /// Retry pause while all target queues are full (10 µs at 2.4 GHz).
@@ -89,10 +88,9 @@ impl WorkloadFactory for SharedFactory {
 /// own [`WorkloadFactory::try_split`] when it has one, else
 /// [`SharedFactory`] clones of a single mutex-guarded instance.
 pub fn split_factory(
-    factory: Box<dyn WorkloadFactory>,
+    mut factory: Box<dyn WorkloadFactory>,
     shards: usize,
 ) -> Vec<Box<dyn WorkloadFactory>> {
-    let mut factory = factory;
     if shards <= 1 {
         return vec![factory];
     }
@@ -110,18 +108,18 @@ pub fn split_factory(
         .collect()
 }
 
-/// Robustness knobs: delivery watchdog, per-request deadlines/retries,
-/// and graceful degradation when interrupt delivery is failing.
+/// Robustness knobs: the delivery watchdog, per-request deadlines and
+/// retries, graceful degradation and supervision, all run by the
+/// [`Plane`] (DESIGN.md §6, §11, §13).
 ///
 /// User interrupts are fire-and-forget: a send can be lost (masked
 /// receiver, dead thread, injected fault) and nothing tells the sender.
-/// The scheduler therefore tracks a per-worker delivery **epoch** it
-/// bumps before each send; the worker's handler acknowledges by copying
-/// the epoch. An unacknowledged epoch with high-priority work still
-/// queued means a lost wakeup, and the watchdog re-sends with
-/// exponential backoff. Sustained failures downgrade notification to
-/// plain wakes + worker-side cooperative checks; a quiet period upgrades
-/// back.
+/// The plane therefore tracks a per-worker delivery **epoch** it bumps
+/// before each send; the worker's handler acknowledges by copying the
+/// epoch. An unacknowledged epoch with high-priority work still queued
+/// means a lost wakeup, and the watchdog re-sends with exponential
+/// backoff. Sustained failures downgrade notification to plain wakes +
+/// worker-side cooperative checks; a quiet period upgrades back.
 #[derive(Clone, Copy, Debug)]
 pub struct RobustnessConfig {
     /// Re-send unacknowledged interrupts while work is queued.
@@ -141,8 +139,8 @@ pub struct RobustnessConfig {
     /// plain wakes.
     pub degrade_threshold_ppm: u32,
     /// Minimum sends in a window before its failure rate is trusted;
-    /// under-sampled windows decay instead of evaluating (see
-    /// [`DegradeWindow`]).
+    /// under-sampled windows decay instead of evaluating (see the
+    /// plane's `DegradeWindow`).
     pub degrade_window: u64,
     /// Length of one rolling degradation-evaluation window, cycles
     /// (≈ 2 ms at 2.4 GHz). Counters reset (or decay) every window, so
@@ -193,73 +191,6 @@ impl Default for RobustnessConfig {
     }
 }
 
-/// Rolling send/failure window for graceful-degradation decisions.
-///
-/// The failure rate is evaluated once per `eval_interval` cycles and the
-/// counters are then **reset**, so the rate always describes the most
-/// recent window rather than the whole run. A window with fewer than
-/// `min_sends` sends is too small to trust (one unlucky re-send would
-/// read as a huge rate); its counters are *halved* instead of evaluated,
-/// so a stale sub-threshold burst fades away rather than lingering until
-/// enough sends eventually arrive to be judged against.
-#[derive(Clone, Copy, Debug)]
-struct DegradeWindow {
-    sends: u64,
-    failures: u64,
-    window_start: u64,
-    eval_interval: u64,
-    min_sends: u64,
-}
-
-impl DegradeWindow {
-    fn new(now: u64, eval_interval: u64, min_sends: u64) -> DegradeWindow {
-        DegradeWindow {
-            sends: 0,
-            failures: 0,
-            window_start: now,
-            eval_interval: eval_interval.max(1),
-            min_sends: min_sends.max(1),
-        }
-    }
-
-    fn send_ok(&mut self) {
-        self.sends += 1;
-    }
-
-    fn send_failed(&mut self) {
-        self.sends += 1;
-        self.failures += 1;
-    }
-
-    /// Closes the window if `eval_interval` has elapsed: returns
-    /// `Some(failure_rate_ppm)` and resets the counters when the window
-    /// had enough sends, `None` (after decaying) otherwise.
-    fn evaluate(&mut self, now: u64) -> Option<u64> {
-        if now.saturating_sub(self.window_start) < self.eval_interval {
-            return None;
-        }
-        self.window_start = now;
-        if self.sends >= self.min_sends {
-            let rate = self.failures.saturating_mul(1_000_000) / self.sends;
-            self.sends = 0;
-            self.failures = 0;
-            Some(rate)
-        } else {
-            self.sends /= 2;
-            self.failures /= 2;
-            None
-        }
-    }
-
-    /// Forgets all history (used when re-arming after an upgrade: the
-    /// degraded stretch's counters say nothing about the new regime).
-    fn reset(&mut self, now: u64) {
-        self.sends = 0;
-        self.failures = 0;
-        self.window_start = now;
-    }
-}
-
 /// Sweep hook: force-releases everything an owner (= worker id) still
 /// holds in the storage engine, returning what was reclaimed.
 pub type SweepFn = dyn Fn(u64) -> preempt_mvcc::OrphanSweep + Send + Sync;
@@ -269,7 +200,7 @@ pub type SpawnFn = dyn Fn(&Arc<WorkerShared>) + Send + Sync;
 
 /// Supervisor recovery hooks: how to sweep a dead worker's engine-side
 /// orphans and how to spawn a replacement incarnation. Wired by the
-/// runner (spawner) and by engine-backed workloads (sweep).
+/// runner or `Database` (spawner) and by engine-backed workloads (sweep).
 #[derive(Clone, Default)]
 pub struct RecoveryHooks {
     /// Force-releases everything `owner` (= worker id) still holds in
@@ -478,212 +409,11 @@ fn sleep_until_cycles(t: u64) {
     }
 }
 
-fn charge(cycles: u64) {
-    if preempt_sim::api::active() {
-        preempt_sim::api::advance(cycles);
-    }
-}
-
-/// Sends a user interrupt to `w` targeting priority `level`.
-fn send_uintr(w: &WorkerShared, level: u8) -> bool {
-    let Some(upid) = w.upid() else {
-        return false;
-    };
-    // Bump the delivery epoch before posting: the handler acknowledges by
-    // copying it, so ack ≥ this value proves this (or a later) interrupt
-    // reached the worker. Release pairs with the handler's Acquire.
-    w.uintr_epoch.fetch_add(1, std::sync::atomic::Ordering::Release);
-    match w.wake_target() {
-        Some(WakeTarget::Sim(core)) if preempt_sim::api::active() => {
-            preempt_sim::SimUipiSender::new(upid, level, core).send();
-            true
-        }
-        _ => {
-            let ok = UipiSender::new(upid, level).send();
-            w.wake();
-            ok
-        }
-    }
-}
-
-/// Terminal step of the containment ladder: declare `w` dead, terminate
-/// it and await its exit, sweep its engine-side orphans, and respawn a
-/// fresh incarnation or quarantine the slot. Returns `true` when the
-/// worker ended up quarantined (the caller must stop dispatching to it).
-fn recover_worker(
-    w: &Arc<WorkerShared>,
-    rb: &RobustnessConfig,
-    recovery: &RecoveryHooks,
-    shard: &Shard,
-) -> bool {
-    preempt_trace::emit(preempt_trace::TraceEvent::WorkerDead {
-        worker: w.id as u16,
-    });
-    shard.bump(Counter::WorkersDead);
-    // Order the incarnation out and wait (bounded) for it to leave
-    // worker_main. The orphan sweep is only sound once the dead worker
-    // can never run again — its abandoned guards must never drop.
-    w.terminate();
-    let wait_deadline = now_cycles().saturating_add(rb.exit_wait);
-    while !w.has_exited() && now_cycles() < wait_deadline {
-        if preempt_sim::api::active() {
-            preempt_sim::api::sleep(50_000);
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    if !w.has_exited() {
-        // Beyond recovery: the incarnation ignored termination (stuck in
-        // a loop with no preemption points). Quarantine without sweeping
-        // — force-releasing under a possibly-still-running owner would
-        // hand its latches to new holders it could stomp on.
-        quarantine(w, shard);
-        return true;
-    }
-    // Exit observed: force-release whatever the dead incarnation still
-    // held in the storage engine.
-    if let Some(sweep) = &recovery.sweep {
-        let result = sweep(w.id as u64);
-        preempt_trace::emit(preempt_trace::TraceEvent::OrphanSweep {
-            worker: w.id as u16,
-            latches: result.latches_released.min(u16::MAX as usize) as u16,
-            slots: result.slots_released.min(u16::MAX as usize) as u16,
-        });
-        shard.bump_by(Counter::OrphanLatchesReleased, result.latches_released as u64);
-        shard.bump_by(Counter::OrphansAborted, result.slots_released as u64);
-    }
-    // Respawn a fresh incarnation — its queued requests are implicitly
-    // requeued, since the queues live in `WorkerShared` and the
-    // replacement drains them — or quarantine when the budget is spent
-    // or no spawner is wired.
-    let budget_spent =
-        w.incarnation.load(std::sync::atomic::Ordering::Acquire) >= rb.max_respawns as u64;
-    match (&recovery.spawner, budget_spent) {
-        (Some(spawner), false) => {
-            let inc = w.reset_for_respawn();
-            preempt_trace::emit(preempt_trace::TraceEvent::WorkerRespawn {
-                worker: w.id as u16,
-                incarnation: inc.min(u8::MAX as u64) as u8,
-            });
-            shard.bump(Counter::WorkersRespawned);
-            spawner(w);
-            false
-        }
-        _ => {
-            quarantine(w, shard);
-            true
-        }
-    }
-}
-
-/// Quarantines a worker slot: the caller stops dispatching to it, and
-/// its queued requests are rejected (counted as orphaned) rather than
-/// left stranded forever.
-fn quarantine(w: &Arc<WorkerShared>, shard: &Shard) {
-    shard.bump(Counter::WorkersQuarantined);
-    for q in &w.queues {
-        while q.pop().is_some() {
-            shard.bump(Counter::RejectedOrphaned);
-        }
-    }
-}
-
-/// Cross-shard shootdown: moves as much of a wedged shard's high-priority
-/// remainder as possible onto foreign workers' top queues, kicking each
-/// target with a user interrupt so the starved work runs ahead of the
-/// target's low-priority stream. The epoch bump inside [`send_uintr`] is
-/// benign for the foreign shard's watchdog: the interrupt is an
-/// idempotent "drain your top queue" nudge, and the target acks the
-/// fresher epoch exactly as it would for its own scheduler's sends.
-fn shootdown_remainder(
-    cfg: &DriverConfig,
-    shard_idx: usize,
-    local: &[Arc<WorkerShared>],
-    all_workers: &[Arc<WorkerShared>],
-    pending: &mut VecDeque<Request>,
-    shard: &Shard,
-) {
-    let level = cfg.levels() as usize - 1;
-    let is_local = |id: usize| local.iter().any(|w| w.id == id);
-    let now = now_cycles();
-    'requests: while let Some(r) = pending.pop_front() {
-        let mut r = Some(r);
-        for w in all_workers {
-            if is_local(w.id) || w.is_stopped() {
-                continue;
-            }
-            // Starvation decision site 1 applies to foreign targets too:
-            // a starving worker receives no additional high work.
-            if cfg.policy.is_preemptive() && w.starvation.starving_live(now) {
-                continue;
-            }
-            let req = r.take().expect("request is present until pushed");
-            match w.queues[level].push(req) {
-                Ok(()) => {
-                    charge(DISPATCH_PUSH_COST);
-                    shard.bump(Counter::Shootdowns);
-                    shard.bump(Counter::TxnAdmittedHigh);
-                    preempt_trace::emit(preempt_trace::TraceEvent::Shootdown {
-                        from_shard: shard_idx as u16,
-                        worker: w.id as u16,
-                    });
-                    if cfg.policy.sends_uintr() {
-                        if send_uintr(w, level as u8) {
-                            shard.bump(Counter::UintrSent);
-                        } else {
-                            // Don't strand the moved request behind a
-                            // failed interrupt.
-                            w.wake();
-                        }
-                    } else {
-                        w.wake();
-                    }
-                    continue 'requests;
-                }
-                Err(back) => r = Some(back),
-            }
-        }
-        // No foreign worker could take it: put it back and stop — the
-        // rest of the remainder would hit the same full queues.
-        if let Some(back) = r {
-            pending.push_front(back);
-        }
-        return;
-    }
-}
-
-/// Runs the scheduling thread until `cfg.duration` elapses, then stops
-/// all workers. Call on the dedicated scheduler thread or simulated core.
-///
-/// This is shard 0 of a 1-shard plane — see [`scheduler_shard_main`] for
-/// the sharded form. The two are trajectory-identical when
-/// `cfg.shards == 1`.
-pub fn scheduler_main(
-    cfg: &DriverConfig,
-    registry: &MetricsRegistry,
-    workers: &[Arc<WorkerShared>],
-    factory: &mut dyn WorkloadFactory,
-) -> Option<ControllerReport> {
-    scheduler_shard_main(cfg, registry, 0, workers, workers, factory)
-}
-
-/// Runs one shard of the scheduler plane until `cfg.duration` elapses,
-/// then stops its **own** workers.
-///
-/// `workers` is this shard's contiguous slice of the worker set;
-/// `all_workers` is the full set (used only by the cross-shard shootdown
-/// path, which moves starved high-priority work to a foreign worker when
-/// every local queue is wedged). Each shard runs its own admission,
-/// dispatch, watchdog, supervision, degradation and controller loop over
-/// its local slice, so fault containment and adaptation are shard-local.
-/// With `shard_idx == 0` and `workers == all_workers` this is exactly
-/// the single scheduling thread of the paper.
-///
-/// Everything it counts goes to its own shard of `registry` (the run's
-/// one registry, which the workers' shards are attached to as well — the
-/// adaptive controller's sensors are windowed reads of it); the return
-/// value is the controller's threshold trajectory, `None` under static
-/// policies.
+/// Drives one shard's [`Plane`] until `cfg.duration` elapses, then stops
+/// its own workers: the §6.1 benchmark driver, on the shard's scheduler
+/// thread or simulated core. `workers` is this shard's contiguous slice
+/// of `all_workers` (shootdown targets). Returns the controller's
+/// threshold trajectory, `None` under static policies.
 pub fn scheduler_shard_main(
     cfg: &DriverConfig,
     registry: &MetricsRegistry,
@@ -704,75 +434,25 @@ pub fn scheduler_shard_main(
     if let Some(r) = &sched_ring {
         preempt_trace::install_current(r);
     }
-    // Real-thread mode: wait until all workers have published their UPIDs.
-    if !preempt_sim::api::active() {
-        for w in workers {
-            while w.upid().is_none() {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    // Context-local install so fault hooks firing on the scheduling
-    // thread attribute to the scheduler's shard; uninstalled before
-    // returning, like the trace ring above.
+    // Fault hooks firing here count into the plane's shard.
     let shard = registry.register_shard("scheduler", u32::MAX - shard_idx as u32);
     preempt_metrics::install_current(&shard);
 
+    let plane =
+        Plane::new(cfg, shard_idx, workers, all_workers, shard.clone(), Some(registry.clone()));
     let start = now_cycles();
     let deadline = start + cfg.duration;
-    // Arm every worker's live threshold cell from the policy; under the
-    // adaptive policy the controller re-writes it per window. (The
-    // worker also sets its own cell at startup; both write the same
-    // value, so the order is immaterial.)
-    if let Some(l0) = cfg.policy.starvation_threshold() {
-        for w in workers {
-            w.starvation.set_threshold(l0);
-        }
-        registry.gauge_set(Gauge::StarvationThreshold, l0);
-    }
-    let mut controller = cfg
-        .policy
-        .controller_config()
-        .map(|cc| crate::controller::Controller::new(cc, start));
-    // Baseline for per-window sensor deltas: the controller reads the
-    // cumulative registry and differences consecutive reads, which under
-    // the deterministic simulator reproduces the old drained-window
-    // values exactly (sum of per-shard deltas = delta of sums).
-    let mut ctl_prev_sensors = preempt_metrics::SensorTotals::zero();
     // Low-priority queues are kept topped up continuously (at most every
     // millisecond), independent of the high-priority arrival interval:
     // the paper's workload keeps workers saturated with Q2 at any
     // arrival rate (Figure 13 sweeps the interval from 50 us to 50 ms
     // and Q2 keeps running throughout).
     let low_refill = cfg.arrival_interval.min(crate::clock::freq_hz() / 1_000).max(1);
+    let top = cfg.levels() - 1;
+    let rb = cfg.robustness;
     let mut next_high_tick = start;
-    let mut rr = 0usize; // round-robin cursor (persists across ticks, §4.1)
     let mut pending: VecDeque<Request> = VecDeque::new();
     let mut kick = vec![false; workers.len()];
-
-    // Robustness state: per-worker watchdog timers and the degradation
-    // window (see `RobustnessConfig`).
-    let rb = cfg.robustness;
-    let mut degraded = false;
-    let mut dw = DegradeWindow::new(start, rb.degrade_eval_interval, rb.degrade_window);
-    let mut last_failure_at = start;
-    let mut wd_backoff = vec![rb.watchdog_backoff_min.max(1); workers.len()];
-    let mut wd_next = vec![0u64; workers.len()];
-
-    // Supervision state: per-worker liveness leases. `stale_since[i]` is
-    // when worker i was first seen unresponsive (unacknowledged epoch
-    // with top-priority work queued); the lease expires `rb.dead_after`
-    // later. Quarantined slots receive no further dispatch.
-    let supervising = rb.supervise && cfg.policy.sends_uintr();
-    let mut stale_since: Vec<Option<u64>> = vec![None; workers.len()];
-    // `calm_since[i]` is when worker i was first seen *stranded*: top
-    // queue non-empty but every delivery acknowledged, so nothing would
-    // ever bump the epoch again (sends ride on fresh enqueues, and a
-    // full queue admits none). After a full window the supervisor sends
-    // a probe interrupt to re-arm the epoch/ack lease.
-    let mut calm_since: Vec<Option<u64>> = vec![None; workers.len()];
-    let mut quarantined = vec![false; workers.len()];
 
     loop {
         let now = now_cycles();
@@ -782,7 +462,7 @@ pub fn scheduler_shard_main(
 
         // Refill low-priority queues.
         for (wi, w) in workers.iter().enumerate() {
-            if quarantined[wi] {
+            if plane.is_quarantined(wi) {
                 continue;
             }
             let mut pushed_any = false;
@@ -831,54 +511,24 @@ pub fn scheduler_shard_main(
                 }
             }
 
-            // Dispatch round-robin until depleted, the interval passes,
-            // or the no-progress retry cap is hit (bounded busy-retry:
-            // fully-stuck queues must not pin the scheduler).
+            // Place the batch, one round of `workers.len()` tries at a
+            // time, until it is depleted, the interval passes, or the
+            // no-progress retry cap is hit.
             kick.iter_mut().for_each(|k| *k = false);
             let tick_end = next_high_tick + cfg.arrival_interval;
             let mut full_retries = 0u32;
             while !pending.is_empty() {
                 let mut progress = false;
-                for _ in 0..workers.len() {
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let wi = rr % workers.len();
-                    let w = &workers[wi];
-                    rr += 1;
-                    if quarantined[wi] {
-                        continue;
-                    }
-                    // Starvation decision site 1 (§5): compare against
-                    // the worker's *live* threshold cell — static
-                    // policies arm it once, the adaptive controller
-                    // re-tunes it per window.
-                    if cfg.policy.is_preemptive() && w.starvation.starving_live(now_cycles()) {
-                        preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost {
-                            site: 1,
-                        });
-                        shard.bump(Counter::StarvationSkips);
-                        continue;
-                    }
-                    let level = cfg.levels() as usize - 1; // highest level queue
-                    if let Some(r) = pending.pop_front() {
-                        // Fault injection: a failed enqueue (e.g. a
-                        // transient allocation or queue error); the
-                        // request stays pending for a later round.
-                        if preempt_faults::on_dispatch() {
-                            shard.bump(Counter::DispatchFaults);
-                            charge(DISPATCH_PUSH_COST);
-                            pending.push_front(r);
-                            continue;
+                let mut slots = workers.len();
+                while let Some(r) = pending.pop_front() {
+                    match plane.place(r, top, &mut slots) {
+                        Ok(wi) => {
+                            kick[wi] = true;
+                            progress = true;
                         }
-                        match w.queues[level].push(r) {
-                            Ok(()) => {
-                                shard.bump(Counter::TxnAdmittedHigh);
-                                charge(DISPATCH_PUSH_COST);
-                                kick[wi] = true;
-                                progress = true;
-                            }
-                            Err(r) => pending.push_front(r),
+                        Err(r) => {
+                            pending.push_front(r);
+                            break;
                         }
                     }
                 }
@@ -888,20 +538,10 @@ pub fn scheduler_shard_main(
                 if !progress {
                     full_retries += 1;
                     if full_retries > rb.max_full_retries {
-                        // The give-up path. With a sharded plane, first
-                        // try to re-home the starved remainder
-                        // cross-shard: every local top queue is wedged,
-                        // so park each request on a foreign worker and
-                        // kick it with a user interrupt (shootdown).
+                        // Every local top queue is wedged: a sharded
+                        // plane re-homes what it can cross-shard.
                         if cfg.shards > 1 {
-                            shootdown_remainder(
-                                cfg,
-                                shard_idx,
-                                workers,
-                                all_workers,
-                                &mut pending,
-                                &shard,
-                            );
+                            plane.shootdown(&mut pending);
                         }
                         // Whatever could not be re-homed is dropped at
                         // the next interval.
@@ -921,245 +561,24 @@ pub fn scheduler_shard_main(
                 shard.bump(Counter::AbandonedBatches);
             }
 
-            // Notify workers: user interrupts under the preemptive policy
-            // (one per worker per batch — batched on-demand preemption),
+            // Notify workers: one user interrupt per worker per batch
+            // under the preemptive policy (batched on-demand preemption),
             // plain wake-ups otherwise or while degraded.
-            for (i, w) in workers.iter().enumerate() {
-                if quarantined[i] {
-                    continue;
-                }
-                let should_interrupt =
-                    cfg.policy.sends_uintr() && !degraded && (kick[i] || cfg.always_interrupt);
-                if should_interrupt {
-                    let level = cfg.levels() - 1;
-                    if send_uintr(w, level) {
-                        shard.bump(Counter::UintrSent);
-                        dw.send_ok();
-                        wd_backoff[i] = rb.watchdog_backoff_min.max(1);
-                        wd_next[i] = now_cycles() + wd_backoff[i];
-                    } else {
-                        shard.bump(Counter::UintrSendFailed);
-                        shard.bump(Counter::DeliveryErrors);
-                        dw.send_failed();
-                        last_failure_at = now_cycles();
-                        // Fall back to a plain wake so the work is not
-                        // stranded behind the failed interrupt.
-                        w.wake();
-                    }
-                } else if kick[i] {
-                    w.wake();
-                }
+            let sent = now_cycles();
+            for (wi, &kicked) in kick.iter().enumerate() {
+                plane.notify(wi, top, kicked, sent);
             }
 
             next_high_tick += cfg.arrival_interval;
         }
 
-        // Delivery watchdog: an unacknowledged epoch with high-priority
-        // work still queued means the interrupt was lost in flight —
-        // re-send it, backing off exponentially per worker.
-        let mut wd_earliest = u64::MAX;
-        if cfg.policy.sends_uintr() && rb.watchdog && !degraded {
-            let top = cfg.levels() as usize - 1;
-            let wnow = now_cycles();
-            for (i, w) in workers.iter().enumerate() {
-                if quarantined[i] {
-                    continue;
-                }
-                let epoch = w.uintr_epoch.load(std::sync::atomic::Ordering::Acquire);
-                let ack = w.uintr_ack.load(std::sync::atomic::Ordering::Acquire);
-                if epoch > ack && !w.queues[top].is_empty() {
-                    if wnow >= wd_next[i] {
-                        preempt_trace::emit(preempt_trace::TraceEvent::WatchdogResend {
-                            target: w.id as u16,
-                        });
-                        if send_uintr(w, top as u8) {
-                            shard.bump(Counter::UintrSent);
-                        }
-                        shard.bump(Counter::WatchdogResends);
-                        dw.send_failed();
-                        last_failure_at = wnow;
-                        wd_backoff[i] =
-                            wd_backoff[i].saturating_mul(2).min(rb.watchdog_backoff_max);
-                        wd_next[i] = wnow + wd_backoff[i];
-                    }
-                    wd_earliest = wd_earliest.min(wd_next[i]);
-                } else {
-                    wd_backoff[i] = rb.watchdog_backoff_min.max(1);
-                }
-            }
-        }
-
-        // Worker supervision: the terminal rung of the containment
-        // ladder. A worker whose delivery epoch stays unacknowledged
-        // while top-priority work is queued is merely *slow* until
-        // `dead_after` cycles pass — the watchdog keeps re-sending and
-        // degradation may kick in below. Once the lease expires the
-        // supervisor declares it dead: terminate + await exit, sweep
-        // engine-side orphans, respawn or quarantine. Healthy runs take
-        // the `stale_since = None` path only — zero extra events, zero
-        // virtual-time charges — so supervision cannot perturb
-        // fault-free trajectories.
-        let mut sup_earliest = u64::MAX;
-        if supervising {
-            let top = cfg.levels() as usize - 1;
-            let snow = now_cycles();
-            for (i, w) in workers.iter().enumerate() {
-                if quarantined[i] {
-                    continue;
-                }
-                let epoch = w.uintr_epoch.load(std::sync::atomic::Ordering::Acquire);
-                let ack = w.uintr_ack.load(std::sync::atomic::Ordering::Acquire);
-                if w.queues[top].is_empty() {
-                    stale_since[i] = None;
-                    calm_since[i] = None;
-                    continue;
-                }
-                if epoch == ack {
-                    // Stranded: top-priority work queued, nothing
-                    // outstanding to ack. Normal while a worker drains —
-                    // but a worker that never drains (say a respawned
-                    // incarnation wedged in low work, its top queue
-                    // already full so dispatch never enqueues-and-sends)
-                    // would keep the lease disarmed forever. After one
-                    // full window, probe it: the send bumps the epoch, a
-                    // healthy worker acks and drains, a wedged one now
-                    // trips the ordinary lease below.
-                    stale_since[i] = None;
-                    let since = *calm_since[i].get_or_insert(snow);
-                    if snow.saturating_sub(since) >= rb.dead_after {
-                        calm_since[i] = None;
-                        if send_uintr(w, top as u8) {
-                            shard.bump(Counter::UintrSent);
-                        }
-                    } else {
-                        sup_earliest = sup_earliest.min(since + rb.dead_after);
-                    }
-                    continue;
-                }
-                calm_since[i] = None;
-                let since = *stale_since[i].get_or_insert(snow);
-                if snow.saturating_sub(since) < rb.dead_after {
-                    sup_earliest = sup_earliest.min(since + rb.dead_after);
-                    continue;
-                }
-                // Lease expired.
-                stale_since[i] = None;
-                wd_backoff[i] = rb.watchdog_backoff_min.max(1);
-                wd_next[i] = 0;
-                quarantined[i] = recover_worker(w, &rb, &cfg.recovery, &shard);
-            }
-        }
-
-        // Graceful degradation: too many failures in the *rolling*
-        // window → stop interrupting and lean on wakes + worker-side
-        // cooperative checks; a failure-free quiet period re-arms
-        // interrupts and forgets the window's history.
-        let dnow = now_cycles();
-        if !degraded {
-            if let Some(rate_ppm) = dw.evaluate(dnow) {
-                if rate_ppm >= rb.degrade_threshold_ppm as u64 {
-                    degraded = true;
-                    preempt_trace::emit(preempt_trace::TraceEvent::Degrade { on: true });
-                    shard.bump(Counter::Degrades);
-                    registry.gauge_set(Gauge::DeliveryDegraded, 1.0);
-                    for w in workers {
-                        w.degraded.store(true, std::sync::atomic::Ordering::Release);
-                    }
-                }
-            }
-        } else if dnow.saturating_sub(last_failure_at) >= rb.upgrade_quiet {
-            degraded = false;
-            preempt_trace::emit(preempt_trace::TraceEvent::Degrade { on: false });
-            shard.bump(Counter::Upgrades);
-            registry.gauge_set(Gauge::DeliveryDegraded, 0.0);
-            dw.reset(dnow);
-            // Restart the watchdog clocks too: a stale pre-degradation
-            // wd_next would fire (and count a "failure") the instant
-            // interrupts re-arm, flapping straight back to degraded.
-            for i in 0..workers.len() {
-                wd_backoff[i] = rb.watchdog_backoff_min.max(1);
-                wd_next[i] = dnow + wd_backoff[i];
-            }
-            for w in workers {
-                w.degraded.store(false, std::sync::atomic::Ordering::Release);
-            }
-        }
-
-        // Adaptive starvation-threshold controller: at each virtual-time
-        // window boundary, read the cumulative sensor plane from the
-        // metrics registry, difference it against the previous read, run
-        // the AIMD step, and publish the new threshold to every worker's
-        // live cell. Deterministic: driven purely by virtual time and
-        // integer sensors.
-        let mut ctl_earliest = u64::MAX;
-        if let Some(ctl) = controller.as_mut() {
-            let cnow = now_cycles();
-            if cnow >= ctl.next_eval() {
-                // Sharded plane: each shard's controller reads only its
-                // own workers' (and its own scheduler shard's) sensors,
-                // so every shard adapts to its local load. The
-                // single-shard path keeps the unfiltered read and is
-                // trajectory-identical to the pre-sharding scheduler.
-                let totals = if cfg.shards > 1 {
-                    let own = u32::MAX - shard_idx as u32;
-                    let local_ids: Vec<u32> =
-                        workers.iter().map(|w| w.id as u32).collect();
-                    registry.sensor_totals_where(|label, index| match label {
-                        "scheduler" => index == own,
-                        "worker" => local_ids.contains(&index),
-                        _ => false,
-                    })
-                } else {
-                    registry.sensor_totals()
-                };
-                let win = totals.delta_since(&ctl_prev_sensors);
-                let snapshot = crate::controller::SensorSnapshot {
-                    high_completed: win.high_completed,
-                    high_p99: win.high_p99(),
-                    high_max: win.high_max(),
-                    low_completed: win.low_completed,
-                    aborts: win.aborts,
-                    degraded,
-                    watchdog_resends: win.watchdog_resends,
-                    skipped_starving: win.skipped_starving,
-                    dropped_high: win.dropped_high,
-                };
-                ctl_prev_sensors = totals;
-                let window = ctl.window_index();
-                let thr = ctl.evaluate(cnow, snapshot);
-                for w in workers {
-                    w.starvation.set_threshold(thr);
-                }
-                let decision = ctl
-                    .last_decision()
-                    .map(crate::controller::Decision::code)
-                    .unwrap_or(0);
-                preempt_trace::emit(preempt_trace::TraceEvent::ControllerDecision {
-                    window: window as u16,
-                    threshold_milli: (thr * 1000.0).round() as u32,
-                    decision,
-                });
-                registry.gauge_set(Gauge::StarvationThreshold, thr);
-                registry.gauge_set(Gauge::ViolationFloor, ctl.violation_floor());
-                shard.bump(Counter::ControllerEvals);
-                shard.bump(match ctl.last_decision() {
-                    Some(crate::controller::Decision::Raise) => Counter::ControllerRaises,
-                    Some(crate::controller::Decision::Lower) => Counter::ControllerLowers,
-                    _ => Counter::ControllerHolds,
-                });
-            }
-            ctl_earliest = ctl.next_eval();
-        }
-
-        // Sleep until the earliest of the next low refill, the next
-        // high-priority arrival, a pending watchdog re-send, a liveness
-        // lease expiry, or the next controller window boundary.
+        // Sleep until the next low refill, high arrival, or whatever
+        // housekeeping has due.
+        let due = plane.housekeep();
         let wake = next_high_tick
             .min(now_cycles() + low_refill)
             .min(deadline)
-            .min(wd_earliest)
-            .min(sup_earliest)
-            .min(ctl_earliest);
+            .min(due);
         if wake > now_cycles() {
             sleep_until_cycles(wake);
         }
@@ -1167,14 +586,12 @@ pub fn scheduler_shard_main(
 
     // Shut down.
     shard.bump_by(Counter::DroppedHigh, pending.len() as u64);
-    for w in workers {
-        w.stop();
-    }
+    let report = plane.stop();
     if sched_ring.is_some() {
         preempt_trace::clear_current();
     }
     preempt_metrics::clear_current();
-    controller.map(crate::controller::Controller::into_report)
+    report
 }
 
 #[cfg(test)]
@@ -1207,50 +624,6 @@ mod tests {
                 WorkOutcome::default()
             }))
         }
-    }
-
-    #[test]
-    fn degrade_window_rolls_and_decays() {
-        // 1 ms windows, trust a window once it has ≥ 8 sends.
-        let mut dw = DegradeWindow::new(0, 2_400_000, 8);
-
-        // Early failure spike: 8 sends, all failed.
-        for _ in 0..8 {
-            dw.send_failed();
-        }
-        assert_eq!(dw.evaluate(2_400_000), Some(1_000_000));
-
-        // The evaluation reset the counters: a long healthy stretch
-        // afterwards reads 0 ppm — the old spike does NOT linger.
-        for _ in 0..20 {
-            dw.send_ok();
-        }
-        assert_eq!(dw.evaluate(4_800_000), Some(0));
-
-        // A sub-threshold burst (3 failures < min_sends) is never
-        // evaluated; it decays across empty windows instead of waiting
-        // to be paired with much-later sends.
-        for _ in 0..3 {
-            dw.send_failed();
-        }
-        assert_eq!(dw.evaluate(7_200_000), None);
-        assert_eq!(dw.evaluate(9_600_000), None);
-        assert_eq!(dw.evaluate(12_000_000), None);
-        // Fully decayed: a healthy window evaluates clean.
-        for _ in 0..8 {
-            dw.send_ok();
-        }
-        assert_eq!(dw.evaluate(14_400_000), Some(0));
-
-        // Windows close on elapsed time, not send counts.
-        for _ in 0..100 {
-            dw.send_ok();
-        }
-        assert_eq!(dw.evaluate(14_400_001), None, "window not elapsed yet");
-
-        // reset() forgets everything.
-        dw.reset(20_000_000);
-        assert_eq!(dw.evaluate(30_000_000), None, "no sends since reset");
     }
 
     #[test]
@@ -1295,7 +668,7 @@ mod tests {
                 low_left: 10,
                 high_left: 40,
             };
-            scheduler_main(&cfg2, &reg, &ws, &mut f);
+            scheduler_shard_main(&cfg2, &reg, 0, &ws, &ws, &mut f);
         });
         sim.run();
 

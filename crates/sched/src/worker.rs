@@ -36,7 +36,7 @@ use preempt_context::tcb::{self, Tcb};
 use preempt_metrics::Counter;
 use preempt_uintr::{UintrReceiver, Upid};
 
-use crate::clock::now_cycles;
+use crate::clock::{charge, now_cycles};
 use crate::policy::Policy;
 use crate::request::{Request, RequestQueue, WorkOutcome};
 use crate::starvation::StarvationState;
@@ -62,15 +62,6 @@ pub const DEGRADED_YIELD_INTERVAL: u64 = 64;
 const RETRY_BACKOFF_BASE: u64 = 2_400;
 /// Cap on the backoff shift (base << 6 ≈ 64 µs).
 const RETRY_BACKOFF_MAX_SHIFT: u32 = 6;
-
-/// Charges virtual cycles when running under the simulator (on real
-/// threads the work itself costs real time).
-#[inline]
-fn charge(cycles: u64) {
-    if preempt_sim::api::active() {
-        preempt_sim::api::advance(cycles);
-    }
-}
 
 /// How the scheduler wakes an idle worker.
 #[derive(Clone, Debug)]
@@ -140,7 +131,7 @@ pub struct WorkerShared {
     /// `queues[0]` (capacity 1) and `queues[1]` (capacity 4).
     pub queues: Vec<Arc<RequestQueue>>,
     /// Published by the worker at startup (once per incarnation); the
-    /// scheduler's UITT entry target. A mutex rather than a `OnceLock`
+    /// plane's UITT entry target. A mutex rather than a `OnceLock`
     /// because a respawned incarnation publishes a fresh UPID.
     pub upid: Mutex<Option<Arc<Upid>>>,
     /// Trace ring for this worker, registered by the runner when the
@@ -562,14 +553,23 @@ impl WorkerCtx {
     /// stamping versions under its §4.4 guard, and an unwind there would
     /// tear down a transaction that is already durably committed (a lost
     /// commit). The token obeys the same discipline as preemption itself
-    /// and fires at the next preemptible point instead.
+    /// and fires at the next preemptible point instead. Nor is it raised
+    /// in a drain loop between requests, where the live transaction is
+    /// the preempted one a level down: no firewall stands between there
+    /// and the context's entry, which the unwind would poison. (A
+    /// transaction runs at a level no higher than its priority.)
+    /// `resume_unwind` skips the panic hook: no message, and no backtrace
+    /// captured while the supervisor waits (a bounded `exit_wait`) for
+    /// the worker to go.
     fn terminate_if_ordered(&self) {
         if self.shared.is_terminated()
-            && self.current_txn_priority.get().is_some()
+            && self.current_txn_priority.get().is_some_and(|p| p >= self.current_level.get())
             && !std::thread::panicking()
             && !tcb::with_current(|t| t.is_nonpreemptible())
         {
-            std::panic::panic_any(TerminateToken);
+            // preempt-lint: allow(handler-alloc) — boxing a zero-sized token
+            // allocates nothing.
+            std::panic::resume_unwind(Box::new(TerminateToken));
         }
     }
 
@@ -616,12 +616,7 @@ impl WorkerCtx {
             if self.shared.is_terminated() {
                 // Same guards as `on_point`: no unwind mid-unwind, none
                 // inside a non-preemptible region (see there).
-                if self.current_txn_priority.get().is_some()
-                    && !std::thread::panicking()
-                    && !tcb::with_current(|t| t.is_nonpreemptible())
-                {
-                    std::panic::panic_any(TerminateToken);
-                }
+                self.terminate_if_ordered();
                 return;
             }
             let now = now_cycles();
@@ -933,7 +928,7 @@ impl WorkerCtx {
     /// deque itself holds a
     /// [`NonPreemptGuard`](preempt_context::nonpreempt::NonPreemptGuard)
     /// across every claim-to-handoff window — steal here, but equally
-    /// the owner's `pop` and the scheduler's dispatch `push` — because a
+    /// the owner's `pop` and the plane's dispatch `push` — because a
     /// user interrupt landing between the word-CAS claim and the slot
     /// handoff would strand the claimed slot until this context resumed,
     /// stalling every peer spinning on that slot for the whole
@@ -1048,8 +1043,10 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     }
     if !preempt_sim::api::active() {
         // Real-thread mode: register our own thread handle, replacing a
-        // dead incarnation's stale one on respawn. (In sim mode the
-        // spawner registers the core id before the worker runs.)
+        // dead incarnation's stale one on respawn, before the UPID is
+        // published — whoever sees this incarnation's descriptor also
+        // sees its thread, not a dead one's. (In sim mode the spawner
+        // registers the core id before the worker runs.)
         shared.set_wake_target(WakeTarget::Thread(std::thread::current()));
     }
 
@@ -1139,6 +1136,47 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     preempt_mvcc::clear_current_owner();
     preempt_trace::clear_current();
     preempt_metrics::clear_current();
+}
+
+/// Dropped as the last thing a worker thread does, unwinding included:
+/// renames the thread to `preemptdb-gone`. `join` returns when the kernel
+/// clears the thread's tid word, a moment *before* the task leaves
+/// `/proc/self/task`; a worker still named then is counted by whoever
+/// lists `preemptdb-worker-*` threads right after a `shutdown` (the
+/// benchmark's placement does, and refuses to run with two). A declared
+/// dead incarnation still unwinding is renamed the same way.
+struct RetireThreadName;
+
+impl Drop for RetireThreadName {
+    fn drop(&mut self) {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn prctl(option: i32, ...) -> i32;
+            }
+            const PR_SET_NAME: i32 = 15;
+            // SAFETY: PR_SET_NAME reads a NUL-terminated string of at most
+            // 16 bytes from its argument; the literal is static, 15 with
+            // its NUL.
+            unsafe { prctl(PR_SET_NAME, c"preemptdb-gone".as_ptr()) };
+        }
+    }
+}
+
+/// Starts an incarnation of `w` on a thread of its own, named
+/// `preemptdb-worker-<id>` while it runs, and registers it as the
+/// worker's wake target. Created from the caller, it shares its CPU mask.
+pub fn spawn_worker_thread(w: &Arc<WorkerShared>, policy: Policy) -> std::thread::JoinHandle<()> {
+    let ws = w.clone();
+    let h = std::thread::Builder::new()
+        .name(format!("preemptdb-worker-{}", w.id))
+        .spawn(move || {
+            let _name = RetireThreadName;
+            worker_main(ws, policy)
+        })
+        .expect("spawn worker thread");
+    w.set_wake_target(WakeTarget::Thread(h.thread().clone()));
+    h
 }
 
 #[cfg(test)]
@@ -1387,8 +1425,7 @@ mod tests {
     #[test]
     fn worker_runs_on_real_thread() {
         let shared = WorkerShared::new(0, &[2, 4]);
-        let ws = shared.clone();
-        let handle = std::thread::spawn(move || worker_main(ws, Policy::preemptdb()));
+        let handle = spawn_worker_thread(&shared, Policy::preemptdb());
         // Wait for startup.
         while shared.upid().is_none() {
             std::thread::yield_now();

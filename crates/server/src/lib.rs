@@ -38,7 +38,7 @@ use preempt_metrics::registry::{Counter, Gauge, MetricsRegistry, Shard};
 use preempt_trace::{TraceEvent, TraceSession};
 use preemptdb::mvcc::{Oid, Table};
 use preemptdb::sched::clock::{freq_hz, now_cycles};
-use preemptdb::sched::{AdmissionControl, Histogram};
+use preemptdb::sched::AdmissionControl;
 use preemptdb::{Database, DatabaseConfig, Engine, Priority, WorkOutcome};
 
 use proto::{ErrCode, Frame, FrameReader, Op, SloClass, Status};
@@ -88,9 +88,10 @@ pub struct ServerConfig {
     /// chaos testing.
     pub enable_chaos_ops: bool,
     /// Metrics registry to instrument: a `("server", 0)` shard for the
-    /// `net_*` series is registered on it and the pool workers' shards
-    /// (transactions, latencies, uintr delivery, level switches, latch
-    /// waits) are attached to it.
+    /// `net_*` series is registered on it and the pool's shards are
+    /// attached to it — one per worker (transactions, latencies, uintr
+    /// delivery, level switches, latch waits) and the scheduler plane's
+    /// (dispatch, interrupts sent, watchdog, supervision).
     pub metrics: Option<MetricsRegistry>,
     /// Trace session; each connection thread registers a `"conn"` ring
     /// and records request lifecycle events on it.
@@ -184,8 +185,6 @@ struct Core {
     replies: [AtomicU64; 2],
     protocol_errors: AtomicU64,
     committed_deposits: AtomicU64,
-    /// Server-side per-class request latency (ingress → reply), cycles.
-    latency: [Mutex<Histogram>; 2],
     metrics: Option<(MetricsRegistry, Arc<Shard>)>,
     trace: Option<TraceSession>,
 }
@@ -252,7 +251,6 @@ impl Pending {
         core.gates[idx].release();
         core.publish_in_flight();
         core.replies[idx].fetch_add(1, Ordering::AcqRel);
-        core.latency[idx].lock().record(latency);
         // The reply runs inside the worker closure, so serializing the
         // frame onto the socket lands in the transaction's window —
         // attribute it as reply-write, not engine run time.
@@ -329,12 +327,10 @@ impl Server {
         tx.commit()
             .map_err(|e| std::io::Error::other(format!("seed commit: {e}")))?;
 
-        // The pool's workers count into shards of their own; attached
-        // here, their series are scraped next to the `net_*` ones.
+        // The pool counts into shards of its own; attached here, its
+        // series are scraped next to the `net_*` ones.
         let metrics = cfg.metrics.map(|reg| {
-            for w in db.workers() {
-                reg.attach(&w.metrics_shard);
-            }
+            db.attach_metrics(&reg);
             (reg.clone(), reg.register_shard("server", 0))
         });
         let core = Arc::new(Core {
@@ -352,7 +348,6 @@ impl Server {
             replies: [AtomicU64::new(0), AtomicU64::new(0)],
             protocol_errors: AtomicU64::new(0),
             committed_deposits: AtomicU64::new(0),
-            latency: [Mutex::new(Histogram::new()), Mutex::new(Histogram::new())],
             metrics,
             trace: cfg.trace,
         });
@@ -410,11 +405,6 @@ impl Server {
             committed_deposits: c.committed_deposits.load(Ordering::Acquire),
             in_flight: [c.gates[0].in_flight(), c.gates[1].in_flight()],
         }
-    }
-
-    /// Server-side request latency for one class (ingress → reply).
-    pub fn latency_histogram(&self, class: SloClass) -> Histogram {
-        self.core.latency[class.index()].lock().clone()
     }
 
     /// Cycle-clock frequency used for latency stamps.

@@ -201,7 +201,11 @@ fn metrics_registry_carries_the_worker_side_series() {
     let kind = snap.kind("net_deposit").expect("per-kind series");
     assert_eq!((kind.completed, kind.latency.count()), (deposits, deposits));
     assert!(snap.counter(Counter::UintrDelivered) > 0, "high requests interrupt");
-    assert_eq!(snap.shards, 1 + 2, "the server's shard and one per worker");
+    // The scheduler plane counts each call it dispatched, and the one
+    // interrupt it sent for it.
+    assert_eq!(snap.counter(Counter::TxnAdmittedHigh), deposits);
+    assert_eq!(snap.counter(Counter::UintrSent), deposits);
+    assert_eq!(snap.shards, 1 + 1 + 2, "the server's, the plane's and one per worker");
     drop(c);
     server.shutdown();
 }
@@ -539,6 +543,13 @@ fn chaos_panics_are_contained_under_live_load() {
         victim.send_bytes(&burst);
         drop(victim); // hang up with panics still in flight
     }
+    // Nothing in flight means nothing more to come only once every
+    // victim's connection thread has read its burst to the end.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().conns_closed < 6 {
+        assert!(Instant::now() < deadline, "victim connections never closed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let stats = wait_drained(&server);
     assert_eq!(
@@ -561,4 +572,76 @@ fn chaos_panics_are_contained_under_live_load() {
     assert!(after.call_ok(1, Op::Sum, 0, 0) >= ACCOUNTS * INITIAL_BALANCE);
     drop(after);
     server.shutdown();
+}
+
+/// Replies on one connection are not FIFO within a class, and this pins
+/// down how they reorder (DESIGN.md §14.6). One high connection keeps
+/// eight requests in flight on a one-worker pool for 2 000 requests.
+/// The worker pops requests in id order from its one high queue. An idle
+/// worker pops one on its level-0 path, and the first preemption point
+/// delivers the interrupt still pending for it. The level-1 drain loop
+/// then runs every request queued behind it, FIFO, until it finds the
+/// queue empty. So:
+///
+/// * a request is overtaken only while its worker holds it like that,
+///   at most once per level-0 pop (`txn_high_on_regular`);
+/// * its overtakers are exactly the requests right after it, with no
+///   gap;
+/// * the replies of requests that were never held come back in order.
+///
+/// How long a drain lasts, and so how many requests overtake the one
+/// it holds, depends on arrivals rather than the window: the queue
+/// stays non-empty while the client refills it faster than the worker
+/// drains it.
+#[test]
+fn pipelined_replies_reorder_only_around_a_held_request() {
+    use preemptdb::metrics::{Counter, MetricsConfig, MetricsRegistry};
+    const WINDOW: u64 = 8;
+    const TOTAL: u64 = 2_000;
+    let registry = MetricsRegistry::new(MetricsConfig::default());
+    let mut cfg = test_config().workers(1);
+    cfg.metrics = Some(registry.clone());
+    let server = Server::start(cfg).expect("start");
+    let mut c = Client::connect(&server, SloClass::High);
+    let mut sent = 0u64;
+    let mut replies: Vec<u64> = Vec::with_capacity(TOTAL as usize);
+    while (replies.len() as u64) < TOTAL {
+        while sent < TOTAL && sent < replies.len() as u64 + WINDOW {
+            c.send(&Frame::Req { id: sent, op: Op::Read, a: sent % ACCOUNTS, b: 0 });
+            sent += 1;
+        }
+        match c.recv() {
+            Some(Frame::Resp { id, status: Status::Ok, .. }) => replies.push(id),
+            other => panic!("expected an Ok resp, got {other:?}"),
+        }
+    }
+    drop(c);
+    server.shutdown();
+
+    let mut sorted = replies.clone();
+    sorted.sort_unstable();
+    assert!(sorted.iter().copied().eq(0..TOTAL), "every request answered once");
+    let mut held = 0u64;
+    let mut largest = 0usize;
+    let mut in_order = Vec::new();
+    for (at, &id) in replies.iter().enumerate() {
+        let mut overtakers: Vec<u64> =
+            replies[..at].iter().copied().filter(|&r| r > id).collect();
+        if overtakers.is_empty() {
+            in_order.push(id);
+            continue;
+        }
+        held += 1;
+        largest = largest.max(overtakers.len());
+        overtakers.sort_unstable();
+        let run = id + 1..id + 1 + overtakers.len() as u64;
+        assert!(
+            overtakers.iter().copied().eq(run),
+            "request {id} was overtaken by {overtakers:?}, not by the run right after it"
+        );
+    }
+    assert!(in_order.windows(2).all(|p| p[0] < p[1]), "unheld replies in order");
+    let pops = registry.counter_total(Counter::HighOnRegular);
+    assert!(held <= pops, "{held} held requests but {pops} level-0 pops");
+    eprintln!("{held} of {TOTAL} requests held, the longest overtaken by {largest}");
 }

@@ -627,3 +627,32 @@ fn recovery_trace_is_deterministic() {
     );
     assert_eq!(ea, recovery_events(&b), "recovery trajectories diverged");
 }
+
+/// A termination order never unwinds a drain loop between requests: at
+/// that moment the live transaction is the preempted one a level down,
+/// and no panic firewall stands between the drain loop and the entry of
+/// the preemptive context, which the unwind would poison (the simulator
+/// then finds the core parked on a dead context and aborts the run).
+/// Sixteen workers on two shards under wedges, panics and failed
+/// dispatches reach that moment; the order must wait for a transaction
+/// of the drain loop's own level, or for the loop to hand the worker
+/// back.
+#[test]
+fn termination_waits_for_a_transaction_of_the_running_level() {
+    let (engine, table, oids) = setup_bank();
+    let plan = FaultPlan::quiet(97)
+        .with_txn_panic_ppm(30_000)
+        .with_latch_panic_ppm(50_000)
+        .with_wedge(2_000, 14_400_000)
+        .with_dispatch_fail_ppm(50_000);
+    let mut cfg = bank_cfg(&engine, 120, chaos_rb());
+    cfg.n_workers = 16;
+    cfg.shards = 2;
+    cfg.batch_size = 64;
+    let r = run_sim(plan, cfg, Box::new(Bank::new(engine.clone(), table.clone(), oids.clone())));
+
+    assert!(r.scheduler.workers_dead > 0, "wedges tripped leases");
+    assert!(r.core_failures.is_empty(), "a worker core died: {:?}", r.core_failures);
+    assert!(r.completed("deposit") > 50, "deposits kept committing");
+    assert_eq!(engine.registry().active_count(), 0, "active-txn slots leaked");
+}
