@@ -250,7 +250,8 @@ pub const SPEC: &[SpecRow] = &[
         field: "quarantined",
         op: "store",
         allow: &["Release"],
-        why: "quarantine is published before the slot's queue is rejected",
+        why: "quarantine is published before the slot's queue is rejected; \
+              only a simulated plane quarantines",
     },
     SpecRow {
         protocol: "terminate-exited",
@@ -258,8 +259,8 @@ pub const SPEC: &[SpecRow] = &[
         field: "quarantined",
         op: "load",
         allow: &["Acquire"],
-        why: "a dispatcher that sees the quarantine skips the slot; one that \
-              misses it leaves a push the pool's next pass rejects",
+        why: "a dispatcher that sees the quarantine skips the slot; only the \
+              simulated shard's own core dispatches, so none can miss it",
     },
     // ── Scheduler-plane hints (DESIGN.md §13) ────────────────────────
     SpecRow {

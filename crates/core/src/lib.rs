@@ -64,10 +64,10 @@ pub use preempt_sched::{
 };
 pub use preempt_sim::SimConfig;
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use preempt_sched::{spawn_worker_thread, Plane, RecoveryHooks, WorkerShared};
+use preempt_sched::{spawn_worker_thread, Plane, WorkerShared};
 
 /// Application-facing priority of submitted work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,15 +135,17 @@ fn num_cpus_fallback() -> usize {
 /// The pool is a one-shard scheduler [`Plane`] with the default
 /// robustness settings: every submission is dispatched inline on the
 /// submitting thread, and a `preemptdb-plane` thread runs the delivery
-/// watchdog, degradation, and supervision — a worker that stops
-/// acknowledging its interrupts is declared dead, its orphans are swept
-/// from the engine, and a fresh incarnation takes over its queue.
+/// watchdog, degradation and the adaptive controller. It never declares
+/// a worker dead: on real threads a healthy worker that is descheduled,
+/// or busy where it checks nothing, looks just like a wedged one, so a
+/// closure that runs long without preemption points delays the work
+/// queued behind it and nothing more.
 pub struct Database {
     engine: Engine,
     plane: Arc<Plane>,
     housekeeper: Option<JoinHandle<()>>,
-    /// Every worker incarnation's thread, respawned ones included.
-    threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// One thread per worker, spawned once.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Database {
@@ -154,25 +156,10 @@ impl Database {
         let workers: Vec<_> = (0..cfg.workers)
             .map(|i| WorkerShared::new(i, &cfg.queue_caps))
             .collect();
-        let threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
-        let spawn = {
-            let (threads, policy) = (threads.clone(), cfg.policy);
-            move |w: &Arc<WorkerShared>| {
-                let h = spawn_worker_thread(w, policy);
-                threads.lock().expect("thread list poisoned").push(h);
-            }
-        };
-        for w in &workers {
-            spawn(w);
-        }
-        let sweep_engine = engine.clone();
+        let threads = workers.iter().map(|w| spawn_worker_thread(w, cfg.policy)).collect();
         let driver = DriverConfig {
             n_workers: cfg.workers,
             queue_caps: cfg.queue_caps,
-            recovery: RecoveryHooks {
-                sweep: Some(Arc::new(move |owner| sweep_engine.orphan_sweep(owner))),
-                spawner: Some(Arc::new(spawn)),
-            },
             ..DriverConfig::paper_default(cfg.policy)
         };
         let shard = metrics::Shard::new("scheduler", u32::MAX);
@@ -329,8 +316,7 @@ impl Database {
             h.thread().unpark();
             h.join().expect("the plane's housekeeper panicked");
         }
-        let threads = std::mem::take(&mut *self.threads.lock().expect("thread list poisoned"));
-        for h in threads {
+        for h in std::mem::take(&mut self.threads) {
             h.join().expect("worker panicked");
         }
         self.metrics()

@@ -8,6 +8,13 @@
 //! every worker it reached once, and housekeeps once per loop. An
 //! embedded `preemptdb::Database` dispatches on the submitting thread
 //! and housekeeps on a thread of its own ([`Plane::spawn_housekeeper`]).
+//!
+//! Supervision (declaring a worker dead, then sweeping, respawning or
+//! quarantining it) runs only under the simulator, where a stalled ack
+//! can only be an injected wedge. On real threads a healthy worker can
+//! stop acknowledging for longer than any fixed lease (descheduled by
+//! the host, or busy where it checks nothing), so there the plane
+//! re-sends, degrades and adapts, and never kills a worker.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -28,12 +35,6 @@ use crate::worker::{WakeTarget, WorkerShared};
 /// Cycles the scheduler spends pushing one request (modeling §4.1's
 /// dispatch work in virtual time).
 pub(crate) const DISPATCH_PUSH_COST: u64 = 250;
-
-/// Under a pool's housekeeper, deaths of one slot spend its respawn
-/// budget only while each comes within this many `dead_after` leases of
-/// the one before; a death after a longer healthy stretch starts a fresh
-/// budget. A bounded `sched::run` spends the budget over the whole run.
-pub const RESPAWN_BUDGET_LEASES: u64 = 16;
 
 /// Rolling send/failure window for graceful-degradation decisions.
 ///
@@ -142,9 +143,8 @@ struct Housekeeping {
     /// again (sends ride on fresh enqueues, and a full queue admits
     /// none). After a full window the housekeeper probes it.
     calm_since: Vec<Option<u64>>,
-    /// Respawns charged to worker i's budget, and when it last died.
+    /// Respawns charged to worker i's budget.
     respawns: Vec<u32>,
-    last_death: Vec<u64>,
     controller: Option<Controller>,
     /// The sensor totals at the previous controller window.
     ctl_prev: SensorTotals,
@@ -162,8 +162,8 @@ pub struct Plane {
     shard: Arc<Shard>,
     /// Where gauges go, if anywhere.
     registry: Option<MetricsRegistry>,
-    /// Under the simulator, the only place fault plans and virtual-time
-    /// charges exist: a pool's dispatch consults neither.
+    /// Under the simulator, the only place fault plans, virtual-time
+    /// charges and supervision exist: a pool consults none of them.
     simulated: bool,
     rr: AtomicUsize,
     quarantined: Box<[AtomicBool]>,
@@ -236,7 +236,6 @@ impl Plane {
                 stale_since: vec![None; n],
                 calm_since: vec![None; n],
                 respawns: vec![0; n],
-                last_death: vec![0; n],
                 controller: cfg.policy.controller_config().map(|cc| Controller::new(cc, start)),
                 ctl_prev: SensorTotals::zero(),
             }),
@@ -256,7 +255,8 @@ impl Plane {
         &self.shard
     }
 
-    /// Whether supervision gave up on worker `wi`.
+    /// Whether supervision gave up on worker `wi` (only ever under the
+    /// simulator).
     pub fn is_quarantined(&self, wi: usize) -> bool {
         self.quarantined[wi].load(Ordering::Acquire)
     }
@@ -279,24 +279,15 @@ impl Plane {
     }
 
     /// Dispatches `req` at `level` and notifies its worker. Hands the
-    /// request back when every live worker's queue is full or (above
-    /// level 0) its worker is starving; rejects it when every worker is
-    /// quarantined.
+    /// request back when every worker's queue is full or (above level 0)
+    /// its worker is starving.
     pub fn dispatch(&self, req: Request, level: u8) -> Result<(), Request> {
         // The request's stamp stands in for the send time (the watchdog's
         // backoff base): it saves a clock read per request.
         let at = req.created_at;
-        match self.place(req, level, &mut self.workers.len()) {
-            Ok(wi) => {
-                self.send(wi, level, true, at);
-                Ok(())
-            }
-            Err(_) if (0..self.workers.len()).all(|wi| self.is_quarantined(wi)) => {
-                self.shard.bump(Counter::RejectedOrphaned);
-                Ok(())
-            }
-            Err(req) => Err(req),
-        }
+        let wi = self.place(req, level, &mut self.workers.len())?;
+        self.send(wi, level, true, at);
+        Ok(())
     }
 
     /// Offers `req` to at most `*slots` workers in round-robin order,
@@ -526,16 +517,16 @@ impl Plane {
     // ---- housekeeping ----
 
     /// One housekeeping pass of a bounded run: the delivery watchdog,
-    /// supervision, degradation and the controller window, in that order.
-    /// Returns the earliest cycle a re-send, lease expiry or controller
-    /// window is due (`u64::MAX` if none).
+    /// supervision (under the simulator only), degradation and the
+    /// controller window, in that order. Returns the earliest cycle a
+    /// re-send, lease expiry or controller window is due (`u64::MAX` if
+    /// none).
     pub fn housekeep(&self) -> u64 {
         self.pass(false)
     }
 
-    /// [`housekeep`](Self::housekeep); `pool` is a long-lived pool's
-    /// pass, which notices fresh sends by the epoch rather than a stamp
-    /// and lets a slot's respawn budget refill ([`RESPAWN_BUDGET_LEASES`]).
+    /// [`housekeep`](Self::housekeep); `pool` is a pool's pass, which
+    /// notices fresh sends by the epoch rather than a stamp.
     fn pass(&self, pool: bool) -> u64 {
         let mut hk = self.housekeeping.lock();
         let hk = &mut *hk;
@@ -559,11 +550,6 @@ impl Plane {
                     hk.seen_epoch[i] = epoch;
                     hk.wd_backoff[i] = min_backoff;
                     hk.wd_next[i] = pnow + min_backoff;
-                }
-                // A submitter can push after missing the quarantine flag;
-                // what it left is rejected here, a pass later.
-                if self.is_quarantined(i) {
-                    self.reject_queued(i);
                 }
             }
         }
@@ -612,9 +598,12 @@ impl Plane {
         // land between a send and its ack, and only the ack tells a busy
         // worker from a wedged one. Healthy runs take the lease-disarmed
         // paths only — no events, no virtual-time charges — so
-        // supervision cannot perturb fault-free trajectories.
+        // supervision cannot perturb fault-free trajectories. Only under
+        // the simulator: on real threads a healthy worker that is
+        // descheduled, or busy where it checks nothing, stalls the ack
+        // just as a wedge does, and a lease cannot tell them apart.
         let mut sup_earliest = u64::MAX;
-        if rb.supervise && self.cfg.policy.sends_uintr() {
+        if self.simulated && rb.supervise && self.cfg.policy.sends_uintr() {
             let snow = now_cycles();
             for (i, w) in self.workers.iter().enumerate() {
                 if self.is_quarantined(i) {
@@ -662,7 +651,7 @@ impl Plane {
                 hk.stale_since[i] = None;
                 hk.wd_backoff[i] = min_backoff;
                 hk.wd_next[i] = 0;
-                self.recover(i, &rb, hk, pool);
+                self.recover(i, &rb, hk);
             }
         }
 
@@ -758,7 +747,7 @@ impl Plane {
 
     /// Declares worker `wi` dead: terminate it and await its exit, sweep
     /// its engine-side orphans, then respawn it or quarantine the slot.
-    fn recover(&self, wi: usize, rb: &RobustnessConfig, hk: &mut Housekeeping, pool: bool) {
+    fn recover(&self, wi: usize, rb: &RobustnessConfig, hk: &mut Housekeeping) {
         let w = &self.workers[wi];
         preempt_trace::emit(preempt_trace::TraceEvent::WorkerDead {
             worker: w.id as u16,
@@ -768,11 +757,7 @@ impl Plane {
         w.terminate();
         let wait_deadline = now_cycles().saturating_add(rb.exit_wait);
         while !w.has_exited() && now_cycles() < wait_deadline {
-            if preempt_sim::api::active() {
-                preempt_sim::api::sleep(50_000);
-            } else {
-                std::thread::yield_now();
-            }
+            preempt_sim::api::sleep(50_000);
         }
         if !w.has_exited() {
             // Beyond recovery: the incarnation ignored termination (stuck
@@ -800,11 +785,6 @@ impl Plane {
         // requeued, since the queues live in `WorkerShared` and the
         // replacement drains them — or quarantine when the budget is
         // spent or no spawner is wired.
-        let died = now_cycles();
-        if pool && died.saturating_sub(hk.last_death[wi]) >= RESPAWN_BUDGET_LEASES * rb.dead_after {
-            hk.respawns[wi] = 0;
-        }
-        hk.last_death[wi] = died;
         match (&recovery.spawner, hk.respawns[wi] >= rb.max_respawns) {
             (Some(spawner), false) => {
                 hk.respawns[wi] += 1;
@@ -825,10 +805,6 @@ impl Plane {
     fn quarantine(&self, wi: usize) {
         self.quarantined[wi].store(true, Ordering::Release);
         self.shard.bump(Counter::WorkersQuarantined);
-        self.reject_queued(wi);
-    }
-
-    fn reject_queued(&self, wi: usize) {
         for q in &self.workers[wi].queues {
             while q.pop().is_some() {
                 self.shard.bump(Counter::RejectedOrphaned);
@@ -847,12 +823,14 @@ impl Plane {
         self.housekeeping.lock().controller.take().map(Controller::into_report)
     }
 
-    /// Runs [`housekeep`](Self::housekeep) on a thread named
+    /// Runs a pool's housekeeping passes (the delivery watchdog,
+    /// degradation and the controller window; never supervision, which a
+    /// pool on real threads does not have) on a thread named
     /// `preemptdb-plane` until [`stop`](Self::stop); unpark it after
     /// `stop` to end it promptly. Created from the caller, the thread
-    /// shares its CPU mask, and so do the workers it respawns. It parks
-    /// until the deadline a pass returns, at most `dead_after / 2`, so a
-    /// lease that arms while nothing else is due is still seen to expire.
+    /// shares its CPU mask. It parks until the deadline a pass returns,
+    /// at most `dead_after / 2`, so an idle pool still closes its
+    /// degradation windows and a degraded one re-arms its interrupts.
     pub fn spawn_housekeeper(self: &Arc<Plane>) -> std::thread::JoinHandle<()> {
         let plane = self.clone();
         // The first read calibrates the clock with a 20 ms spin; done
@@ -939,57 +917,41 @@ mod tests {
 
     /// A worker that acks while a submitter keeps its queue fed is busy,
     /// not dead, however long every pass finds a send outstanding; once
-    /// its ack stops moving for `dead_after`, it is dead.
+    /// its ack stops moving for `dead_after`, it is dead. Supervision
+    /// exists only under the simulator, so the plane lives on a core.
     #[test]
     fn the_lease_runs_from_the_last_ack() {
-        let mut cfg = DriverConfig::paper_default(crate::Policy::preemptdb());
-        cfg.n_workers = 1;
-        cfg.robustness.dead_after = 1_000;
-        cfg.robustness.exit_wait = 1_000;
-        let w = WorkerShared::new(0, &cfg.queue_caps);
-        w.set_upid(preempt_uintr::Upid::new());
-        let workers = [w.clone()];
-        let plane = Plane::new(&cfg, 0, &workers, &workers, Shard::new("t", 0), None);
-        let lease_expires = || {
-            let t = now_cycles();
-            while now_cycles() < t + 2 * cfg.robustness.dead_after {
-                std::hint::spin_loop();
-            }
-        };
-        let req = Request::new("t", 1, 0, crate::WorkOutcome::default);
-        assert!(w.queues[1].push(req).is_ok());
+        let sim = preempt_sim::Simulation::new(preempt_sim::SimConfig::default());
+        sim.spawn_core("scheduler", 256 * 1024, || {
+            let mut cfg = DriverConfig::paper_default(crate::Policy::preemptdb());
+            cfg.n_workers = 1;
+            cfg.robustness.dead_after = 1_000;
+            cfg.robustness.exit_wait = 1_000;
+            let w = WorkerShared::new(0, &cfg.queue_caps);
+            w.set_upid(preempt_uintr::Upid::new());
+            let workers = [w.clone()];
+            let plane = Plane::new(&cfg, 0, &workers, &workers, Shard::new("t", 0), None);
+            let lease_expires = || preempt_sim::api::advance(2 * cfg.robustness.dead_after);
+            let req = Request::new("t", 1, 0, crate::WorkOutcome::default);
+            assert!(w.queues[1].push(req).is_ok());
 
-        w.uintr_epoch.store(1, Ordering::Release);
-        plane.housekeep();
-        lease_expires();
-        // One send acked, the next outstanding.
-        w.uintr_ack.store(1, Ordering::Release);
-        w.uintr_epoch.store(2, Ordering::Release);
-        plane.housekeep();
-        assert_eq!(plane.shard().counter(Counter::WorkersDead), 0);
+            w.uintr_epoch.store(1, Ordering::Release);
+            plane.housekeep();
+            lease_expires();
+            // One send acked, the next outstanding.
+            w.uintr_ack.store(1, Ordering::Release);
+            w.uintr_epoch.store(2, Ordering::Release);
+            plane.housekeep();
+            assert_eq!(plane.shard().counter(Counter::WorkersDead), 0);
 
-        lease_expires();
-        plane.housekeep();
-        assert_eq!(plane.shard().counter(Counter::WorkersDead), 1);
-        // It never exits (no thread), so the slot is quarantined.
-        assert!(plane.is_quarantined(0));
-    }
-
-    /// A submitter that read the quarantine flag just before it was set
-    /// still pushes; a pool's next pass rejects what it left.
-    #[test]
-    fn a_push_that_missed_the_quarantine_is_rejected_a_pass_later() {
-        let mut cfg = DriverConfig::paper_default(crate::Policy::preemptdb());
-        cfg.n_workers = 1;
-        let w = WorkerShared::new(0, &cfg.queue_caps);
-        w.set_upid(preempt_uintr::Upid::new());
-        let workers = [w.clone()];
-        let plane = Plane::new(&cfg, 0, &workers, &workers, Shard::new("t", 0), None);
-        plane.quarantine(0);
-        let late = Request::new("late", 1, 0, crate::WorkOutcome::default);
-        assert!(w.queues[1].push(late).is_ok());
-        plane.pass(true);
-        assert!(w.queues[1].is_empty());
-        assert_eq!(plane.shard().counter(Counter::RejectedOrphaned), 1);
+            lease_expires();
+            plane.housekeep();
+            assert_eq!(plane.shard().counter(Counter::WorkersDead), 1);
+            // It never exits (no thread), so the slot is quarantined.
+            assert!(plane.is_quarantined(0));
+        });
+        sim.run();
+        // A core's panic is contained, not propagated: surface it.
+        assert_eq!(sim.core_failures(), []);
     }
 }

@@ -392,25 +392,14 @@ fn run_simulated(
 }
 
 fn run_threads(
-    mut cfg: DriverConfig,
+    cfg: DriverConfig,
     registry: &MetricsRegistry,
     factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
     let (workers, ranges) = make_workers(&cfg, registry);
-    // Every incarnation's thread, first and respawned alike, comes from
-    // one spawner; the handles are parked so the run can join them
-    // before collecting metrics.
-    let threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-    let spawn = {
-        let (threads, policy) = (threads.clone(), cfg.policy);
-        move |w: &Arc<WorkerShared>| threads.lock().push(spawn_worker_thread(w, policy))
-    };
-    for w in &workers {
-        spawn(w);
-    }
-    if cfg.recovery.spawner.is_none() {
-        cfg.recovery.spawner = Some(Arc::new(spawn));
-    }
+    // One thread per worker for the whole run: supervision, the only
+    // thing that would replace one, runs under the simulator alone.
+    let threads: Vec<_> = workers.iter().map(|w| spawn_worker_thread(w, cfg.policy)).collect();
     // Live observability is wall-clock-driven, so it only exists on the
     // thread runtime, and only for a registry the caller supplied: a
     // sampler thread refreshes SLO burn-rate gauges on the configured
@@ -440,11 +429,8 @@ fn run_threads(
                 .expect("spawn scheduler shard");
         }
     });
-    // A worker thread the supervisor declared dead may have exited via a
-    // contained panic; a failed join is the expected shape of that, not
-    // a run failure (the report carries the panic counters).
-    for h in std::mem::take(&mut *threads.lock()) {
-        let _ = h.join();
+    for h in threads {
+        h.join().expect("worker panicked");
     }
     if let Some(s) = sampler {
         s.stop();

@@ -154,7 +154,10 @@ pub struct RobustnessConfig {
     pub max_full_retries: u32,
     /// Worker supervision (liveness leases + declare-dead escalation).
     /// Only meaningful under interrupt-sending policies: the lease is
-    /// renewed by epoch acknowledgements.
+    /// renewed by epoch acknowledgements. Read under the simulator only:
+    /// on real threads a healthy worker that is descheduled, or busy
+    /// where it checks nothing, stalls its acks just as a wedge does, so
+    /// a real-thread plane never supervises.
     pub supervise: bool,
     /// Cycles a worker may stay unresponsive (unacknowledged delivery
     /// epoch with top-priority work queued) before the supervisor

@@ -14,10 +14,11 @@
 # row per pair for the four end-to-end metrics, then for every metric
 # both sides printed the two medians, the parent runs' inter-quartile
 # range and how many pairs the change won (direction from
-# BENCHMARK.json). A run that exits non-zero shows its failing `check`
-# rows and the end of its stderr; every run's output is kept in
-# target/bench_pairs/runs/<workload>.t<trace>/. Run nothing else
-# meanwhile: the host has two CPUs.
+# BENCHMARK.json). Each run gets 4 x seconds + 240 s; one that takes
+# longer is killed and reported as hung. A run that exits non-zero
+# shows its failing `check` rows and the end of its stderr; every run's
+# output is kept in target/bench_pairs/runs/<workload>.t<trace>/. Run
+# nothing else meanwhile: the host has two CPUs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,8 +61,12 @@ for i in $(seq 1 "$pairs"); do
     for side in $order; do
         if [ "$side" = parent ]; then tree=$parent; else tree=.; fi
         log=$out/$i.$side
-        if ! bash "$tree/benchmark/run.sh" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace "$trace" >"$log" 2>"$log.err"; then
+        rc=0
+        timeout $((4 * seconds + 240)) bash "$tree/benchmark/run.sh" --workload "$workload" \
+            --seed "$seed" --seconds "$seconds" --trace "$trace" >"$log" 2>"$log.err" || rc=$?
+        if [ "$rc" -eq 124 ]; then
+            echo "pair $i: the $side run hung (killed after $((4 * seconds + 240)) s)"
+        elif [ "$rc" -ne 0 ]; then
             echo "pair $i: the $side run failed:"
             grep -E '^check .* FAILED' "$log" || true
             tail -n 5 "$log.err"
