@@ -99,19 +99,19 @@ pub const SPEC: &[SpecRow] = &[
     // ── Epoch/ack delivery watchdog ──────────────────────────────────
     SpecRow {
         protocol: "watchdog-epoch-ack",
-        file: "plane.rs",
-        field: "uintr_epoch",
+        file: "upid.rs",
+        field: "epoch",
         op: "fetch_add",
         allow: &["Release"],
         why: "the epoch bump must happen-before the UPID post",
     },
     SpecRow {
         protocol: "watchdog-epoch-ack",
-        file: "plane.rs",
-        field: "uintr_epoch",
+        file: "upid.rs",
+        field: "epoch",
         op: "load",
         allow: &["Acquire"],
-        why: "watchdog comparison against the ack",
+        why: "the ack must copy an epoch no older than the delivered post",
     },
     SpecRow {
         protocol: "watchdog-epoch-ack",
@@ -124,18 +124,18 @@ pub const SPEC: &[SpecRow] = &[
     SpecRow {
         protocol: "watchdog-epoch-ack",
         file: "worker.rs",
-        field: "uintr_epoch",
-        op: "load",
-        allow: &["Acquire"],
-        why: "the ack must copy an epoch no older than the delivered post",
+        field: "uintr_ack",
+        op: "store",
+        allow: &["Release"],
+        why: "publishing the ack races the watchdog's re-send decision",
     },
     SpecRow {
         protocol: "watchdog-epoch-ack",
         file: "worker.rs",
         field: "uintr_ack",
-        op: "store",
-        allow: &["Release"],
-        why: "publishing the ack races the watchdog's re-send decision",
+        op: "load",
+        allow: &["Acquire"],
+        why: "the epoch a respawned incarnation's descriptor starts from",
     },
     // ── Degraded-mode flag ───────────────────────────────────────────
     SpecRow {
@@ -1063,11 +1063,11 @@ mod tests {
 
     #[test]
     fn nested_call_orderings_are_not_misattributed() {
-        // `uintr_ack.store(uintr_epoch.load(Acquire), Release)`: the
+        // `uintr_ack.store(uintr_ack.load(Acquire), Release)`: the
         // Acquire belongs to the inner load, not the outer store.
         let f = run(
             "crates/sched/src/worker.rs",
-            "fn ack(s: &S) { s.uintr_ack.store(s.uintr_epoch.load(Ordering::Acquire), Ordering::Release); }\n",
+            "fn ack(s: &S) { s.uintr_ack.store(s.uintr_ack.load(Ordering::Acquire), Ordering::Release); }\n",
         );
         assert!(f.is_empty(), "{f:#?}");
     }

@@ -64,8 +64,8 @@ pub use preempt_sched::{
 };
 pub use preempt_sim::SimConfig;
 
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::{JoinHandle, Thread};
 
 use preempt_sched::{spawn_worker_thread, Plane, WorkerShared};
 
@@ -213,18 +213,19 @@ impl Database {
     ) {
         let level = priority.level();
         // The lines the dispatch writes are on their way while the
-        // closure is boxed.
+        // request is built.
         self.plane.prefetch(level);
         // Request work is FnMut (re-executable under a retry budget);
         // `submit` takes one-shot closures, and never sets a retry budget,
         // so re-execution cannot happen — the None arm is a typed
-        // impossibility, not a reachable path.
+        // impossibility, not a reachable path. A closure that fits travels
+        // inside the request: nothing is allocated here or freed on the
+        // worker.
         let mut work = Some(work);
-        let mut req = Request::new(kind, level, sched::clock::now_cycles(), move || {
-            match work.take() {
-                Some(f) => f(),
-                None => WorkOutcome::failed(0),
-            }
+        let now = sched::clock::now_cycles();
+        let mut req = Request::new_inline(kind, level, now, move || match work.take() {
+            Some(f) => f(),
+            None => WorkOutcome::failed(0),
         })
         .with_provenance(req_id, ingress);
         while let Err(back) = self.plane.dispatch(req, level) {
@@ -234,19 +235,24 @@ impl Database {
     }
 
     /// Submits `f` at `priority` and blocks until it completes, returning
-    /// its result.
+    /// its result. The result comes back through a slot the caller
+    /// allocates and frees, so the worker allocates and frees nothing.
     pub fn call<R: Send + 'static>(
         &self,
         kind: &'static str,
         priority: Priority,
         f: impl FnOnce() -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = mpsc::sync_channel(1);
+        let slot = Arc::new(Mutex::new(None));
+        let done = Completer {
+            slot: Some(Arc::clone(&slot)),
+            waiter: std::thread::current(),
+        };
         self.submit(kind, priority, move || {
-            let _ = tx.send(f());
+            done.complete(f());
             WorkOutcome::default()
         });
-        rx.recv().expect("worker dropped the result")
+        Completer::wait(slot)
     }
 
     /// Runs a conflict-prone transaction with **dynamic priority
@@ -335,6 +341,50 @@ impl Database {
     }
 }
 
+/// The closure's end of a [`Database::call`]: a one-value slot shared
+/// with the caller, who holds the other reference. The caller takes the
+/// value only once this end has let go, so the slot is allocated and
+/// freed on the calling thread; the worker only writes it.
+struct Completer<R> {
+    slot: Option<Arc<Mutex<Option<R>>>>,
+    waiter: Thread,
+}
+
+impl<R> Completer<R> {
+    fn complete(self, value: R) {
+        if let Some(slot) = &self.slot {
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        }
+    }
+
+    /// Parks until the completer is gone, then takes what it left.
+    fn wait(mut slot: Arc<Mutex<Option<R>>>) -> R {
+        loop {
+            match Arc::try_unwrap(slot) {
+                Ok(cell) => match cell.into_inner().unwrap_or_else(PoisonError::into_inner) {
+                    Some(value) => return value,
+                    None => panic!("worker dropped the result"),
+                },
+                Err(shared) => {
+                    slot = shared;
+                    std::thread::park();
+                }
+            }
+        }
+    }
+}
+
+impl<R> Drop for Completer<R> {
+    /// Lets go of the slot, then wakes the caller. Dropped without
+    /// completing — the closure panicked, or the request was dropped
+    /// unrun — it leaves the slot empty, so the caller never waits
+    /// forever.
+    fn drop(&mut self) {
+        drop(self.slot.take());
+        self.waiter.unpark();
+    }
+}
+
 /// A `Database` dropped without [`shutdown`](Database::shutdown) stops its
 /// plane: the workers finish what they run and exit, and so does the
 /// housekeeper. Neither is joined.
@@ -368,6 +418,20 @@ mod tests {
         assert_eq!(n, 42);
         let m = db.shutdown();
         assert_eq!(m.kind("add").unwrap().completed, 1);
+    }
+
+    #[test]
+    fn call_reports_a_dropped_result() {
+        let db = Database::open(DatabaseConfig::default().workers(1));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.call("boom", Priority::High, || -> u64 { panic!("injected") })
+        }));
+        let msg = caught.expect_err("the caller must not wait forever");
+        let msg = msg.downcast_ref::<&str>();
+        assert_eq!(msg, Some(&"worker dropped the result"));
+        // The worker contained the panic and serves the next call.
+        assert_eq!(db.call("ok", Priority::Low, || 7), 7);
+        db.shutdown();
     }
 
     #[test]

@@ -266,6 +266,33 @@ mod tests {
     }
 
     #[test]
+    fn racing_first_uses_fill_the_kind_table() {
+        static NAMES: [&str; 16] = [
+            "k00", "k01", "k02", "k03", "k04", "k05", "k06", "k07", "k08", "k09", "k10", "k11",
+            "k12", "k13", "k14", "k15",
+        ];
+        for round in 0..20 {
+            let reg = MetricsRegistry::new(MetricsConfig::default());
+            let shard = reg.register_shard("plane", 0);
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let shard = &shard;
+                    s.spawn(move || {
+                        for i in 0..NAMES.len() {
+                            shard.txn_completed(NAMES[(i + 5 * t) % NAMES.len()], 1, 1_000, 0, 0);
+                        }
+                    });
+                }
+            });
+            let snap = reg.snapshot();
+            assert_eq!(snap.kinds.len(), 16, "round {round}: every kind has a slot");
+            for k in &snap.kinds {
+                assert_eq!(k.completed, 4, "round {round}: {}", k.name);
+            }
+        }
+    }
+
+    #[test]
     fn slo_burn_rates_rate_violations_against_budget() {
         let reg = MetricsRegistry::new(MetricsConfig {
             slos: vec![SloSpec {

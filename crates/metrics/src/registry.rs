@@ -10,6 +10,7 @@
 //! decrease.
 
 use std::fmt;
+use std::mem::MaybeUninit;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -439,7 +440,37 @@ impl Default for MetricsConfig {
 // Atomic histogram
 // ---------------------------------------------------------------------
 
-/// Single-writer atomic histogram over the shared bucket layout.
+/// Adds `n` to one cell of a shard. On a single-writer shard
+/// ([`Shard::single_writer`]) this is a plain load and store: nothing
+/// else writes the cell, and readers only need each store whole. Every
+/// other shard takes a lock-prefixed `fetch_add`.
+#[inline]
+fn add(cell: &AtomicU64, n: u64, owned: bool) {
+    if owned {
+        let v = cell.load(Ordering::Relaxed).wrapping_add(n);
+        cell.store(v, Ordering::Relaxed);
+    } else {
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// Records `value` into a histogram's buckets and sum.
+#[inline]
+fn record(counts: &[AtomicU64], sum: &AtomicU64, sub_bits: u32, value: u64, owned: bool) {
+    add(&counts[buckets::bucket_of(value, sub_bits)], 1, owned);
+    add(sum, value, owned);
+}
+
+/// Adds a histogram's buckets into an accumulating snapshot.
+fn add_hist_into(counts: &[AtomicU64], sum: &AtomicU64, snap: &mut HistSnapshot) {
+    debug_assert_eq!(snap.buckets.len(), counts.len());
+    snap.sum = snap.sum.wrapping_add(sum.load(Ordering::Relaxed));
+    for (acc, c) in snap.buckets.iter_mut().zip(counts.iter()) {
+        *acc += c.load(Ordering::Relaxed);
+    }
+}
+
+/// Atomic histogram over the shared bucket layout.
 struct AtomicHist {
     sub_bits: u32,
     sum: AtomicU64,
@@ -458,18 +489,14 @@ impl AtomicHist {
     }
 
     #[inline]
-    fn record(&self, value: u64) {
-        self.counts[buckets::bucket_of(value, self.sub_bits)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+    fn record(&self, value: u64, owned: bool) {
+        record(&self.counts, &self.sum, self.sub_bits, value, owned);
     }
 
     /// Adds this shard's buckets into an accumulating snapshot.
     fn add_into(&self, snap: &mut HistSnapshot) {
         debug_assert_eq!(snap.sub_bits, self.sub_bits);
-        snap.sum = snap.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
-        for (acc, c) in snap.buckets.iter_mut().zip(self.counts.iter()) {
-            *acc += c.load(Ordering::Relaxed);
-        }
+        add_hist_into(&self.counts, &self.sum, snap);
     }
 
     fn is_empty(&self) -> bool {
@@ -582,29 +609,100 @@ impl HistSnapshot {
 /// drops the overflow kinds.
 const MAX_KINDS: usize = 16;
 
+/// Buckets of a fine (5-bit) histogram.
+const FINE_BUCKETS: usize = buckets::bucket_count(buckets::FINE_SUB_BITS);
+
+/// A fine histogram stored in place, so a kind slot is plain memory.
+#[repr(C)]
+struct FineHist {
+    sum: AtomicU64,
+    counts: [AtomicU64; FINE_BUCKETS],
+}
+
+impl FineHist {
+    #[inline]
+    fn record(&self, value: u64, owned: bool) {
+        let sub_bits = buckets::FINE_SUB_BITS;
+        record(&self.counts, &self.sum, sub_bits, value, owned);
+    }
+}
+
+/// One kind's series. All zeros is a valid, empty slot: a shard's slots
+/// live in one zeroed block ([`Shard::reserve_kinds`]).
+#[repr(C)]
 struct KindSlot {
-    name: &'static str,
+    /// Written once by the writer that claims the slot, before the slot
+    /// is published in `Shard::kinds`; read only through a published
+    /// pointer.
+    name: MaybeUninit<&'static str>,
     completed: AtomicU64,
     retries: AtomicU64,
     deadline_aborted: AtomicU64,
     failed: AtomicU64,
-    latency: AtomicHist,
-    sched_latency: AtomicHist,
+    latency: FineHist,
+    sched_latency: FineHist,
 }
 
 impl KindSlot {
-    fn new(name: &'static str) -> KindSlot {
-        KindSlot {
-            name,
-            completed: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            deadline_aborted: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            latency: AtomicHist::new(buckets::FINE_SUB_BITS),
-            sched_latency: AtomicHist::new(buckets::FINE_SUB_BITS),
-        }
+    fn name(&self) -> &'static str {
+        // SAFETY: published slots had their name written first.
+        unsafe { self.name.assume_init() }
     }
 }
+
+/// How many of a block's slots are faulted in when it is mapped: the
+/// kinds a workload's worker records (the benchmark's three, the
+/// server's four). Later kinds fault their pages in on first use.
+const PREFAULT_KINDS: usize = 4;
+
+/// The zeroed block of a shard's [`MAX_KINDS`] slots, one per entry of
+/// `Shard::kinds`: mapped straight from the kernel, so reserving it
+/// never waits on the allocator's arenas (a first sizable `malloc` on a
+/// fresh thread can stall for as long as glibc takes to consolidate a
+/// reused arena). Its first [`PREFAULT_KINDS`] slots are faulted in
+/// when it is mapped, so no request of those kinds takes a first-touch
+/// page fault on a bucket it lands in (on a virtual machine, one can
+/// take milliseconds); the rest stay unbacked until used.
+struct KindBlock;
+
+impl KindBlock {
+    const BYTES: usize = MAX_KINDS * std::mem::size_of::<KindSlot>();
+
+    fn alloc() -> *mut KindSlot {
+        // SAFETY: a fresh private anonymous mapping, no fixed address.
+        let p = unsafe {
+            libc::mmap(
+                std::ptr::null_mut(),
+                Self::BYTES,
+                libc::PROT_READ | libc::PROT_WRITE,
+                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if p == libc::MAP_FAILED {
+            let layout = std::alloc::Layout::array::<KindSlot>(MAX_KINDS);
+            std::alloc::handle_alloc_error(layout.expect("kind block layout"));
+        }
+        let prefix = PREFAULT_KINDS * std::mem::size_of::<KindSlot>();
+        for page in (0..prefix).step_by(4096) {
+            // SAFETY: inside the fresh mapping, which nothing else sees
+            // yet; writing the zero it already holds backs the page.
+            unsafe { p.cast::<u8>().add(page).write_volatile(0) };
+        }
+        p.cast()
+    }
+
+    /// SAFETY: `p` came from [`alloc`](Self::alloc) and is unused.
+    unsafe fn free(p: *mut KindSlot) {
+        // SAFETY: the caller's contract; the mapping is this size.
+        unsafe { libc::munmap(p.cast(), Self::BYTES) };
+    }
+}
+
+/// A `Shard::kinds` entry whose slot is being named: never a slot's
+/// address (the block is page-aligned).
+const CLAIMING: *mut KindSlot = std::ptr::dangling_mut();
 
 /// Aggregated per-kind series in a snapshot.
 #[derive(Clone, Debug)]
@@ -637,45 +735,104 @@ impl KindSnapshot {
 // ---------------------------------------------------------------------
 
 /// One writer's slice of the registry: a fixed counter block, the fixed
-/// histograms, the controller's windowed sensor histogram, and lazily
-/// published per-kind slots.
+/// histograms, the controller's windowed sensor histogram, and per-kind
+/// slots published on first use.
 ///
-/// A shard is written by exactly one logical owner (a worker's contexts,
-/// or the scheduling thread) with relaxed increments, and read
-/// concurrently by snapshotters. Every emit below is handler-safe:
-/// counters and histograms are plain `fetch_add`s; only the *first*
-/// completion of a new kind allocates its slot, and that happens on the
-/// worker's request loop, never inside an interrupt handler.
+/// A shard is read concurrently by snapshotters. How it is written
+/// depends on how it was made:
+/// * [`single_writer`](Shard::single_writer) (a worker's shard): one
+///   thread writes it — the worker's contexts take turns on their
+///   thread, and a context switch happens only at a preemption point,
+///   never inside an emit — so every counter and histogram cell is a
+///   plain load and store, with no lock prefix. Debug builds check that
+///   every write comes from the first writing thread.
+/// * [`new`](Shard::new) (the plane's shard, which every submitting
+///   thread and the housekeeper count into, and any other shard with
+///   more than one writer): relaxed `fetch_add`s.
+///
+/// Every emit below is handler-safe. The kind slots live in one zeroed
+/// block, mapped by [`reserve_kinds`](Shard::reserve_kinds) — a worker
+/// calls it before its first request — or else by the first completion,
+/// on the worker's request loop and never inside an interrupt handler.
+/// The block reserves address space for [`MAX_KINDS`] slots (about
+/// 513 KiB); its first [`PREFAULT_KINDS`] (about 128 KiB) are resident
+/// from the start, later ones once used. A kind's first use claims the
+/// first empty table entry with a compare-exchange, so writers racing
+/// on a multi-writer shard each get a slot until the table is full.
 pub struct Shard {
     label: &'static str,
     index: u32,
+    /// Single-writer shard: cells are written with load + store.
+    owned: bool,
+    /// The thread that writes a single-writer shard (debug builds).
+    #[cfg(debug_assertions)]
+    owner: std::sync::atomic::AtomicUsize,
     counters: [AtomicU64; COUNTERS],
     hists: [AtomicHist; FIXED_HISTS],
     /// High-priority commit latency at window (3-bit) resolution — the
     /// adaptive controller's sensor histogram.
     sensor_high_latency: AtomicHist,
+    /// Published slots, in first-use order: entry `i` is null, then
+    /// [`CLAIMING`] while a writer names slot `i` of `kind_block`, then
+    /// that slot.
     kinds: [AtomicPtr<KindSlot>; MAX_KINDS],
+    /// The `MAX_KINDS` slots; null until reserved.
+    kind_block: AtomicPtr<KindSlot>,
 }
 
 impl Shard {
-    /// A free-standing shard: its writer owns it and counts into it from
-    /// the start; [`MetricsRegistry::attach`] adds it to a registry's
-    /// snapshots (and [`MetricsSnapshot::of_shards`] reads a set of them
-    /// with no registry at all).
+    /// A free-standing shard any number of threads may count into: its
+    /// writers own it and count into it from the start;
+    /// [`MetricsRegistry::attach`] adds it to a registry's snapshots
+    /// (and [`MetricsSnapshot::of_shards`] reads a set of them with no
+    /// registry at all).
     pub fn new(label: &'static str, index: u32) -> Arc<Shard> {
+        Self::make(label, index, false)
+    }
+
+    /// A shard only one thread ever writes (see the type's docs): its
+    /// cells take plain stores instead of locked read-modify-writes.
+    pub fn single_writer(label: &'static str, index: u32) -> Arc<Shard> {
+        Self::make(label, index, true)
+    }
+
+    fn make(label: &'static str, index: u32, owned: bool) -> Arc<Shard> {
         Arc::new(Shard {
             label,
             index,
+            owned,
+            #[cfg(debug_assertions)]
+            owner: std::sync::atomic::AtomicUsize::new(0),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| AtomicHist::new(buckets::FINE_SUB_BITS)),
             sensor_high_latency: AtomicHist::new(buckets::WINDOW_SUB_BITS),
             kinds: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
+            kind_block: AtomicPtr::new(std::ptr::null_mut()),
         })
     }
 
     /// This shard's owner label, e.g. `("worker", 3)`.
     pub fn label(&self) -> (&'static str, u32) {
         (self.label, self.index)
+    }
+
+    /// How this write adds: `true` for load + store. In debug builds,
+    /// checks a single-writer shard's write comes from its thread.
+    #[inline]
+    fn owned(&self) -> bool {
+        #[cfg(debug_assertions)]
+        if self.owned {
+            thread_local! {
+                static TAG: u8 = const { 0 };
+            }
+            let me = TAG.with(|t| std::ptr::from_ref(t) as usize);
+            let owner = &self.owner;
+            let first = owner
+                .compare_exchange(0, me, Ordering::Relaxed, Ordering::Relaxed)
+                .map_or_else(|owner| owner, |_| me);
+            assert_eq!(first, me, "single-writer shard {self:?} written twice over");
+        }
+        self.owned
     }
 
     /// Increments a counter by one. Handler-safe.
@@ -687,13 +844,13 @@ impl Shard {
     /// Increments a counter by `n`. Handler-safe.
     #[inline]
     pub fn bump_by(&self, c: Counter, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
+        add(&self.counters[c as usize], n, self.owned());
     }
 
     /// Records one value into a fixed histogram. Handler-safe.
     #[inline]
     pub fn observe(&self, h: FixedHist, value: u64) {
-        self.hists[h as usize].record(value);
+        self.hists[h as usize].record(value, self.owned());
     }
 
     /// Current value of one counter on this shard alone.
@@ -712,17 +869,18 @@ impl Shard {
         sched_latency: u64,
         retries: u64,
     ) {
+        let owned = self.owned();
         if priority == 0 {
-            self.bump(Counter::TxnCompletedLow);
+            add(&self.counters[Counter::TxnCompletedLow as usize], 1, owned);
         } else {
-            self.bump(Counter::TxnCompletedHigh);
-            self.sensor_high_latency.record(latency);
+            add(&self.counters[Counter::TxnCompletedHigh as usize], 1, owned);
+            self.sensor_high_latency.record(latency, owned);
         }
         if let Some(slot) = self.kind_slot(kind) {
-            slot.completed.fetch_add(1, Ordering::Relaxed);
-            slot.retries.fetch_add(retries, Ordering::Relaxed);
-            slot.latency.record(latency);
-            slot.sched_latency.record(sched_latency);
+            add(&slot.completed, 1, owned);
+            add(&slot.retries, retries, owned);
+            slot.latency.record(latency, owned);
+            slot.sched_latency.record(sched_latency, owned);
         }
     }
 
@@ -730,7 +888,7 @@ impl Shard {
     pub fn txn_deadline_abort(&self, kind: &'static str) {
         self.bump(Counter::TxnAborted);
         if let Some(slot) = self.kind_slot(kind) {
-            slot.deadline_aborted.fetch_add(1, Ordering::Relaxed);
+            add(&slot.deadline_aborted, 1, self.owned());
         }
     }
 
@@ -738,48 +896,110 @@ impl Shard {
     pub fn txn_failed(&self, kind: &'static str, retries: u64) {
         self.bump(Counter::TxnAborted);
         if let Some(slot) = self.kind_slot(kind) {
-            slot.failed.fetch_add(1, Ordering::Relaxed);
-            slot.retries.fetch_add(retries, Ordering::Relaxed);
+            let owned = self.owned();
+            add(&slot.failed, 1, owned);
+            add(&slot.retries, retries, owned);
         }
     }
 
-    /// Finds (or publishes) the slot for `kind`. First use of a kind on
-    /// a shard allocates; after that it is a short pointer scan. Returns
-    /// `None` when the table is full.
-    fn kind_slot(&self, kind: &'static str) -> Option<&KindSlot> {
-        for cell in &self.kinds {
-            let p = cell.load(Ordering::Acquire);
-            if p.is_null() {
-                let fresh = Box::into_raw(Box::new(KindSlot::new(kind)));
-                match cell.compare_exchange(
-                    std::ptr::null_mut(),
-                    fresh,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    // SAFETY: just published; freed only in Shard::drop.
-                    Ok(_) => return Some(unsafe { &*fresh }),
-                    Err(current) => {
-                        // SAFETY: `fresh` lost the race and was never
-                        // shared; reclaim it.
-                        drop(unsafe { Box::from_raw(fresh) });
-                        // SAFETY: non-null slots are live until drop.
-                        let cur = unsafe { &*current };
-                        if cur.name == kind {
-                            return Some(cur);
-                        }
-                        continue;
-                    }
-                }
+    /// Maps the block of kind slots now, if it is not yet: a worker
+    /// calls this before its first request, so that request neither
+    /// allocates nor waits on an allocator.
+    pub fn reserve_kinds(&self) {
+        self.kind_block();
+    }
+
+    fn kind_block(&self) -> *mut KindSlot {
+        let p = self.kind_block.load(Ordering::Acquire);
+        if !p.is_null() {
+            return p;
+        }
+        let fresh = KindBlock::alloc();
+        match self.kind_block.compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(won) => {
+                // SAFETY: `fresh` lost the race and was never shared.
+                unsafe { KindBlock::free(fresh) };
+                won
             }
-            // SAFETY: non-null slots are live until Shard::drop, and
+        }
+    }
+
+    /// Finds (or publishes) the slot for `kind`: a short pointer scan,
+    /// and on a kind's first use a claim. Returns `None` when the table
+    /// is full.
+    fn kind_slot(&self, kind: &'static str) -> Option<&KindSlot> {
+        for (i, cell) in self.kinds.iter().enumerate() {
+            let p = cell.load(Ordering::Acquire);
+            if p.is_null() || p == CLAIMING {
+                return self.claim_kind(i, kind);
+            }
+            // SAFETY: published slots live until Shard::drop, and
             // `&self` keeps the shard alive.
             let slot = unsafe { &*p };
-            if slot.name == kind {
+            if slot.name() == kind {
                 return Some(slot);
             }
         }
         None
+    }
+
+    /// The rest of [`kind_slot`](Self::kind_slot)'s scan from entry
+    /// `from`, the first not yet published: claims the first empty
+    /// entry for `kind`, unless another writer publishes `kind` first.
+    /// Kept out of line: it runs once per kind.
+    #[cold]
+    #[inline(never)]
+    fn claim_kind(&self, from: usize, kind: &'static str) -> Option<&KindSlot> {
+        for (i, cell) in self.kinds.iter().enumerate().skip(from) {
+            let mut p = cell.load(Ordering::Acquire);
+            if p.is_null() {
+                match cell.compare_exchange(
+                    std::ptr::null_mut(),
+                    CLAIMING,
+                    Ordering::Acquire,
+                    Ordering::Acquire,
+                ) {
+                    // SAFETY: entry `i` is this caller's until it
+                    // publishes it, and so is slot `i` of the block,
+                    // which lives until Shard::drop.
+                    Ok(_) => unsafe {
+                        let slot = self.kind_block().add(i);
+                        std::ptr::addr_of_mut!((*slot).name).write(MaybeUninit::new(kind));
+                        cell.store(slot, Ordering::Release);
+                        return Some(&*slot);
+                    },
+                    Err(current) => p = current,
+                }
+            }
+            // Another writer is naming this entry (only on a shard with
+            // more than one writer): it publishes with its next store.
+            while p == CLAIMING {
+                std::thread::yield_now();
+                p = cell.load(Ordering::Acquire);
+            }
+            // SAFETY: as in `kind_slot`.
+            let slot = unsafe { &*p };
+            if slot.name() == kind {
+                return Some(slot);
+            }
+        }
+        None
+    }
+
+    /// The published kind slots, in first-use order.
+    fn published_kinds(&self) -> impl Iterator<Item = &KindSlot> {
+        self.kinds
+            .iter()
+            .map(|cell| cell.load(Ordering::Acquire))
+            .take_while(|&p| !p.is_null() && p != CLAIMING)
+            // SAFETY: published slots live until Shard::drop.
+            .map(|p| unsafe { &*p })
     }
 
     fn add_counters_into(&self, acc: &mut [u64; COUNTERS]) {
@@ -789,17 +1009,12 @@ impl Shard {
     }
 
     fn add_kinds_into(&self, acc: &mut Vec<KindSnapshot>) {
-        for cell in &self.kinds {
-            let p = cell.load(Ordering::Acquire);
-            if p.is_null() {
-                break;
-            }
-            // SAFETY: non-null slots are live until Shard::drop.
-            let slot = unsafe { &*p };
-            let entry = match acc.iter_mut().find(|k| k.name == slot.name) {
+        for slot in self.published_kinds() {
+            let name = slot.name();
+            let entry = match acc.iter_mut().find(|k| k.name == name) {
                 Some(e) => e,
                 None => {
-                    acc.push(KindSnapshot::empty(slot.name.to_string()));
+                    acc.push(KindSnapshot::empty(name.to_string()));
                     acc.last_mut().expect("just pushed")
                 }
             };
@@ -807,8 +1022,12 @@ impl Shard {
             entry.retries += slot.retries.load(Ordering::Relaxed);
             entry.deadline_aborted += slot.deadline_aborted.load(Ordering::Relaxed);
             entry.failed += slot.failed.load(Ordering::Relaxed);
-            slot.latency.add_into(&mut entry.latency);
-            slot.sched_latency.add_into(&mut entry.sched_latency);
+            add_hist_into(&slot.latency.counts, &slot.latency.sum, &mut entry.latency);
+            add_hist_into(
+                &slot.sched_latency.counts,
+                &slot.sched_latency.sum,
+                &mut entry.sched_latency,
+            );
         }
     }
 
@@ -824,12 +1043,11 @@ impl Shard {
 
 impl Drop for Shard {
     fn drop(&mut self) {
-        for cell in &self.kinds {
-            let p = cell.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: slots are only published here and freed once.
-                drop(unsafe { Box::from_raw(p) });
-            }
+        let block = *self.kind_block.get_mut();
+        if !block.is_null() {
+            // SAFETY: the block is freed once, here; its slots hold no
+            // heap data, and `&mut self` means no slot is borrowed.
+            unsafe { KindBlock::free(block) };
         }
     }
 }

@@ -63,6 +63,15 @@ pub use table::{Table, TableId};
 pub use txn::{IsolationLevel, Transaction};
 pub use version::{Oid, Record, Row, Timestamp};
 
+/// Pre-touches the calling context's context-local engine state — its
+/// resource-owner tag and its redo buffer — so that the context's first
+/// transaction allocates no context-local slot. Workers call it on each
+/// of their contexts before serving requests.
+pub fn init_context() {
+    orphan::current_owner();
+    log::buffered_bytes();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,8 @@
 //!
 //! The request is stored *inline*, in the cell that carries its stamp:
 //! no allocation per push, no pointer to chase per pop. A cell is
-//! 64-byte aligned (a stamp plus an 80-byte `Request`: two lines) and
+//! 64-byte aligned (a stamp plus a 184-byte `Request`, whose small
+//! closures travel inside it: three lines) and
 //! the packed word has a line to itself, so one hand-off moves the
 //! `state` line and one cell between the two cores. The payload needs
 //! no atomics of its own: it is written only between winning
@@ -299,6 +300,10 @@ impl StealDeque {
     }
 
     /// Appends a request at the tail; `Err` gives it back when full.
+    #[allow(
+        clippy::result_large_err,
+        reason = "a full queue hands the request back unboxed"
+    )]
     pub fn push(&self, req: Request) -> Result<(), Request> {
         let cap = self.capacity();
         // Claim-to-handoff is the non-preemptible window: a fiber
@@ -338,9 +343,11 @@ impl StealDeque {
         // uninitialised again — the value is moved out exactly once.
         let req = unsafe { (*cell.val.get()).assume_init_read() };
         cell.seq.store(stamp(next_empty, EMPTY), Ordering::Release);
-        // The closure's captures, written by the submitter, are the next
-        // miss the taker waits for.
-        prefetch_for_write(&*req.work);
+        // A boxed closure's captures, written by the submitter, are the
+        // next miss the taker waits for (an inline one came with the cell).
+        if !req.is_inline() {
+            prefetch_for_write(&*req.work);
+        }
         req
     }
 
@@ -640,7 +647,11 @@ mod tests {
         assert_eq!(offset_of!(StealDeque, pop_hint), 2 * LINE);
         assert!(offset_of!(StealDeque, cells) >= 3 * LINE);
         assert_eq!(align_of::<Cell>(), LINE);
-        assert_eq!(size_of::<Cell>() % LINE, 0);
+        assert_eq!(
+            size_of::<Cell>(),
+            3 * LINE,
+            "a stamp and a request with its inline slot"
+        );
         // An `Arc`'s counts in front of the deque are off the line too.
         let d = Arc::new(StealDeque::new(3));
         let line = |p: *const u8| p as usize / LINE;

@@ -265,8 +265,8 @@ impl Plane {
 
     /// Starts fetching what the next dispatch at `level` writes (the
     /// target's queue cell and, for an interrupt, its descriptor's post
-    /// line and delivery epoch), so the caller can build the request
-    /// meanwhile.
+    /// line with the delivery epoch), so the caller can build the
+    /// request meanwhile.
     pub fn prefetch(&self, level: u8) {
         let w = &self.workers[self.rr.load(Ordering::Relaxed) % self.workers.len()];
         w.queues[level as usize].prefetch_push();
@@ -274,13 +274,13 @@ impl Plane {
             if let Some(route) = self.cached_route(w.id) {
                 route.senders[level as usize].prefetch();
             }
-            preempt_uintr::prefetch_for_write(&w.uintr_epoch);
         }
     }
 
     /// Dispatches `req` at `level` and notifies its worker. Hands the
     /// request back when every worker's queue is full or (above level 0)
     /// its worker is starving.
+    #[allow(clippy::result_large_err, reason = "a full queue hands the request back unboxed")]
     pub fn dispatch(&self, req: Request, level: u8) -> Result<(), Request> {
         // The request's stamp stands in for the send time (the watchdog's
         // backoff base): it saves a clock read per request.
@@ -294,6 +294,7 @@ impl Plane {
     /// spending a slot per worker tried, and returns the index of the one
     /// whose `level` queue took it. Skips quarantined workers, and above
     /// level 0 starving ones (starvation decision site 1, §5).
+    #[allow(clippy::result_large_err, reason = "a full queue hands the request back unboxed")]
     pub(crate) fn place(
         &self,
         mut req: Request,
@@ -446,11 +447,11 @@ impl Plane {
         let Some(route) = self.route(w) else {
             return false;
         };
-        // Bump the epoch before posting: an ack ≥ this value proves this
-        // (or a later) interrupt reached the handler. Release pairs with
-        // the handler's Acquire.
-        w.uintr_epoch.fetch_add(1, Ordering::Release);
+        // Bump the epoch before posting, on the line the post writes: an
+        // ack ≥ this value proves this (or a later) interrupt reached the
+        // handler.
         let sender = &route.senders[level as usize];
+        sender.upid().bump_epoch();
         match &route.wake {
             WakeTarget::Sim(core) => {
                 preempt_sim::SimUipiSender::new(sender.upid().clone(), level, *core).send();
@@ -545,7 +546,7 @@ impl Plane {
         if pool {
             let pnow = now_cycles();
             for (i, w) in self.workers.iter().enumerate() {
-                let epoch = w.uintr_epoch.load(Ordering::Acquire);
+                let epoch = w.delivery_epoch();
                 if epoch != hk.seen_epoch[i] {
                     hk.seen_epoch[i] = epoch;
                     hk.wd_backoff[i] = min_backoff;
@@ -564,7 +565,7 @@ impl Plane {
                 if self.is_quarantined(i) {
                     continue;
                 }
-                let epoch = w.uintr_epoch.load(Ordering::Acquire);
+                let epoch = w.delivery_epoch();
                 let ack = w.uintr_ack.load(Ordering::Acquire);
                 if epoch > ack && !w.queues[top as usize].is_empty() {
                     if wnow >= hk.wd_next[i] {
@@ -574,7 +575,7 @@ impl Plane {
                         if self.interrupt(w, top) {
                             self.shard.bump(Counter::UintrSent);
                         }
-                        hk.seen_epoch[i] = w.uintr_epoch.load(Ordering::Acquire);
+                        hk.seen_epoch[i] = w.delivery_epoch();
                         self.shard.bump(Counter::WatchdogResends);
                         self.window.send_failed(wnow);
                         hk.wd_backoff[i] =
@@ -609,7 +610,7 @@ impl Plane {
                 if self.is_quarantined(i) {
                     continue;
                 }
-                let epoch = w.uintr_epoch.load(Ordering::Acquire);
+                let epoch = w.delivery_epoch();
                 let ack = w.uintr_ack.load(Ordering::Acquire);
                 if w.queues[top as usize].is_empty() {
                     hk.stale_since[i] = None;
@@ -633,7 +634,7 @@ impl Plane {
                         if self.interrupt(w, top) {
                             self.shard.bump(Counter::UintrSent);
                         }
-                        hk.seen_epoch[i] = w.uintr_epoch.load(Ordering::Acquire);
+                        hk.seen_epoch[i] = w.delivery_epoch();
                     } else {
                         sup_earliest = sup_earliest.min(since + rb.dead_after);
                     }
@@ -928,19 +929,20 @@ mod tests {
             cfg.robustness.dead_after = 1_000;
             cfg.robustness.exit_wait = 1_000;
             let w = WorkerShared::new(0, &cfg.queue_caps);
-            w.set_upid(preempt_uintr::Upid::new());
+            let upid = preempt_uintr::Upid::new();
+            w.set_upid(upid.clone());
             let workers = [w.clone()];
             let plane = Plane::new(&cfg, 0, &workers, &workers, Shard::new("t", 0), None);
             let lease_expires = || preempt_sim::api::advance(2 * cfg.robustness.dead_after);
             let req = Request::new("t", 1, 0, crate::WorkOutcome::default);
             assert!(w.queues[1].push(req).is_ok());
 
-            w.uintr_epoch.store(1, Ordering::Release);
+            upid.bump_epoch();
             plane.housekeep();
             lease_expires();
             // One send acked, the next outstanding.
             w.uintr_ack.store(1, Ordering::Release);
-            w.uintr_epoch.store(2, Ordering::Release);
+            upid.bump_epoch();
             plane.housekeep();
             assert_eq!(plane.shard().counter(Counter::WorkersDead), 0);
 

@@ -121,8 +121,9 @@ struct LineBreak;
 /// Laid out by *writer*, one group of cache lines each: what a submitter
 /// reads per request (`queues`, `incarnation`, the stop flags) is not
 /// invalidated by what the worker writes per request (ack, starvation
-/// state). Everything the worker *counts* lives in its metrics shard, an
-/// allocation of its own.
+/// state). What a sender writes per interrupt, the delivery epoch
+/// included, is on the incarnation's UPID post line. Everything the
+/// worker *counts* lives in its metrics shard, an allocation of its own.
 #[repr(C)]
 pub struct WorkerShared {
     // ---- read-mostly: set at start-up, respawn or shutdown ----
@@ -172,17 +173,16 @@ pub struct WorkerShared {
     /// Incarnation number: 0 for the first spawn, +1 per respawn.
     pub incarnation: AtomicU64,
 
-    // ---- scheduler-written, per send (delivery watchdog) ----
-    _sender_line: LineBreak,
-    /// Bumped by the scheduler before every user-interrupt send.
-    pub uintr_epoch: AtomicU64,
-
     // ---- worker-written, per request ----
     _worker_lines: LineBreak,
     /// Last epoch whose interrupt reached this worker's handler: the
-    /// handler copies `uintr_epoch` here on every delivery (even declined
-    /// ones). `ack < epoch` past the delivery latency means the interrupt
-    /// was lost and the watchdog should re-send.
+    /// handler copies the UPID's delivery epoch here on every delivery
+    /// (even declined ones). `ack <` [`delivery_epoch`] past the delivery
+    /// latency means the interrupt was lost and the watchdog should
+    /// re-send. Between incarnations it holds the epoch the next one
+    /// starts from.
+    ///
+    /// [`delivery_epoch`]: WorkerShared::delivery_epoch
     pub uintr_ack: AtomicU64,
     pub starvation: StarvationState,
     /// Messages of transaction panics contained by the firewall (all
@@ -204,7 +204,7 @@ impl WorkerShared {
             upid: Mutex::new(None),
             trace: OnceLock::new(),
             wake_target: Mutex::new(None),
-            metrics_shard: preempt_metrics::Shard::new("worker", id as u32),
+            metrics_shard: preempt_metrics::Shard::single_writer("worker", id as u32),
             flight: OnceLock::new(),
             steal_peers: OnceLock::new(),
             stopped: AtomicBool::new(false),
@@ -212,8 +212,6 @@ impl WorkerShared {
             exited: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             incarnation: AtomicU64::new(0),
-            _sender_line: LineBreak,
-            uintr_epoch: AtomicU64::new(0),
             _worker_lines: LineBreak,
             uintr_ack: AtomicU64::new(0),
             starvation: StarvationState::new(),
@@ -232,6 +230,17 @@ impl WorkerShared {
 
     pub fn set_upid(&self, upid: Arc<Upid>) {
         *self.upid.lock() = Some(upid);
+    }
+
+    /// The delivery epoch: how many interrupts the scheduler has sent
+    /// this worker, counted on the current incarnation's UPID (which
+    /// starts where its predecessor stopped). Before an incarnation has
+    /// published its descriptor, the epoch it will start from.
+    pub fn delivery_epoch(&self) -> u64 {
+        match &*self.upid.lock() {
+            Some(upid) => upid.epoch(),
+            None => self.uintr_ack.load(Ordering::Acquire),
+        }
     }
 
     pub fn wake_target(&self) -> Option<WakeTarget> {
@@ -290,12 +299,13 @@ impl WorkerShared {
     pub fn reset_for_respawn(&self) -> u64 {
         self.terminated.store(false, Ordering::Release);
         self.exited.store(false, Ordering::Release);
-        *self.upid.lock() = None;
         // Epochs sent to the dead incarnation are void; start the new
         // lease fully acknowledged so the watchdog doesn't instantly
-        // re-escalate against the replacement.
-        self.uintr_ack
-            .store(self.uintr_epoch.load(Ordering::Acquire), Ordering::Release);
+        // re-escalate against the replacement, whose UPID counts on
+        // from here (`worker_main`).
+        if let Some(upid) = self.upid.lock().take() {
+            self.uintr_ack.store(upid.epoch(), Ordering::Release);
+        }
         self.incarnation.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
@@ -327,6 +337,10 @@ struct WorkerCtx {
     /// owes its accumulator: a plain cell, so neither touches
     /// context-local storage. See `flush_handler_owed`.
     handler_owed: Cell<u64>,
+    /// Bit `l` set: the transaction running at level `l` is attributed
+    /// (`run_request` decides once per request), so the handler and the
+    /// switch away from it read the clock on its behalf.
+    attributed: Cell<u32>,
 }
 
 /// The worker whose transaction is executing on the current *context*
@@ -383,22 +397,26 @@ impl WorkerCtx {
         // Provenance: everything from here until the switch back — the
         // switch cost itself plus whatever the higher level ran — is
         // time this context's transaction spent preempted-out.
-        let away_start = now_cycles();
+        let away_start = self.is_attributed(from).then(now_cycles);
         charge(SWITCH_COST);
         // SAFETY: level TCBs point at contexts owned by this WorkerCtx
         // (or the worker's main context), alive for the worker's run.
         switch_to(unsafe { &*self.level_tcbs[level as usize].get() });
         // Resumed: the drain loop restored current_level on its way back.
         self.handler_owed.set(self.handler_owed.get() + owed);
-        preempt_prov::charge(
-            preempt_prov::Phase::Preempted,
-            now_cycles().saturating_sub(away_start),
-        );
+        if let Some(away_start) = away_start {
+            preempt_prov::charge(
+                preempt_prov::Phase::Preempted,
+                now_cycles().saturating_sub(away_start),
+            );
+        }
     }
 
     /// Switches from a drain loop back to the preempted context.
     fn leave_level(&self) {
-        self.flush_handler_owed();
+        // Between requests: the drain context's next request starts its
+        // window afresh, so what it owes now is nobody's.
+        self.handler_owed.set(0);
         let from = self.current_level.get();
         let back = self.pop_return();
         self.current_level.set(back);
@@ -419,10 +437,13 @@ impl WorkerCtx {
         // charges no virtual cycles here; real on threads), owed like a
         // poll's. The switch and the preempted-away window are charged by
         // `enter_level`.
-        let handler_start = now_cycles();
+        let timed = self.is_attributed(self.current_level.get());
+        let handler_start = if timed { now_cycles() } else { 0 };
         let take = self.uintr_decide(vector);
-        let spent = now_cycles().saturating_sub(handler_start);
-        self.handler_owed.set(self.handler_owed.get() + spent);
+        if timed {
+            let spent = now_cycles().saturating_sub(handler_start);
+            self.handler_owed.set(self.handler_owed.get() + spent);
+        }
         if let Some(level) = take {
             self.shared.metrics_shard.bump(Counter::Preemptions);
             self.enter_level(level);
@@ -434,12 +455,11 @@ impl WorkerCtx {
     fn uintr_decide(&self, vector: u8) -> Option<u8> {
         // Acknowledge delivery before any decline path: the watchdog only
         // re-sends when the interrupt never *reached* the handler, not
-        // when the handler chose not to preempt. The Acquire load pairs
-        // with the scheduler's epoch bump before posting the UPID bit.
-        self.shared.uintr_ack.store(
-            self.shared.uintr_epoch.load(Ordering::Acquire),
-            Ordering::Release,
-        );
+        // when the handler chose not to preempt. The epoch's Acquire load
+        // pairs with the scheduler's bump before posting the UPID bit, and
+        // reads the post line the poll's swap has just fetched.
+        let epoch = self.receiver.epoch();
+        self.shared.uintr_ack.store(epoch, Ordering::Release);
         let level = vector;
         if level as usize >= self.level_tcbs.len() {
             return None; // unknown (spurious) vector: acknowledged, ignored
@@ -536,8 +556,29 @@ impl WorkerCtx {
         self.deliver_uintr();
     }
 
-    /// Books what the running context owes onto its accumulator: before
-    /// `preempt_prov::take` and when a drain loop hands the worker back.
+    /// Whether the transaction running at `level` is attributed.
+    #[inline]
+    fn is_attributed(&self, level: u8) -> bool {
+        self.attributed.get() & (1 << level) != 0
+    }
+
+    fn set_attributed(&self, level: u8, on: bool) {
+        let bits = self.attributed.get() & !(1 << level);
+        self.attributed.set(bits | (u32::from(on) << level));
+    }
+
+    /// Whether anything can read a transaction's attribution: a live
+    /// metrics registry (the phase histograms), a trace session (the
+    /// phase events) or this worker's flight recorder. `sched::run`
+    /// always has a registry; a pool has one only if it is given one.
+    fn attribution_observed(&self) -> bool {
+        preempt_metrics::metrics_active()
+            || preempt_trace::tracing_active()
+            || self.shared.flight.get().is_some()
+    }
+
+    /// Books what the running context owes onto its accumulator, before
+    /// `preempt_prov::take`.
     fn flush_handler_owed(&self) {
         let owed = self.handler_owed.replace(0);
         if owed != 0 {
@@ -687,10 +728,6 @@ impl WorkerCtx {
         let ingress = req.ingress;
         let txn = self.txn_seq.get();
         self.txn_seq.set(txn.wrapping_add(1));
-        // Provenance window opens: drop any stale between-transaction
-        // charges (idle-path polls, owed or booked) so the accumulator
-        // holds exactly this transaction's phases.
-        preempt_prov::reset();
         self.handler_owed.set(0);
         // Wire-assigned id, or synthesized (worker+1 in the high bits so
         // id 0 stays "unassigned") — simulator workloads attribute too.
@@ -713,6 +750,16 @@ impl WorkerCtx {
                 return 0;
             }
         }
+        // Provenance window opens, if anything will read it: drop any
+        // stale between-transaction charges (idle-path polls, owed or
+        // booked) so the accumulator holds exactly this transaction's
+        // phases. Decided once, so the transaction is attributed whole or
+        // not at all.
+        let attributed = self.attribution_observed();
+        self.set_attributed(at_level, attributed);
+        if attributed {
+            preempt_prov::reset();
+        }
         let sched_latency = started.saturating_sub(created);
         let is_low = req.priority == 0;
         if at_level == 0 && is_low {
@@ -720,7 +767,7 @@ impl WorkerCtx {
         }
         let priority = req.priority;
         self.current_txn_priority.set(Some(priority));
-        let mut work = req.work;
+        let mut req = req;
         let mut attempts: u32 = 0;
         // Panic firewall (failure containment): the whole execute/retry
         // loop runs under `catch_unwind`, so a panicking transaction
@@ -737,7 +784,7 @@ impl WorkerCtx {
                     panic!("injected: transaction panic");
                 }
                 loop {
-                    let o = work();
+                    let o = req.run();
                     if o.committed {
                         return TxnEnd::Committed(o);
                     }
@@ -772,6 +819,7 @@ impl WorkerCtx {
             }
         };
         self.current_txn_priority.set(None);
+        self.set_attributed(at_level, false);
         let finished = now_cycles();
         if at_level == 0 && is_low {
             self.shared.starvation.low_priority_finished();
@@ -779,7 +827,7 @@ impl WorkerCtx {
         // Full phase vector for a committed window: explicit charges from
         // the accumulator, admission/queue from timestamps, run as the
         // residual — so the vector sums to the measured latency exactly.
-        let committed_phases = matches!(end, TxnEnd::Committed(_)).then(|| {
+        let committed_phases = (attributed && matches!(end, TxnEnd::Committed(_))).then(|| {
             let window = finished.saturating_sub(started);
             let admission = if ingress == 0 {
                 0
@@ -1053,7 +1101,9 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     let mut wc = Box::new(WorkerCtx {
         shared: shared.clone(),
         policy,
-        receiver: UintrReceiver::new(),
+        // A respawned incarnation's epoch carries on from its
+        // predecessor's (`reset_for_respawn`), fully acknowledged.
+        receiver: UintrReceiver::with_epoch(shared.uintr_ack.load(Ordering::Acquire)),
         contexts: Vec::new(),
         level_tcbs: Vec::new(),
         current_level: Cell::new(0),
@@ -1064,6 +1114,7 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         hints_since_check: Cell::new(0),
         txn_seq: Cell::new(0),
         handler_owed: Cell::new(0),
+        attributed: Cell::new(0),
     });
     let wc_ptr = &*wc as *const WorkerCtx as usize;
     // The runner registers a ring before starting the worker (or never);
@@ -1085,36 +1136,64 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     wc.level_tcbs.push(Cell::new(tcb::current_ptr()));
     // Preemptive contexts for levels 1..
     for level in 1..levels {
-        let tr = trace_ring.clone();
-        let ms = shared.clone();
         let ctx = Context::new(PREEMPTIVE_CTX_STACK, "preemptive", move || {
+            // SAFETY: wc outlives all its contexts (dropped after them).
+            // The closure owns nothing: a context is dropped suspended,
+            // and what its stack holds is never dropped, so an `Arc`
+            // captured here would leak the worker's shared state.
+            let wc = unsafe { &*(wc_ptr as *const WorkerCtx) };
+            let shared = &*wc.shared;
             CURRENT_WORKER.set(wc_ptr);
             // Tag engine-side resources (latches, MVCC slots) acquired on
             // this context with the worker id, so the supervisor's orphan
             // sweep can find them if this worker dies holding them.
-            preempt_mvcc::set_current_owner(ms.id as u64);
-            if let Some(r) = &tr {
+            preempt_mvcc::set_current_owner(shared.id as u64);
+            preempt_mvcc::init_context();
+            if let Some(r) = shared.trace.get() {
                 preempt_trace::install_current(r);
             }
-            // `shared` keeps the shard alive past every emit here.
-            preempt_metrics::install_current(&ms.metrics_shard);
-            // Pre-touch the provenance accumulator so handler-path charges
-            // never allocate a CLS slot inside an interrupt.
+            // `wc.shared` keeps the shard alive past every emit here.
+            preempt_metrics::install_current(&shared.metrics_shard);
+            // Pre-touch the provenance accumulator and the UIF so that
+            // neither handler-path charges nor a nested delivery allocate
+            // a CLS slot inside an interrupt.
             preempt_prov::init_context();
-            // SAFETY: wc outlives all its contexts (dropped after them).
-            unsafe { (*(wc_ptr as *const WorkerCtx)).drain_loop(level) }
+            preempt_uintr::testui();
+            if wc.current_level.get() != level {
+                // Entered by the start-up warm-up, not by `enter_level`:
+                // hand straight back; the first preemption resumes here.
+                // SAFETY: the main context's TCB lives as long as `wc`.
+                switch_to(unsafe { &*wc.level_tcbs[0].get() });
+            }
+            wc.drain_loop(level)
         })
         .expect("context stack allocation failed");
         wc.level_tcbs.push(Cell::new(ctx.tcb_ptr()));
         wc.contexts.push(ctx);
     }
 
+    if !preempt_sim::api::active() {
+        // Warm-up on a real thread: enter each preemptive context once,
+        // so its set-up (context-local slots, above) is done before the
+        // first request rather than inside the first preemption, which
+        // then allocates nothing. (A simulated core skips it: entering a
+        // context there is a scheduling event.)
+        for tcb in &wc.level_tcbs[1..] {
+            // SAFETY: as in `enter_level`.
+            switch_to(unsafe { &*tcb.get() });
+        }
+    }
     CURRENT_WORKER.set(wc_ptr);
     preempt_mvcc::set_current_owner(shared.id as u64);
+    preempt_mvcc::init_context();
     if let Some(r) = &trace_ring {
         preempt_trace::install_current(r);
     }
     preempt_metrics::install_current(&shared.metrics_shard);
+    preempt_uintr::testui();
+    // The kind slots exist before the first request, which then counts
+    // without allocating.
+    shared.metrics_shard.reserve_kinds();
     preempt_prov::init_context();
     if preempt_sim::api::active() {
         // Simulator: per-core hook (a thread-local hook would fire for
@@ -1198,8 +1277,8 @@ mod tests {
     }
 
     /// Laid out by writer: nothing a submitter reads per request shares
-    /// a cache line with anything the scheduler writes per send or the
-    /// worker writes per request.
+    /// a cache line with anything the worker writes per request. (What
+    /// the scheduler writes per send is on the UPID's post line.)
     #[test]
     fn shared_state_is_grouped_by_writer() {
         use std::mem::{align_of, offset_of};
@@ -1209,12 +1288,11 @@ mod tests {
         }
         let submitter =
             lines!(id, queues, wake_target, metrics_shard, incarnation, stopped, terminated);
-        let sender = lines!(uintr_epoch);
         let worker = lines!(uintr_ack, starvation);
         let last = |g: &[(&str, usize)]| g.iter().map(|f| f.1).max().unwrap();
         let first = |g: &[(&str, usize)]| g.iter().map(|f| f.1).min().unwrap();
-        assert!(last(&submitter) < first(&sender), "{submitter:?}");
-        assert!(last(&sender) < first(&worker), "{sender:?} {worker:?}");
+        let (sub, wrk) = (last(&submitter), first(&worker));
+        assert!(sub < wrk, "{submitter:?} {worker:?}");
     }
 
     /// End-to-end smoke test in the simulator: one worker, one scheduler

@@ -2,8 +2,9 @@
 //!
 //! Every frame is a 4-byte little-endian payload length followed by the
 //! payload; the payload's first byte is the opcode. Payloads are fixed
-//! layouts per opcode, written and read with the `Enc`/`Dec` cursor from
-//! `preempt-workloads` (the same row codec the storage benchmarks use).
+//! layouts per opcode, written on the stack by [`Frame::encode_into`] and
+//! read with the `Dec` cursor from `preempt-workloads` (the same row codec
+//! the storage benchmarks use).
 //!
 //! ```text
 //! [len: u32 LE] [op: u8] [op-specific fields ...]
@@ -25,7 +26,7 @@
 
 use std::io::{Read, Write};
 
-use preempt_workloads::codec::{Dec, Enc};
+use preempt_workloads::codec::Dec;
 
 /// Protocol version spoken by this build (in `Hello`).
 pub const PROTO_VERSION: u32 = 1;
@@ -35,6 +36,10 @@ pub const PROTO_VERSION: u32 = 1;
 /// length means a corrupt or hostile stream, and bounding it keeps a
 /// bad client from ballooning the reassembly buffer.
 pub const MAX_FRAME: usize = 64;
+
+/// Longest encoded frame: the length prefix and the largest payload in
+/// `payload_len`, so any frame fits a stack buffer of this size.
+pub const MAX_WIRE_FRAME: usize = 4 + max_payload_len();
 
 const OP_HELLO: u8 = 1;
 const OP_HELLO_OK: u8 = 2;
@@ -247,7 +252,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Fixed payload length for each opcode (op byte included).
-fn payload_len(op: u8) -> Option<usize> {
+const fn payload_len(op: u8) -> Option<usize> {
     match op {
         OP_HELLO => Some(1 + 4 + 1),
         OP_HELLO_OK => Some(1 + 8 + 8),
@@ -259,19 +264,56 @@ fn payload_len(op: u8) -> Option<usize> {
     }
 }
 
+/// The largest `payload_len` over every opcode byte.
+const fn max_payload_len() -> usize {
+    let mut max = 0;
+    let mut op = 0u8;
+    loop {
+        if let Some(n) = payload_len(op) {
+            if n > max {
+                max = n;
+            }
+        }
+        if op == u8::MAX {
+            return max;
+        }
+        op += 1;
+    }
+}
+
 impl Frame {
     /// Encodes the frame as length prefix + payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(MAX_FRAME);
+        let mut buf = [0; MAX_WIRE_FRAME];
+        let n = self.encode_into(&mut buf);
+        buf[..n].to_vec()
+    }
+
+    /// [`encode`](Self::encode) into a stack buffer, with no allocation:
+    /// returns how many bytes of `out` the frame fills.
+    pub fn encode_into(&self, out: &mut [u8; MAX_WIRE_FRAME]) -> usize {
+        let mut len = 4;
+        let mut put = |bytes: &[u8]| {
+            out[len..len + bytes.len()].copy_from_slice(bytes);
+            len += bytes.len();
+        };
         match *self {
             Frame::Hello { version, class } => {
-                e.u8(OP_HELLO).u32(version).u8(class.index() as u8);
+                put(&[OP_HELLO]);
+                put(&version.to_le_bytes());
+                put(&[class.index() as u8]);
             }
             Frame::HelloOk { freq_hz, accounts } => {
-                e.u8(OP_HELLO_OK).u64(freq_hz).u64(accounts);
+                put(&[OP_HELLO_OK]);
+                put(&freq_hz.to_le_bytes());
+                put(&accounts.to_le_bytes());
             }
             Frame::Req { id, op, a, b } => {
-                e.u8(OP_REQ).u64(id).u8(op.to_u8()).u64(a).u64(b);
+                put(&[OP_REQ]);
+                put(&id.to_le_bytes());
+                put(&[op.to_u8()]);
+                put(&a.to_le_bytes());
+                put(&b.to_le_bytes());
             }
             Frame::Resp {
                 id,
@@ -279,24 +321,23 @@ impl Frame {
                 latency_cycles,
                 value,
             } => {
-                e.u8(OP_RESP)
-                    .u64(id)
-                    .u8(status.to_u8())
-                    .u64(latency_cycles)
-                    .u64(value);
+                put(&[OP_RESP]);
+                put(&id.to_le_bytes());
+                put(&[status.to_u8()]);
+                put(&latency_cycles.to_le_bytes());
+                put(&value.to_le_bytes());
             }
             Frame::Overloaded { id } => {
-                e.u8(OP_OVERLOADED).u64(id);
+                put(&[OP_OVERLOADED]);
+                put(&id.to_le_bytes());
             }
             Frame::Error { code } => {
-                e.u8(OP_ERROR).u8(code.to_u8());
+                put(&[OP_ERROR]);
+                put(&[code.to_u8()]);
             }
         }
-        let payload = e.finish();
-        let mut out = Vec::with_capacity(4 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        out[..4].copy_from_slice(&(len as u32 - 4).to_le_bytes());
+        len
     }
 
     /// Decodes one payload (the bytes after the length prefix).
@@ -403,8 +444,11 @@ impl FrameReader {
 }
 
 /// Writes one frame to `w` (no flush; callers batch pipelined writes).
+/// Encodes on the stack: a worker replying allocates nothing.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&frame.encode())
+    let mut buf = [0; MAX_WIRE_FRAME];
+    let n = frame.encode_into(&mut buf);
+    w.write_all(&buf[..n])
 }
 
 /// Blocking read of the next frame from `stream`, reassembling through

@@ -2,8 +2,9 @@
 //! boundaries, and hostile bytes produce typed errors — never panics.
 
 use preemptdb_server::proto::{
-    DecodeError, ErrCode, Frame, FrameReader, Op, SloClass, Status, MAX_FRAME,
+    DecodeError, ErrCode, Frame, FrameReader, Op, SloClass, Status, MAX_FRAME, MAX_WIRE_FRAME,
 };
+use preempt_workloads::codec::Enc;
 use proptest::prelude::*;
 
 fn any_frame() -> impl Strategy<Value = Frame> {
@@ -39,6 +40,45 @@ fn any_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// The wire layout written out field by field with the row codec's `Enc`
+/// cursor: an oracle independent of the server's encoder.
+fn reference_bytes(frame: &Frame) -> Vec<u8> {
+    let mut e = Enc::with_capacity(MAX_FRAME);
+    match *frame {
+        Frame::Hello { version, class } => {
+            e.u8(1).u32(version).u8(class.index() as u8);
+        }
+        Frame::HelloOk { freq_hz, accounts } => {
+            e.u8(2).u64(freq_hz).u64(accounts);
+        }
+        Frame::Req { id, op, a, b } => {
+            e.u8(3).u64(id).u8(op.to_u8()).u64(a).u64(b);
+        }
+        Frame::Resp {
+            id,
+            status,
+            latency_cycles,
+            value,
+        } => {
+            e.u8(4)
+                .u64(id)
+                .u8(status.to_u8())
+                .u64(latency_cycles)
+                .u64(value);
+        }
+        Frame::Overloaded { id } => {
+            e.u8(5).u64(id);
+        }
+        Frame::Error { code } => {
+            e.u8(6).u8(code.to_u8());
+        }
+    }
+    let payload = e.finish();
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&payload);
+    out
+}
+
 /// Drains every currently complete frame out of the reader.
 fn drain(reader: &mut FrameReader, out: &mut Vec<Frame>) {
     while let Ok(Some(f)) = reader.next_frame() {
@@ -47,6 +87,22 @@ fn drain(reader: &mut FrameReader, out: &mut Vec<Frame>) {
 }
 
 proptest! {
+    /// The stack encoder `write_frame` uses writes exactly the reference
+    /// layout, for every frame kind, and nothing past the frame's end;
+    /// `encode` and `write_frame` write the same bytes.
+    #[test]
+    fn stack_encoding_matches_encode(frame in any_frame()) {
+        let want = reference_bytes(&frame);
+        let mut buf = [0xAA; MAX_WIRE_FRAME];
+        let n = frame.encode_into(&mut buf);
+        prop_assert_eq!(&buf[..n], &want[..]);
+        prop_assert!(buf[n..].iter().all(|&b| b == 0xAA));
+        prop_assert_eq!(frame.encode(), want.clone());
+        let mut written = Vec::new();
+        preemptdb_server::proto::write_frame(&mut written, &frame).unwrap();
+        prop_assert_eq!(written, want);
+    }
+
     /// Any frame survives encode → single-push decode.
     #[test]
     fn round_trip_single_frame(frame in any_frame()) {

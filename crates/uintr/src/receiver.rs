@@ -99,11 +99,24 @@ pub struct UintrReceiver {
 impl UintrReceiver {
     /// Creates a receiver with a fresh UPID and no handler.
     pub fn new() -> UintrReceiver {
+        Self::with_epoch(0)
+    }
+
+    /// As [`new`](Self::new), with the UPID's delivery epoch starting at
+    /// `epoch` (a replacement receiver carries on the count).
+    pub fn with_epoch(epoch: u64) -> UintrReceiver {
         UintrReceiver {
-            upid: Upid::new(),
+            upid: Upid::starting_at(epoch),
             handler: None,
             stats: Cell::new(DeliveryStats::default()),
         }
+    }
+
+    /// The UPID's delivery epoch ([`Upid::epoch`]), for the handler's
+    /// acknowledgement.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.upid.epoch()
     }
 
     /// Registers the user-interrupt handler (at most once).

@@ -25,12 +25,13 @@ use crate::cycles::rdtsc;
 /// Number of user-interrupt vectors, matching the hardware's UIRR width.
 pub const NUM_VECTORS: u8 = 64;
 
-/// What a post writes, on one cache line: the pending word the receiver
-/// polls at every preemption point, and the sender's stamp and count.
-/// The sender writes all three back to back under one ownership of the
-/// line, and the receiver that takes the bit gets the stamp with it.
-/// Nothing the *receiver* or a third party writes may share the line —
-/// it would keep pulling the polled word out of the receiver's cache.
+/// What a send writes, on one cache line: the pending word the receiver
+/// polls at every preemption point, the sender's stamp and count, and
+/// the delivery epoch. The sender writes all four back to back under one
+/// ownership of the line, and the receiver that takes the bit gets the
+/// stamp and the epoch with it. Nothing the *receiver* or a third party
+/// writes may share the line — it would keep pulling the polled word out
+/// of the receiver's cache.
 #[derive(Debug)]
 #[repr(C, align(64))]
 struct PostLine {
@@ -40,6 +41,10 @@ struct PostLine {
     last_post_tsc: AtomicU64,
     /// Total posts (senduipi executions) targeting this descriptor.
     posts: AtomicU64,
+    /// The delivery epoch: bumped by a scheduler before each interrupt it
+    /// posts here, and copied by the receiver's handler into its
+    /// acknowledgement (the scheduler's delivery watchdog, DESIGN §11).
+    epoch: AtomicU64,
 }
 
 /// User posted-interrupt descriptor: one per receiver thread.
@@ -59,11 +64,18 @@ pub struct Upid {
 
 impl Upid {
     pub fn new() -> Arc<Upid> {
+        Self::starting_at(0)
+    }
+
+    /// A descriptor whose delivery epoch starts at `epoch`: a replacement
+    /// receiver carries on its predecessor's count.
+    pub fn starting_at(epoch: u64) -> Arc<Upid> {
         Arc::new(Upid {
             post: PostLine {
                 pending: AtomicU64::new(0),
                 last_post_tsc: AtomicU64::new(0),
                 posts: AtomicU64::new(0),
+                epoch: AtomicU64::new(epoch),
             },
             active: AtomicBool::new(true),
             owner: AtomicU64::new(u64::from(u16::MAX)),
@@ -99,6 +111,23 @@ impl Upid {
         let bit = 1u64 << vector;
         self.post.pending.fetch_or(bit, Ordering::Release);
         true
+    }
+
+    /// Sender-side: bumps the delivery epoch, before posting the
+    /// interrupt it stands for; returns the new epoch. An acknowledgement
+    /// of this epoch or a later one proves the interrupt reached the
+    /// handler. Release pairs with [`epoch`](Self::epoch)'s Acquire.
+    #[inline]
+    pub fn bump_epoch(&self) -> u64 {
+        self.post.epoch.fetch_add(1, Ordering::Release) + 1
+    }
+
+    /// The delivery epoch. In the handler, after taking the pending bit,
+    /// it is no older than the post delivered, and is read from the line
+    /// the take has just fetched.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.post.epoch.load(Ordering::Acquire)
     }
 
     /// Receiver-side: atomically takes all pending vectors (returns the
@@ -251,8 +280,8 @@ impl Uitt {
 mod tests {
     use super::*;
 
-    /// To itself among *writers*: the line holds the sender's bit, stamp
-    /// and count and nothing anyone else writes; `active`/`owner` (read
+    /// To itself among *writers*: the line holds the sender's bit, stamp,
+    /// count and epoch and nothing anyone else writes; `active`/`owner` (read
     /// by every post) and the `Arc` counts are on other lines.
     #[test]
     fn pending_word_has_a_cache_line_to_itself() {
@@ -263,6 +292,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<PostLine>(), 64);
         assert_eq!(pending, of(&upid.post.last_post_tsc));
         assert_eq!(pending, of(&upid.post.posts));
+        assert_eq!(pending, of(&upid.post.epoch));
         assert_ne!(pending, line(std::ptr::from_ref(&upid.active).cast()));
         assert_ne!(pending, of(&upid.owner));
         // The `Arc` counts sit on the line in front of the descriptor.
@@ -280,6 +310,14 @@ mod tests {
         assert!(upid.has_pending());
         assert_eq!(upid.take_pending(), (1 << 3) | (1 << 10));
         assert_eq!(upid.take_pending(), 0, "cleared after take");
+    }
+
+    #[test]
+    fn epoch_counts_sends_from_its_start() {
+        let upid = Upid::starting_at(5);
+        assert_eq!(upid.epoch(), 5);
+        assert_eq!(upid.bump_epoch(), 6);
+        assert_eq!(upid.epoch(), 6);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! 1. the UPID pending-bit post/take/repost handoff — no posted vector
 //!    may ever be lost, including across a decline-and-repost cycle;
-//! 2. the PR-1 epoch/ack watchdog — in every schedule either the worker
+//! 2. the epoch/ack watchdog, with the epoch on the UPID's post line —
+//!    in every schedule either the worker
 //!    acked the delivery or the pending bit is still there for the
 //!    watchdog to re-deliver (no lost wakeup), and the interrupt is
 //!    handled exactly once (no double execution).
@@ -80,64 +81,62 @@ fn repost_preserves_vectors_under_concurrency() {
 #[should_panic(expected = "lost wakeup")]
 fn explorer_catches_post_before_epoch_bump() {
     loom::model(|| {
-        let epoch = Arc::new(AtomicU64::new(0));
+        let upid = Upid::new();
         let ack = Arc::new(AtomicU64::new(0));
-        let pending = Arc::new(AtomicU64::new(0));
 
-        let (e, p) = (epoch.clone(), pending.clone());
+        let tx = upid.clone();
         let scheduler = thread::spawn(move || {
-            p.fetch_or(1, Ordering::Release); // BUG: post first…
-            e.fetch_add(1, Ordering::Release); // …bump after
+            tx.post(1); // BUG: post first…
+            tx.bump_epoch(); // …bump after
         });
 
-        let (e, a, p) = (epoch.clone(), ack.clone(), pending.clone());
+        let (rx, a) = (upid.clone(), ack.clone());
         let worker = thread::spawn(move || {
-            let bits = p.swap(0, Ordering::Acquire);
-            if bits != 0 {
-                a.store(e.load(Ordering::Acquire), Ordering::Release);
+            if rx.take_pending() != 0 {
+                a.store(rx.epoch(), Ordering::Release);
             }
         });
 
         scheduler.join().unwrap();
         worker.join().unwrap();
 
-        if ack.load(Ordering::Acquire) < epoch.load(Ordering::Acquire) {
-            let bits = pending.swap(0, Ordering::Acquire);
+        if ack.load(Ordering::Acquire) < upid.epoch() {
+            let pending = upid.take_pending();
             assert_ne!(
-                bits, 0,
+                pending, 0,
                 "lost wakeup: epoch unacked but no pending bit left to re-deliver"
             );
         }
     });
 }
 
-/// The epoch/ack watchdog protocol: scheduler bumps the epoch *before*
-/// posting; the worker acks *before* handling. In every interleaving,
-/// `epoch > ack` after quiescence implies the pending bit survived for
-/// the watchdog to re-deliver — so a wakeup is never lost — and the
-/// total number of executions is exactly one.
+/// The epoch/ack watchdog protocol, on the real descriptor: the epoch
+/// sits on the UPID's post line; the scheduler bumps it (Release)
+/// *before* posting; the worker takes the bit and acks (the epoch's
+/// Acquire load) *before* handling. In every interleaving, `epoch > ack`
+/// after quiescence implies the pending bit survived for the watchdog to
+/// re-deliver — so a wakeup is never lost — and the total number of
+/// executions is exactly one.
 #[test]
 fn epoch_ack_watchdog_has_no_lost_wakeup_or_double_execution() {
     loom::model(|| {
-        let epoch = Arc::new(AtomicU64::new(0));
+        let upid = Upid::new();
         let ack = Arc::new(AtomicU64::new(0));
-        let pending = Arc::new(AtomicU64::new(0));
 
         // Scheduler: epoch bump happens-before the UPID post.
-        let (e, p) = (epoch.clone(), pending.clone());
+        let tx = upid.clone();
         let scheduler = thread::spawn(move || {
-            e.fetch_add(1, Ordering::Release);
-            p.fetch_or(1, Ordering::Release);
+            tx.bump_epoch();
+            tx.post(1);
         });
 
         // Worker: one delivery attempt; may race ahead of the post and
         // see nothing (that is the "lost interrupt" the watchdog covers).
-        let (e, a, p) = (epoch.clone(), ack.clone(), pending.clone());
+        let (rx, a) = (upid.clone(), ack.clone());
         let worker = thread::spawn(move || {
-            let bits = p.swap(0, Ordering::Acquire);
-            if bits != 0 {
+            if rx.take_pending() != 0 {
                 // Ack before any decline path (worker.rs on_uintr).
-                a.store(e.load(Ordering::Acquire), Ordering::Release);
+                a.store(rx.epoch(), Ordering::Release);
                 return 1u32; // handled
             }
             0u32
@@ -147,21 +146,54 @@ fn epoch_ack_watchdog_has_no_lost_wakeup_or_double_execution() {
         let mut handled = worker.join().unwrap();
 
         // Watchdog, after quiescence: epoch unacked ⇒ must re-deliver.
-        if ack.load(Ordering::Acquire) < epoch.load(Ordering::Acquire) {
-            let bits = pending.swap(0, Ordering::Acquire);
+        if ack.load(Ordering::Acquire) < upid.epoch() {
+            let pending = upid.take_pending();
             assert_ne!(
-                bits, 0,
+                pending, 0,
                 "lost wakeup: epoch unacked but no pending bit left to re-deliver"
             );
             handled += 1;
         } else {
-            assert_eq!(
-                pending.load(Ordering::Acquire),
-                0,
+            assert!(
+                !upid.has_pending(),
                 "acked delivery must have consumed the pending bit"
             );
         }
         assert_eq!(handled, 1, "interrupt must be handled exactly once");
+    });
+}
+
+/// A replacement descriptor starts where its predecessor's epoch
+/// stopped, and the replacement worker starts with that epoch acked: a
+/// respawned incarnation is fully acknowledged until the next send.
+#[test]
+fn respawned_descriptor_starts_fully_acknowledged() {
+    loom::model(|| {
+        let old = Upid::new();
+        old.bump_epoch();
+        old.post(1);
+        // The incarnation dies with the interrupt unacknowledged; the
+        // supervisor carries the epoch over as the new ack.
+        let ack = Arc::new(AtomicU64::new(old.epoch()));
+        let fresh = Upid::starting_at(ack.load(Ordering::Acquire));
+        assert_eq!(fresh.epoch(), ack.load(Ordering::Acquire));
+
+        let tx = fresh.clone();
+        let scheduler = thread::spawn(move || {
+            tx.bump_epoch();
+            tx.post(1);
+        });
+        let (rx, a) = (fresh.clone(), ack.clone());
+        let worker = thread::spawn(move || {
+            if rx.take_pending() != 0 {
+                a.store(rx.epoch(), Ordering::Release);
+            }
+        });
+        scheduler.join().unwrap();
+        worker.join().unwrap();
+        if ack.load(Ordering::Acquire) < fresh.epoch() {
+            assert!(fresh.has_pending(), "lost wakeup after a respawn");
+        }
     });
 }
 

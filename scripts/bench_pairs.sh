@@ -3,10 +3,11 @@
 # rules: "measured as alternating parent/change pairs on seeds not used
 # in development").
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> <pairs> [seconds] [trace]
+#   scripts/bench_pairs.sh [--control] <parent-ref> <workload> <pairs> [seconds] [trace]
 #
 #   scripts/bench_pairs.sh HEAD~1 pool_preempt 6        # 6 pairs, 20 s, untraced
 #   scripts/bench_pairs.sh HEAD~1 pool_preempt 3 20 1   # traced: per-layer rows
+#   scripts/bench_pairs.sh --control HEAD~1 pool_preempt 10   # noise floor
 #
 # The parent is exported (`git archive`) to target/bench_pairs/<sha> and
 # built there once; the change is the working tree. Pair i runs both
@@ -19,25 +20,42 @@
 # shows its failing `check` rows and the end of its stderr; every run's
 # output is kept in target/bench_pairs/runs/<workload>.t<trace>/. Run
 # nothing else meanwhile: the host has two CPUs.
+#
+# --control runs the parent against itself: the "change" side is a
+# second export of the same commit (target/bench_pairs/<sha>.control),
+# built on its own, so the table shows what two builds of identical
+# source read — the noise floor a claimed difference must clear.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+control=0
+if [ "${1:-}" = --control ]; then
+    control=1
+    shift
+fi
 if [ $# -lt 3 ]; then
-    sed -n '2,9p' "$0" >&2
+    sed -n '2,10p' "$0" >&2
     exit 2
 fi
 ref=$1 workload=$2 pairs=$3 seconds=${4:-20} trace=${5:-0}
 sha=$(git rev-parse --short "$ref^{commit}")
 parent=target/bench_pairs/$sha
+change=.
 out=target/bench_pairs/runs/$workload.t$trace
+if [ "$control" -eq 1 ]; then
+    change=$parent.control
+    out=$out.control
+fi
 # A local build rewrites benchmark/Cargo.lock by one line.
 trap 'git checkout -q -- benchmark/Cargo.lock' EXIT
 
-if [ ! -d "$parent" ]; then
-    mkdir -p "$parent"
-    git archive "$sha" | tar -x -C "$parent"
-fi
-for tree in "$parent" .; do
+for tree in "$parent" "$change"; do
+    if [ ! -d "$tree" ]; then
+        mkdir -p "$tree"
+        git archive "$sha" | tar -x -C "$tree"
+    fi
+done
+for tree in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
 done
 
@@ -48,7 +66,8 @@ if [ -n "$leftovers" ]; then
 fi
 
 base=$(( $(date +%s) % 100000 * 10 ))
-echo "parent $sha, change = working tree; $workload, $pairs pairs, --seconds $seconds --trace $trace, seeds $((base + 1))..$((base + pairs))"
+if [ "$control" -eq 1 ]; then what="a second build of $sha (control)"; else what="working tree"; fi
+echo "parent $sha, change = $what; $workload, $pairs pairs, --seconds $seconds --trace $trace, seeds $((base + 1))..$((base + pairs))"
 
 rm -rf "$out" && mkdir -p "$out"
 e2e="setup_s high_p50_us high_p90_us high_ops_per_s"
@@ -59,7 +78,7 @@ for i in $(seq 1 "$pairs"); do
     seed=$((base + i))
     if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
-        if [ "$side" = parent ]; then tree=$parent; else tree=.; fi
+        if [ "$side" = parent ]; then tree=$parent; else tree=$change; fi
         log=$out/$i.$side
         rc=0
         timeout $((4 * seconds + 240)) bash "$tree/benchmark/run.sh" --workload "$workload" \
