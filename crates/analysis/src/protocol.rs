@@ -1,6 +1,6 @@
 //! Declarative atomic-protocol specifications.
 //!
-//! The engine's lock-free handoffs are nine small protocols; each has an
+//! The engine's lock-free handoffs are eight small protocols; each has an
 //! exact ordering contract per (field, op) and a loom model that
 //! explores its interleavings. v1 enforced a *deny*-list (specific bad
 //! orderings); this table is an *allow*-list with coverage: every atomic
@@ -45,13 +45,14 @@ pub struct ModelRef {
     pub idents: &'static [&'static str],
 }
 
-/// The scheduler-side suite (UPID, watchdog, lifecycle, steal deque).
+/// The scheduler-side suite (UPID, watchdog, degraded flag, steal deque).
 pub const SCHED_SUITE: &str = "crates/uintr/tests/loom.rs";
 /// The storage-side suite (version chains, reclamation, directory).
 pub const MVCC_SUITE: &str = "crates/mvcc/src/loom_tests.rs";
 
-/// The nine protocols (DESIGN.md §2.2–§2.3, §12–§13) and the scheduler
-/// plane's relaxed hints (§13). Governed fields are closed per
+/// The eight protocols (DESIGN.md §2.2–§2.3, §12–§13), the worker's stop
+/// flag and the scheduler plane's relaxed hints (§13). Governed fields
+/// are closed per
 /// file: any ordering-bearing atomic op on a listed field that has no
 /// row here is flagged until the table is extended.
 pub const SPEC: &[SpecRow] = &[
@@ -129,14 +130,6 @@ pub const SPEC: &[SpecRow] = &[
         allow: &["Release"],
         why: "publishing the ack races the watchdog's re-send decision",
     },
-    SpecRow {
-        protocol: "watchdog-epoch-ack",
-        file: "worker.rs",
-        field: "uintr_ack",
-        op: "load",
-        allow: &["Acquire"],
-        why: "the epoch a respawned incarnation's descriptor starts from",
-    },
     // ── Degraded-mode flag ───────────────────────────────────────────
     SpecRow {
         protocol: "degraded",
@@ -162,9 +155,9 @@ pub const SPEC: &[SpecRow] = &[
         allow: &["Acquire"],
         why: "pairs with the scheduler's Release store on mode entry",
     },
-    // ── Terminate / exited / supervision lifecycle ───────────────────
+    // ── Worker stop flag ─────────────────────────────────────────────
     SpecRow {
-        protocol: "terminate-exited",
+        protocol: "worker-stop",
         file: "worker.rs",
         field: "stopped",
         op: "store",
@@ -172,95 +165,12 @@ pub const SPEC: &[SpecRow] = &[
         why: "the stop flag publishes queue teardown",
     },
     SpecRow {
-        protocol: "terminate-exited",
+        protocol: "worker-stop",
         file: "worker.rs",
         field: "stopped",
         op: "load",
         allow: &["Acquire"],
         why: "observing stop must also observe teardown",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "terminated",
-        op: "store",
-        allow: &["Release"],
-        why: "the terminate order must be visible at the next preemption point",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "terminated",
-        op: "load",
-        allow: &["Acquire"],
-        why: "terminate-token eligibility check",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "exited",
-        op: "store",
-        allow: &["Release"],
-        why: "the exit flag publishes every release the worker performed",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "exited",
-        op: "load",
-        allow: &["Acquire"],
-        why: "the supervisor orphan-sweeps only after observing exit",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "incarnation",
-        op: "load",
-        allow: &["Acquire"],
-        why: "lease checks compare against the published incarnation",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "worker.rs",
-        field: "incarnation",
-        op: "fetch_add",
-        allow: &["AcqRel"],
-        why: "respawn both observes the old lease and publishes the new one",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "plane.rs",
-        field: "routes",
-        op: "load",
-        allow: &["Acquire"],
-        why: "a dispatcher sees the route's senders and wake target as captured",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "plane.rs",
-        field: "routes",
-        op: "compare_exchange",
-        allow: &["AcqRel", "Acquire"],
-        why: "the winner publishes its captured route; the loser must see the \
-              winner's to compare its incarnation",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "plane.rs",
-        field: "quarantined",
-        op: "store",
-        allow: &["Release"],
-        why: "quarantine is published before the slot's queue is rejected; \
-              only a simulated plane quarantines",
-    },
-    SpecRow {
-        protocol: "terminate-exited",
-        file: "plane.rs",
-        field: "quarantined",
-        op: "load",
-        allow: &["Acquire"],
-        why: "a dispatcher that sees the quarantine skips the slot; only the \
-              simulated shard's own core dispatches, so none can miss it",
     },
     // ── Scheduler-plane hints (DESIGN.md §13) ────────────────────────
     SpecRow {
@@ -776,12 +686,6 @@ pub const MODELS: &[ModelRef] = &[
     },
     ModelRef {
         suite: SCHED_SUITE,
-        protocol: "terminate-exited",
-        model_fn: "terminate_exit_flag_gates_orphan_sweep",
-        idents: &["terminated", "exited", "sweep"],
-    },
-    ModelRef {
-        suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_no_lost_or_duplicated_requests",
         idents: &["dq_pop", "dq_steal", "dq_push"],
@@ -1063,11 +967,11 @@ mod tests {
 
     #[test]
     fn nested_call_orderings_are_not_misattributed() {
-        // `uintr_ack.store(uintr_ack.load(Acquire), Release)`: the
-        // Acquire belongs to the inner load, not the outer store.
+        // `stopped.store(degraded.load(Acquire), Release)`: the Acquire
+        // belongs to the inner load, not the outer store.
         let f = run(
             "crates/sched/src/worker.rs",
-            "fn ack(s: &S) { s.uintr_ack.store(s.uintr_ack.load(Ordering::Acquire), Ordering::Release); }\n",
+            "fn stop(s: &S) { s.stopped.store(s.degraded.load(Ordering::Acquire), Ordering::Release); }\n",
         );
         assert!(f.is_empty(), "{f:#?}");
     }
@@ -1147,7 +1051,7 @@ mod tests {
         check_models(&[loom], &mut out);
         assert!(
             out.iter().any(|f| f.rule == "protocol-model-drift"
-                && f.msg.contains("terminate_exit_flag_gates_orphan_sweep")),
+                && f.msg.contains("degraded_entry_publishes_wake_fallback")),
             "{out:#?}"
         );
     }
@@ -1169,7 +1073,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_covers_all_nine_protocols_with_models() {
+    fn spec_covers_every_protocol_with_a_model() {
         use std::collections::HashSet;
         let spec: HashSet<&str> = SPEC.iter().map(|r| r.protocol).collect();
         let modeled: HashSet<&str> = MODELS.iter().map(|m| m.protocol).collect();
@@ -1177,7 +1081,6 @@ mod tests {
             "upid-pending",
             "watchdog-epoch-ack",
             "degraded",
-            "terminate-exited",
             "shard-deque",
             "version-chain",
             "segment-directory",

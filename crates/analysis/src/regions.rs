@@ -52,8 +52,8 @@ pub fn check(models: &[FileModel], syms: &Symbols, graph: &CallGraph, out: &mut 
 }
 
 fn collect_regions(models: &[FileModel]) -> Vec<Region<'_>> {
-    // ClsCell statics are looked up workspace-wide: orphan tagging reads
-    // `CURRENT_OWNER` from another crate via a re-export.
+    // ClsCell statics are looked up workspace-wide: a context-local can
+    // be read from another crate through a re-export.
     let cls_names: std::collections::HashSet<&str> = models
         .iter()
         .flat_map(|m| m.cls_statics.iter().map(String::as_str))

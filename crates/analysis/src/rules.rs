@@ -44,12 +44,11 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Functions the handler reachability walk starts from. `on_point` and
-/// `wedge` are the supervisor-facing worker entry points: the terminate
-/// token raise and the wedge fault both execute at preemption points,
-/// possibly under a handler-driven drain, so they obey the same
+/// Functions the handler reachability walk starts from. `on_point` is
+/// the worker's preemption-point hook: it runs at every preemption
+/// point, possibly under a handler-driven drain, so it obeys the same
 /// alloc/panic/block discipline as the delivery path.
-pub const HANDLER_ROOTS: &[&str] = &["on_uintr", "deliver_pending", "on_point", "wedge"];
+pub const HANDLER_ROOTS: &[&str] = &["on_uintr", "deliver_pending", "on_point"];
 
 /// Preemption-point calls denied inside critical sections.
 pub const PREEMPT_POINTS: &[&str] = &["preempt_point", "poll", "yield_now"];

@@ -219,8 +219,6 @@ fn check_threaded_scrape() {
         Counter::SchedTicks,
         Counter::AbandonedBatches,
         Counter::RetryAbandonedHigh,
-        Counter::OrphanLatchesReleased,
-        Counter::RejectedOrphaned,
     ]
     .map(|c| format!("{}_{}_total", metrics::NAMESPACE, c.name()));
     let latency = format!("{}_uintr_delivery_latency_cycles_bucket", metrics::NAMESPACE);

@@ -135,11 +135,10 @@ fn num_cpus_fallback() -> usize {
 /// The pool is a one-shard scheduler [`Plane`] with the default
 /// robustness settings: every submission is dispatched inline on the
 /// submitting thread, and a `preemptdb-plane` thread runs the delivery
-/// watchdog, degradation and the adaptive controller. It never declares
-/// a worker dead: on real threads a healthy worker that is descheduled,
-/// or busy where it checks nothing, looks just like a wedged one, so a
-/// closure that runs long without preemption points delays the work
-/// queued behind it and nothing more.
+/// watchdog, degradation and the adaptive controller. Nothing stops or
+/// replaces a worker: a closure that runs long without preemption points
+/// delays the work queued behind it, and the watchdog re-sends the
+/// interrupt it has not acknowledged, with backoff, meanwhile.
 pub struct Database {
     engine: Engine,
     plane: Arc<Plane>,
@@ -295,10 +294,10 @@ impl Database {
     }
 
     /// Per-kind counts and latencies across workers so far, and the
-    /// pool's counters (the plane's dispatch, delivery and supervision
-    /// included), read live from their metrics shards. (A worker counts a
-    /// request just after its closure returns, so a `call`'s own
-    /// completion can land a moment after the call does.)
+    /// pool's counters (the plane's dispatch and delivery included), read
+    /// live from their metrics shards. (A worker counts a request just
+    /// after its closure returns, so a `call`'s own completion can land a
+    /// moment after the call does.)
     pub fn metrics(&self) -> Metrics {
         let workers = self.plane.workers().iter().map(|w| &*w.metrics_shard);
         let shards = std::iter::once(&**self.plane.shard()).chain(workers);

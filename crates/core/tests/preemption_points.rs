@@ -1,8 +1,8 @@
 //! What a pool worker does at a preemption point on a real thread, one
-//! exit of the poll's fast path per test: supervisor termination,
-//! degraded-mode yielding, deferral inside a non-preemptible region, and
-//! the `handler` phase each context is charged for its own polls. Each
-//! test drives the single worker of its own `Database`.
+//! exit of the poll's fast path per test: degraded-mode yielding,
+//! deferral inside a non-preemptible region, and the `handler` phase each
+//! context is charged for its own polls. Each test drives the single
+//! worker of its own `Database`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -25,38 +25,6 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::yield_now();
     }
-}
-
-/// `terminate()` while a low closure loops on preemption points: the
-/// closure unwinds at its next point, the worker leaves, and its shard
-/// counts the request as one failure.
-#[test]
-fn terminate_unwinds_a_looping_closure_at_its_next_point() {
-    let db = one_worker();
-    let points = Arc::new(AtomicU64::new(0));
-    let p = points.clone();
-    db.submit("spin", Priority::Low, move || loop {
-        preempt_point(1);
-        p.fetch_add(1, Ordering::Release);
-    });
-    wait_until("the closure to run", || points.load(Ordering::Acquire) > 0);
-    let w = db.workers()[0].clone();
-    w.terminate();
-    wait_until("the worker to exit", || w.has_exited());
-    let after_exit = points.load(Ordering::Acquire);
-    let spin = db
-        .metrics()
-        .kind("spin")
-        .cloned()
-        .expect("the kind was counted");
-    assert_eq!((spin.failed, spin.completed), (1, 0));
-    std::thread::sleep(Duration::from_millis(5));
-    assert_eq!(
-        points.load(Ordering::Acquire),
-        after_exit,
-        "the closure is gone"
-    );
-    db.shutdown();
 }
 
 /// With `degraded` set and a high request queued without an interrupt,

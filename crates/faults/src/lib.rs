@@ -43,25 +43,27 @@ pub enum FaultSite {
     TxnCommit = 4,
     /// A worker starting a transaction body — the seeded-panic site.
     TxnPanic = 5,
-    /// A worker passing a preemption point — the wedge (stop acking,
-    /// stop polling, burn cycles) site.
-    Wedge = 6,
     /// A worker acquiring a write latch — panic-while-holding-latch.
+    /// Index 6 stays vacant (a retired site), so this stream, seeded by
+    /// the index, draws what it always drew.
     LatchPanic = 7,
 }
 
-const N_SITES: usize = 8;
+const N_SITES: usize = FaultSite::LatchPanic as usize + 1;
 
-const SITE_NAMES: [&str; N_SITES] = [
-    "uipi_send",
-    "signal_send",
-    "dispatch",
-    "preempt_point",
-    "txn_commit",
-    "txn_panic",
-    "wedge",
-    "latch_panic",
-];
+impl FaultSite {
+    fn name(self) -> &'static str {
+        match self {
+            FaultSite::UipiSend => "uipi_send",
+            FaultSite::SignalSend => "signal_send",
+            FaultSite::Dispatch => "dispatch",
+            FaultSite::PreemptPoint => "preempt_point",
+            FaultSite::TxnCommit => "txn_commit",
+            FaultSite::TxnPanic => "txn_panic",
+            FaultSite::LatchPanic => "latch_panic",
+        }
+    }
+}
 
 /// Outcome of consulting the injector at an interrupt-send site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -122,12 +124,6 @@ pub struct FaultPlan {
     /// Panic inside the transaction body (per transaction start). The
     /// worker's panic firewall must contain it.
     pub txn_panic_ppm: u32,
-    /// Wedge the worker at a preemption point: it burns `wedge_cycles`
-    /// of virtual time without polling its receiver or acking epochs,
-    /// so the supervisor's liveness lease must notice.
-    pub wedge_ppm: u32,
-    /// Length of an injected wedge.
-    pub wedge_cycles: u64,
     /// Panic while holding a write latch (per write-latch acquisition):
     /// exercises latch/active-slot cleanup on the unwind path.
     pub latch_panic_ppm: u32,
@@ -156,8 +152,6 @@ impl FaultPlan {
             stall_cycles: 0,
             txn_abort_ppm: 0,
             txn_panic_ppm: 0,
-            wedge_ppm: 0,
-            wedge_cycles: 0,
             latch_panic_ppm: 0,
             drop_before_cycles: 0,
         }
@@ -220,12 +214,6 @@ impl FaultPlan {
         self
     }
 
-    pub const fn with_wedge(mut self, ppm: u32, cycles: u64) -> FaultPlan {
-        self.wedge_ppm = ppm;
-        self.wedge_cycles = cycles;
-        self
-    }
-
     pub const fn with_latch_panic_ppm(mut self, ppm: u32) -> FaultPlan {
         self.latch_panic_ppm = ppm;
         self
@@ -258,8 +246,6 @@ pub struct FaultStats {
     pub forced_aborts: u64,
     pub txn_starts: u64,
     pub txn_panics: u64,
-    pub wedge_checks: u64,
-    pub wedges_injected: u64,
     pub latch_acquires: u64,
     pub latch_panics: u64,
 }
@@ -277,7 +263,6 @@ impl FaultStats {
             + self.stalls_injected
             + self.forced_aborts
             + self.txn_panics
-            + self.wedges_injected
             + self.latch_panics
     }
 }
@@ -345,7 +330,7 @@ impl FaultInjector {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let mut t = self.trace.borrow_mut();
-        let _ = writeln!(t, "{seq:06} {} {decision}", SITE_NAMES[site as usize]);
+        let _ = writeln!(t, "{seq:06} {} {decision}", site.name());
         preempt_metrics::counter_inc(preempt_metrics::Counter::FaultsInjected);
     }
 
@@ -461,17 +446,6 @@ impl FaultInjector {
             return true;
         }
         false
-    }
-
-    fn decide_wedge(&self) -> Option<u64> {
-        self.stats.borrow_mut().wedge_checks += 1;
-        let stream = &self.streams[FaultSite::Wedge as usize];
-        if draw_ppm(stream) < self.plan.wedge_ppm as u64 {
-            self.record(FaultSite::Wedge, "wedge");
-            self.stats.borrow_mut().wedges_injected += 1;
-            return Some(self.plan.wedge_cycles);
-        }
-        None
     }
 
     fn decide_latch_panic(&self) -> bool {
@@ -594,14 +568,6 @@ pub fn on_txn_start() -> bool {
     with_injector(|inj| inj.decide_txn_panic()).unwrap_or(false)
 }
 
-/// Hook for worker preemption points; `Some(cycles)` asks the worker to
-/// wedge — burn that much virtual time without polling its receiver or
-/// acking interrupt epochs — so supervision has something to detect.
-#[inline]
-pub fn on_wedge() -> Option<u64> {
-    with_injector(|inj| inj.decide_wedge()).flatten()
-}
-
 /// Hook for write-latch acquisition; `true` asks the caller to panic
 /// while the latch is held (cleanup-on-unwind coverage).
 #[inline]
@@ -622,7 +588,6 @@ mod tests {
             let _ = on_preempt_point();
             let _ = on_txn_commit();
             let _ = on_txn_start();
-            let _ = on_wedge();
             let _ = on_latch_acquire();
         }
         (guard.stats(), guard.trace())
@@ -637,7 +602,6 @@ mod tests {
         assert_eq!(on_preempt_point(), None);
         assert!(!on_txn_commit());
         assert!(!on_txn_start());
-        assert_eq!(on_wedge(), None);
         assert!(!on_latch_acquire());
     }
 
@@ -679,7 +643,6 @@ mod tests {
             .with_dispatch_fail_ppm(40_000)
             .with_stall(25_000, 5_000)
             .with_txn_panic_ppm(15_000)
-            .with_wedge(8_000, 100_000)
             .with_latch_panic_ppm(12_000);
         let (s1, t1) = run_plan(plan, 5_000);
         let (s2, t2) = run_plan(plan, 5_000);
@@ -765,7 +728,6 @@ mod tests {
             .with_txn_abort_ppm(100_000);
         let chaotic = base
             .with_txn_panic_ppm(500_000)
-            .with_wedge(300_000, 50_000)
             .with_latch_panic_ppm(400_000);
         let (s1, _) = run_plan(base, 4_000);
         let (s2, _) = run_plan(chaotic, 4_000);
@@ -773,11 +735,7 @@ mod tests {
         assert_eq!(s1.forced_aborts, s2.forced_aborts);
         assert_eq!(s1.txn_panics, 0);
         assert!(s2.txn_panics > 0, "txn panics injected");
-        assert!(s2.wedges_injected > 0, "wedges injected");
         assert!(s2.latch_panics > 0, "latch panics injected");
-        // Payload plumbs through.
-        let _guard = install(FaultPlan::quiet(5).with_wedge(PPM_SCALE as u32, 77_777));
-        assert_eq!(on_wedge(), Some(77_777));
     }
 
     #[test]

@@ -50,10 +50,6 @@ pub enum Counter {
     ControllerLowers,
     ControllerHolds,
     WorkerPanics,
-    WorkersDead,
-    WorkersRespawned,
-    WorkersQuarantined,
-    OrphansAborted,
     Steals,
     Shootdowns,
     NetConnsAccepted,
@@ -69,12 +65,10 @@ pub enum Counter {
     SchedTicks,
     AbandonedBatches,
     RetryAbandonedHigh,
-    OrphanLatchesReleased,
-    RejectedOrphaned,
 }
 
 /// Number of fixed counters (the width of a shard's counter block).
-pub const COUNTERS: usize = 48;
+pub const COUNTERS: usize = 42;
 
 impl Counter {
     /// Every counter, in export order.
@@ -106,10 +100,6 @@ impl Counter {
         Counter::ControllerLowers,
         Counter::ControllerHolds,
         Counter::WorkerPanics,
-        Counter::WorkersDead,
-        Counter::WorkersRespawned,
-        Counter::WorkersQuarantined,
-        Counter::OrphansAborted,
         Counter::Steals,
         Counter::Shootdowns,
         Counter::NetConnsAccepted,
@@ -125,8 +115,6 @@ impl Counter {
         Counter::SchedTicks,
         Counter::AbandonedBatches,
         Counter::RetryAbandonedHigh,
-        Counter::OrphanLatchesReleased,
-        Counter::RejectedOrphaned,
     ];
 
     pub fn name(self) -> &'static str {
@@ -158,10 +146,6 @@ impl Counter {
             Counter::ControllerLowers => "controller_lowers",
             Counter::ControllerHolds => "controller_holds",
             Counter::WorkerPanics => "worker_panics",
-            Counter::WorkersDead => "workers_dead",
-            Counter::WorkersRespawned => "workers_respawned",
-            Counter::WorkersQuarantined => "workers_quarantined",
-            Counter::OrphansAborted => "orphans_aborted",
             Counter::Steals => "sched_steals",
             Counter::Shootdowns => "sched_shootdowns",
             Counter::NetConnsAccepted => "net_conns_accepted",
@@ -177,8 +161,6 @@ impl Counter {
             Counter::SchedTicks => "sched_ticks",
             Counter::AbandonedBatches => "sched_abandoned_batches",
             Counter::RetryAbandonedHigh => "txn_retry_abandoned_high",
-            Counter::OrphanLatchesReleased => "orphan_latches_released",
-            Counter::RejectedOrphaned => "txn_rejected_orphaned",
         }
     }
 
@@ -211,10 +193,6 @@ impl Counter {
             Counter::ControllerLowers => "Controller decisions that lowered the threshold",
             Counter::ControllerHolds => "Controller decisions that held the threshold",
             Counter::WorkerPanics => "Transaction panics contained by the worker firewall",
-            Counter::WorkersDead => "Workers declared dead by the supervisor",
-            Counter::WorkersRespawned => "Dead workers respawned with a fresh context",
-            Counter::WorkersQuarantined => "Workers quarantined after exhausting respawns",
-            Counter::OrphansAborted => "Orphaned transactions aborted centrally (slots force-released)",
             Counter::Steals => "Requests stolen from a same-shard sibling's queue tail",
             Counter::Shootdowns => "Starved requests moved cross-shard with a uintr kick",
             Counter::NetConnsAccepted => "Client connections accepted by the network front door",
@@ -232,8 +210,6 @@ impl Counter {
             Counter::SchedTicks => "High-priority arrival ticks processed by the scheduler",
             Counter::AbandonedBatches => "Ticks whose batch remainder was left undelivered",
             Counter::RetryAbandonedHigh => "High requests stranded by the dispatch retry cap",
-            Counter::OrphanLatchesReleased => "Write latches force-released by the orphan sweep",
-            Counter::RejectedOrphaned => "Queued requests rejected with a quarantined worker",
         }
     }
 }

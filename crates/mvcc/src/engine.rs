@@ -9,7 +9,6 @@ use parking_lot::RwLock;
 
 use crate::limbo::{Limbo, DRAIN_VERSIONS};
 use crate::log::LogManager;
-use crate::orphan::OrphanSweep;
 use crate::registry::ActiveTxns;
 use crate::sync::{stripe_index, AtomicU64, CachePadded, Ordering, Striped};
 use crate::table::{Table, TableId};
@@ -181,7 +180,6 @@ impl Engine {
         // above our snapshot and reclaim versions this transaction still
         // needs. The ts-0 slot pins the watermark at 0 for that window.
         let slot = self.inner.registry.enter(0);
-        slot.set_txid(txid);
         let begin_ts = self.inner.ts.0.load(Ordering::SeqCst);
         slot.publish(begin_ts);
         // Periodically refresh the cached GC watermark, and take a paced
@@ -325,42 +323,6 @@ impl Engine {
         if writes != 0 {
             stats[stat::WRITES].fetch_add(writes, Ordering::Relaxed);
         }
-    }
-
-    /// Centrally aborts every transaction owned by a dead worker (see
-    /// [`crate::orphan`]). Call only after the worker can never run
-    /// again — its abandoned frames hold guards whose `Drop` must never
-    /// fire after this sweep.
-    ///
-    /// Order matters:
-    /// 1. force-release the owner's write latches first —
-    ///    `unlink_pending` takes `latch.write()` internally and would
-    ///    spin forever on a latch the dead worker still holds;
-    /// 2. unlink each orphaned txid's pending versions so
-    ///    first-updater-wins writers stop seeing dead intents;
-    /// 3. free the registry slots *last*, keeping the GC watermark
-    ///    pinned at the orphans' snapshots until their intents are gone.
-    pub fn orphan_sweep(&self, owner: u64) -> OrphanSweep {
-        let mut sweep = OrphanSweep::default();
-        let orphans = self.inner.registry.orphan_txids(owner);
-        let tables: Vec<Arc<Table>> = self.inner.tables.read().clone();
-        for table in &tables {
-            for record in table.records() {
-                if record.latch().force_release_write_held_by(owner) {
-                    sweep.latches_released += 1;
-                }
-                for &txid in &orphans {
-                    if let Some(run) = record.unlink_pending(txid) {
-                        sweep.intents_unlinked += run.count();
-                        // Live readers may be paused on the dead intents.
-                        self.retire(run);
-                    }
-                }
-            }
-        }
-        sweep.slots_released = self.inner.registry.force_release_owner(owner);
-        self.note(stat::ABORTS, sweep.slots_released as u64);
-        sweep
     }
 
     /// The registry slot of the engine's Arc, for identity checks.

@@ -15,12 +15,11 @@
 //! diagnosable panic — which the §4.4 regression tests assert when the
 //! non-preemptible region is deliberately omitted.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use preempt_context::runtime::preempt_point;
 use preempt_trace::TraceEvent;
 
-use crate::orphan;
 use crate::sync::spin_wait;
 
 /// Writer-held marker in the state word.
@@ -100,20 +99,12 @@ impl Drop for BoundedSpin {
 pub struct Latch {
     /// 0 = free; `WRITER` = exclusively held; otherwise reader count.
     state: AtomicU32,
-    /// Owner tag (worker id + 1, 0 = untagged) of the current exclusive
-    /// holder, recorded so a supervisor can force-release the write
-    /// latches of a worker it has declared dead (see [`crate::orphan`]).
-    /// Shared holders are not tracked: read-latched sections are
-    /// non-preemptible and release on unwind, so they cannot outlive
-    /// their worker.
-    holder: AtomicU64,
 }
 
 impl Latch {
     pub const fn new() -> Latch {
         Latch {
             state: AtomicU32::new(0),
-            holder: AtomicU64::new(0),
         }
     }
 
@@ -148,7 +139,6 @@ impl Latch {
                 .compare_exchange_weak(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                self.holder.store(orphan::current_owner_tag(), Ordering::Relaxed);
                 preempt_trace::emit(TraceEvent::LatchAcquire { mode: MODE_WRITE });
                 let guard = WriteGuard { latch: self };
                 // Chaos injection: panic *while holding* the latch, after
@@ -170,35 +160,9 @@ impl Latch {
             .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
             .ok()
             .map(|_| {
-                self.holder.store(orphan::current_owner_tag(), Ordering::Relaxed);
                 preempt_trace::emit(TraceEvent::LatchAcquire { mode: MODE_WRITE });
                 WriteGuard { latch: self }
             })
-    }
-
-    /// Force-releases the latch if it is write-held by `owner` (as
-    /// tagged by [`crate::orphan::set_current_owner`]). Returns whether
-    /// a release happened.
-    ///
-    /// # Safety contract (not enforced by types)
-    /// Only sound once `owner` can never execute again: the abandoned
-    /// `WriteGuard` in its dead frames must never drop, or it would
-    /// zero a state word a new holder owns. The supervisor guarantees
-    /// this by sweeping only after the worker's exit is observed.
-    pub fn force_release_write_held_by(&self, owner: u64) -> bool {
-        if self.holder.load(Ordering::Acquire) != owner + 1 {
-            return false;
-        }
-        if self
-            .state
-            .compare_exchange(WRITER, 0, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.holder.store(0, Ordering::Release);
-            preempt_trace::emit(TraceEvent::LatchRelease { mode: MODE_WRITE });
-            return true;
-        }
-        false
     }
 
     /// Whether the latch is currently held in any mode (diagnostics).
@@ -227,7 +191,6 @@ pub struct WriteGuard<'a> {
 impl Drop for WriteGuard<'_> {
     fn drop(&mut self) {
         preempt_trace::emit(TraceEvent::LatchRelease { mode: MODE_WRITE });
-        self.latch.holder.store(0, Ordering::Relaxed);
         self.latch.state.store(0, Ordering::Release);
     }
 }
@@ -289,34 +252,5 @@ mod tests {
         assert!(l.is_held());
         drop(g);
         assert!(!l.is_held());
-    }
-
-    #[test]
-    fn force_release_frees_only_the_owners_write_latch() {
-        let l = Latch::new();
-        crate::orphan::set_current_owner(7);
-        let g = l.write();
-        // Wrong owner: no-op.
-        assert!(!l.force_release_write_held_by(3));
-        assert!(l.is_held());
-        // Simulate an abandoned frame: the guard never drops.
-        std::mem::forget(g);
-        crate::orphan::clear_current_owner();
-        assert!(l.force_release_write_held_by(7));
-        assert!(!l.is_held());
-        // Idempotent once released.
-        assert!(!l.force_release_write_held_by(7));
-        assert!(l.try_write().is_some());
-    }
-
-    #[test]
-    fn untagged_write_holds_are_not_force_releasable() {
-        let l = Latch::new();
-        crate::orphan::clear_current_owner();
-        let _g = l.write();
-        for owner in 0..4 {
-            assert!(!l.force_release_write_held_by(owner));
-        }
-        assert!(l.is_held());
     }
 }

@@ -42,7 +42,6 @@ pub mod index;
 pub mod latch;
 mod limbo;
 pub mod log;
-pub mod orphan;
 pub mod recovery;
 pub mod registry;
 mod sync;
@@ -57,18 +56,16 @@ pub use engine::{Engine, EngineConfig, EngineStats};
 pub use error::{TxError, TxResult};
 pub use index::{ControlFlow, HashIndex, OrderedIndex};
 pub use latch::Latch;
-pub use orphan::{clear_current_owner, current_owner, set_current_owner, OrphanSweep};
 pub use recovery::{replay_chunks, ReplayStats};
 pub use table::{Table, TableId};
 pub use txn::{IsolationLevel, Transaction};
 pub use version::{Oid, Record, Row, Timestamp};
 
 /// Pre-touches the calling context's context-local engine state — its
-/// resource-owner tag and its redo buffer — so that the context's first
-/// transaction allocates no context-local slot. Workers call it on each
-/// of their contexts before serving requests.
+/// redo buffer — so that the context's first transaction allocates no
+/// context-local slot. Workers call it on each of their contexts before
+/// serving requests.
 pub fn init_context() {
-    orphan::current_owner();
     log::buffered_bytes();
 }
 
@@ -96,45 +93,6 @@ mod tests {
 
         let mut tx2 = e.begin_si();
         assert_eq!(tx2.read(&t, oid).unwrap().as_ref(), b"hello");
-    }
-
-    #[test]
-    fn orphan_sweep_aborts_a_dead_owners_transaction() {
-        let e = engine();
-        let t = e.create_table("t");
-        let mut seed = e.begin_si();
-        let oid = seed.insert(&t, b"committed").unwrap();
-        seed.commit().unwrap();
-
-        // A worker-owned transaction dies mid-update: its pending version,
-        // registry slot, and (via mem::forget) its frames are abandoned.
-        set_current_owner(5);
-        let mut dead = e.begin_si();
-        dead.update(&t, oid, b"dead-intent").unwrap();
-        clear_current_owner();
-        std::mem::forget(dead);
-
-        // The intent blocks first-updater-wins writers and pins the slot.
-        let mut blocked = e.begin_si();
-        assert!(blocked.update(&t, oid, b"x").is_err());
-        drop(blocked);
-        assert_eq!(e.registry().active_count(), 1);
-
-        let sweep = e.orphan_sweep(5);
-        assert_eq!(sweep.slots_released, 1);
-        assert_eq!(sweep.intents_unlinked, 1);
-        assert!(!sweep.is_empty());
-        assert_eq!(e.registry().active_count(), 0);
-        assert_eq!(e.orphan_sweep(5), OrphanSweep::default(), "idempotent");
-
-        // Writers proceed and the committed version is intact.
-        let mut after = e.begin_si();
-        assert_eq!(after.read(&t, oid).unwrap().as_ref(), b"committed");
-        after.update(&t, oid, b"next").unwrap();
-        after.commit().unwrap();
-        // Two aborts: `blocked` (dropped uncommitted) plus the orphan
-        // aborted centrally by the sweep.
-        assert_eq!(e.stats().aborts, 2, "central abort counted");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The limbo: unlinked versions waiting for their last possible reader.
 //!
 //! Readers walk version chains without latches or reference counts, so a
-//! version a writer unlinks (abort, trim, orphan sweep) may still be
+//! version a writer unlinks (abort, trim) may still be
 //! under a reader's feet. The writer therefore *retires* the detached run
 //! here, stamped with the commit clock read **after** the unlink, and the
 //! run is freed once `stamp < watermark`, where the watermark is the

@@ -7,11 +7,10 @@
 //! minimum as the GC watermark. The same watermark gates the limbo
 //! ([`crate::limbo`]): the registry is the engine's reclamation epoch.
 //!
-//! A slot is one cache line holding `{ts, owner, txid}`, and each thread
+//! A slot is one cache line holding a begin timestamp, and each thread
 //! starts probing at its own offset, so concurrent `begin`s on different
 //! threads never write the same line.
 
-use crate::orphan;
 use crate::sync::{stripe_index, AtomicU64, AtomicUsize, Ordering, STRIPES};
 use crate::version::Timestamp;
 
@@ -32,13 +31,6 @@ const _: () = assert!(cfg!(loom) || STRIPES * HINT_STRIDE <= MAX_ACTIVE);
 struct Slot {
     /// 0 = free; otherwise `begin_ts + 1` (so ts 0 is storable).
     ts: AtomicU64,
-    /// Owner tag (worker id + 1, 0 = untagged), mirrored from the
-    /// context-local tag at `enter` so a supervisor can free a dead
-    /// worker's slots centrally.
-    owner: AtomicU64,
-    /// Transaction id (0 = unset), letting the orphan sweep unlink the
-    /// dead owner's pending versions by txid.
-    txid: AtomicU64,
 }
 
 pub struct ActiveTxns {
@@ -80,8 +72,6 @@ impl ActiveTxns {
                 .compare_exchange(0, encoded, Ordering::SeqCst, Ordering::Relaxed)
                 .is_ok()
             {
-                slot.owner.store(orphan::current_owner_tag(), Ordering::Relaxed);
-                slot.txid.store(0, Ordering::Relaxed);
                 set_slot_hint(idx);
                 return ActiveSlot { slot };
             }
@@ -91,32 +81,6 @@ impl ActiveTxns {
 
     fn scanned(&self) -> &[Slot] {
         &self.slots[..self.high.load(Ordering::SeqCst)]
-    }
-
-    fn owned_by(&self, owner: u64) -> impl Iterator<Item = &Slot> {
-        let tag = owner + 1;
-        self.scanned().iter().filter(move |s| {
-            s.owner.load(Ordering::Acquire) == tag && s.ts.load(Ordering::SeqCst) != 0
-        })
-    }
-
-    /// Transaction ids of `owner`'s in-flight transactions (the orphan
-    /// candidates once the owner is declared dead).
-    pub fn orphan_txids(&self, owner: u64) -> Vec<u64> {
-        self.owned_by(owner)
-            .map(|s| s.txid.load(Ordering::Acquire))
-            .filter(|&txid| txid != 0)
-            .collect()
-    }
-
-    /// Frees every slot tagged with `owner`, returning how many were
-    /// released. Only sound once the owner can never run again (its
-    /// abandoned `ActiveSlot` guards must never drop); see
-    /// [`crate::orphan`] for the safety argument.
-    pub fn force_release_owner(&self, owner: u64) -> usize {
-        self.owned_by(owner)
-            .map(|s| s.release(Ordering::SeqCst))
-            .count()
     }
 
     /// Oldest active begin timestamp, or `fallback` when none are active.
@@ -143,14 +107,6 @@ impl ActiveTxns {
 impl Default for ActiveTxns {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Slot {
-    fn release(&self, order: Ordering) {
-        self.txid.store(0, Ordering::Relaxed);
-        self.owner.store(0, Ordering::Relaxed);
-        self.ts.store(0, order);
     }
 }
 
@@ -192,17 +148,11 @@ impl ActiveSlot<'_> {
     pub fn publish(&self, begin_ts: Timestamp) {
         self.slot.ts.store(begin_ts + 1, Ordering::Release);
     }
-
-    /// Records the transaction id occupying this slot, so the orphan
-    /// sweep can unlink its pending versions if the owner dies.
-    pub fn set_txid(&self, txid: u64) {
-        self.slot.txid.store(txid, Ordering::Release);
-    }
 }
 
 impl Drop for ActiveSlot<'_> {
     fn drop(&mut self) {
-        self.slot.release(Ordering::Release);
+        self.slot.ts.store(0, Ordering::Release);
     }
 }
 
@@ -237,35 +187,6 @@ mod tests {
             let g = r.enter(i as u64);
             drop(g);
         }
-        assert_eq!(r.active_count(), 0);
-    }
-
-    #[test]
-    fn force_release_owner_frees_tagged_slots() {
-        let r = ActiveTxns::new();
-        crate::orphan::set_current_owner(2);
-        let a = r.enter(10);
-        a.set_txid(101);
-        let b = r.enter(20);
-        b.set_txid(102);
-        crate::orphan::set_current_owner(3);
-        let c = r.enter(5);
-        c.set_txid(103);
-        crate::orphan::clear_current_owner();
-
-        let mut orphans = r.orphan_txids(2);
-        orphans.sort_unstable();
-        assert_eq!(orphans, vec![101, 102]);
-
-        // Simulate abandoned frames for owner 2: guards never drop.
-        std::mem::forget(a);
-        std::mem::forget(b);
-        assert_eq!(r.force_release_owner(2), 2);
-        assert_eq!(r.force_release_owner(2), 0, "idempotent");
-        // Owner 3's slot survives and still pins the watermark.
-        assert_eq!(r.watermark(99), 5);
-        assert_eq!(r.active_count(), 1);
-        drop(c);
         assert_eq!(r.active_count(), 0);
     }
 

@@ -154,7 +154,7 @@ impl Table {
     }
 
     /// Every allocated record slot whose segment exists, in OID order
-    /// (orphan sweep, diagnostics).
+    /// (diagnostics and audits).
     pub fn records(&self) -> impl Iterator<Item = &Record> {
         (0..self.len() as Oid).filter_map(|oid| self.record(oid))
     }

@@ -47,7 +47,7 @@ enum TxnState {
 /// transaction's engine (checked by `own`), which the engine's catalog
 /// keeps alive for as long as the engine, and hence the `&'e Engine`
 /// borrow, lasts; the version is this transaction's own pending one,
-/// which only it (or the orphan sweep, once it is dead) unlinks.
+/// which only it unlinks.
 #[derive(Clone, Copy)]
 struct WriteEntry {
     record: *const Record,

@@ -11,11 +11,11 @@
 //! A [`Version`] is one allocation: a fixed header followed by the
 //! payload bytes. `head`/`next` are only *written* under the record's
 //! write [`Latch`] (install, abort-unlink, trim), which also serializes
-//! first-updater-wins checks, serializable validation and the orphan
-//! sweep. A version that a writer unlinks may still be under a reader's
-//! feet, so it is never freed in place: the writer hands the detached
-//! chain ([`Detached`]) to the engine's [`crate::limbo::Limbo`], which
-//! frees it once the active-transaction registry proves that every
+//! first-updater-wins checks and serializable validation. A version
+//! that a writer unlinks may still be under a reader's feet, so it is
+//! never freed in place: the writer hands the detached chain
+//! ([`Detached`]) to the engine's [`crate::limbo::Limbo`], which frees
+//! it once the active-transaction registry proves that every
 //! transaction alive at unlink time has ended (DESIGN.md §2.2).
 
 #[cfg_attr(loom, allow(unused_imports))]
@@ -467,7 +467,7 @@ impl Record {
     }
 
     /// Unlinks `txid`'s pending versions from the head of the chain
-    /// (abort path and orphan sweep). The caller must be inside a
+    /// (the abort path). The caller must be inside a
     /// non-preemptible region.
     pub(crate) fn unlink_pending(&self, txid: u64) -> Option<Detached> {
         let _g = self.latch.write();

@@ -14,7 +14,7 @@
 //! testbed) or on real OS threads ([`Runtime::Threads`]).
 
 // Scheduling is hot-path code driven by external state (queues, clocks,
-// workers that can die): recoverable conditions must be handled, not
+// transactions that can panic): recoverable conditions must be handled, not
 // unwrapped. Audited sites use expect() with an invariant message.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -42,9 +42,8 @@ pub use policy::{Policy, STARVATION_DISABLED};
 pub use request::{Priority, Request, RequestQueue, WorkOutcome};
 pub use runner::{run, RunReport, Runtime, WorkerTotals};
 pub use scheduler::{
-    scheduler_shard_main, split_factory, DriverConfig, RecoveryHooks,
-    RobustnessConfig, SchedulerStats, SharedFactory, SpawnFn, SweepFn,
-    WorkloadFactory,
+    scheduler_shard_main, split_factory, DriverConfig, RobustnessConfig, SchedulerStats,
+    SharedFactory, WorkloadFactory,
 };
 pub use starvation::StarvationState;
 pub use worker::{

@@ -1,6 +1,6 @@
 //! The scheduler plane (paper §4.1, §5, DESIGN.md §13): the one place
 //! that hands requests to workers, sends the user interrupts, applies
-//! starvation decision site 1 and supervises delivery, in two steps —
+//! starvation decision site 1 and watches delivery, in two steps —
 //! [`Plane::dispatch`], which any number of threads may call at once
 //! without a lock, and [`Plane::housekeep`].
 //!
@@ -9,16 +9,14 @@
 //! embedded `preemptdb::Database` dispatches on the submitting thread
 //! and housekeeps on a thread of its own ([`Plane::spawn_housekeeper`]).
 //!
-//! Supervision (declaring a worker dead, then sweeping, respawning or
-//! quarantining it) runs only under the simulator, where a stalled ack
-//! can only be an injected wedge. On real threads a healthy worker can
-//! stop acknowledging for longer than any fixed lease (descheduled by
-//! the host, or busy where it checks nothing), so there the plane
-//! re-sends, degrades and adapts, and never kills a worker.
+//! Housekeeping is the same under both drivers: the delivery watchdog
+//! (with its stranded-queue re-send), degradation and the controller. It
+//! never stops or replaces a worker: a worker that stops acknowledging
+//! is re-sent to, with backoff, for as long as its queue holds work.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -29,12 +27,20 @@ use crate::clock::now_cycles;
 use crate::controller::{Controller, ControllerReport, Decision, SensorSnapshot};
 use crate::policy::STARVATION_DISABLED;
 use crate::request::Request;
-use crate::scheduler::{DriverConfig, RobustnessConfig};
+use crate::scheduler::DriverConfig;
 use crate::worker::{WakeTarget, WorkerShared};
 
 /// Cycles the scheduler spends pushing one request (modeling §4.1's
 /// dispatch work in virtual time).
 pub(crate) const DISPATCH_PUSH_COST: u64 = 250;
+
+/// Cycles (≈ 20 ms at 2.4 GHz) a worker's top queue may hold work with
+/// every delivery acknowledged before the watchdog sends it one more
+/// interrupt. Nothing else would: sends ride on fresh enqueues, and a
+/// full queue admits none. A worker that declined an interrupt because
+/// its paused low transaction was starving, and then serves a steady
+/// low stream on its regular path, leaves its high queue there.
+pub const STRANDED_AFTER: u64 = 48_000_000;
 
 /// Rolling send/failure window for graceful-degradation decisions.
 ///
@@ -110,17 +116,11 @@ impl DegradeWindow {
     }
 }
 
-/// How the plane reaches one incarnation of a worker, captured once so
-/// a send takes neither `WorkerShared` mutex (the UPID's or the wake
-/// target's) and clones no `Arc`.
+/// How the plane reaches a worker, captured once so a send clones no
+/// `Arc`.
 struct Route {
-    incarnation: u64,
     senders: Box<[UipiSender]>,
     wake: WakeTarget,
-    /// The route this one replaced. A dispatcher may still be reading
-    /// it, so every route lives as long as the plane (freed in `Drop`):
-    /// one per incarnation.
-    prev: *mut Route,
 }
 
 /// What only the housekeeper touches.
@@ -134,24 +134,17 @@ struct Housekeeping {
     seen_epoch: Vec<u64>,
     wd_backoff: Vec<u64>,
     wd_next: Vec<u64>,
-    /// Liveness leases: since when worker i has been unresponsive
-    /// (unacknowledged epoch with top-priority work queued), and its ack
-    /// then. The lease expires `dead_after` later.
-    stale_since: Vec<Option<(u64, u64)>>,
     /// Since when worker i has been *stranded*: top queue non-empty but
-    /// every delivery acknowledged, so nothing would ever bump the epoch
-    /// again (sends ride on fresh enqueues, and a full queue admits
-    /// none). After a full window the housekeeper probes it.
+    /// every delivery acknowledged. After [`STRANDED_AFTER`] the
+    /// watchdog re-sends.
     calm_since: Vec<Option<u64>>,
-    /// Respawns charged to worker i's budget.
-    respawns: Vec<u32>,
     controller: Option<Controller>,
     /// The sensor totals at the previous controller window.
     ctl_prev: SensorTotals,
 }
 
 /// One shard of the scheduler plane: the workers it dispatches to and
-/// supervises.
+/// watches.
 pub struct Plane {
     cfg: DriverConfig,
     shard_idx: usize,
@@ -162,22 +155,21 @@ pub struct Plane {
     shard: Arc<Shard>,
     /// Where gauges go, if anywhere.
     registry: Option<MetricsRegistry>,
-    /// Under the simulator, the only place fault plans, virtual-time
-    /// charges and supervision exist: a pool consults none of them.
+    /// Under the simulator, the only place fault plans and virtual-time
+    /// charges exist: a pool consults neither.
     simulated: bool,
     rr: AtomicUsize,
-    quarantined: Box<[AtomicBool]>,
     /// The workers' last armed starvation threshold (f64 bits).
     threshold: AtomicU64,
-    /// `routes[id]`: the latest incarnation's route, captured on first
-    /// use (see [`route`](Self::route)).
-    routes: Box<[AtomicPtr<Route>]>,
+    /// `routes[id]`: worker `id`'s route, captured on first use (see
+    /// [`route`](Self::route)).
+    routes: Box<[OnceLock<Route>]>,
     /// When `sched::run` last interrupted each worker (a pool's
     /// dispatches leave this alone; see `Housekeeping::seen_epoch`).
     last_notify: Box<[AtomicU64]>,
     window: DegradeWindow,
-    /// Held across a recovery, which sleeps; never poisoned (under the
-    /// simulator a worker core's panic can be unwinding meanwhile).
+    /// One pass at a time; never poisoned (under the simulator a worker
+    /// core's panic can be unwinding meanwhile).
     housekeeping: Mutex<Housekeeping>,
 }
 
@@ -222,9 +214,8 @@ impl Plane {
             registry,
             simulated: preempt_sim::api::active(),
             rr: AtomicUsize::new(0),
-            quarantined: (0..n).map(|_| AtomicBool::new(false)).collect(),
             threshold: AtomicU64::new(threshold.unwrap_or(STARVATION_DISABLED).to_bits()),
-            routes: all.iter().map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
+            routes: all.iter().map(|_| OnceLock::new()).collect(),
             last_notify: (0..n).map(|_| AtomicU64::new(0)).collect(),
             window: DegradeWindow::new(start, rb.degrade_eval_interval, rb.degrade_window),
             housekeeping: Mutex::new(Housekeeping {
@@ -233,9 +224,7 @@ impl Plane {
                 seen_epoch: vec![0; n],
                 wd_backoff: vec![backoff; n],
                 wd_next: vec![0; n],
-                stale_since: vec![None; n],
                 calm_since: vec![None; n],
-                respawns: vec![0; n],
                 controller: cfg.policy.controller_config().map(|cc| Controller::new(cc, start)),
                 ctl_prev: SensorTotals::zero(),
             }),
@@ -255,12 +244,6 @@ impl Plane {
         &self.shard
     }
 
-    /// Whether supervision gave up on worker `wi` (only ever under the
-    /// simulator).
-    pub fn is_quarantined(&self, wi: usize) -> bool {
-        self.quarantined[wi].load(Ordering::Acquire)
-    }
-
     // ---- dispatch ----
 
     /// Starts fetching what the next dispatch at `level` writes (the
@@ -271,7 +254,7 @@ impl Plane {
         let w = &self.workers[self.rr.load(Ordering::Relaxed) % self.workers.len()];
         w.queues[level as usize].prefetch_push();
         if level > 0 {
-            if let Some(route) = self.cached_route(w.id) {
+            if let Some(route) = self.routes[w.id].get() {
                 route.senders[level as usize].prefetch();
             }
         }
@@ -292,8 +275,8 @@ impl Plane {
 
     /// Offers `req` to at most `*slots` workers in round-robin order,
     /// spending a slot per worker tried, and returns the index of the one
-    /// whose `level` queue took it. Skips quarantined workers, and above
-    /// level 0 starving ones (starvation decision site 1, §5).
+    /// whose `level` queue took it. Above level 0 it skips starving
+    /// workers (starvation decision site 1, §5).
     #[allow(clippy::result_large_err, reason = "a full queue hands the request back unboxed")]
     pub(crate) fn place(
         &self,
@@ -305,9 +288,6 @@ impl Plane {
         while *slots > 0 {
             *slots -= 1;
             let wi = self.rr.fetch_add(1, Ordering::Relaxed) % n;
-            if self.is_quarantined(wi) {
-                continue;
-            }
             let w = &self.workers[wi];
             if level > 0 && self.starving(w) {
                 preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost { site: 1 });
@@ -367,9 +347,6 @@ impl Plane {
     /// send time the degradation window counts from. `true` when an
     /// interrupt went out.
     fn send(&self, wi: usize, level: u8, kicked: bool, now: u64) -> bool {
-        if self.is_quarantined(wi) {
-            return false;
-        }
         let w = &self.workers[wi];
         let interrupt = level > 0
             && self.cfg.policy.sends_uintr()
@@ -395,54 +372,21 @@ impl Plane {
         false
     }
 
-    /// The route last captured for worker `id`, of whichever incarnation.
-    fn cached_route(&self, id: usize) -> Option<&Route> {
-        // SAFETY: a published route is freed only when the plane drops.
-        unsafe { self.routes[id].load(Ordering::Acquire).as_ref() }
-    }
-
-    /// The current incarnation's route to `w`, captured on first use
-    /// after that incarnation published its descriptor. The route it
-    /// replaces stays allocated: another dispatcher may be using it.
+    /// The route to `w`, captured on first use after it published its
+    /// descriptor.
     fn route(&self, w: &WorkerShared) -> Option<&Route> {
-        let inc = w.incarnation();
-        let cur = self.routes[w.id].load(Ordering::Acquire);
-        // SAFETY: a published route is freed only when the plane drops.
-        if let Some(route) = unsafe { cur.as_ref() } {
-            if route.incarnation == inc {
-                return Some(route);
-            }
+        let slot = &self.routes[w.id];
+        if slot.get().is_none() {
+            let (upid, wake) = (w.upid()?, w.wake_target()?);
+            let senders = (0..w.levels()).map(|l| UipiSender::new(upid.clone(), l)).collect();
+            // A racing dispatcher's capture is the same route.
+            let _ = slot.set(Route { senders, wake });
         }
-        let (upid, wake) = (w.upid()?, w.wake_target()?);
-        // A respawn in between would pair this incarnation with the
-        // next one's descriptor.
-        if w.incarnation() != inc {
-            return None;
-        }
-        let fresh = Box::into_raw(Box::new(Route {
-            incarnation: inc,
-            senders: (0..w.levels()).map(|l| UipiSender::new(upid.clone(), l)).collect(),
-            wake,
-            prev: cur,
-        }));
-        // Only over the route it read, so a slot never goes back to an
-        // older incarnation and `prev` is exactly what it replaced.
-        match self.routes[w.id].compare_exchange(cur, fresh, Ordering::AcqRel, Ordering::Acquire) {
-            // SAFETY: published just now; freed only when the plane drops.
-            Ok(_) => Some(unsafe { &*fresh }),
-            Err(won) => {
-                // SAFETY: `fresh` was never published; `won` was, and is
-                // freed only when the plane drops.
-                unsafe {
-                    drop(Box::from_raw(fresh));
-                    won.as_ref().filter(|r| r.incarnation == inc)
-                }
-            }
-        }
+        slot.get()
     }
 
     /// The one send path: a user interrupt to `w` at `level`. `false`
-    /// when the incarnation has no descriptor yet or the receiver is gone.
+    /// when the worker has no descriptor yet or the receiver is gone.
     fn interrupt(&self, w: &WorkerShared, level: u8) -> bool {
         let Some(route) = self.route(w) else {
             return false;
@@ -518,10 +462,9 @@ impl Plane {
     // ---- housekeeping ----
 
     /// One housekeeping pass of a bounded run: the delivery watchdog,
-    /// supervision (under the simulator only), degradation and the
-    /// controller window, in that order. Returns the earliest cycle a
-    /// re-send, lease expiry or controller window is due (`u64::MAX` if
-    /// none).
+    /// degradation and the controller window, in that order. Returns the
+    /// earliest cycle a re-send or controller window is due (`u64::MAX`
+    /// if none).
     pub fn housekeep(&self) -> u64 {
         self.pass(false)
     }
@@ -562,9 +505,6 @@ impl Plane {
         if self.cfg.policy.sends_uintr() && rb.watchdog && !hk.degraded {
             let wnow = now_cycles();
             for (i, w) in self.workers.iter().enumerate() {
-                if self.is_quarantined(i) {
-                    continue;
-                }
                 let epoch = w.delivery_epoch();
                 let ack = w.uintr_ack.load(Ordering::Acquire);
                 if epoch > ack && !w.queues[top as usize].is_empty() {
@@ -589,70 +529,32 @@ impl Plane {
             }
         }
 
-        // Supervision, the terminal rung of the containment ladder: a
-        // worker whose epoch stays unacknowledged while top-priority work
-        // is queued is merely slow until `dead_after` passes — the
-        // watchdog keeps re-sending and degradation may kick in below —
-        // then dead: terminate + await exit, sweep engine-side orphans,
-        // respawn or quarantine. The lease runs from the last ack seen to
-        // move: while a submitter keeps the queue fed, every pass can
-        // land between a send and its ack, and only the ack tells a busy
-        // worker from a wedged one. Healthy runs take the lease-disarmed
-        // paths only — no events, no virtual-time charges — so
-        // supervision cannot perturb fault-free trajectories. Only under
-        // the simulator: on real threads a healthy worker that is
-        // descheduled, or busy where it checks nothing, stalls the ack
-        // just as a wedge does, and a lease cannot tell them apart.
-        let mut sup_earliest = u64::MAX;
-        if self.simulated && rb.supervise && self.cfg.policy.sends_uintr() {
+        // Stranded re-send: top-priority work queued while every
+        // delivery is acknowledged has nothing left to bump the epoch, so
+        // after `STRANDED_AFTER` of it the watchdog sends once more. The
+        // worker acks and drains, or, still declining, is sent to again a
+        // window later. Outside the re-send gates above: it is the one
+        // rule that reaches a worker however delivery is faring.
+        let mut stranded_earliest = u64::MAX;
+        if self.cfg.policy.sends_uintr() {
             let snow = now_cycles();
             for (i, w) in self.workers.iter().enumerate() {
-                if self.is_quarantined(i) {
-                    continue;
-                }
-                let epoch = w.delivery_epoch();
-                let ack = w.uintr_ack.load(Ordering::Acquire);
-                if w.queues[top as usize].is_empty() {
-                    hk.stale_since[i] = None;
+                let stranded = !w.queues[top as usize].is_empty()
+                    && w.delivery_epoch() == w.uintr_ack.load(Ordering::Acquire);
+                if !stranded {
                     hk.calm_since[i] = None;
                     continue;
                 }
-                if epoch == ack {
-                    // Stranded: top-priority work queued, nothing
-                    // outstanding to ack. Normal while a worker drains —
-                    // but a worker that never drains (say a respawned
-                    // incarnation wedged in low work, its top queue
-                    // already full so dispatch never enqueues-and-sends)
-                    // would keep the lease disarmed forever. After one
-                    // full window, probe it: the send bumps the epoch, a
-                    // healthy worker acks and drains, a wedged one now
-                    // trips the ordinary lease below.
-                    hk.stale_since[i] = None;
-                    let since = *hk.calm_since[i].get_or_insert(snow);
-                    if snow.saturating_sub(since) >= rb.dead_after {
-                        hk.calm_since[i] = None;
-                        if self.interrupt(w, top) {
-                            self.shard.bump(Counter::UintrSent);
-                        }
-                        hk.seen_epoch[i] = w.delivery_epoch();
-                    } else {
-                        sup_earliest = sup_earliest.min(since + rb.dead_after);
+                let since = *hk.calm_since[i].get_or_insert(snow);
+                if snow.saturating_sub(since) >= STRANDED_AFTER {
+                    hk.calm_since[i] = None;
+                    if self.interrupt(w, top) {
+                        self.shard.bump(Counter::UintrSent);
                     }
-                    continue;
+                    hk.seen_epoch[i] = w.delivery_epoch();
+                } else {
+                    stranded_earliest = stranded_earliest.min(since + STRANDED_AFTER);
                 }
-                hk.calm_since[i] = None;
-                let since = match hk.stale_since[i] {
-                    Some((since, seen)) if seen == ack => since,
-                    _ => hk.stale_since[i].insert((snow, ack)).0,
-                };
-                if snow.saturating_sub(since) < rb.dead_after {
-                    sup_earliest = sup_earliest.min(since + rb.dead_after);
-                    continue;
-                }
-                hk.stale_since[i] = None;
-                hk.wd_backoff[i] = min_backoff;
-                hk.wd_next[i] = 0;
-                self.recover(i, &rb, hk);
             }
         }
 
@@ -737,79 +639,12 @@ impl Plane {
             ctl_earliest = ctl.next_eval();
         }
 
-        wd_earliest.min(sup_earliest).min(ctl_earliest)
+        wd_earliest.min(stranded_earliest).min(ctl_earliest)
     }
 
     fn gauge_set(&self, g: Gauge, value: f64) {
         if let Some(r) = &self.registry {
             r.gauge_set(g, value);
-        }
-    }
-
-    /// Declares worker `wi` dead: terminate it and await its exit, sweep
-    /// its engine-side orphans, then respawn it or quarantine the slot.
-    fn recover(&self, wi: usize, rb: &RobustnessConfig, hk: &mut Housekeeping) {
-        let w = &self.workers[wi];
-        preempt_trace::emit(preempt_trace::TraceEvent::WorkerDead {
-            worker: w.id as u16,
-        });
-        self.shard.bump(Counter::WorkersDead);
-        // Sweep only once the incarnation can never run (or drop) again.
-        w.terminate();
-        let wait_deadline = now_cycles().saturating_add(rb.exit_wait);
-        while !w.has_exited() && now_cycles() < wait_deadline {
-            preempt_sim::api::sleep(50_000);
-        }
-        if !w.has_exited() {
-            // Beyond recovery: the incarnation ignored termination (stuck
-            // in a loop with no preemption points). Quarantine without
-            // sweeping — force-releasing under a possibly-still-running
-            // owner would hand its latches to new holders it could stomp
-            // on.
-            self.quarantine(wi);
-            return;
-        }
-        let recovery = &self.cfg.recovery;
-        if let Some(sweep) = &recovery.sweep {
-            let result = sweep(w.id as u64);
-            preempt_trace::emit(preempt_trace::TraceEvent::OrphanSweep {
-                worker: w.id as u16,
-                latches: result.latches_released.min(u16::MAX as usize) as u16,
-                slots: result.slots_released.min(u16::MAX as usize) as u16,
-            });
-            self.shard
-                .bump_by(Counter::OrphanLatchesReleased, result.latches_released as u64);
-            self.shard
-                .bump_by(Counter::OrphansAborted, result.slots_released as u64);
-        }
-        // Respawn a fresh incarnation — its queued requests are implicitly
-        // requeued, since the queues live in `WorkerShared` and the
-        // replacement drains them — or quarantine when the budget is
-        // spent or no spawner is wired.
-        match (&recovery.spawner, hk.respawns[wi] >= rb.max_respawns) {
-            (Some(spawner), false) => {
-                hk.respawns[wi] += 1;
-                let inc = w.reset_for_respawn();
-                preempt_trace::emit(preempt_trace::TraceEvent::WorkerRespawn {
-                    worker: w.id as u16,
-                    incarnation: inc.min(u8::MAX as u64) as u8,
-                });
-                self.shard.bump(Counter::WorkersRespawned);
-                spawner(w);
-            }
-            _ => self.quarantine(wi),
-        }
-    }
-
-    /// Stops dispatching to worker `wi` and rejects its queued requests
-    /// (counted as orphaned) rather than strand them.
-    fn quarantine(&self, wi: usize) {
-        self.quarantined[wi].store(true, Ordering::Release);
-        self.shard.bump(Counter::WorkersQuarantined);
-        for q in &self.workers[wi].queues {
-            while q.pop().is_some() {
-                self.shard.bump(Counter::RejectedOrphaned);
-            }
         }
     }
 
@@ -825,12 +660,11 @@ impl Plane {
     }
 
     /// Runs a pool's housekeeping passes (the delivery watchdog,
-    /// degradation and the controller window; never supervision, which a
-    /// pool on real threads does not have) on a thread named
+    /// degradation and the controller window) on a thread named
     /// `preemptdb-plane` until [`stop`](Self::stop); unpark it after
     /// `stop` to end it promptly. Created from the caller, the thread
     /// shares its CPU mask. It parks until the deadline a pass returns,
-    /// at most `dead_after / 2`, so an idle pool still closes its
+    /// at most `STRANDED_AFTER / 2`, so an idle pool still closes its
     /// degradation windows and a degraded one re-arms its interrupts.
     pub fn spawn_housekeeper(self: &Arc<Plane>) -> std::thread::JoinHandle<()> {
         let plane = self.clone();
@@ -840,7 +674,7 @@ impl Plane {
         std::thread::Builder::new()
             .name("preemptdb-plane".to_string())
             .spawn(move || {
-                let period = (plane.cfg.robustness.dead_after / 2).max(1);
+                let period = STRANDED_AFTER / 2;
                 while !plane.workers.iter().all(|w| w.is_stopped()) {
                     let due = plane.pass(true);
                     let now = now_cycles();
@@ -850,20 +684,6 @@ impl Plane {
                 }
             })
             .expect("spawn the plane's housekeeper")
-    }
-}
-
-impl Drop for Plane {
-    fn drop(&mut self) {
-        for slot in self.routes.iter() {
-            let mut p = slot.load(Ordering::Acquire);
-            while !p.is_null() {
-                // SAFETY: every route in the chain was published once and
-                // is owned by the plane alone, which nobody uses any more.
-                let route = unsafe { Box::from_raw(p) };
-                p = route.prev;
-            }
-        }
     }
 }
 
@@ -916,41 +736,48 @@ mod tests {
         assert_eq!(dw.quiet_for(30_000_000), 30_000_000 - 4_800_000);
     }
 
-    /// A worker that acks while a submitter keeps its queue fed is busy,
-    /// not dead, however long every pass finds a send outstanding; once
-    /// its ack stops moving for `dead_after`, it is dead. Supervision
-    /// exists only under the simulator, so the plane lives on a core.
+    /// Top-priority work queued behind acknowledged deliveries gets one
+    /// more interrupt per `STRANDED_AFTER`, and none once it is gone.
+    /// Under the simulator, whose virtual clock the test advances.
     #[test]
-    fn the_lease_runs_from_the_last_ack() {
+    fn a_stranded_queue_is_sent_one_interrupt_per_window() {
         let sim = preempt_sim::Simulation::new(preempt_sim::SimConfig::default());
         sim.spawn_core("scheduler", 256 * 1024, || {
             let mut cfg = DriverConfig::paper_default(crate::Policy::preemptdb());
             cfg.n_workers = 1;
-            cfg.robustness.dead_after = 1_000;
-            cfg.robustness.exit_wait = 1_000;
             let w = WorkerShared::new(0, &cfg.queue_caps);
-            let upid = preempt_uintr::Upid::new();
-            w.set_upid(upid.clone());
+            w.set_upid(preempt_uintr::Upid::new());
+            w.set_wake_target(WakeTarget::Thread(std::thread::current()));
             let workers = [w.clone()];
             let plane = Plane::new(&cfg, 0, &workers, &workers, Shard::new("t", 0), None);
-            let lease_expires = || preempt_sim::api::advance(2 * cfg.robustness.dead_after);
             let req = Request::new("t", 1, 0, crate::WorkOutcome::default);
             assert!(w.queues[1].push(req).is_ok());
 
-            upid.bump_epoch();
+            let start = now_cycles();
+            assert_eq!(plane.housekeep(), start + STRANDED_AFTER, "the re-send is due");
+            preempt_sim::api::advance(STRANDED_AFTER - 1_000);
             plane.housekeep();
-            lease_expires();
-            // One send acked, the next outstanding.
-            w.uintr_ack.store(1, Ordering::Release);
-            upid.bump_epoch();
+            assert_eq!(w.delivery_epoch(), 0, "not before a full window");
+            preempt_sim::api::advance(1_000);
             plane.housekeep();
-            assert_eq!(plane.shard().counter(Counter::WorkersDead), 0);
+            assert_eq!(w.delivery_epoch(), 1, "one interrupt");
 
-            lease_expires();
+            // Acknowledged but declined: stranded again, sent to again.
+            w.uintr_ack.store(1, Ordering::Release);
             plane.housekeep();
-            assert_eq!(plane.shard().counter(Counter::WorkersDead), 1);
-            // It never exits (no thread), so the slot is quarantined.
-            assert!(plane.is_quarantined(0));
+            preempt_sim::api::advance(STRANDED_AFTER);
+            plane.housekeep();
+            assert_eq!(w.delivery_epoch(), 2);
+            assert_eq!(plane.shard().counter(Counter::UintrSent), 2);
+            assert_eq!(plane.shard().counter(Counter::WatchdogResends), 0);
+
+            // Drained: nothing more.
+            w.uintr_ack.store(2, Ordering::Release);
+            assert!(w.queues[1].pop().is_some());
+            plane.housekeep();
+            preempt_sim::api::advance(2 * STRANDED_AFTER);
+            assert_eq!(plane.housekeep(), u64::MAX, "nothing due");
+            assert_eq!(w.delivery_epoch(), 2);
         });
         sim.run();
         // A core's panic is contained, not propagated: surface it.

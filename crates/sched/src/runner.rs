@@ -345,7 +345,7 @@ fn first_controller(outs: &[ControllerOut]) -> Option<ControllerReport> {
 
 fn run_simulated(
     sim_cfg: SimConfig,
-    mut cfg: DriverConfig,
+    cfg: DriverConfig,
     registry: &MetricsRegistry,
     factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
@@ -356,20 +356,6 @@ fn run_simulated(
         let policy = cfg.policy;
         let core = sim.spawn_core("worker", WORKER_STACK, move || worker_main(ws, policy));
         w.set_wake_target(WakeTarget::Sim(core));
-    }
-    // Default respawn hook: a replacement worker core spawned into the
-    // *running* simulation at the supervisor's virtual time. Configs may
-    // pre-install their own (e.g. to count respawns externally).
-    if cfg.recovery.spawner.is_none() {
-        let policy = cfg.policy;
-        cfg.recovery.spawner = Some(Arc::new(move |w: &Arc<WorkerShared>| {
-            let ws = w.clone();
-            let core =
-                preempt_sim::api::spawn_core("worker", WORKER_STACK, move || {
-                    worker_main(ws, policy)
-                });
-            w.set_wake_target(WakeTarget::Sim(core));
-        }));
     }
     // One scheduler core per shard, each owning a contiguous worker
     // slice and its own slice of the workload. A 1-shard plane spawns
@@ -397,8 +383,7 @@ fn run_threads(
     factory: Box<dyn WorkloadFactory>,
 ) -> RunReport {
     let (workers, ranges) = make_workers(&cfg, registry);
-    // One thread per worker for the whole run: supervision, the only
-    // thing that would replace one, runs under the simulator alone.
+    // One thread per worker for the whole run.
     let threads: Vec<_> = workers.iter().map(|w| spawn_worker_thread(w, cfg.policy)).collect();
     // Live observability is wall-clock-driven, so it only exists on the
     // thread runtime, and only for a registry the caller supplied: a

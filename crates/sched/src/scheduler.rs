@@ -109,8 +109,8 @@ pub fn split_factory(
 }
 
 /// Robustness knobs: the delivery watchdog, per-request deadlines and
-/// retries, graceful degradation and supervision, all run by the
-/// [`Plane`] (DESIGN.md §6, §11, §13).
+/// retries and graceful degradation, all run by the [`Plane`]
+/// (DESIGN.md §6, §11, §13).
 ///
 /// User interrupts are fire-and-forget: a send can be lost (masked
 /// receiver, dead thread, injected fault) and nothing tells the sender.
@@ -152,25 +152,6 @@ pub struct RobustnessConfig {
     /// Max no-progress dispatch retry rounds per tick before the batch
     /// remainder is abandoned (bounds the full-queue busy-retry loop).
     pub max_full_retries: u32,
-    /// Worker supervision (liveness leases + declare-dead escalation).
-    /// Only meaningful under interrupt-sending policies: the lease is
-    /// renewed by epoch acknowledgements. Read under the simulator only:
-    /// on real threads a healthy worker that is descheduled, or busy
-    /// where it checks nothing, stalls its acks just as a wedge does, so
-    /// a real-thread plane never supervises.
-    pub supervise: bool,
-    /// Cycles a worker may stay unresponsive (unacknowledged delivery
-    /// epoch with top-priority work queued) before the supervisor
-    /// declares it dead. Sized well past `watchdog_backoff_max` so the
-    /// resend → degrade rungs of the ladder run first (≈ 20 ms).
-    pub dead_after: u64,
-    /// Bound on waiting for a terminated worker to leave `worker_main`
-    /// before giving up and quarantining it without an orphan sweep
-    /// (≈ 10 ms).
-    pub exit_wait: u64,
-    /// Respawn budget per worker slot; exceeding it quarantines the
-    /// worker instead of replacing it again.
-    pub max_respawns: u32,
 }
 
 impl Default for RobustnessConfig {
@@ -186,43 +167,7 @@ impl Default for RobustnessConfig {
             degrade_eval_interval: 4_800_000,
             upgrade_quiet: 24_000_000,
             max_full_retries: 8,
-            supervise: true,
-            dead_after: 48_000_000,
-            exit_wait: 24_000_000,
-            max_respawns: 3,
         }
-    }
-}
-
-/// Sweep hook: force-releases everything an owner (= worker id) still
-/// holds in the storage engine, returning what was reclaimed.
-pub type SweepFn = dyn Fn(u64) -> preempt_mvcc::OrphanSweep + Send + Sync;
-
-/// Spawner hook: starts a fresh incarnation of a worker slot.
-pub type SpawnFn = dyn Fn(&Arc<WorkerShared>) + Send + Sync;
-
-/// Supervisor recovery hooks: how to sweep a dead worker's engine-side
-/// orphans and how to spawn a replacement incarnation. Wired by the
-/// runner or `Database` (spawner) and by engine-backed workloads (sweep).
-#[derive(Clone, Default)]
-pub struct RecoveryHooks {
-    /// Force-releases everything `owner` (= worker id) still holds in
-    /// the storage engine: write latches, active-transaction slots,
-    /// pending version intents. Run only after the dead incarnation's
-    /// exit was observed. `None` = nothing engine-side to sweep.
-    pub sweep: Option<Arc<SweepFn>>,
-    /// Spawns a fresh incarnation of the worker (a new simulated core or
-    /// OS thread running `worker_main`) and registers its wake target.
-    /// `None` = dead workers are quarantined instead of respawned.
-    pub spawner: Option<Arc<SpawnFn>>,
-}
-
-impl std::fmt::Debug for RecoveryHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveryHooks")
-            .field("sweep", &self.sweep.is_some())
-            .field("spawner", &self.spawner.is_some())
-            .finish()
     }
 }
 
@@ -235,7 +180,7 @@ pub struct DriverConfig {
     /// scheduling thread and reproduces its trajectories exactly. With
     /// `S > 1` the runner partitions workers contiguously into `S`
     /// groups, each owned by its own scheduler shard with local
-    /// admission, dispatch, watchdog, supervision and controller;
+    /// admission, dispatch, watchdog and controller;
     /// same-shard workers steal from each other's queue tails, and a
     /// shard whose queues are wedged moves starved high-priority work
     /// cross-shard with a uintr kick (shootdown). `batch_size` and the
@@ -254,11 +199,8 @@ pub struct DriverConfig {
     /// Send a user interrupt to every worker at every tick even without
     /// high-priority work — the pure-overhead mode of Figure 8.
     pub always_interrupt: bool,
-    /// Fault-tolerance knobs (watchdog, deadlines, degradation,
-    /// supervision).
+    /// Fault-tolerance knobs (watchdog, deadlines, degradation).
     pub robustness: RobustnessConfig,
-    /// Supervisor recovery hooks (orphan sweep + worker respawn).
-    pub recovery: RecoveryHooks,
     /// Event-trace session: when set, the runner registers one ring per
     /// worker (plus the scheduler's own), and the run report carries the
     /// merged trace and preemption-latency breakdown. `None` (the
@@ -296,7 +238,6 @@ impl DriverConfig {
             duration: 2_400_000_000,     // 1 s at 2.4 GHz
             always_interrupt: false,
             robustness: RobustnessConfig::default(),
-            recovery: RecoveryHooks::default(),
             trace: None,
             metrics: None,
             prov: None,
@@ -341,20 +282,6 @@ pub struct SchedulerStats {
     pub policy_downgrades: u64,
     /// Degraded → preemptive re-upgrades after a quiet period.
     pub policy_upgrades: u64,
-    /// Workers declared dead by the supervisor (liveness lease expired).
-    pub workers_dead: u64,
-    /// Dead workers replaced with a fresh incarnation.
-    pub workers_respawned: u64,
-    /// Workers quarantined (respawn budget spent, no spawner, or the
-    /// terminated incarnation never exited).
-    pub workers_quarantined: u64,
-    /// Orphaned transactions aborted centrally by the orphan sweep
-    /// (active-transaction slots force-released).
-    pub orphans_aborted: u64,
-    /// Write latches force-released by the orphan sweep.
-    pub orphan_latches_released: u64,
-    /// Queued requests rejected when their worker was quarantined.
-    pub rejected_orphaned: u64,
     /// Starved high-priority requests moved to a foreign shard's worker
     /// with a uintr kick after this shard's dispatch gave up (the
     /// cross-shard shootdown path; always 0 when `shards == 1`).
@@ -379,12 +306,6 @@ impl SchedulerStats {
             delivery_errors: c(Counter::DeliveryErrors),
             policy_downgrades: c(Counter::Degrades),
             policy_upgrades: c(Counter::Upgrades),
-            workers_dead: c(Counter::WorkersDead),
-            workers_respawned: c(Counter::WorkersRespawned),
-            workers_quarantined: c(Counter::WorkersQuarantined),
-            orphans_aborted: c(Counter::OrphansAborted),
-            orphan_latches_released: c(Counter::OrphanLatchesReleased),
-            rejected_orphaned: c(Counter::RejectedOrphaned),
             shootdowns: c(Counter::Shootdowns),
         }
     }
@@ -464,10 +385,7 @@ pub fn scheduler_shard_main(
         }
 
         // Refill low-priority queues.
-        for (wi, w) in workers.iter().enumerate() {
-            if plane.is_quarantined(wi) {
-                continue;
-            }
+        for w in workers {
             let mut pushed_any = false;
             while !w.queues[0].is_full() {
                 match factory.make_low(now) {

@@ -81,11 +81,6 @@ impl WakeTarget {
     }
 }
 
-/// Panic payload used to unwind a live transaction when the supervisor
-/// terminates its worker. The firewall in `run_request` recognizes it and
-/// treats the unwind as an ordered termination, not a transaction panic.
-struct TerminateToken;
-
 /// Best-effort text of a caught panic payload.
 fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -107,8 +102,6 @@ enum TxnEnd {
     TimedOut,
     /// The transaction panicked; the firewall contained it.
     Panicked(String),
-    /// The supervisor terminated this worker mid-transaction.
-    Terminated,
 }
 
 /// Zero-sized and 64-byte aligned: in a `#[repr(C)]` struct, the field
@@ -119,28 +112,26 @@ struct LineBreak;
 /// The scheduler-visible half of a worker.
 ///
 /// Laid out by *writer*, one group of cache lines each: what a submitter
-/// reads per request (`queues`, `incarnation`, the stop flags) is not
-/// invalidated by what the worker writes per request (ack, starvation
-/// state). What a sender writes per interrupt, the delivery epoch
-/// included, is on the incarnation's UPID post line. Everything the
-/// worker *counts* lives in its metrics shard, an allocation of its own.
+/// reads per request (`queues`, the flags) is not invalidated by what the
+/// worker writes per request (ack, starvation state). What a sender
+/// writes per interrupt, the delivery epoch included, is on the UPID's
+/// post line. Everything the worker *counts* lives in its metrics shard,
+/// an allocation of its own.
 #[repr(C)]
 pub struct WorkerShared {
-    // ---- read-mostly: set at start-up, respawn or shutdown ----
+    // ---- read-mostly: set at start-up or shutdown ----
     pub id: usize,
     /// `queues[level]`: level 0 = low priority; the paper's default has
     /// `queues[0]` (capacity 1) and `queues[1]` (capacity 4).
     pub queues: Vec<Arc<RequestQueue>>,
-    /// Published by the worker at startup (once per incarnation); the
-    /// plane's UITT entry target. A mutex rather than a `OnceLock`
-    /// because a respawned incarnation publishes a fresh UPID.
-    pub upid: Mutex<Option<Arc<Upid>>>,
+    /// Published by the worker at start-up; the plane's UITT entry
+    /// target.
+    pub upid: OnceLock<Arc<Upid>>,
     /// Trace ring for this worker, registered by the runner when the
     /// driver config carries a [`preempt_trace::TraceSession`].
     pub trace: OnceLock<Arc<preempt_trace::TraceRing>>,
-    /// Set by the runner/supervisor (sim) or the worker itself (threads);
-    /// replaced on respawn.
-    pub wake_target: Mutex<Option<WakeTarget>>,
+    /// Set by the runner (sim) or by the worker itself (threads).
+    pub wake_target: OnceLock<WakeTarget>,
     /// Where this worker counts: commits, aborts, latencies, level
     /// switches, steals, busy cycles — the only copy. `sched::run`
     /// attaches it to the run's registry; an embedded pool reads it
@@ -158,20 +149,10 @@ pub struct WorkerShared {
     /// pre-sharding plane. `Weak` breaks the sibling `Arc` cycle.
     pub steal_peers: OnceLock<Vec<std::sync::Weak<WorkerShared>>>,
     pub stopped: AtomicBool,
-    // failure containment (supervisor ↔ worker handshake)
-    /// Supervisor order for the *current incarnation* to unwind out of
-    /// whatever it is doing and leave `worker_main` (declared dead).
-    /// Unlike `stopped`, it is cleared before a respawn.
-    pub terminated: AtomicBool,
-    /// Set (via an unwind-safe drop guard) when the current incarnation
-    /// has left `worker_main` — the supervisor's license to orphan-sweep.
-    pub exited: AtomicBool,
     /// Set by the scheduler when interrupt delivery to this worker is
     /// failing: the worker adds cooperative yield checks at level 0 so
     /// high-priority work still gets in promptly.
     pub degraded: AtomicBool,
-    /// Incarnation number: 0 for the first spawn, +1 per respawn.
-    pub incarnation: AtomicU64,
 
     // ---- worker-written, per request ----
     _worker_lines: LineBreak,
@@ -179,14 +160,13 @@ pub struct WorkerShared {
     /// handler copies the UPID's delivery epoch here on every delivery
     /// (even declined ones). `ack <` [`delivery_epoch`] past the delivery
     /// latency means the interrupt was lost and the watchdog should
-    /// re-send. Between incarnations it holds the epoch the next one
-    /// starts from.
+    /// re-send.
     ///
     /// [`delivery_epoch`]: WorkerShared::delivery_epoch
     pub uintr_ack: AtomicU64,
     pub starvation: StarvationState,
-    /// Messages of transaction panics contained by the firewall (all
-    /// incarnations; their count is `Counter::WorkerPanics`).
+    /// Messages of transaction panics contained by the firewall (their
+    /// count is `Counter::WorkerPanics`).
     pub panics: Mutex<Vec<String>>,
 }
 
@@ -201,17 +181,14 @@ impl WorkerShared {
                 .iter()
                 .map(|&c| Arc::new(RequestQueue::new(c)))
                 .collect(),
-            upid: Mutex::new(None),
+            upid: OnceLock::new(),
             trace: OnceLock::new(),
-            wake_target: Mutex::new(None),
+            wake_target: OnceLock::new(),
             metrics_shard: preempt_metrics::Shard::single_writer("worker", id as u32),
             flight: OnceLock::new(),
             steal_peers: OnceLock::new(),
             stopped: AtomicBool::new(false),
-            terminated: AtomicBool::new(false),
-            exited: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
-            incarnation: AtomicU64::new(0),
             _worker_lines: LineBreak,
             uintr_ack: AtomicU64::new(0),
             starvation: StarvationState::new(),
@@ -223,37 +200,34 @@ impl WorkerShared {
         self.queues.len() as u8
     }
 
-    /// Current UPID, if the current incarnation has started.
+    /// The worker's UPID, once it has started.
     pub fn upid(&self) -> Option<Arc<Upid>> {
-        self.upid.lock().clone()
+        self.upid.get().cloned()
     }
 
+    /// Publishes the worker's UPID; a worker publishes one, once.
     pub fn set_upid(&self, upid: Arc<Upid>) {
-        *self.upid.lock() = Some(upid);
+        assert!(self.upid.set(upid).is_ok(), "a worker publishes one descriptor");
     }
 
     /// The delivery epoch: how many interrupts the scheduler has sent
-    /// this worker, counted on the current incarnation's UPID (which
-    /// starts where its predecessor stopped). Before an incarnation has
-    /// published its descriptor, the epoch it will start from.
+    /// this worker, counted on its UPID (0 before it has one).
     pub fn delivery_epoch(&self) -> u64 {
-        match &*self.upid.lock() {
-            Some(upid) => upid.epoch(),
-            None => self.uintr_ack.load(Ordering::Acquire),
-        }
+        self.upid.get().map_or(0, |upid| upid.epoch())
     }
 
     pub fn wake_target(&self) -> Option<WakeTarget> {
-        self.wake_target.lock().clone()
+        self.wake_target.get().cloned()
     }
 
+    /// Registers how to wake the worker; a worker has one.
     pub fn set_wake_target(&self, target: WakeTarget) {
-        *self.wake_target.lock() = Some(target);
+        assert!(self.wake_target.set(target).is_ok(), "a worker has one wake target");
     }
 
     /// Wakes the worker if a wake target is registered.
     pub fn wake(&self) {
-        if let Some(w) = self.wake_target() {
+        if let Some(w) = self.wake_target.get() {
             w.wake();
         }
     }
@@ -265,48 +239,6 @@ impl WorkerShared {
 
     pub fn is_stopped(&self) -> bool {
         self.stopped.load(Ordering::Acquire)
-    }
-
-    /// Supervisor: orders the current incarnation to exit. A running
-    /// transaction unwinds into the panic firewall at its next preemption
-    /// point; an idle worker wakes and observes the flag.
-    pub fn terminate(&self) {
-        self.terminated.store(true, Ordering::Release);
-        self.wake();
-    }
-
-    pub fn is_terminated(&self) -> bool {
-        self.terminated.load(Ordering::Acquire)
-    }
-
-    pub fn has_exited(&self) -> bool {
-        self.exited.load(Ordering::Acquire)
-    }
-
-    /// Times this slot has been respawned (0 = original incarnation).
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation.load(Ordering::Acquire)
-    }
-
-    /// Stop or termination: every worker loop exits on either.
-    pub fn should_exit(&self) -> bool {
-        self.is_stopped() || self.is_terminated()
-    }
-
-    /// Supervisor: clears per-incarnation state before a respawn and
-    /// returns the new incarnation number. Only sound after
-    /// [`has_exited`](Self::has_exited) was observed true.
-    pub fn reset_for_respawn(&self) -> u64 {
-        self.terminated.store(false, Ordering::Release);
-        self.exited.store(false, Ordering::Release);
-        // Epochs sent to the dead incarnation are void; start the new
-        // lease fully acknowledged so the watchdog doesn't instantly
-        // re-escalate against the replacement, whose UPID counts on
-        // from here (`worker_main`).
-        if let Some(upid) = self.upid.lock().take() {
-            self.uintr_ack.store(upid.epoch(), Ordering::Release);
-        }
-        self.incarnation.fetch_add(1, Ordering::AcqRel) + 1
     }
 }
 
@@ -464,7 +396,7 @@ impl WorkerCtx {
         if level as usize >= self.level_tcbs.len() {
             return None; // unknown (spurious) vector: acknowledged, ignored
         }
-        if self.shared.should_exit() {
+        if self.shared.is_stopped() {
             return None;
         }
         // Do not interrupt an equal-or-higher-priority transaction
@@ -487,17 +419,10 @@ impl WorkerCtx {
     /// Called at every preemption point through the simulator's core hook,
     /// and on real threads under the policies that send no interrupts.
     fn on_point(&self) {
-        self.terminate_if_ordered();
-
         // Fault injection: a stalled worker (page fault, scheduling blip,
         // SMI) modeled as extra cycles at a preemption point.
         if let Some(stall) = preempt_faults::on_preempt_point() {
             charge(stall);
-        }
-
-        // Fault injection: a wedged worker goes unresponsive for a while.
-        if let Some(cycles) = preempt_faults::on_wedge() {
-            self.wedge(cycles);
         }
 
         // Deliver pending user interrupts (no-op fast path). Only the
@@ -529,8 +454,8 @@ impl WorkerCtx {
 
     /// [`on_point`](Self::on_point) on a real thread under a preemptive
     /// policy, where the simulator, fault plans and cooperative yields are
-    /// absent: unless something is pending or flagged, one look at the
-    /// pending word and the two flags, with the poll's charge owed.
+    /// absent: unless something is pending or degraded, one look at the
+    /// pending word and the degraded flag, with the poll's charge owed.
     #[inline]
     fn on_thread_point(&self) {
         debug_assert!(
@@ -538,11 +463,7 @@ impl WorkerCtx {
             "fault plans and virtual time exist only under the simulator"
         );
         self.handler_owed.set(self.handler_owed.get() + UINTR_POLL_COST);
-        let sh = &*self.shared;
-        if self.receiver.has_pending()
-            || sh.terminated.load(Ordering::Acquire)
-            || sh.degraded.load(Ordering::Acquire)
-        {
+        if self.receiver.has_pending() || self.shared.degraded.load(Ordering::Acquire) {
             self.on_rare_point();
         }
     }
@@ -552,7 +473,6 @@ impl WorkerCtx {
     #[cold]
     #[inline(never)]
     fn on_rare_point(&self) {
-        self.terminate_if_ordered();
         self.deliver_uintr();
     }
 
@@ -586,34 +506,6 @@ impl WorkerCtx {
         }
     }
 
-    /// Supervisor termination: unwind the live transaction into the
-    /// panic firewall (`run_request` catches the token and releases
-    /// everything on the way). Never raised mid-unwind — a panic during a
-    /// panic aborts the process — and never inside a non-preemptible
-    /// region: `Transaction::commit` runs preemption points *after*
-    /// stamping versions under its §4.4 guard, and an unwind there would
-    /// tear down a transaction that is already durably committed (a lost
-    /// commit). The token obeys the same discipline as preemption itself
-    /// and fires at the next preemptible point instead. Nor is it raised
-    /// in a drain loop between requests, where the live transaction is
-    /// the preempted one a level down: no firewall stands between there
-    /// and the context's entry, which the unwind would poison. (A
-    /// transaction runs at a level no higher than its priority.)
-    /// `resume_unwind` skips the panic hook: no message, and no backtrace
-    /// captured while the supervisor waits (a bounded `exit_wait`) for
-    /// the worker to go.
-    fn terminate_if_ordered(&self) {
-        if self.shared.is_terminated()
-            && self.current_txn_priority.get().is_some_and(|p| p >= self.current_level.get())
-            && !std::thread::panicking()
-            && !tcb::with_current(|t| t.is_nonpreemptible())
-        {
-            // preempt-lint: allow(handler-alloc) — boxing a zero-sized token
-            // allocates nothing.
-            std::panic::resume_unwind(Box::new(TerminateToken));
-        }
-    }
-
     /// Polls the receiver (which may run the handler and switch away),
     /// then makes the degraded-mode yield check.
     fn deliver_uintr(&self) {
@@ -638,43 +530,6 @@ impl WorkerCtx {
                 self.maybe_coop_switch();
             } else {
                 self.ops_since_check.set(n);
-            }
-        }
-    }
-
-    /// Chaos injection: go unresponsive for `cycles` of virtual time — no
-    /// receiver polls, no epoch acks, no yields to higher levels. This is
-    /// the stuck-worker shape the scheduler's liveness lease is built to
-    /// catch; the only signal that still gets through is supervisor
-    /// termination, checked once per chunk.
-    fn wedge(&self, cycles: u64) {
-        const WEDGE_CHUNK: u64 = 10_000;
-        let end = now_cycles().saturating_add(cycles);
-        loop {
-            if self.shared.is_stopped() {
-                return;
-            }
-            if self.shared.is_terminated() {
-                // Same guards as `on_point`: no unwind mid-unwind, none
-                // inside a non-preemptible region (see there).
-                self.terminate_if_ordered();
-                return;
-            }
-            let now = now_cycles();
-            if now >= end {
-                return;
-            }
-            let step = WEDGE_CHUNK.min(end - now);
-            if preempt_sim::api::active() {
-                // Burn virtual time without executing a preemption point:
-                // the receiver stays unpolled and epochs unacknowledged,
-                // exactly like a worker stuck outside the runtime.
-                preempt_sim::api::advance(step);
-                preempt_sim::api::yield_now();
-            } else {
-                for _ in 0..step {
-                    std::hint::spin_loop();
-                }
             }
         }
     }
@@ -773,8 +628,6 @@ impl WorkerCtx {
         // loop runs under `catch_unwind`, so a panicking transaction
         // unwinds back to here — releasing its latches and MVCC slot
         // through the usual drop guards on the way — and the worker keeps
-        // running. The supervisor's `TerminateToken` takes the same path
-        // but is an ordered unwind, not a contained failure.
         let end = {
             let attempts = &mut attempts;
             let deadline = req.deadline;
@@ -814,7 +667,6 @@ impl WorkerCtx {
                 }
             })) {
                 Ok(end) => end,
-                Err(p) if p.is::<TerminateToken>() => TxnEnd::Terminated,
                 Err(p) => TxnEnd::Panicked(payload_message(&*p)),
             }
         };
@@ -880,7 +732,7 @@ impl WorkerCtx {
                 }
             }
             TxnEnd::TimedOut => shard.txn_deadline_abort(kind),
-            TxnEnd::Exhausted | TxnEnd::Terminated => shard.txn_failed(kind, attempts as u64),
+            TxnEnd::Exhausted => shard.txn_failed(kind, attempts as u64),
             TxnEnd::Panicked(msg) => {
                 shard.bump(Counter::WorkerPanics);
                 self.shared.panics.lock().push(format!("{kind}: {msg}"));
@@ -897,7 +749,7 @@ impl WorkerCtx {
         loop {
             // We were just switched into (passively or cooperatively).
             loop {
-                if self.shared.should_exit() {
+                if self.shared.is_stopped() {
                     break;
                 }
                 let Some(req) = self.shared.queues[level as usize].pop() else {
@@ -939,7 +791,7 @@ impl WorkerCtx {
     ///   here (path ②).
     fn regular_loop(&self) {
         let prefer_high = !self.policy.is_preemptive();
-        while !self.shared.should_exit() {
+        while !self.shared.is_stopped() {
             let levels = self.level_tcbs.len() as u8;
             let pop = |level: u8| {
                 let req = self.shared.queues[level as usize].pop()?;
@@ -1011,7 +863,7 @@ impl WorkerCtx {
 /// Parks the worker until the scheduler wakes it (or a timeout passes on
 /// real threads, to self-heal missed wake-ups).
 fn idle_wait(shared: &WorkerShared) {
-    if shared.should_exit() {
+    if shared.is_stopped() {
         return;
     }
     if preempt_sim::api::active() {
@@ -1071,17 +923,6 @@ pub const PREEMPTIVE_CTX_STACK: usize = 256 * 1024;
 /// dedicated thread or simulated core.
 pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
     let levels = shared.levels();
-    shared.exited.store(false, Ordering::Release);
-    // Sets `exited` on every way out of this frame — including an unwind
-    // that poisons the worker's context — so the supervisor can tell
-    // "dead and gone" (safe to orphan-sweep) from "still running".
-    struct ExitFlag(Arc<WorkerShared>);
-    impl Drop for ExitFlag {
-        fn drop(&mut self) {
-            self.0.exited.store(true, Ordering::Release);
-        }
-    }
-    let _exit_flag = ExitFlag(shared.clone());
     // Arm the live threshold cell so the decision sites see the policy's
     // threshold even when this worker runs without the full scheduler
     // (unit tests, examples). The scheduler re-arms it at run start and
@@ -1090,20 +931,17 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         shared.starvation.set_threshold(l0);
     }
     if !preempt_sim::api::active() {
-        // Real-thread mode: register our own thread handle, replacing a
-        // dead incarnation's stale one on respawn, before the UPID is
-        // published — whoever sees this incarnation's descriptor also
-        // sees its thread, not a dead one's. (In sim mode the spawner
-        // registers the core id before the worker runs.)
+        // Real-thread mode: register our own thread handle before the
+        // UPID is published — whoever sees the descriptor also sees the
+        // thread. (In sim mode the runner registers the core id before
+        // the worker runs.)
         shared.set_wake_target(WakeTarget::Thread(std::thread::current()));
     }
 
     let mut wc = Box::new(WorkerCtx {
         shared: shared.clone(),
         policy,
-        // A respawned incarnation's epoch carries on from its
-        // predecessor's (`reset_for_respawn`), fully acknowledged.
-        receiver: UintrReceiver::with_epoch(shared.uintr_ack.load(Ordering::Acquire)),
+        receiver: UintrReceiver::new(),
         contexts: Vec::new(),
         level_tcbs: Vec::new(),
         current_level: Cell::new(0),
@@ -1144,10 +982,6 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
             let wc = unsafe { &*(wc_ptr as *const WorkerCtx) };
             let shared = &*wc.shared;
             CURRENT_WORKER.set(wc_ptr);
-            // Tag engine-side resources (latches, MVCC slots) acquired on
-            // this context with the worker id, so the supervisor's orphan
-            // sweep can find them if this worker dies holding them.
-            preempt_mvcc::set_current_owner(shared.id as u64);
             preempt_mvcc::init_context();
             if let Some(r) = shared.trace.get() {
                 preempt_trace::install_current(r);
@@ -1184,7 +1018,6 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         }
     }
     CURRENT_WORKER.set(wc_ptr);
-    preempt_mvcc::set_current_owner(shared.id as u64);
     preempt_mvcc::init_context();
     if let Some(r) = &trace_ring {
         preempt_trace::install_current(r);
@@ -1212,7 +1045,6 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         runtime::with_hook(&hook, || wc.regular_loop());
     }
     CURRENT_WORKER.set(0);
-    preempt_mvcc::clear_current_owner();
     preempt_trace::clear_current();
     preempt_metrics::clear_current();
 }
@@ -1222,8 +1054,7 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
 /// clears the thread's tid word, a moment *before* the task leaves
 /// `/proc/self/task`; a worker still named then is counted by whoever
 /// lists `preemptdb-worker-*` threads right after a `shutdown` (the
-/// benchmark's placement does, and refuses to run with two). A declared
-/// dead incarnation still unwinding is renamed the same way.
+/// benchmark's placement does, and refuses to run with two).
 struct RetireThreadName;
 
 impl Drop for RetireThreadName {
@@ -1242,20 +1073,18 @@ impl Drop for RetireThreadName {
     }
 }
 
-/// Starts an incarnation of `w` on a thread of its own, named
-/// `preemptdb-worker-<id>` while it runs, and registers it as the
-/// worker's wake target. Created from the caller, it shares its CPU mask.
+/// Starts `w` on a thread of its own, named `preemptdb-worker-<id>`
+/// while it runs, which registers itself as the worker's wake target.
+/// Created from the caller, it shares its CPU mask.
 pub fn spawn_worker_thread(w: &Arc<WorkerShared>, policy: Policy) -> std::thread::JoinHandle<()> {
     let ws = w.clone();
-    let h = std::thread::Builder::new()
+    std::thread::Builder::new()
         .name(format!("preemptdb-worker-{}", w.id))
         .spawn(move || {
             let _name = RetireThreadName;
             worker_main(ws, policy)
         })
-        .expect("spawn worker thread");
-    w.set_wake_target(WakeTarget::Thread(h.thread().clone()));
-    h
+        .expect("spawn worker thread")
 }
 
 #[cfg(test)]
@@ -1287,7 +1116,7 @@ mod tests {
             ($($f:ident),*) => { [$((stringify!($f), offset_of!(WorkerShared, $f) / 64)),*] };
         }
         let submitter =
-            lines!(id, queues, wake_target, metrics_shard, incarnation, stopped, terminated);
+            lines!(id, queues, upid, wake_target, metrics_shard, stopped, degraded);
         let worker = lines!(uintr_ack, starvation);
         let last = |g: &[(&str, usize)]| g.iter().map(|f| f.1).max().unwrap();
         let first = |g: &[(&str, usize)]| g.iter().map(|f| f.1).min().unwrap();

@@ -91,8 +91,7 @@ pub struct ServerConfig {
     /// `net_*` series is registered on it and the pool's shards are
     /// attached to it — one per worker (transactions, latencies, uintr
     /// delivery, level switches, latch waits) and the scheduler plane's
-    /// (dispatch, interrupts sent, watchdog, degradation; a pool on real
-    /// threads is not supervised, so its supervision counters stay 0).
+    /// (dispatch, interrupts sent, watchdog, degradation).
     pub metrics: Option<MetricsRegistry>,
     /// Trace session; each connection thread registers a `"conn"` ring
     /// and records request lifecycle events on it.

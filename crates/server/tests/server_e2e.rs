@@ -93,19 +93,19 @@ impl Client {
     }
 }
 
-/// The worker-recovery audit, applied through the server's engine: no
-/// leaked active-transaction slots, no orphans on any worker, and every
-/// row still writable by a fresh read-modify-write transaction.
-fn assert_engine_clean(engine: &Engine, table: &std::sync::Arc<Table>, oids: &[Oid], workers: usize) {
+/// The leak audit, applied through the server's engine: no leaked
+/// active-transaction slot, no latch still held, and every row still
+/// writable by a fresh read-modify-write transaction.
+fn assert_engine_clean(engine: &Engine, table: &std::sync::Arc<Table>, oids: &[Oid]) {
     assert_eq!(
         engine.registry().active_count(),
         0,
         "active-txn slots leaked"
     );
-    for worker in 0..workers as u64 {
-        let sweep = engine.orphan_sweep(worker);
-        assert!(sweep.is_empty(), "worker {worker} left orphans: {sweep:?}");
-    }
+    assert!(
+        table.records().all(|r| !r.latch().is_held()),
+        "a record latch is still held"
+    );
     let mut tx = engine.begin_si();
     for &oid in oids {
         let raw = tx.read(table, oid).expect("row visible");
@@ -448,9 +448,7 @@ fn saturated_class_gets_overloaded_frames() {
 
 #[test]
 fn disconnect_mid_request_leaves_engine_clean() {
-    let cfg = test_config();
-    let workers = cfg.workers;
-    let server = Server::start(cfg).expect("start");
+    let server = Server::start(test_config()).expect("start");
 
     // Eight clients fire pipelined work and slam the door without
     // reading a single reply.
@@ -490,7 +488,7 @@ fn disconnect_mid_request_leaves_engine_clean() {
         ledger_total(&engine, &table, &oids),
         ACCOUNTS * INITIAL_BALANCE + 2 * stats.committed_deposits
     );
-    assert_engine_clean(&engine, &table, &oids, workers);
+    assert_engine_clean(&engine, &table, &oids);
 
     // And the survivor still gets service after the carnage.
     survivor.call_ok(2, Op::Read, 0, 0);
@@ -502,7 +500,6 @@ fn disconnect_mid_request_leaves_engine_clean() {
 fn chaos_panics_are_contained_under_live_load() {
     let mut cfg = test_config();
     cfg.enable_chaos_ops = true;
-    let workers = cfg.workers;
     let server = Server::start(cfg).expect("start");
 
     // A Boom panics inside the worker; the firewall contains it and the
@@ -558,14 +555,14 @@ fn chaos_panics_are_contained_under_live_load() {
         "every admitted request produced exactly one reply, panics included"
     );
 
-    // Zero lost or duplicated commits, no leaked slots, no orphans.
+    // Zero lost or duplicated commits, no leaked slots or latches.
     let engine = server.engine().clone();
     let (table, oids) = server.accounts();
     assert_eq!(
         ledger_total(&engine, &table, &oids),
         ACCOUNTS * INITIAL_BALANCE + 2 * stats.committed_deposits
     );
-    assert_engine_clean(&engine, &table, &oids, workers);
+    assert_engine_clean(&engine, &table, &oids);
 
     // The front door is still open.
     let mut after = Client::connect(&server, SloClass::High);

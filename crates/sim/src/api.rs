@@ -219,12 +219,10 @@ pub fn wake_at(t: u64, target: CoreId) {
     with_sim(|s| s.borrow_mut().schedule_wake(t, target));
 }
 
-/// Adds a core to the *running* simulation — the respawn path a
-/// supervisor uses to replace a worker it declared dead. The new core's
-/// clock starts at the caller's current virtual time (a respawned worker
-/// cannot run in its supervisor's virtual past) and it becomes runnable
-/// immediately. Retired cores keep their [`CoreId`]s; the replacement
-/// gets a fresh one.
+/// Adds a core to the *running* simulation. The new core's clock starts
+/// at the caller's current virtual time (it cannot run in its spawner's
+/// virtual past) and it becomes runnable immediately. Retired cores keep
+/// their [`CoreId`]s; the new core gets a fresh one.
 pub fn spawn_core(
     name: &'static str,
     stack_size: usize,

@@ -172,14 +172,13 @@ mod tests {
 
     #[test]
     fn spawn_core_mid_run_starts_at_spawner_time() {
-        // A supervisor core replaces a failed worker mid-run; the
-        // replacement starts at the supervisor's virtual time and runs
-        // to completion.
+        // A core replaces a failed worker mid-run; the replacement
+        // starts at its spawner's virtual time and runs to completion.
         let replacement_ran = Arc::new(AtomicU64::new(0));
         let r = replacement_ran.clone();
         let sim = Simulation::new(SimConfig::default());
         sim.spawn_core("worker", 64 * 1024, || panic!("wedged"));
-        sim.spawn_core("supervisor", 64 * 1024, move || {
+        sim.spawn_core("spawner", 64 * 1024, move || {
             preempt_point(5_000);
             let r2 = r.clone();
             api::spawn_core("worker'", 64 * 1024, move || {
@@ -191,7 +190,7 @@ mod tests {
         assert_eq!(
             replacement_ran.load(Ordering::Relaxed),
             5_100,
-            "replacement inherits the supervisor's clock, then works"
+            "replacement inherits the spawner's clock, then works"
         );
         assert_eq!(sim.core_failures().len(), 1, "original failure recorded");
     }

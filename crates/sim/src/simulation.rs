@@ -98,8 +98,8 @@ pub struct CoreStats {
 /// A contained core failure: the core's main context panicked, and the
 /// simulation recorded the panic and marked the core Done instead of
 /// propagating it — the rest of the machine keeps running, exactly as a
-/// hardware core wedging does not halt its peers. Supervisors (the
-/// scheduling thread) read these to drive worker respawn.
+/// hardware core wedging does not halt its peers. Run reports carry
+/// them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreFailure {
     pub core: CoreId,
@@ -636,7 +636,7 @@ impl SimState {
         }
     }
 
-    /// Adds a core while the simulation is running (worker respawn). The
+    /// Adds a core while the simulation is running. The
     /// new core's clock starts at the spawner's current virtual time (or
     /// the event floor when called from the simulator loop), so it can
     /// never run in the spawner's virtual past.

@@ -36,9 +36,8 @@ pub(crate) const K_LATCH_ACQUIRE: u8 = 12;
 pub(crate) const K_LATCH_RELEASE: u8 = 13;
 pub(crate) const K_CONTROLLER: u8 = 14;
 pub(crate) const K_TXN_PANIC: u8 = 15;
-pub(crate) const K_WORKER_DEAD: u8 = 16;
-pub(crate) const K_WORKER_RESPAWN: u8 = 17;
-pub(crate) const K_ORPHAN_SWEEP: u8 = 18;
+// 16–18 are retired kinds, left unused so that every other kind keeps
+// its code.
 pub(crate) const K_STEAL: u8 = 19;
 pub(crate) const K_SHOOTDOWN: u8 = 20;
 pub(crate) const K_NET_ACCEPT: u8 = 21;
@@ -150,28 +149,6 @@ pub enum TraceEvent {
         /// Worker-local transaction sequence number (40 bits).
         txn: u64,
     },
-    /// The supervisor declared a worker dead after its liveness lease
-    /// expired (unacked epochs + no completions across the ladder).
-    WorkerDead {
-        /// Worker declared dead.
-        worker: u16,
-    },
-    /// The supervisor respawned a dead worker with a fresh context.
-    WorkerRespawn {
-        /// Worker being respawned.
-        worker: u16,
-        /// Respawn count for this slot (1 = first respawn).
-        incarnation: u8,
-    },
-    /// The supervisor force-released a dead worker's orphaned resources.
-    OrphanSweep {
-        /// Worker whose orphans were swept.
-        worker: u16,
-        /// Write latches force-released.
-        latches: u16,
-        /// Active-txn registry slots force-released.
-        slots: u16,
-    },
     /// An idle worker stole a request from a same-shard sibling's queue
     /// tail (the sharded plane's load-balancing path).
     Steal {
@@ -252,9 +229,6 @@ impl TraceEvent {
             TraceEvent::LatchRelease { .. } => K_LATCH_RELEASE,
             TraceEvent::ControllerDecision { .. } => K_CONTROLLER,
             TraceEvent::TxnPanic { .. } => K_TXN_PANIC,
-            TraceEvent::WorkerDead { .. } => K_WORKER_DEAD,
-            TraceEvent::WorkerRespawn { .. } => K_WORKER_RESPAWN,
-            TraceEvent::OrphanSweep { .. } => K_ORPHAN_SWEEP,
             TraceEvent::Steal { .. } => K_STEAL,
             TraceEvent::Shootdown { .. } => K_SHOOTDOWN,
             TraceEvent::NetAccept { .. } => K_NET_ACCEPT,
@@ -283,9 +257,6 @@ impl TraceEvent {
             TraceEvent::LatchRelease { .. } => "latch-release",
             TraceEvent::ControllerDecision { .. } => "controller-decision",
             TraceEvent::TxnPanic { .. } => "txn-panic",
-            TraceEvent::WorkerDead { .. } => "worker-dead",
-            TraceEvent::WorkerRespawn { .. } => "worker-respawn",
-            TraceEvent::OrphanSweep { .. } => "orphan-sweep",
             TraceEvent::Steal { .. } => "steal",
             TraceEvent::Shootdown { .. } => "shootdown",
             TraceEvent::NetAccept { .. } => "net-accept",
@@ -341,16 +312,6 @@ impl TraceEvent {
                     | u64::from(decision & 0b11) << 40
             }
             TraceEvent::TxnPanic { txn } => txn & MAX_TXN_ID,
-            TraceEvent::WorkerDead { worker } => u64::from(worker),
-            TraceEvent::WorkerRespawn {
-                worker,
-                incarnation,
-            } => u64::from(worker) | u64::from(incarnation) << 16,
-            TraceEvent::OrphanSweep {
-                worker,
-                latches,
-                slots,
-            } => u64::from(worker) | u64::from(latches) << 16 | u64::from(slots) << 32,
             TraceEvent::Steal {
                 victim,
                 thief,
@@ -422,18 +383,6 @@ impl TraceEvent {
             K_TXN_PANIC => TraceEvent::TxnPanic {
                 txn: payload & MAX_TXN_ID,
             },
-            K_WORKER_DEAD => TraceEvent::WorkerDead {
-                worker: payload as u16,
-            },
-            K_WORKER_RESPAWN => TraceEvent::WorkerRespawn {
-                worker: payload as u16,
-                incarnation: (payload >> 16) as u8,
-            },
-            K_ORPHAN_SWEEP => TraceEvent::OrphanSweep {
-                worker: payload as u16,
-                latches: (payload >> 16) as u16,
-                slots: (payload >> 32) as u16,
-            },
             K_STEAL => TraceEvent::Steal {
                 victim: payload as u16,
                 thief: (payload >> 16) as u16,
@@ -497,16 +446,6 @@ mod tests {
                 decision: 2,
             },
             TraceEvent::TxnPanic { txn: 44 },
-            TraceEvent::WorkerDead { worker: 5 },
-            TraceEvent::WorkerRespawn {
-                worker: 5,
-                incarnation: 2,
-            },
-            TraceEvent::OrphanSweep {
-                worker: 5,
-                latches: 3,
-                slots: 1,
-            },
             TraceEvent::Steal {
                 victim: 2,
                 thief: 3,

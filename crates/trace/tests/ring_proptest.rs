@@ -29,20 +29,6 @@ fn any_event() -> BoxedStrategy<TraceEvent> {
         (0u8..2).prop_map(|mode| TraceEvent::LatchAcquire { mode }),
         (0u8..2).prop_map(|mode| TraceEvent::LatchRelease { mode }),
         (0u64..=MAX_TXN_ID).prop_map(|txn| TraceEvent::TxnPanic { txn }),
-        any::<u16>().prop_map(|worker| TraceEvent::WorkerDead { worker }),
-        (any::<u16>(), any::<u8>()).prop_map(|(worker, incarnation)| {
-            TraceEvent::WorkerRespawn {
-                worker,
-                incarnation,
-            }
-        }),
-        (any::<u16>(), any::<u16>(), any::<u16>()).prop_map(|(worker, latches, slots)| {
-            TraceEvent::OrphanSweep {
-                worker,
-                latches,
-                slots,
-            }
-        }),
     ]
     .boxed()
 }

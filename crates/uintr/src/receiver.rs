@@ -99,14 +99,8 @@ pub struct UintrReceiver {
 impl UintrReceiver {
     /// Creates a receiver with a fresh UPID and no handler.
     pub fn new() -> UintrReceiver {
-        Self::with_epoch(0)
-    }
-
-    /// As [`new`](Self::new), with the UPID's delivery epoch starting at
-    /// `epoch` (a replacement receiver carries on the count).
-    pub fn with_epoch(epoch: u64) -> UintrReceiver {
         UintrReceiver {
-            upid: Upid::starting_at(epoch),
+            upid: Upid::new(),
             handler: None,
             stats: Cell::new(DeliveryStats::default()),
         }

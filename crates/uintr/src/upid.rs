@@ -64,18 +64,12 @@ pub struct Upid {
 
 impl Upid {
     pub fn new() -> Arc<Upid> {
-        Self::starting_at(0)
-    }
-
-    /// A descriptor whose delivery epoch starts at `epoch`: a replacement
-    /// receiver carries on its predecessor's count.
-    pub fn starting_at(epoch: u64) -> Arc<Upid> {
         Arc::new(Upid {
             post: PostLine {
                 pending: AtomicU64::new(0),
                 last_post_tsc: AtomicU64::new(0),
                 posts: AtomicU64::new(0),
-                epoch: AtomicU64::new(epoch),
+                epoch: AtomicU64::new(0),
             },
             active: AtomicBool::new(true),
             owner: AtomicU64::new(u64::from(u16::MAX)),
@@ -314,10 +308,10 @@ mod tests {
 
     #[test]
     fn epoch_counts_sends_from_its_start() {
-        let upid = Upid::starting_at(5);
-        assert_eq!(upid.epoch(), 5);
-        assert_eq!(upid.bump_epoch(), 6);
-        assert_eq!(upid.epoch(), 6);
+        let upid = Upid::new();
+        assert_eq!(upid.epoch(), 0);
+        assert_eq!(upid.bump_epoch(), 1);
+        assert_eq!(upid.epoch(), 1);
     }
 
     #[test]

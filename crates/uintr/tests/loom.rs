@@ -163,111 +163,6 @@ fn epoch_ack_watchdog_has_no_lost_wakeup_or_double_execution() {
     });
 }
 
-/// A replacement descriptor starts where its predecessor's epoch
-/// stopped, and the replacement worker starts with that epoch acked: a
-/// respawned incarnation is fully acknowledged until the next send.
-#[test]
-fn respawned_descriptor_starts_fully_acknowledged() {
-    loom::model(|| {
-        let old = Upid::new();
-        old.bump_epoch();
-        old.post(1);
-        // The incarnation dies with the interrupt unacknowledged; the
-        // supervisor carries the epoch over as the new ack.
-        let ack = Arc::new(AtomicU64::new(old.epoch()));
-        let fresh = Upid::starting_at(ack.load(Ordering::Acquire));
-        assert_eq!(fresh.epoch(), ack.load(Ordering::Acquire));
-
-        let tx = fresh.clone();
-        let scheduler = thread::spawn(move || {
-            tx.bump_epoch();
-            tx.post(1);
-        });
-        let (rx, a) = (fresh.clone(), ack.clone());
-        let worker = thread::spawn(move || {
-            if rx.take_pending() != 0 {
-                a.store(rx.epoch(), Ordering::Release);
-            }
-        });
-        scheduler.join().unwrap();
-        worker.join().unwrap();
-        if ack.load(Ordering::Acquire) < fresh.epoch() {
-            assert!(fresh.has_pending(), "lost wakeup after a respawn");
-        }
-    });
-}
-
-/// The PR 6 terminate / exit-flag / orphan-sweep handoff. The worker
-/// observes the terminate order at a preemption point, releases every
-/// resource it owns (modeled by one latch word), and only then raises
-/// the exit flag with `Release` (the `ExitFlag` RAII drop). The
-/// supervisor sweeps orphans only after observing the flag with
-/// `Acquire`: in every interleaving where the sweep runs, the worker's
-/// releases are already visible — the sweep never runs before the exit
-/// flag is observed, and never sees a half-released record.
-#[test]
-fn terminate_exit_flag_gates_orphan_sweep() {
-    loom::model(|| {
-        let terminated = Arc::new(AtomicU64::new(0));
-        let exited = Arc::new(AtomicU64::new(0));
-        // 1 = the worker still holds its record latch.
-        let record_held = Arc::new(AtomicU64::new(1));
-
-        let (t, e, r) = (terminated.clone(), exited.clone(), record_held.clone());
-        let worker = thread::spawn(move || {
-            // Preemption point: the terminate order may or may not be
-            // visible yet; the exit path is the same either way.
-            let _saw_terminate = t.load(Ordering::Acquire) == 1;
-            r.store(0, Ordering::Release); // release owned resources…
-            e.store(1, Ordering::Release); // …then ExitFlag raises exited
-        });
-
-        // Supervisor: raise the terminate order, then decide on a sweep.
-        terminated.store(1, Ordering::Release);
-        let sweep_allowed = exited.load(Ordering::Acquire) == 1;
-        if sweep_allowed {
-            // Sweep path: the flag was observed, so every release the
-            // worker performed before raising it must be visible.
-            assert_eq!(
-                record_held.load(Ordering::Acquire),
-                0,
-                "orphan sweep observed the exit flag but not the release \
-                 that happened-before it"
-            );
-        }
-        // (exited == 0 ⇒ the supervisor must NOT sweep this incarnation;
-        // there is nothing to assert — not sweeping is the safe branch.)
-
-        worker.join().unwrap();
-        assert_eq!(exited.load(Ordering::Acquire), 1, "exit flag must be raised on every path");
-    });
-}
-
-/// Teeth check: with the exit protocol deliberately inverted — raising
-/// the exit flag *before* releasing the record — the explorer must find
-/// the interleaving where the sweep observes the flag while the record
-/// is still held: exactly the torn handoff the `ExitFlag`-last ordering
-/// (and the `exited` store/load spec rows) exists to prevent.
-#[test]
-#[should_panic(expected = "sweep raced the release")]
-fn explorer_catches_exit_flag_before_release() {
-    loom::model(|| {
-        let exited = Arc::new(AtomicU64::new(0));
-        let record_held = Arc::new(AtomicU64::new(1));
-
-        let (e, r) = (exited.clone(), record_held.clone());
-        let worker = thread::spawn(move || {
-            e.store(1, Ordering::Release); // BUG: flag first…
-            r.store(0, Ordering::Release); // …release after
-        });
-
-        if exited.load(Ordering::Acquire) == 1 {
-            assert_eq!(record_held.load(Ordering::Acquire), 0, "sweep raced the release");
-        }
-        worker.join().unwrap();
-    });
-}
-
 // ─── Sharded-plane steal deque (crates/sched/src/deque.rs) ──────────────
 //
 // Mirror of the deque's two-level protocol: a packed (head ticket, len)

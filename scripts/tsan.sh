@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer pass over the atomics-heavy crates: the UPID
 # pending-bit and epoch/ack watchdog protocols (preempt-uintr) and the
-# scheduler's degraded/incarnation plumbing (preempt-sched). TSan
+# scheduler's degraded/stop plumbing (preempt-sched). TSan
 # observes the *real* orderings the compiled code uses, complementing
 # the two static/model gates:
 #
@@ -44,5 +44,5 @@ export TSAN_OPTIONS="halt_on_error=1"
 # UPID post/take/repost and the epoch/ack watchdog handoff.
 cargo +nightly test -Zbuild-std --target "$host" -p preempt-uintr --lib
 
-# Scheduler-side degraded-mode and incarnation publication.
+# Scheduler-side degraded-mode and stop publication.
 cargo +nightly test -Zbuild-std --target "$host" -p preempt-sched --lib
