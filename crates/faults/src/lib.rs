@@ -451,7 +451,10 @@ impl FaultInjector {
     fn decide_latch_panic(&self) -> bool {
         self.stats.borrow_mut().latch_acquires += 1;
         let stream = &self.streams[FaultSite::LatchPanic as usize];
-        if draw_ppm(stream) < self.plan.latch_panic_ppm as u64 {
+        // The draw happens even when masked, so the stream's later
+        // decisions do not shift.
+        let fire = draw_ppm(stream) < self.plan.latch_panic_ppm as u64;
+        if fire && !LATCH_PANICS_MASKED.with(Cell::get) {
             self.record(FaultSite::LatchPanic, "panic");
             self.stats.borrow_mut().latch_panics += 1;
             return true;
@@ -462,6 +465,7 @@ impl FaultInjector {
 
 thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static LATCH_PANICS_MASKED: Cell<bool> = const { Cell::new(false) };
     static INJECTOR: RefCell<Option<Rc<FaultInjector>>> = const { RefCell::new(None) };
 }
 
@@ -575,6 +579,22 @@ pub fn on_latch_acquire() -> bool {
     with_injector(|inj| inj.decide_latch_panic()).unwrap_or(false)
 }
 
+/// Runs `f` with write-latch panics held back on this thread: the latch
+/// site still draws from its stream, so every later decision is the one
+/// it would have been, but a draw that would inject a panic does not.
+/// For cleanup that must run to the end, such as an abort unlinking its
+/// pending versions (a panic halfway would strand the rest).
+pub fn without_latch_panics<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LATCH_PANICS_MASKED.with(|m| m.set(self.0));
+        }
+    }
+    let _restore = Restore(LATCH_PANICS_MASKED.with(|m| m.replace(true)));
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +611,28 @@ mod tests {
             let _ = on_latch_acquire();
         }
         (guard.stats(), guard.trace())
+    }
+
+    #[test]
+    fn masked_latch_panics_still_draw() {
+        let plan = FaultPlan::quiet(7).with_latch_panic_ppm(500_000);
+        let decide = |mask: bool| {
+            let _guard = install(plan);
+            (0..64)
+                .map(|i| {
+                    if mask && i % 2 == 0 {
+                        without_latch_panics(on_latch_acquire)
+                    } else {
+                        on_latch_acquire()
+                    }
+                })
+                .collect::<Vec<bool>>()
+        };
+        let (all, masked) = (decide(false), decide(true));
+        assert!(all.iter().step_by(2).any(|&fired| fired), "the plan fires");
+        for (i, (a, m)) in all.iter().zip(&masked).enumerate() {
+            assert_eq!(*m, *a && i % 2 == 1, "decision {i}");
+        }
     }
 
     #[test]

@@ -567,8 +567,10 @@ thread_local! {
 pub struct OrderedIndex {
     name: String,
     root: AtomicPtr<Node>,
-    /// Every node ever allocated, live or retired, for `Drop`.
-    nodes: AtomicPtr<Node>,
+    /// Every node ever allocated, live or retired, for `Drop`. Pushed to
+    /// on every node allocation, so kept off the line of `root`, which
+    /// every access reads.
+    nodes: CachePadded<AtomicPtr<Node>>,
     /// Model-checker teeth: accept every validation.
     #[cfg(loom)]
     trusting: bool,
@@ -579,7 +581,7 @@ impl OrderedIndex {
         let index = OrderedIndex {
             name: name.into(),
             root: AtomicPtr::new(ptr::null_mut()),
-            nodes: AtomicPtr::new(ptr::null_mut()),
+            nodes: CachePadded(AtomicPtr::new(ptr::null_mut())),
             #[cfg(loom)]
             trusting: false,
         };
@@ -1059,6 +1061,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, HashMap};
+
+    /// Laid out by writer: the allocation list every node allocation
+    /// pushes to shares no cache line with the root every access reads.
+    /// (A hash index writes nothing but its padded shards; transactions
+    /// borrow an index rather than count references to it.)
+    #[test]
+    fn shared_state_is_grouped_by_writer() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<OrderedIndex>(), 64);
+        let line = |at: usize| at / 64;
+        let root = offset_of!(OrderedIndex, root);
+        let nodes = offset_of!(OrderedIndex, nodes);
+        assert_eq!(line(root), line(root + size_of::<AtomicPtr<Node>>() - 1));
+        assert_eq!(size_of::<CachePadded<AtomicPtr<Node>>>(), 64);
+        assert_ne!(line(root), line(nodes), "root at {root}, nodes at {nodes}");
+    }
 
     fn collect(idx: &OrderedIndex, lo: u64, hi: u64) -> Vec<(u64, Oid)> {
         let mut seen = Vec::new();

@@ -39,6 +39,7 @@ use loom::thread;
 use preempt_context::nonpreempt::NonPreemptGuard;
 
 use crate::index::{hash, SHARD_BITS};
+use crate::table::OID_BLOCK;
 use crate::{
     ControlFlow, Engine, EngineConfig, HashIndex, IsolationLevel, Oid, OrderedIndex, Table,
 };
@@ -195,7 +196,9 @@ fn readers_vs_trim_retire_and_reclaim() {
 
 /// Two creators race to install the same directory block and segment:
 /// one allocation of each wins, both creators get slots in it, and the
-/// slots stay where they are.
+/// slots stay where they are. Each creator hands its OID out of a block
+/// of its own (or, holding no owner slot, straight from the bound), so
+/// the OIDs differ but both lie in the first segment.
 #[test]
 fn racing_creators_share_one_directory() {
     loom::model_bounded(PREEMPTIONS, || {
@@ -211,11 +214,17 @@ fn racing_creators_share_one_directory() {
         };
         let (mine, rec) = table.create_record();
         let theirs = other.join().unwrap();
-        assert_eq!(mine + theirs, 1, "dense: 0 and 1");
+        assert_ne!(mine, theirs, "unique");
+        assert!(mine.max(theirs) < 2 * OID_BLOCK, "one block each at most");
         assert!(std::ptr::eq(table.record(mine).expect("materialized"), rec));
         let gap =
             (table.record(theirs).unwrap() as *const _ as usize).abs_diff(rec as *const _ as usize);
-        assert_eq!(gap, std::mem::size_of_val(rec), "neighbours in one segment");
+        assert_eq!(
+            gap,
+            mine.abs_diff(theirs) as usize * std::mem::size_of_val(rec),
+            "one segment"
+        );
+        assert_eq!(table.len(), 2);
     });
 }
 

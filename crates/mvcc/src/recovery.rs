@@ -106,7 +106,7 @@ pub fn rebuild_hash_index(
 ) -> Arc<HashIndex> {
     let idx = Arc::new(HashIndex::new(format!("{}_rebuilt", table.name())));
     let mut tx = engine.begin_si();
-    for oid in 0..table.len() as u64 {
+    for oid in table.oids() {
         if let Some(row) = tx.read(table, oid) {
             idx.insert(key_of(&row), oid);
         }

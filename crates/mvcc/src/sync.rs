@@ -13,7 +13,10 @@ pub(crate) use loom::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Or
 #[cfg(not(loom))]
 pub(crate) use std::sync::atomic::{fence, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-use std::sync::atomic::{AtomicU64 as Counter, AtomicUsize as ThreadIds, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicU32 as OwnerBits, AtomicU64 as Counter, AtomicUsize as ThreadIds,
+    Ordering::{Acquire, Relaxed, Release},
+};
 
 /// One turn of a wait for another thread's store. The model checker has
 /// to be told (it parks the spinner until somebody writes).
@@ -41,10 +44,63 @@ pub(crate) fn stripe_index() -> usize {
     INDEX.with(|i| *i)
 }
 
+/// Single-writer slots per structure that keeps one (the tables' OID
+/// blocks). Unlike a stripe, a slot is never shared: a thread claims a
+/// free one on first use and hands it back when it exits.
+pub(crate) const OWNER_SLOTS: usize = STRIPES;
+
+/// The calling thread's owner slot, or `None` if every slot is held by a
+/// live thread (or this thread is already tearing down its locals): the
+/// caller then takes its shared path. The lowest free slot goes first, so
+/// a thread that exits leaves its slot, and what it holds there, to the
+/// next thread that needs one. Contexts multiplexed on one thread share
+/// it; the caller keeps preemption points out of what it does in there.
+#[inline]
+pub(crate) fn owner_slot() -> Option<usize> {
+    static CLAIMED: OwnerBits = OwnerBits::new(0);
+    const _: () = assert!(OWNER_SLOTS <= 32);
+
+    struct Claim(Option<usize>);
+    impl Drop for Claim {
+        fn drop(&mut self) {
+            if let Some(i) = self.0 {
+                // Release: the next owner sees what this one wrote.
+                CLAIMED.fetch_and(!(1 << i), Release);
+            }
+        }
+    }
+    fn claim() -> Claim {
+        let mut bits = CLAIMED.load(Relaxed);
+        loop {
+            let free = !bits & (u32::MAX >> (32 - OWNER_SLOTS));
+            if free == 0 {
+                return Claim(None);
+            }
+            let i = free.trailing_zeros();
+            match CLAIMED.compare_exchange_weak(bits, bits | 1 << i, Acquire, Relaxed) {
+                Ok(_) => return Claim(Some(i as usize)),
+                Err(now) => bits = now,
+            }
+        }
+    }
+    thread_local! {
+        static SLOT: Claim = claim();
+    }
+    SLOT.try_with(|c| c.0).ok().flatten()
+}
+
 /// Gives `T` a cache line of its own.
 #[repr(align(64))]
 #[derive(Default)]
 pub(crate) struct CachePadded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 /// `K` monotonic counters, striped per thread so that bumping one touches
 /// only a cache line the bumping thread (almost always) owns. Reads sum

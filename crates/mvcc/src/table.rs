@@ -11,10 +11,17 @@
 //! reference count. Both block and segment are 32 KiB — far below the
 //! allocator's mmap threshold, so loading and dropping databases in a
 //! loop recycles heap memory instead of faulting fresh pages in.
+//!
+//! OIDs are handed out ERMIA-style from per-thread blocks: a thread
+//! reserves [`OID_BLOCK`] OIDs with one `fetch_add` on the table's
+//! reservation bound and then hands them out with plain stores to a word
+//! only it writes, so two inserting threads write no common cache line,
+//! and each thread's records sit together. A single thread still gets
+//! `0, 1, 2, …`.
 
 use std::ptr;
 
-use crate::sync::{AtomicPtr, AtomicU64, CachePadded, Ordering};
+use crate::sync::{owner_slot, AtomicPtr, AtomicU64, CachePadded, Ordering, OWNER_SLOTS};
 use crate::version::{Oid, Record};
 
 /// Table identifier (position in the engine's catalog).
@@ -33,20 +40,40 @@ const ROOT_LEN: usize = 64;
 /// Most records one table can hold (2^28).
 pub const MAX_RECORDS: u64 = (ROOT_LEN * BLOCK_LEN * SEG_LEN) as u64;
 
+/// OIDs a thread reserves per visit to the table's shared bound.
+pub const OID_BLOCK: u64 = 64;
+
 type SegmentPtr = AtomicPtr<Record>;
 
 /// An in-memory table: a lazily grown indirection array of records.
+///
+/// Laid out by writer: the words every access reads (`engine_id`, the
+/// directory `root`) share no cache line with the shared words inserts
+/// and trims write (`reserved`, `trimmed_versions`), nor with the OID
+/// blocks, each of which has a line of its own.
 pub struct Table {
     id: TableId,
     name: String,
     /// The engine whose registry guards this table's versions.
     engine_id: u64,
     root: [AtomicPtr<SegmentPtr>; ROOT_LEN],
+    /// The OID reservation bound: every OID below it has been handed out,
+    /// skipped by recovery, or is waiting in some thread's block. Bumped
+    /// once per block.
+    reserved: CachePadded<AtomicU64>,
     /// Versions unlinked by GC trims on this table.
-    trimmed_versions: AtomicU64,
-    /// The OID allocator, bumped by every insert: kept off the cache
-    /// lines the read-mostly directory lives on.
-    next_oid: CachePadded<AtomicU64>,
+    trimmed_versions: CachePadded<AtomicU64>,
+    /// Each owner slot's OID block, `[next, end)` packed as
+    /// `end << 32 | next`, written only by the slot's owner.
+    blocks: [CachePadded<AtomicU64>; OWNER_SLOTS],
+}
+
+fn pack(next: Oid, end: Oid) -> u64 {
+    end << 32 | next
+}
+
+fn unpack(block: u64) -> (Oid, Oid) {
+    (block & u32::MAX as u64, block >> 32)
 }
 
 /// Allocates a boxed slice of `len` elements and leaks it as a thin
@@ -100,8 +127,9 @@ impl Table {
             name: name.into(),
             engine_id,
             root: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
-            trimmed_versions: AtomicU64::new(0),
-            next_oid: CachePadded(AtomicU64::new(0)),
+            reserved: CachePadded(AtomicU64::new(0)),
+            trimmed_versions: CachePadded(AtomicU64::new(0)),
+            blocks: std::array::from_fn(|_| CachePadded(AtomicU64::new(0))),
         }
     }
 
@@ -117,10 +145,23 @@ impl Table {
         self.engine_id
     }
 
-    /// Number of allocated OIDs (includes records whose versions may all
-    /// be invisible).
+    /// Number of OIDs handed out (includes records whose versions may all
+    /// be invisible, and OIDs recovery skipped). Exact while no insert
+    /// runs; during inserts, at least the OIDs handed out before the call
+    /// and at most the reservation bound.
     pub fn len(&self) -> usize {
-        self.next_oid.0.load(Ordering::Acquire) as usize
+        let waiting: Oid = self.waiting().map(|(next, end)| end - next).sum();
+        // Read after the blocks: a block seen was reserved before it was
+        // published (Release), so the bound covers it.
+        (self.reserved.load(Ordering::Relaxed) - waiting) as usize
+    }
+
+    /// The live OID blocks, `[next, end)`, not yet handed out.
+    fn waiting(&self) -> impl Iterator<Item = (Oid, Oid)> + '_ {
+        self.blocks
+            .iter()
+            .map(|block| unpack(block.load(Ordering::Acquire)))
+            .filter(|(next, end)| next < end)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -153,10 +194,27 @@ impl Table {
         Some(unsafe { &*segment.add(r) })
     }
 
-    /// Every allocated record slot whose segment exists, in OID order
-    /// (diagnostics and audits).
+    /// Every OID below the reservation bound that no block is still
+    /// waiting to hand out, in order: the OIDs handed out, and those
+    /// recovery skipped (recovery's scans and audits).
+    pub fn oids(&self) -> impl Iterator<Item = Oid> {
+        let mut waiting = [(0, 0); OWNER_SLOTS];
+        for (w, block) in waiting.iter_mut().zip(self.waiting()) {
+            *w = block;
+        }
+        let bound = self.reserved.load(Ordering::Relaxed);
+        let waits = move |oid: &Oid| {
+            waiting
+                .iter()
+                .any(|(next, end)| (*next..*end).contains(oid))
+        };
+        (0..bound).filter(move |oid| !waits(oid))
+    }
+
+    /// The slots of [`oids`](Self::oids) whose segment exists, in OID
+    /// order (diagnostics and audits).
     pub fn records(&self) -> impl Iterator<Item = &Record> {
-        (0..self.len() as Oid).filter_map(|oid| self.record(oid))
+        self.oids().filter_map(|oid| self.record(oid))
     }
 
     /// The slot for `oid`, materializing its directory block and segment.
@@ -174,18 +232,58 @@ impl Table {
         unsafe { &*segment.add(r) }
     }
 
-    /// Allocates a fresh record slot.
+    /// Hands out a fresh record slot: the next OID of the calling
+    /// thread's block, reserving a new block when it runs out. Without an
+    /// owner slot, one OID straight from the bound.
     pub(crate) fn create_record(&self) -> (Oid, &Record) {
-        let oid = self.next_oid.0.fetch_add(1, Ordering::AcqRel);
-        (oid, self.materialize(oid))
+        let oid = match owner_slot() {
+            Some(slot) => {
+                // Only this thread writes the block, and no preemption
+                // point falls in here, so contexts sharing the thread
+                // cannot interleave.
+                let block = &self.blocks[slot];
+                let (mut next, mut end) = unpack(block.load(Ordering::Relaxed));
+                if next == end {
+                    next = self.reserved.fetch_add(OID_BLOCK, Ordering::Relaxed);
+                    end = next + OID_BLOCK;
+                }
+                // Release: a reader of this block also sees the bound
+                // that covers it (see `len`).
+                block.store(pack(next + 1, end), Ordering::Release);
+                next
+            }
+            None => self.reserved.fetch_add(1, Ordering::Relaxed),
+        };
+        let rec = self.materialize(oid);
+        rec.mark_issued();
+        (oid, rec)
     }
 
     /// Recovery: materializes the record slot for `oid` and extends the
     /// OID range up to it, so the indirection array matches the pre-crash
-    /// one (skipped OIDs read as absent).
+    /// one (skipped OIDs read as absent). The calling thread's block
+    /// moves past `oid`. No other thread may have inserted into the table.
     pub(crate) fn ensure_oid(&self, oid: Oid) -> &Record {
         let rec = self.materialize(oid);
-        self.next_oid.0.fetch_max(oid + 1, Ordering::AcqRel);
+        rec.mark_issued();
+        self.reserved.fetch_max(oid + 1, Ordering::Relaxed);
+        let mine = owner_slot();
+        if let Some(block) = mine.map(|slot| &self.blocks[slot]) {
+            let (next, end) = unpack(block.load(Ordering::Relaxed));
+            if next <= oid {
+                block.store(pack((oid + 1).min(end), end), Ordering::Release);
+            }
+        }
+        debug_assert!(
+            (0..OWNER_SLOTS)
+                .filter(|&slot| Some(slot) != mine)
+                .all(|slot| {
+                    let (next, end) = unpack(self.blocks[slot].load(Ordering::Acquire));
+                    !(next..end).contains(&oid)
+                }),
+            "recovery into table '{}' collides with another thread's OID block",
+            self.name
+        );
         rec
     }
 
@@ -257,6 +355,36 @@ mod tests {
         assert!(t.record(MAX_RECORDS).is_none());
         assert_eq!(t.len(), 2);
         assert_eq!(t.records().count(), 2);
+    }
+
+    /// Laid out by writer: no word every access reads shares a cache
+    /// line with a word inserts or trims write.
+    #[test]
+    fn shared_state_is_grouped_by_writer() {
+        use std::collections::BTreeSet;
+        use std::mem::{align_of, offset_of};
+        assert_eq!(align_of::<Table>(), 64);
+        let t = table();
+        macro_rules! lines {
+            ($($f:ident),*) => {{
+                let mut lines = BTreeSet::new();
+                $(
+                    let (at, len) = (offset_of!(Table, $f), std::mem::size_of_val(&t.$f));
+                    lines.extend(at / 64..=(at + len - 1) / 64);
+                )*
+                lines
+            }};
+        }
+        let read = lines!(engine_id, root);
+        let written = lines!(reserved, trimmed_versions, blocks);
+        assert!(
+            read.is_disjoint(&written),
+            "read {read:?}, written {written:?}"
+        );
+        // Each owner's block, and each shared counter, is a line of its own.
+        assert_eq!(std::mem::size_of_val(&t.blocks[0]), 64);
+        assert_eq!(std::mem::size_of_val(&t.reserved), 64);
+        assert_eq!(std::mem::size_of_val(&t.trimmed_versions), 64);
     }
 
     #[test]
@@ -336,10 +464,10 @@ mod tests {
             prop_assert_eq!(t.records().count() as Oid, resolvable);
         }
 
-        /// Racing creators get dense, unique OIDs, and each sees its slot
-        /// at once through `record`.
+        /// Racing creators get unique OIDs, and each sees its slot at once
+        /// through `record`; `len` and `records` count every one.
         #[test]
-        fn concurrent_creates_get_dense_unique_oids(threads in 2usize..5, each in 1usize..1500) {
+        fn concurrent_creates_get_unique_oids(threads in 2usize..5, each in 1usize..1500) {
             let t = table();
             let barrier = std::sync::Barrier::new(threads);
             let mut all: Vec<Oid> = std::thread::scope(|scope| {
@@ -360,7 +488,10 @@ mod tests {
                 creators.into_iter().flat_map(|h| h.join().unwrap()).collect()
             });
             all.sort_unstable();
-            prop_assert!(all.iter().copied().eq(0..(threads * each) as Oid), "dense, no duplicates");
+            all.dedup();
+            prop_assert_eq!(all.len(), threads * each, "no duplicates");
+            prop_assert!(t.oids().eq(all.iter().copied()));
+            prop_assert_eq!(t.records().count(), threads * each);
             prop_assert_eq!(t.len(), threads * each);
         }
     }

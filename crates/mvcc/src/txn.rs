@@ -56,6 +56,12 @@ struct WriteEntry {
 
 /// What an abort does to an index, newest first.
 ///
+/// The index pointer is borrowed, not counted: the methods that push an
+/// undo take `&'e HashIndex` / `&'e OrderedIndex`, so the borrow checker
+/// keeps the index alive for as long as the transaction (the argument
+/// [`WriteEntry`] makes for its engine's tables), and no reference count
+/// on the index's cache line is written per index change.
+///
 /// The indexes themselves know nothing of transactions: an entry a
 /// transaction inserted is there for everyone at once, and one it
 /// removed is gone for everyone. What makes the undo exact is a rule for
@@ -70,10 +76,24 @@ struct WriteEntry {
 /// the index reports that (`insert` returns `false`), and a debug build
 /// asserts it.
 enum IndexUndo {
-    Hash { index: Arc<HashIndex>, key: u64 },
-    Ordered { index: Arc<OrderedIndex>, key: u64 },
-    ReinsertHash { index: Arc<HashIndex>, key: u64, oid: Oid },
-    ReinsertOrdered { index: Arc<OrderedIndex>, key: u64, oid: Oid },
+    Hash {
+        index: *const HashIndex,
+        key: u64,
+    },
+    Ordered {
+        index: *const OrderedIndex,
+        key: u64,
+    },
+    ReinsertHash {
+        index: *const HashIndex,
+        key: u64,
+        oid: Oid,
+    },
+    ReinsertOrdered {
+        index: *const OrderedIndex,
+        key: u64,
+        oid: Oid,
+    },
 }
 
 /// The growable sets a transaction accumulates. A finished transaction
@@ -223,10 +243,11 @@ impl<'e> Transaction<'e> {
         self.own(table);
         preempt_point(costs::RECORD_WRITE);
         // Only handed-out OIDs are writable (`record` alone would also
-        // return the untouched slots of an allocated segment).
+        // return the untouched slots of an allocated segment, and those
+        // waiting in some thread's OID block).
         let rec = table
             .record(oid)
-            .filter(|_| (oid as usize) < table.len())
+            .filter(|rec| rec.is_issued())
             .ok_or(TxError::WriteConflict)?;
         let si_writes = self.iso != IsolationLevel::ReadCommitted;
         let version = {
@@ -234,6 +255,7 @@ impl<'e> Transaction<'e> {
             rec.install(self.txid, self.begin_ts, si_writes, data)
         }
         .inspect_err(|_| self.engine.note(stat::CONFLICTS, 1))?;
+        self.push_write(rec, version);
 
         let bytes = match data {
             Some(p) => log::append_redo(self.txid, table.id(), oid, p),
@@ -242,10 +264,12 @@ impl<'e> Transaction<'e> {
         preempt_point(costs::LOG_APPEND + bytes as u64 * costs::LOG_BYTE);
 
         self.maybe_trim(rec, table);
-        self.push_write(rec, version);
         Ok(())
     }
 
+    /// Books an installed version in the write set at once, before
+    /// anything that can unwind (a trim takes the record's latch): an
+    /// abort only unlinks what the write set holds.
     fn push_write(&mut self, record: &Record, version: &Version) {
         self.scratch().writes.push(WriteEntry { record, version });
         self.writes_done += 1;
@@ -263,18 +287,34 @@ impl<'e> Transaction<'e> {
             rec.install(self.txid, self.begin_ts, true, Some(data))
         }
         .expect("fresh record cannot conflict");
+        self.push_write(rec, version);
         let bytes = log::append_redo(self.txid, table.id(), oid, data);
         preempt_point(costs::LOG_APPEND + bytes as u64 * costs::LOG_BYTE);
-        self.push_write(rec, version);
         Ok(oid)
     }
 
     /// Inserts a record and registers it in a hash index, undoing the
     /// index entry if the transaction aborts. Fails on duplicate key.
+    ///
+    /// The transaction borrows the index until it ends, so an index
+    /// cannot go away under a pending undo:
+    ///
+    /// ```compile_fail,E0505
+    /// use std::sync::Arc;
+    /// use preempt_mvcc::{Engine, EngineConfig, HashIndex};
+    ///
+    /// let engine = Engine::new(EngineConfig::default());
+    /// let table = engine.create_table("t");
+    /// let index = Arc::new(HashIndex::new("t_key"));
+    /// let mut tx = engine.begin_si();
+    /// tx.insert_indexed(&table, &index, 7, b"row").unwrap();
+    /// drop(index); // still borrowed by `tx`
+    /// tx.abort();
+    /// ```
     pub fn insert_indexed(
         &mut self,
         table: &Arc<Table>,
-        index: &Arc<HashIndex>,
+        index: &'e HashIndex,
         key: u64,
         data: &[u8],
     ) -> TxResult<Oid> {
@@ -285,10 +325,9 @@ impl<'e> Transaction<'e> {
             self.do_abort();
             return Err(TxError::WriteConflict);
         }
-        self.scratch().index_undos.push(IndexUndo::Hash {
-            index: index.clone(),
-            key,
-        });
+        self.scratch()
+            .index_undos
+            .push(IndexUndo::Hash { index, key });
         Ok(oid)
     }
 
@@ -296,7 +335,7 @@ impl<'e> Transaction<'e> {
     pub fn insert_indexed_ordered(
         &mut self,
         table: &Arc<Table>,
-        index: &Arc<OrderedIndex>,
+        index: &'e OrderedIndex,
         key: u64,
         data: &[u8],
     ) -> TxResult<Oid> {
@@ -305,30 +344,28 @@ impl<'e> Transaction<'e> {
             self.do_abort();
             return Err(TxError::WriteConflict);
         }
-        self.scratch().index_undos.push(IndexUndo::Ordered {
-            index: index.clone(),
-            key,
-        });
+        self.scratch()
+            .index_undos
+            .push(IndexUndo::Ordered { index, key });
         Ok(oid)
     }
 
     /// Adds a secondary hash-index entry with abort-time undo.
-    pub fn index_insert(&mut self, index: &Arc<HashIndex>, key: u64, oid: Oid) -> TxResult<()> {
+    pub fn index_insert(&mut self, index: &'e HashIndex, key: u64, oid: Oid) -> TxResult<()> {
         self.check_active()?;
         if !index.insert(key, oid) {
             return Err(TxError::WriteConflict);
         }
-        self.scratch().index_undos.push(IndexUndo::Hash {
-            index: index.clone(),
-            key,
-        });
+        self.scratch()
+            .index_undos
+            .push(IndexUndo::Hash { index, key });
         Ok(())
     }
 
     /// Adds a secondary ordered-index entry with abort-time undo.
     pub fn index_insert_ordered(
         &mut self,
-        index: &Arc<OrderedIndex>,
+        index: &'e OrderedIndex,
         key: u64,
         oid: Oid,
     ) -> TxResult<()> {
@@ -336,24 +373,21 @@ impl<'e> Transaction<'e> {
         if !index.insert(key, oid) {
             return Err(TxError::WriteConflict);
         }
-        self.scratch().index_undos.push(IndexUndo::Ordered {
-            index: index.clone(),
-            key,
-        });
+        self.scratch()
+            .index_undos
+            .push(IndexUndo::Ordered { index, key });
         Ok(())
     }
 
     /// Removes a hash-index entry, restoring it on abort. Returns the
     /// removed OID (None if the key was absent).
-    pub fn index_remove(&mut self, index: &Arc<HashIndex>, key: u64) -> TxResult<Option<Oid>> {
+    pub fn index_remove(&mut self, index: &'e HashIndex, key: u64) -> TxResult<Option<Oid>> {
         self.check_active()?;
         let removed = index.remove(key);
         if let Some(oid) = removed {
-            self.scratch().index_undos.push(IndexUndo::ReinsertHash {
-                index: index.clone(),
-                key,
-                oid,
-            });
+            self.scratch()
+                .index_undos
+                .push(IndexUndo::ReinsertHash { index, key, oid });
         }
         Ok(removed)
     }
@@ -361,17 +395,15 @@ impl<'e> Transaction<'e> {
     /// Removes an ordered-index entry, restoring it on abort.
     pub fn index_remove_ordered(
         &mut self,
-        index: &Arc<OrderedIndex>,
+        index: &'e OrderedIndex,
         key: u64,
     ) -> TxResult<Option<Oid>> {
         self.check_active()?;
         let removed = index.remove(key);
         if let Some(oid) = removed {
-            self.scratch().index_undos.push(IndexUndo::ReinsertOrdered {
-                index: index.clone(),
-                key,
-                oid,
-            });
+            self.scratch()
+                .index_undos
+                .push(IndexUndo::ReinsertOrdered { index, key, oid });
         }
         Ok(removed)
     }
@@ -506,23 +538,31 @@ impl<'e> Transaction<'e> {
         {
             let _np = NonPreemptGuard::enter();
             // A record written twice yields its whole run on the first
-            // visit and nothing on the second.
-            for w in writes.drain(..).rev() {
-                // SAFETY: see `WriteEntry`.
-                if let Some(run) = unsafe { &*w.record }.unlink_pending(txid) {
-                    engine.retire(run);
+            // visit and nothing on the second. No injected latch panic
+            // may cut the loop short: the versions left behind would
+            // block their records for good.
+            preempt_faults::without_latch_panics(|| {
+                for w in writes.drain(..).rev() {
+                    // SAFETY: see `WriteEntry`.
+                    if let Some(run) = unsafe { &*w.record }.unlink_pending(txid) {
+                        engine.retire(run);
+                    }
                 }
-            }
+            });
         }
         for undo in index_undos.drain(..).rev() {
             match undo {
                 IndexUndo::Hash { index, key } => {
-                    index.remove(key);
+                    // SAFETY: see `IndexUndo`.
+                    unsafe { &*index }.remove(key);
                 }
                 IndexUndo::Ordered { index, key } => {
-                    index.remove(key);
+                    // SAFETY: see `IndexUndo`.
+                    unsafe { &*index }.remove(key);
                 }
                 IndexUndo::ReinsertHash { index, key, oid } => {
+                    // SAFETY: see `IndexUndo`.
+                    let index = unsafe { &*index };
                     let restored = index.insert(key, oid);
                     debug_assert!(
                         restored,
@@ -531,6 +571,8 @@ impl<'e> Transaction<'e> {
                     );
                 }
                 IndexUndo::ReinsertOrdered { index, key, oid } => {
+                    // SAFETY: see `IndexUndo`.
+                    let index = unsafe { &*index };
                     let restored = index.insert(key, oid);
                     debug_assert!(
                         restored,

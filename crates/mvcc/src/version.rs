@@ -21,6 +21,7 @@
 #[cfg_attr(loom, allow(unused_imports))]
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::{self, NonNull};
+use std::sync::atomic::AtomicBool;
 
 use crate::error::TxError;
 use crate::latch::Latch;
@@ -316,11 +317,16 @@ impl Detached {
 }
 
 /// A record: one indirection-array slot holding the latch that serializes
-/// writers and the head of the version chain. Sized so that records never
-/// straddle a cache line and a segment of 1024 is exactly 32 KiB.
+/// writers, whether its OID has been handed out, and the head of the
+/// version chain. Sized so that records never straddle a cache line and a
+/// segment of 1024 is exactly 32 KiB.
 #[repr(align(32))]
 pub struct Record {
     latch: Latch,
+    /// Set once when the table hands this slot's OID out (or recovery
+    /// replays into it). A slot reserved in some thread's OID block but
+    /// not handed out yet is not writable.
+    issued: AtomicBool,
     head: AtomicPtr<Version>,
 }
 
@@ -328,8 +334,21 @@ impl Record {
     pub fn new() -> Record {
         Record {
             latch: Latch::new(),
+            issued: AtomicBool::new(false),
             head: AtomicPtr::new(ptr::null_mut()),
         }
+    }
+
+    /// Whether this slot's OID has been handed out.
+    #[inline]
+    pub(crate) fn is_issued(&self) -> bool {
+        // Acquire: pairs with `mark_issued`, although whoever learned the
+        // OID learned it through a publication of its own.
+        self.issued.load(Ordering::Acquire)
+    }
+
+    pub(crate) fn mark_issued(&self) {
+        self.issued.store(true, Ordering::Release);
     }
 
     /// The record-head latch; serializable validation latches read-set

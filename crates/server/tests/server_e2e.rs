@@ -394,7 +394,6 @@ fn boom_without_chaos_flag_is_refused() {
 #[test]
 fn saturated_class_gets_overloaded_frames() {
     let mut cfg = test_config();
-    cfg.accounts = 512; // long scans so the cap is visibly held
     cfg.high = ClassLimits {
         tps: None,
         burst: 1,
@@ -403,17 +402,16 @@ fn saturated_class_gets_overloaded_frames() {
     let server = Server::start(cfg).expect("start");
     let mut c = Client::connect(&server, SloClass::High);
 
-    // One write carrying four pipelined scans: with a cap of one, the
-    // first is admitted and at least one of the rest bounces.
+    // One write carrying a deposit into a row whose latch the test holds,
+    // then three scans: the deposit is admitted and waits on the latch,
+    // so it is provably still in flight when the scans are read, and with
+    // a cap of one they bounce.
+    let (table, oids) = server.accounts();
+    let held = table.record(oids[0]).expect("account row").latch().write();
     let burst: Vec<u8> = (1..=4u64)
         .flat_map(|id| {
-            Frame::Req {
-                id,
-                op: Op::Sum,
-                a: 0,
-                b: 0,
-            }
-            .encode()
+            let op = if id == 1 { Op::Deposit } else { Op::Sum };
+            Frame::Req { id, op, a: 0, b: 1 }.encode()
         })
         .collect();
     c.send_bytes(&burst);
@@ -421,21 +419,26 @@ fn saturated_class_gets_overloaded_frames() {
     let mut completed = 0u64;
     let mut rejected = 0u64;
     let mut answered = [false; 5];
-    for _ in 0..4 {
-        match c.recv().expect("reply") {
+    let mut tally = |frame| {
+        let id = match frame {
             Frame::Resp { id, .. } => {
-                assert!(!answered[id as usize], "duplicate reply for {id}");
-                answered[id as usize] = true;
                 completed += 1;
+                id
             }
             Frame::Overloaded { id } => {
-                assert!(!answered[id as usize], "duplicate reply for {id}");
-                answered[id as usize] = true;
                 rejected += 1;
+                id
             }
             other => panic!("unexpected frame {other:?}"),
-        }
+        };
+        assert!(!answered[id as usize], "duplicate reply for {id}");
+        answered[id as usize] = true;
+    };
+    for _ in 0..3 {
+        tally(c.recv().expect("reply"));
     }
+    drop(held); // let the deposit finish
+    tally(c.recv().expect("reply"));
     assert_eq!(completed + rejected, 4, "every request answered exactly once");
     assert!(rejected >= 1, "the in-flight cap engaged");
 

@@ -218,15 +218,3 @@ impl SimUipiSender {
 pub fn wake_at(t: u64, target: CoreId) {
     with_sim(|s| s.borrow_mut().schedule_wake(t, target));
 }
-
-/// Adds a core to the *running* simulation. The new core's clock starts
-/// at the caller's current virtual time (it cannot run in its spawner's
-/// virtual past) and it becomes runnable immediately. Retired cores keep
-/// their [`CoreId`]s; the new core gets a fresh one.
-pub fn spawn_core(
-    name: &'static str,
-    stack_size: usize,
-    entry: impl FnOnce() + Send + 'static,
-) -> CoreId {
-    with_sim(|s| s.borrow_mut().spawn_core_inline(name, stack_size, entry))
-}

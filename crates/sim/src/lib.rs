@@ -170,31 +170,6 @@ mod tests {
         assert_eq!(failures[0].at, 500);
     }
 
-    #[test]
-    fn spawn_core_mid_run_starts_at_spawner_time() {
-        // A core replaces a failed worker mid-run; the replacement
-        // starts at its spawner's virtual time and runs to completion.
-        let replacement_ran = Arc::new(AtomicU64::new(0));
-        let r = replacement_ran.clone();
-        let sim = Simulation::new(SimConfig::default());
-        sim.spawn_core("worker", 64 * 1024, || panic!("wedged"));
-        sim.spawn_core("spawner", 64 * 1024, move || {
-            preempt_point(5_000);
-            let r2 = r.clone();
-            api::spawn_core("worker'", 64 * 1024, move || {
-                preempt_point(100);
-                r2.store(api::now_cycles(), Ordering::Relaxed);
-            });
-        });
-        sim.run();
-        assert_eq!(
-            replacement_ran.load(Ordering::Relaxed),
-            5_100,
-            "replacement inherits the spawner's clock, then works"
-        );
-        assert_eq!(sim.core_failures().len(), 1, "original failure recorded");
-    }
-
     thread_local! {
         static UPID_CHAN: RefCell<Option<Arc<preempt_uintr::Upid>>> =
             const { RefCell::new(None) };

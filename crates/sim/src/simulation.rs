@@ -635,36 +635,4 @@ impl SimState {
             self.cores[i].busy_cycles += cycles;
         }
     }
-
-    /// Adds a core while the simulation is running. The
-    /// new core's clock starts at the spawner's current virtual time (or
-    /// the event floor when called from the simulator loop), so it can
-    /// never run in the spawner's virtual past.
-    pub(crate) fn spawn_core_inline(
-        &mut self,
-        name: &'static str,
-        stack_size: usize,
-        entry: impl FnOnce() + Send + 'static,
-    ) -> CoreId {
-        let start = match self.current {
-            Some(i) => self.cores[i].vclock,
-            None => self.floor,
-        };
-        let context = Context::new(stack_size, name, entry).expect("stack allocation failed");
-        let main_tcb = context.tcb_ptr();
-        self.cores.push(CoreState {
-            name,
-            vclock: start,
-            deadline: start,
-            status: CoreStatus::Runnable,
-            active: main_tcb,
-            main_tcb,
-            context,
-            receiver: None,
-            core_hook: None,
-            busy_cycles: 0,
-            preempt_points: 0,
-        });
-        CoreId(self.cores.len() - 1)
-    }
 }

@@ -427,12 +427,10 @@ fn recovery_trace_is_deterministic() {
 
 /// The ledger identity at 16 workers on one and on two shards, under
 /// transaction and mid-latch panics, over 20 seeds each: the ledger holds
-/// exactly the deposits the report counts as committed, and no
-/// transaction or latch outlives the run. (Rows can be left unwritable
-/// at this scale: a latch panic injected while an aborting transaction
-/// unlinks its pending versions leaves the rest of them on their chains,
-/// so this loop does not run the fresh-write pass of
-/// `assert_engine_clean`.)
+/// exactly the deposits the report counts as committed, no transaction
+/// or latch outlives the run, and every row is writable afterwards (an
+/// aborting transaction unlinks all its pending versions even where the
+/// plan would inject a latch panic in the middle).
 #[test]
 fn deposits_conserve_at_16_workers_across_seeds() {
     for shards in [1, 2] {
@@ -456,6 +454,16 @@ fn deposits_conserve_at_16_workers_across_seeds() {
             assert!(
                 table.records().all(|r| !r.latch().is_held()),
                 "{at}: a record latch is still held"
+            );
+            let mut tx = engine.begin_si();
+            let unwritable: Vec<Oid> = oids
+                .iter()
+                .copied()
+                .filter(|&oid| tx.update(&table, oid, &[0; 8]).is_err())
+                .collect();
+            assert!(
+                unwritable.is_empty(),
+                "{at}: rows {unwritable:?} unwritable"
             );
         }
     }
