@@ -169,3 +169,45 @@ fn each_context_is_charged_exactly_its_own_polls() {
     assert_eq!(w.metrics_shard.counter(Counter::Preemptions), 1);
     db.shutdown();
 }
+
+/// Highs only: while one high runs on the regular path, two more are
+/// submitted, each with its interrupt. The running high declines both,
+/// and both run next on the regular path — no preemption, no switch.
+#[test]
+fn highs_declined_on_the_regular_path_run_next_without_a_switch() {
+    let db = one_worker();
+    let w = db.workers()[0].clone();
+    let running = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (r, rel) = (running.clone(), release.clone());
+    db.submit("first", Priority::High, move || {
+        r.store(true, Ordering::Release);
+        while !rel.load(Ordering::Acquire) {
+            preempt_point(1);
+        }
+        WorkOutcome::default()
+    });
+    wait_until("the first high to run", || running.load(Ordering::Acquire));
+    let count = |c| w.metrics_shard.counter(c);
+    let counted = [Counter::Preemptions, Counter::SchedEnterLevel, Counter::HighOnRegular];
+    let before = counted.map(count);
+    let done = Arc::new(AtomicU64::new(0));
+    for _ in 0..2 {
+        let d = done.clone();
+        db.submit("next", Priority::High, move || {
+            d.fetch_add(1, Ordering::SeqCst);
+            WorkOutcome::default()
+        });
+    }
+    let epoch = w.delivery_epoch();
+    wait_until("both deliveries to reach the handler", || {
+        w.uintr_ack.load(Ordering::Acquire) >= epoch
+    });
+    release.store(true, Ordering::Release);
+    wait_until("both to run", || done.load(Ordering::SeqCst) == 2);
+    let after = counted.map(count);
+    assert_eq!(after[0] - before[0], 0, "no preemption");
+    assert_eq!(after[1] - before[1], 0, "no switch");
+    assert_eq!(after[2] - before[2], 2, "both ran on the regular path");
+    db.shutdown();
+}

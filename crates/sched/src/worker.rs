@@ -3,10 +3,17 @@
 //! A worker owns one context per priority level:
 //!
 //! * **level 0** — the *regular scheduling path*: a loop that drains the
-//!   worker's queues highest-priority-first and runs each transaction to
+//!   worker's queues in policy order and runs each transaction to
 //!   completion;
 //! * **levels ≥ 1** — *preemptive contexts*: each runs a drain loop over
 //!   its priority's queue and switches back to the context it preempted.
+//!
+//! Both loops are a few lines over one step (`WorkerCtx::step_at`): pick
+//! the next request, run it under the panic firewall, book the outcome
+//! once, and return why control came back ([`Step`]). Each context keeps
+//! what it is running in a slot of its own ([`Running`]), so a nested
+//! request that ends leaves the priority of the transaction it preempted
+//! in place.
 //!
 //! A passive switch into a preemptive context is triggered by the
 //! user-interrupt handler (`WorkerCtx::on_uintr`, the paper's
@@ -18,18 +25,18 @@
 //!
 //! The worker integrates with whichever runtime hosts it through the
 //! preemption-point hook: the simulator's per-core hook (which accounts
-//! virtual time first), or on a real thread the `WorkerHook`; either
+//! virtual time first), or on a real thread the worker itself; either
 //! polls the worker's user-interrupt receiver and performs cooperative
 //! yield accounting. A preemptive worker on a real thread takes a
 //! one-load fast path instead (`WorkerCtx::on_thread_point`).
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use preempt_context::nonpreempt::NonPreemptGuard;
 use preempt_context::runtime::{self, PreemptHook};
 use preempt_context::switch::{switch_to, Context};
 use preempt_context::tcb::{self, Tcb};
@@ -92,16 +99,31 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Terminal state of one request's execute/retry loop.
-enum TxnEnd {
-    /// Committed with the closure's outcome.
-    Committed(WorkOutcome),
-    /// Retry budget exhausted without a commit.
+/// Why a worker step returned control to its loop (Hadron's
+/// `UserspaceReturn`, SNIPPETS.md #1).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Committed,
+    /// The retry budget ran out without a commit.
     Exhausted,
-    /// Deadline passed between attempts.
+    /// The deadline passed, before the first attempt or between two.
     TimedOut,
-    /// The transaction panicked; the firewall contained it.
-    Panicked(String),
+    /// The firewall contained a panic.
+    Panicked,
+    /// Every queue the step may take from is empty.
+    Idle,
+    Stopped,
+    /// The low transaction this context preempted is starving: hand it
+    /// back before the queue is drained (paper §5, decision site 2).
+    StarvationBreak,
+}
+
+/// What one context is running: its transaction's priority (`None`
+/// between transactions) and whether that transaction is attributed.
+#[derive(Clone, Copy, Default)]
+struct Running {
+    priority: Option<u8>,
+    attributed: bool,
 }
 
 /// Zero-sized and 64-byte aligned: in a `#[repr(C)]` struct, the field
@@ -254,25 +276,25 @@ struct WorkerCtx {
     /// TCBs per level; `[0]` is the worker's main context.
     level_tcbs: Vec<Cell<*const Tcb>>,
     current_level: Cell<u8>,
-    /// Priority of the transaction currently executing (None = between
-    /// transactions).
-    current_txn_priority: Cell<Option<u8>>,
+    /// What each level's context is running, by level.
+    slots: Vec<Cell<Running>>,
     /// Stack of levels to return to after a preemption/yield.
     return_levels: Cell<[u8; 16]>,
     return_depth: Cell<usize>,
     /// Cooperative yield accounting.
     ops_since_check: Cell<u64>,
     hints_since_check: Cell<u64>,
+    /// Highest level whose interrupt the handler declined while a
+    /// transaction of equal or higher priority ran on the regular path
+    /// (0: none). The regular path takes from that level first until
+    /// its queue is empty.
+    declined: Cell<u8>,
     /// Worker-local transaction sequence number for trace records.
     txn_seq: Cell<u64>,
     /// `handler` cycles (polls, handler decisions) the running context
     /// owes its accumulator: a plain cell, so neither touches
     /// context-local storage. See `flush_handler_owed`.
     handler_owed: Cell<u64>,
-    /// Bit `l` set: the transaction running at level `l` is attributed
-    /// (`run_request` decides once per request), so the handler and the
-    /// switch away from it read the clock on its behalf.
-    attributed: Cell<u32>,
 }
 
 /// The worker whose transaction is executing on the current *context*
@@ -315,6 +337,12 @@ impl WorkerCtx {
         self.return_levels.get()[d - 1]
     }
 
+    /// What the current context is running.
+    #[inline]
+    fn running(&self) -> Running {
+        self.slots[self.current_level.get() as usize].get()
+    }
+
     /// Switches from the current level into `level`'s context (passive
     /// preemption or cooperative yield — the paper's Figure 6 flow).
     fn enter_level(&self, level: u8) {
@@ -329,7 +357,7 @@ impl WorkerCtx {
         // Provenance: everything from here until the switch back — the
         // switch cost itself plus whatever the higher level ran — is
         // time this context's transaction spent preempted-out.
-        let away_start = self.is_attributed(from).then(now_cycles);
+        let away_start = self.slots[from as usize].get().attributed.then(now_cycles);
         charge(SWITCH_COST);
         // SAFETY: level TCBs point at contexts owned by this WorkerCtx
         // (or the worker's main context), alive for the worker's run.
@@ -369,7 +397,7 @@ impl WorkerCtx {
         // charges no virtual cycles here; real on threads), owed like a
         // poll's. The switch and the preempted-away window are charged by
         // `enter_level`.
-        let timed = self.is_attributed(self.current_level.get());
+        let timed = self.running().attributed;
         let handler_start = if timed { now_cycles() } else { 0 };
         let take = self.uintr_decide(vector);
         if timed {
@@ -402,8 +430,11 @@ impl WorkerCtx {
         // Do not interrupt an equal-or-higher-priority transaction
         // (paper §4.1: in-progress high-priority transactions are not
         // further interrupted in the default two-level configuration).
-        let cur = self.current_txn_priority.get().unwrap_or(0);
+        let cur = self.running().priority.unwrap_or(0);
         if level <= cur.max(self.current_level.get()) {
+            if self.current_level.get() == 0 {
+                self.declined.set(self.declined.get().max(level));
+            }
             return None;
         }
         // Taken, even when the queue turns out empty (Figure 8's overhead
@@ -414,7 +445,7 @@ impl WorkerCtx {
         Some(level)
     }
 
-    // ---- cooperative yielding ----
+    // ---- preemption points ----
 
     /// Called at every preemption point through the simulator's core hook,
     /// and on real threads under the policies that send no interrupts.
@@ -424,7 +455,6 @@ impl WorkerCtx {
         if let Some(stall) = preempt_faults::on_preempt_point() {
             charge(stall);
         }
-
         // Deliver pending user interrupts (no-op fast path). Only the
         // preemptive policy arms the machinery; the baselines run without
         // it, exactly like the paper's Figure 8 "without uintr" side.
@@ -432,23 +462,8 @@ impl WorkerCtx {
             charge(UINTR_POLL_COST);
             preempt_prov::charge(preempt_prov::Phase::Handler, UINTR_POLL_COST);
             self.deliver_uintr();
-        }
-
-        if let Policy::Cooperative { yield_interval } = self.policy {
-            if self.current_level.get() == 0 && self.current_txn_priority.get() == Some(0) {
-                let n = self.ops_since_check.get() + 1;
-                if n >= yield_interval {
-                    self.ops_since_check.set(0);
-                    // The check itself costs cycles; at yield-interval 1
-                    // this is the per-record overhead the paper shows
-                    // hurting Q2 (Figure 11, left of the sweep).
-                    charge(COOP_CHECK_COST);
-                    preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
-                    self.maybe_coop_switch();
-                } else {
-                    self.ops_since_check.set(n);
-                }
-            }
+        } else if let Policy::Cooperative { yield_interval } = self.policy {
+            self.yield_check(&self.ops_since_check, yield_interval);
         }
     }
 
@@ -476,15 +491,50 @@ impl WorkerCtx {
         self.deliver_uintr();
     }
 
-    /// Whether the transaction running at `level` is attributed.
-    #[inline]
-    fn is_attributed(&self, level: u8) -> bool {
-        self.attributed.get() & (1 << level) != 0
+    /// Polls the receiver (which may run the handler and switch away),
+    /// then, while the scheduler has degraded this worker to plain wakes
+    /// (interrupt delivery failing), makes a cooperative yield check.
+    /// Acquire pairs with the scheduler's Release store when it flips
+    /// degraded mode, so the worker also observes the queue state that
+    /// justified the transition.
+    fn deliver_uintr(&self) {
+        self.receiver.poll();
+        if self.shared.degraded.load(Ordering::Acquire) {
+            self.yield_check(&self.ops_since_check, DEGRADED_YIELD_INTERVAL);
+        }
     }
 
-    fn set_attributed(&self, level: u8, on: bool) {
-        let bits = self.attributed.get() & !(1 << level);
-        self.attributed.set(bits | (u32::from(on) << level));
+    /// Called at workload-annotated yield hints.
+    fn on_yield_hint(&self) {
+        if let Policy::CooperativeHandcrafted { block_interval } = self.policy {
+            self.yield_check(&self.hints_since_check, block_interval);
+        }
+    }
+
+    /// The one cooperative yield check (Cooperative, Handcrafted, and a
+    /// degraded preemptive worker): only a low transaction on the regular
+    /// path yields. It counts on `count`; every `interval`-th call pays
+    /// for a queue peek — at interval 1 the per-record overhead the paper
+    /// shows hurting Q2 (Figure 11, left of the sweep) — and switches to
+    /// the highest level with queued work.
+    fn yield_check(&self, count: &Cell<u64>, interval: u64) {
+        if self.current_level.get() != 0 || self.running().priority != Some(0) {
+            return;
+        }
+        let n = count.get() + 1;
+        if n < interval {
+            count.set(n);
+            return;
+        }
+        count.set(0);
+        charge(COOP_CHECK_COST);
+        preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
+        let levels = self.level_tcbs.len() as u8;
+        let queued = |l: &u8| !self.shared.queues[*l as usize].is_empty();
+        if let Some(level) = (1..levels).rev().find(queued) {
+            self.shared.metrics_shard.bump(Counter::CoopYields);
+            self.enter_level(level);
+        }
     }
 
     /// Whether anything can read a transaction's attribution: a live
@@ -506,65 +556,71 @@ impl WorkerCtx {
         }
     }
 
-    /// Polls the receiver (which may run the handler and switch away),
-    /// then makes the degraded-mode yield check.
-    fn deliver_uintr(&self) {
-        self.receiver.poll();
+    // ---- the step ----
 
-        // Degraded mode: interrupt delivery to this worker is failing,
-        // so fall back to cooperative yield checks (the scheduler has
-        // stopped sending uintrs and is using plain wakes). Same guard
-        // as Cooperative: only level-0 low-priority work yields. Acquire
-        // pairs with the scheduler's Release store when it flips
-        // degraded mode, so the worker also observes the queue state that
-        // justified the transition.
-        if self.shared.degraded.load(Ordering::Acquire)
-            && self.current_level.get() == 0
-            && self.current_txn_priority.get() == Some(0)
-        {
-            let n = self.ops_since_check.get() + 1;
-            if n >= DEGRADED_YIELD_INTERVAL {
-                self.ops_since_check.set(0);
-                charge(COOP_CHECK_COST);
-                preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
-                self.maybe_coop_switch();
+    /// One step of `level`'s context: take the next request, run it, and
+    /// say why control came back.
+    ///
+    /// Level 0 is the regular scheduling path (paper Figure 5 ①/②). Queue
+    /// preference is policy-dependent (§4.1: "the worker thread may also
+    /// be configured to prefer taking transactions from the high-priority
+    /// queue based on the scheduling policy"):
+    /// * Wait/Cooperative exhaust the high-priority queue first (§6.1);
+    /// * PreemptDB serves the low-priority stream here — high-priority
+    ///   transactions arrive through preemption, and gating them behind
+    ///   the preemptive path is what lets starvation prevention actually
+    ///   bound their CPU share (Figure 12's Lmax=0 restores full Q2
+    ///   throughput). With an empty low queue the high queue still runs
+    ///   here (path ②), and a level whose interrupt a transaction here
+    ///   declined comes first until its queue is empty.
+    ///
+    /// With every local queue empty, level 0 steals. A preemptive context
+    /// (③) takes only from its own level's queue, and under a preemptive
+    /// policy stops early when the transaction it preempted is starving.
+    fn step_at(&self, level: u8) -> Step {
+        if self.shared.is_stopped() {
+            return Step::Stopped;
+        }
+        let queues = &self.shared.queues;
+        let next = if level > 0 {
+            queues[level as usize].pop().map(|req| (req, level))
+        } else {
+            let pop = |l: u8| Some((queues[l as usize].pop()?, l));
+            let levels = self.level_tcbs.len() as u8;
+            let own = if self.policy.is_preemptive() {
+                // A declined delivery is spent: nothing else calls that
+                // level's queue in before the next low transaction ends.
+                let declined = self.declined.get();
+                let first = (declined > 0).then(|| pop(declined)).flatten();
+                first.or_else(|| {
+                    self.declined.set(0);
+                    (0..levels).find_map(pop)
+                })
             } else {
-                self.ops_since_check.set(n);
-            }
+                (0..levels).rev().find_map(pop)
+            };
+            own.or_else(|| Some((self.try_steal()?, 0)))
+        };
+        let Some((req, from)) = next else {
+            return Step::Idle;
+        };
+        runtime::preempt_point(DISPATCH_POP_COST);
+        if from > level {
+            self.shared.metrics_shard.bump(Counter::HighOnRegular);
         }
+        let step = self.run(req, level);
+        if level > 0
+            && self.policy.is_preemptive()
+            && self.shared.starvation.starving_live(now_cycles())
+        {
+            preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost { site: 2 });
+            self.shared.metrics_shard.bump(Counter::StarvationBreaks);
+            return Step::StarvationBreak;
+        }
+        step
     }
 
-    /// Called at workload-annotated yield hints.
-    fn on_yield_hint(&self) {
-        if let Policy::CooperativeHandcrafted { block_interval } = self.policy {
-            if self.current_level.get() == 0 && self.current_txn_priority.get() == Some(0) {
-                let n = self.hints_since_check.get() + 1;
-                if n >= block_interval {
-                    self.hints_since_check.set(0);
-                    charge(COOP_CHECK_COST);
-                    preempt_prov::charge(preempt_prov::Phase::Handler, COOP_CHECK_COST);
-                    self.maybe_coop_switch();
-                } else {
-                    self.hints_since_check.set(n);
-                }
-            }
-        }
-    }
-
-    /// Voluntary switch if any higher-priority queue has work.
-    fn maybe_coop_switch(&self) {
-        for level in (1..self.level_tcbs.len() as u8).rev() {
-            if !self.shared.queues[level as usize].is_empty() {
-                self.shared.metrics_shard.bump(Counter::CoopYields);
-                self.enter_level(level);
-                return;
-            }
-        }
-    }
-
-    // ---- execution ----
-
-    /// Runs one request, recording metrics and starvation bookkeeping.
+    /// Runs one request at `level` and books its outcome, once.
     ///
     /// Robustness semantics:
     /// * a request whose deadline already passed is abandoned without
@@ -576,11 +632,9 @@ impl WorkerCtx {
     /// * a panicking transaction is contained by the firewall: its unwind
     ///   releases latches and MVCC state via drop guards, the panic
     ///   message is captured, and the worker keeps serving requests.
-    fn run_request(&self, req: Request, at_level: u8) -> u64 {
+    fn run(&self, mut req: Request, level: u8) -> Step {
         let started = now_cycles();
-        let kind = req.kind;
-        let created = req.created_at;
-        let ingress = req.ingress;
+        let (kind, priority, created) = (req.kind, req.priority, req.created_at);
         let txn = self.txn_seq.get();
         self.txn_seq.set(txn.wrapping_add(1));
         self.handler_owed.set(0);
@@ -591,19 +645,15 @@ impl WorkerCtx {
         } else {
             ((self.shared.id as u64 + 1) << 40) | txn
         };
-        preempt_trace::emit(preempt_trace::TraceEvent::TxnBegin {
-            txn,
-            priority: req.priority,
-        });
+        preempt_trace::emit(preempt_trace::TraceEvent::TxnBegin { txn, priority });
         // No preemption point runs between TxnBegin and ReqId, so the
         // reconstructor can bind the id to the just-opened span.
         preempt_trace::emit(preempt_trace::TraceEvent::ReqId { id: req_id });
-        if let Some(dl) = req.deadline {
-            if started >= dl {
-                preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn });
-                self.shared.metrics_shard.txn_deadline_abort(kind);
-                return 0;
-            }
+        let shard = &self.shared.metrics_shard;
+        if req.deadline.is_some_and(|dl| started >= dl) {
+            preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn });
+            shard.txn_deadline_abort(kind);
+            return Step::TimedOut;
         }
         // Provenance window opens, if anything will read it: drop any
         // stale between-transaction charges (idle-path polls, owed or
@@ -611,213 +661,103 @@ impl WorkerCtx {
         // phases. Decided once, so the transaction is attributed whole or
         // not at all.
         let attributed = self.attribution_observed();
-        self.set_attributed(at_level, attributed);
         if attributed {
             preempt_prov::reset();
         }
-        let sched_latency = started.saturating_sub(created);
-        let is_low = req.priority == 0;
-        if at_level == 0 && is_low {
+        let low_on_regular = level == 0 && priority == 0;
+        if low_on_regular {
             self.shared.starvation.low_priority_started(started);
         }
-        let priority = req.priority;
-        self.current_txn_priority.set(Some(priority));
-        let mut req = req;
-        let mut attempts: u32 = 0;
+        let slot = &self.slots[level as usize];
+        slot.set(Running {
+            priority: Some(priority),
+            attributed,
+        });
         // Panic firewall (failure containment): the whole execute/retry
         // loop runs under `catch_unwind`, so a panicking transaction
         // unwinds back to here — releasing its latches and MVCC slot
         // through the usual drop guards on the way — and the worker keeps
-        let end = {
-            let attempts = &mut attempts;
-            let deadline = req.deadline;
-            let max_retries = req.max_retries;
-            match catch_unwind(AssertUnwindSafe(|| {
-                if preempt_faults::on_txn_start() {
-                    panic!("injected: transaction panic");
-                }
-                loop {
-                    let o = req.run();
-                    if o.committed {
-                        return TxnEnd::Committed(o);
-                    }
-                    if *attempts >= max_retries {
-                        return TxnEnd::Exhausted;
-                    }
-                    *attempts += 1;
-                    // Backoff between attempts runs at a preemption point,
-                    // so a retrying low-priority transaction stays
-                    // preemptible.
-                    let shift = (*attempts - 1).min(RETRY_BACKOFF_MAX_SHIFT);
-                    runtime::preempt_point(RETRY_BACKOFF_BASE << shift);
-                    // Provenance: the backoff's nominal cost is redo time.
-                    // Exact in the simulator (preempt_point advances just
-                    // that); a preemption landing inside the backoff is
-                    // charged separately as preempted-out, keeping the
-                    // phase identity intact.
-                    preempt_prov::charge(
-                        preempt_prov::Phase::Retry,
-                        RETRY_BACKOFF_BASE << shift,
-                    );
-                    if let Some(dl) = deadline {
-                        if now_cycles() >= dl {
-                            return TxnEnd::TimedOut;
-                        }
-                    }
-                }
-            })) {
-                Ok(end) => end,
-                Err(p) => TxnEnd::Panicked(payload_message(&*p)),
-            }
-        };
-        self.current_txn_priority.set(None);
-        self.set_attributed(at_level, false);
+        // serving.
+        let mut attempts = 0;
+        let end = catch_unwind(AssertUnwindSafe(|| execute(&mut req, &mut attempts)));
+        debug_assert_eq!(
+            NonPreemptGuard::depth(),
+            0,
+            "a {kind} transaction left a non-preemptible region open"
+        );
+        slot.set(Running::default());
         let finished = now_cycles();
-        if at_level == 0 && is_low {
+        if low_on_regular {
             self.shared.starvation.low_priority_finished();
         }
-        // Full phase vector for a committed window: explicit charges from
-        // the accumulator, admission/queue from timestamps, run as the
-        // residual — so the vector sums to the measured latency exactly.
-        let committed_phases = (attributed && matches!(end, TxnEnd::Committed(_))).then(|| {
-            let window = finished.saturating_sub(started);
-            let admission = if ingress == 0 {
-                0
-            } else {
-                created.saturating_sub(ingress)
-            };
-            self.flush_handler_owed();
-            preempt_prov::phase_vector(admission, sched_latency, window, &preempt_prov::take())
-        });
-        match &end {
-            TxnEnd::Committed(_) => {
-                // Phase events precede TxnCommit: the reconstructor folds
-                // them into the still-open span the commit then closes.
-                if let Some(phases) = &committed_phases {
-                    preempt_prov::emit_phases(phases);
+        let step = match end {
+            Ok(Ok(outcome)) => {
+                if attributed {
+                    self.attribute(txn, req_id, &req, started, finished);
                 }
-                preempt_trace::emit(preempt_trace::TraceEvent::TxnCommit { txn })
-            }
-            TxnEnd::Panicked(_) => preempt_trace::emit(preempt_trace::TraceEvent::TxnPanic { txn }),
-            _ => preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn }),
-        }
-        let shard = &self.shared.metrics_shard;
-        match end {
-            TxnEnd::Committed(o) => {
+                preempt_trace::emit(preempt_trace::TraceEvent::TxnCommit { txn });
+                let retries = outcome.retries + u64::from(attempts);
                 let latency = finished.saturating_sub(created);
-                let retries = o.retries + attempts as u64;
+                let sched_latency = started.saturating_sub(created);
                 shard.txn_completed(kind, priority, latency, sched_latency, retries);
-                if let Some(phases) = &committed_phases {
-                    preempt_prov::record_phase_hists(phases, priority > 0);
-                    // Flight recorder: on an end-to-end SLO breach, freeze
-                    // the full attribution as an exemplar.
-                    if let Some(fr) = self.shared.flight.get() {
-                        let class = usize::from(priority > 0);
-                        let slo = fr.slo(class);
-                        let e2e = phases.iter().sum::<u64>();
-                        if e2e > slo {
-                            fr.capture(preempt_prov::Exemplar {
-                                req_id,
-                                txn,
-                                worker: self.shared.id as u16,
-                                class: class as u8,
-                                latency: e2e,
-                                slo,
-                                started,
-                                finished,
-                                phases: *phases,
-                            });
-                        }
-                    }
+                Step::Committed
+            }
+            Ok(Err(step)) => {
+                preempt_trace::emit(preempt_trace::TraceEvent::TxnAbort { txn });
+                if step == Step::TimedOut {
+                    shard.txn_deadline_abort(kind);
+                } else {
+                    shard.txn_failed(kind, u64::from(attempts));
                 }
+                step
             }
-            TxnEnd::TimedOut => shard.txn_deadline_abort(kind),
-            TxnEnd::Exhausted => shard.txn_failed(kind, attempts as u64),
-            TxnEnd::Panicked(msg) => {
+            Err(payload) => {
+                preempt_trace::emit(preempt_trace::TraceEvent::TxnPanic { txn });
                 shard.bump(Counter::WorkerPanics);
+                let msg = payload_message(&*payload);
                 self.shared.panics.lock().push(format!("{kind}: {msg}"));
+                Step::Panicked
             }
-        }
+        };
         let dur = finished.saturating_sub(started);
         shard.bump_by(Counter::BusyCycles, dur);
-        dur
-    }
-
-    /// The preemptive context's program for `level` (paper Figure 5 ③:
-    /// drain the level's queue, then ④ resume the preempted context).
-    fn drain_loop(&self, level: u8) -> ! {
-        loop {
-            // We were just switched into (passively or cooperatively).
-            loop {
-                if self.shared.is_stopped() {
-                    break;
-                }
-                let Some(req) = self.shared.queues[level as usize].pop() else {
-                    break;
-                };
-                runtime::preempt_point(DISPATCH_POP_COST);
-                let dur = self.run_request(req, level);
-                self.shared.starvation.add_high_cycles(dur);
-                // Starvation decision site 2 (paper §5): stop draining
-                // early if the paused low-priority transaction is
-                // starved. Uses the live threshold cell, so adaptive
-                // re-tunes apply mid-drain.
-                if self.policy.is_preemptive()
-                    && self.shared.starvation.starving_live(now_cycles())
-                {
-                    preempt_trace::emit(preempt_trace::TraceEvent::StarvationBoost {
-                        site: 2,
-                    });
-                    self.shared.metrics_shard.bump(Counter::StarvationBreaks);
-                    break;
-                }
-            }
-            self.leave_level();
+        if level > 0 {
+            self.shared.starvation.add_high_cycles(dur);
         }
+        step
     }
 
-    /// The regular scheduling path (paper Figure 5 ①/②), run on the
-    /// worker's main context at level 0.
-    ///
-    /// Queue preference is policy-dependent (§4.1: "the worker thread may
-    /// also be configured to prefer taking transactions from the
-    /// high-priority queue based on the scheduling policy"):
-    /// * Wait/Cooperative exhaust the high-priority queue first (§6.1);
-    /// * PreemptDB serves the low-priority stream here — high-priority
-    ///   transactions arrive through preemption, and gating them behind
-    ///   the preemptive path is what lets starvation prevention actually
-    ///   bound their CPU share (Figure 12's Lmax=0 restores full Q2
-    ///   throughput). With an empty low queue the high queue still runs
-    ///   here (path ②).
-    fn regular_loop(&self) {
-        let prefer_high = !self.policy.is_preemptive();
-        while !self.shared.is_stopped() {
-            let levels = self.level_tcbs.len() as u8;
-            let pop = |level: u8| {
-                let req = self.shared.queues[level as usize].pop()?;
-                Some((req, level))
-            };
-            let found = if prefer_high {
-                (0..levels).rev().find_map(pop)
-            } else {
-                (0..levels).find_map(pop)
-            };
-            match found {
-                Some((req, from_level)) => {
-                    runtime::preempt_point(DISPATCH_POP_COST);
-                    if from_level > 0 {
-                        self.shared.metrics_shard.bump(Counter::HighOnRegular);
-                    }
-                    self.run_request(req, 0);
-                }
-                None => match self.try_steal() {
-                    Some(req) => {
-                        runtime::preempt_point(DISPATCH_POP_COST);
-                        self.run_request(req, 0);
-                    }
-                    None => idle_wait(&self.shared),
-                },
-            }
+    /// An attributed commit's full phase vector (explicit charges from the
+    /// accumulator, admission/queue from timestamps, run as the residual —
+    /// so it sums to the measured latency exactly): its events, emitted
+    /// before `TxnCommit` so the reconstructor folds them into the span
+    /// the commit closes, its histograms and, on an end-to-end SLO breach,
+    /// a flight-recorder exemplar.
+    fn attribute(&self, txn: u64, req_id: u64, req: &Request, started: u64, finished: u64) {
+        let admission = if req.ingress == 0 { 0 } else { req.created_at.saturating_sub(req.ingress) };
+        let queued = started.saturating_sub(req.created_at);
+        let window = finished.saturating_sub(started);
+        self.flush_handler_owed();
+        let phases = preempt_prov::phase_vector(admission, queued, window, &preempt_prov::take());
+        preempt_prov::emit_phases(&phases);
+        preempt_prov::record_phase_hists(&phases, req.priority > 0);
+        let Some(fr) = self.shared.flight.get() else {
+            return;
+        };
+        let class = usize::from(req.priority > 0);
+        let (slo, e2e) = (fr.slo(class), phases.iter().sum::<u64>());
+        if e2e > slo {
+            fr.capture(preempt_prov::Exemplar {
+                req_id,
+                txn,
+                worker: self.shared.id as u16,
+                class: class as u8,
+                latency: e2e,
+                slo,
+                started,
+                finished,
+                phases,
+            });
         }
     }
 
@@ -835,21 +775,10 @@ impl WorkerCtx {
     /// high-priority burst. The scan across victims stays preemptible:
     /// only the per-queue claim window needs the guard.
     fn try_steal(&self) -> Option<Request> {
-        let peers = self.shared.steal_peers.get()?;
-        let mut stolen = None;
-        for peer in peers {
-            let Some(victim) = peer.upgrade() else {
-                continue;
-            };
-            if victim.is_stopped() {
-                continue;
-            }
-            if let Some(req) = victim.queues[0].steal() {
-                stolen = Some((req, victim.id as u16));
-                break;
-            }
-        }
-        let (req, victim) = stolen?;
+        let (req, victim) = self.shared.steal_peers.get()?.iter().find_map(|peer| {
+            let victim = peer.upgrade().filter(|v| !v.is_stopped())?;
+            Some((victim.queues[0].steal()?, victim.id as u16))
+        })?;
         preempt_trace::emit(preempt_trace::TraceEvent::Steal {
             victim,
             thief: self.shared.id as u16,
@@ -857,6 +786,57 @@ impl WorkerCtx {
         });
         self.shared.metrics_shard.bump(Counter::Steals);
         Some(req)
+    }
+
+    /// The regular scheduling path, on the worker's main context.
+    fn regular_loop(&self) {
+        loop {
+            match self.step_at(0) {
+                Step::Stopped => return,
+                Step::Idle => idle_wait(&self.shared),
+                _ => {}
+            }
+        }
+    }
+
+    /// The preemptive context's program for `level` (paper Figure 5 ③:
+    /// drain the level's queue, then ④ resume the preempted context).
+    fn drain_loop(&self, level: u8) -> ! {
+        loop {
+            if let Step::Idle | Step::Stopped | Step::StarvationBreak = self.step_at(level) {
+                self.leave_level();
+            }
+        }
+    }
+}
+
+/// The execute/retry loop of one request: `Ok` with the committing
+/// attempt's outcome, or why it ended without one.
+fn execute(req: &mut Request, attempts: &mut u32) -> Result<WorkOutcome, Step> {
+    if preempt_faults::on_txn_start() {
+        panic!("injected: transaction panic");
+    }
+    loop {
+        let o = req.run();
+        if o.committed {
+            return Ok(o);
+        }
+        if *attempts >= req.max_retries {
+            return Err(Step::Exhausted);
+        }
+        *attempts += 1;
+        // Backoff between attempts runs at a preemption point, so a
+        // retrying low-priority transaction stays preemptible.
+        let backoff = RETRY_BACKOFF_BASE << (*attempts - 1).min(RETRY_BACKOFF_MAX_SHIFT);
+        runtime::preempt_point(backoff);
+        // Provenance: the backoff's nominal cost is redo time. Exact in
+        // the simulator (preempt_point advances just that); a preemption
+        // landing inside the backoff is charged separately as
+        // preempted-out, keeping the phase identity intact.
+        preempt_prov::charge(preempt_prov::Phase::Retry, backoff);
+        if req.deadline.is_some_and(|dl| now_cycles() >= dl) {
+            return Err(Step::TimedOut);
+        }
     }
 }
 
@@ -876,42 +856,14 @@ fn idle_wait(shared: &WorkerShared) {
     }
 }
 
-/// The worker's preemption-point hook on a real thread: chains to any
-/// hook installed around the worker, then runs delivery/yield logic.
-struct WorkerHook {
-    wc: usize,
-    parent: Option<NonNull<dyn PreemptHook>>,
-}
-
-impl WorkerHook {
+/// The worker's preemption-point hook on a real thread.
+impl PreemptHook for WorkerCtx {
     #[inline]
-    fn worker_point(&self) {
-        // SAFETY: `wc` outlives the hook's installation (both are scoped
-        // to worker_main's frame).
-        let wc = unsafe { &*(self.wc as *const WorkerCtx) };
-        if wc.policy.sends_uintr() {
-            wc.on_thread_point();
+    fn preempt_point(&self, _cost_cycles: u64) {
+        if self.policy.sends_uintr() {
+            self.on_thread_point();
         } else {
-            wc.on_point();
-        }
-    }
-
-    /// Out of line, so that the common, unchained hook saves no registers.
-    #[cold]
-    #[inline(never)]
-    fn chained_point(&self, parent: NonNull<dyn PreemptHook>, cost_cycles: u64) {
-        // SAFETY: the parent hook outlives the worker's scope (it was
-        // installed by the runtime that spawned this worker).
-        unsafe { parent.as_ref().preempt_point(cost_cycles) };
-        self.worker_point();
-    }
-}
-
-impl PreemptHook for WorkerHook {
-    fn preempt_point(&self, cost_cycles: u64) {
-        match self.parent {
-            Some(parent) => self.chained_point(parent, cost_cycles),
-            None => self.worker_point(),
+            self.on_point();
         }
     }
 }
@@ -945,14 +897,14 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         contexts: Vec::new(),
         level_tcbs: Vec::new(),
         current_level: Cell::new(0),
-        current_txn_priority: Cell::new(None),
+        slots: (0..levels).map(|_| Cell::default()).collect(),
         return_levels: Cell::new([0; 16]),
         return_depth: Cell::new(0),
         ops_since_check: Cell::new(0),
         hints_since_check: Cell::new(0),
+        declined: Cell::new(0),
         txn_seq: Cell::new(0),
         handler_owed: Cell::new(0),
-        attributed: Cell::new(0),
     });
     let wc_ptr = &*wc as *const WorkerCtx as usize;
     // The runner registers a ring before starting the worker (or never);
@@ -1038,11 +990,10 @@ pub fn worker_main(shared: Arc<WorkerShared>, policy: Policy) {
         wc.regular_loop();
         preempt_sim::api::clear_core_hook();
     } else {
-        let hook = WorkerHook {
-            wc: wc_ptr,
-            parent: runtime::current_hook_raw(),
-        };
-        runtime::with_hook(&hook, || wc.regular_loop());
+        // A worker thread is spawned for the worker alone
+        // (`spawn_worker_thread`): no hook is installed around it.
+        debug_assert!(runtime::current_hook_raw().is_none());
+        runtime::with_hook(&*wc, || wc.regular_loop());
     }
     CURRENT_WORKER.set(0);
     preempt_trace::clear_current();
@@ -1092,6 +1043,7 @@ mod tests {
     use super::*;
     use crate::request::WorkOutcome;
     use preempt_sim::{SimConfig, Simulation};
+    use std::sync::atomic::AtomicU64;
 
     fn completed_view(shared: &WorkerShared) -> crate::Metrics {
         let snap = preempt_metrics::MetricsSnapshot::of_shards([&*shared.metrics_shard]);
@@ -1157,7 +1109,6 @@ mod tests {
     /// high request must complete before the low one finishes.
     #[test]
     fn uintr_preempts_long_low_priority_txn() {
-        use std::sync::atomic::AtomicU64;
         let sim = Simulation::new(SimConfig::default());
         let shared = WorkerShared::new(0, &[1, 4]);
         let high_done = Arc::new(AtomicU64::new(0));
@@ -1222,7 +1173,6 @@ mod tests {
     /// Under Wait, the same scenario makes the high txn wait for the low.
     #[test]
     fn wait_policy_does_not_preempt() {
-        use std::sync::atomic::AtomicU64;
         let sim = Simulation::new(SimConfig::default());
         let shared = WorkerShared::new(0, &[1, 4]);
         let high_done = Arc::new(AtomicU64::new(0));
@@ -1270,62 +1220,124 @@ mod tests {
         assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 0);
     }
 
-    /// Cooperative yields at the configured interval.
+    /// Cooperative yields at the configured interval, again after each
+    /// nested request: the low transaction keeps its priority when the
+    /// request it yielded to returns.
     #[test]
     fn cooperative_yields_at_interval() {
-        use std::sync::atomic::AtomicU64;
         let sim = Simulation::new(SimConfig::default());
         let shared = WorkerShared::new(0, &[1, 4]);
-        let high_done = Arc::new(AtomicU64::new(0));
-        let low_done = Arc::new(AtomicU64::new(0));
+        let done: Vec<_> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
         let ws = shared.clone();
-        let core = sim.spawn_core("worker", 256 * 1024, move || {
-            worker_main(
-                ws,
-                Policy::Cooperative {
-                    yield_interval: 1_000,
-                },
-            );
-        });
+        let policy = Policy::Cooperative {
+            yield_interval: 1_000,
+        };
+        let core = sim.spawn_core("worker", 256 * 1024, move || worker_main(ws, policy));
         shared.set_wake_target(WakeTarget::Sim(core));
 
-        let ws = shared.clone();
-        let (hd, ld) = (high_done.clone(), low_done.clone());
+        let (ws, d) = (shared.clone(), done.clone());
         sim.spawn_core("sched", 128 * 1024, move || {
-            let ld2 = ld.clone();
-            ws.queues[0]
-                .push(Request::new("q2", 0, 0, move || {
-                    for _ in 0..10_000 {
-                        runtime::preempt_point(1_000);
-                    }
-                    ld2.store(crate::clock::now_cycles(), Ordering::Relaxed);
-                    WorkOutcome::default()
-                }))
-                .ok();
+            ws.queues[0].push(stamped("q2", 0, 10_000_000, &d[0])).ok();
             ws.wake();
+            // No uintr under Cooperative: the worker notices each high
+            // request at its next yield check.
             preempt_sim::api::sleep_until(1_000_000);
-            let hd2 = hd.clone();
-            let now = crate::clock::now_cycles();
-            ws.queues[1]
-                .push(Request::new("neworder", 1, now, move || {
-                    runtime::preempt_point(20_000);
-                    hd2.store(crate::clock::now_cycles(), Ordering::Relaxed);
-                    WorkOutcome::default()
-                }))
-                .ok();
-            // No uintr under Cooperative: the worker notices at its next
-            // yield check.
+            ws.queues[1].push(stamped("neworder", 1, 20_000, &d[1])).ok();
+            preempt_sim::api::sleep_until(5_000_000);
+            ws.queues[1].push(stamped("payment", 1, 20_000, &d[2])).ok();
             preempt_sim::api::sleep_until(60_000_000);
             ws.stop();
         });
 
         sim.run();
-        let h = high_done.load(Ordering::Relaxed);
-        let l = low_done.load(Ordering::Relaxed);
-        assert!(h < l, "cooperative lets the high txn in mid-low txn");
-        assert!(shared.metrics_shard.counter(Counter::CoopYields) >= 1);
+        let [low, first, second] = [0, 1, 2].map(|i| done[i].load(Ordering::Relaxed));
+        assert!(first > 0 && second > 0 && low > 0, "all completed");
+        assert!(first < low && second < low, "both highs inside the low: {first} {second} {low}");
+        assert!(shared.metrics_shard.counter(Counter::CoopYields) >= 2);
         assert_eq!(shared.metrics_shard.counter(Counter::Preemptions), 0);
+    }
+
+    /// A request of `cycles` in 1 000-cycle operations that stamps its
+    /// completion time into `done`.
+    fn stamped(kind: &'static str, priority: u8, cycles: u64, done: &Arc<AtomicU64>) -> Request {
+        let done = done.clone();
+        Request::new(kind, priority, crate::clock::now_cycles(), move || {
+            for _ in 0..cycles / 1_000 {
+                runtime::preempt_point(1_000);
+            }
+            done.store(crate::clock::now_cycles(), Ordering::Relaxed);
+            WorkOutcome::default()
+        })
+    }
+
+    /// A high request whose interrupt was declined, because another high
+    /// transaction ran on the regular path, runs on the regular path as
+    /// soon as that transaction ends — not after the low transaction the
+    /// preemptive order would take next — and preempts nothing.
+    #[test]
+    fn declined_delivery_is_taken_when_the_declining_step_ends() {
+        let sim = Simulation::new(SimConfig::default());
+        let shared = WorkerShared::new(0, &[1, 4]);
+        let done: Vec<_> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
+
+        let ws = shared.clone();
+        let core = sim.spawn_core("worker", 256 * 1024, move || worker_main(ws, Policy::preemptdb()));
+        shared.set_wake_target(WakeTarget::Sim(core));
+
+        let (ws, d) = (shared.clone(), done.clone());
+        sim.spawn_core("sched", 128 * 1024, move || {
+            // Empty low queue: the first high runs on the regular path.
+            ws.queues[1].push(stamped("neworder", 1, 2_000_000, &d[1])).ok();
+            ws.wake();
+            preempt_sim::api::sleep_until(500_000);
+            // A long low queued behind it, and a second high whose
+            // interrupt the first one declines.
+            ws.queues[0].push(stamped("q2", 0, 10_000_000, &d[0])).ok();
+            ws.queues[1].push(stamped("payment", 1, 20_000, &d[2])).ok();
+            preempt_sim::SimUipiSender::new(ws.upid().unwrap(), 1, core).send();
+            preempt_sim::api::sleep_until(60_000_000);
+            ws.stop();
+        });
+
+        sim.run();
+        let [low, first, second] = [0, 1, 2].map(|i| done[i].load(Ordering::Relaxed));
+        assert!(first > 0 && second > 0 && low > 0, "all completed");
+        assert!(
+            second > first && second < first + 100_000,
+            "the declined high runs right after the one that declined it: {first} {second}"
+        );
+        assert!(second < low, "not after the low transaction: {second} {low}");
+        let count = |c| shared.metrics_shard.counter(c);
+        assert_eq!(count(Counter::HighOnRegular), 2);
+        assert_eq!(count(Counter::Preemptions), 0);
+        assert_eq!(count(Counter::SchedEnterLevel), 0);
+    }
+
+    /// Every step exit checks that the transaction closed each
+    /// non-preemptible region it opened (debug builds).
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_leaked_non_preemptible_region_trips_the_step_exit_check() {
+        let shared = WorkerShared::new(0, &[1, 4]);
+        let handle = spawn_worker_thread(&shared, Policy::Wait);
+        while shared.upid().is_none() {
+            std::thread::yield_now();
+        }
+        let req = Request::new("leaky", 0, now_cycles(), || {
+            std::mem::forget(NonPreemptGuard::enter());
+            WorkOutcome::default()
+        });
+        shared.queues[0].push(req).ok();
+        shared.wake();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !handle.is_finished() && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        shared.stop();
+        let payload = handle.join().expect_err("the step exit check must stop the worker");
+        let msg = payload_message(&*payload);
+        assert!(msg.contains("left a non-preemptible region open"), "{msg}");
     }
 
     /// Worker also runs on a plain OS thread (no simulator).

@@ -425,7 +425,9 @@ impl TpccDb {
             item_ids.push(oid);
             ControlFlow::Continue(())
         });
-        let mut distinct = std::collections::HashSet::new();
+        // Ordered, so the stock reads run in the same order every run (a
+        // hash set's order is random per process).
+        let mut distinct = std::collections::BTreeSet::new();
         for oid in item_ids {
             if let Some(p) = tx.read(&self.order_line, oid) {
                 distinct.insert(OrderLineRow::decode(&p).i_id);

@@ -183,6 +183,71 @@ fn lower_priority_never_interrupts_higher() {
     );
 }
 
+/// A level-1 transaction on the regular path keeps its priority after a
+/// level-2 request preempts it and returns: a later level-1 interrupt is
+/// declined, and that request runs only after the one it would have
+/// preempted.
+#[test]
+fn equal_priority_interrupt_is_declined_after_a_nested_request() {
+    let done_at: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+    let sim = Simulation::new(SimConfig::default());
+    let shared = WorkerShared::new(0, &[1, 4, 4]);
+
+    let ws = shared.clone();
+    let core = sim.spawn_core("worker", 256 * 1024, move || {
+        worker_main(ws, Policy::preemptdb());
+    });
+    shared.set_wake_target(WakeTarget::Sim(core));
+
+    let ws = shared.clone();
+    let st = done_at.clone();
+    sim.spawn_core("sched", 128 * 1024, move || {
+        let stamped = |slot: usize, priority: u8, ops: u64| {
+            let s = st.clone();
+            Request::new(
+                "txn",
+                priority,
+                preemptdb::sim::api::now_cycles(),
+                move || {
+                    for _ in 0..ops {
+                        preempt_point(1_000);
+                    }
+                    s[slot].store(preemptdb::sim::api::now_cycles(), Ordering::Relaxed);
+                    WorkOutcome::default()
+                },
+            )
+        };
+        // The low queue is empty: a 5 M cycle level-1 transaction runs on
+        // the regular path.
+        ws.queues[1].push(stamped(0, 1, 5_000)).ok();
+        ws.wake();
+        // At 1 M cycles a level-2 request preempts it.
+        preemptdb::sim::api::sleep_until(1_000_000);
+        ws.queues[2].push(stamped(1, 2, 50)).ok();
+        SimUipiSender::new(ws.upid().unwrap(), 2, core).send();
+        // At 2 M cycles, after the level-2 request has returned, a
+        // level-1 interrupt must not preempt the level-1 transaction.
+        preemptdb::sim::api::sleep_until(2_000_000);
+        ws.queues[1].push(stamped(2, 1, 10)).ok();
+        SimUipiSender::new(ws.upid().unwrap(), 1, core).send();
+
+        preemptdb::sim::api::sleep_until(40_000_000);
+        ws.stop();
+    });
+    sim.run();
+
+    let [first, urgent, second] = [0, 1, 2].map(|i| done_at[i].load(Ordering::Relaxed));
+    assert!(first > 0 && urgent > 0 && second > 0, "all completed");
+    assert!(
+        urgent < 1_200_000,
+        "the level-2 request preempted at once: {urgent}"
+    );
+    assert!(
+        second > first,
+        "the second level-1 request ({second}) waits for the first ({first})"
+    );
+}
+
 /// Dynamic priority adjustment (paper §5): a transaction that keeps
 /// aborting gets promoted to the preemptive path.
 #[test]

@@ -196,4 +196,30 @@ fn simulated_runs_are_reproducible() {
             b.latency_us(kinds::NEW_ORDER, pct)
         );
     }
+
+    // The full five-transaction TPC-C mix (Figure 8's workload), which
+    // adds StockLevel, OrderStatus and Delivery.
+    let tpcc_mix = || {
+        use preemptdb::workloads::TpccWorkload;
+        let sim = SimConfig::default();
+        let (_e, tpcc, _tpch) = setup_mixed(4, Some(small_tpcc(4)), Some(small_tpch()), 3);
+        let cfg = DriverConfig {
+            n_workers: 4,
+            queue_caps: vec![64, 4],
+            batch_size: 0,
+            arrival_interval: sim.us_to_cycles(1_000),
+            duration: sim.ms_to_cycles(20),
+            always_interrupt: true,
+            ..DriverConfig::paper_default(Policy::preemptdb())
+        };
+        run(Runtime::Simulated(sim), cfg, Box::new(TpccWorkload::new(tpcc, 9)))
+    };
+    let (a, b) = (tpcc_mix(), tpcc_mix());
+    use kinds::*;
+    assert!(a.completed(STOCK_LEVEL) > 0, "the mix ran StockLevel");
+    for kind in [NEW_ORDER, PAYMENT, ORDER_STATUS, DELIVERY, STOCK_LEVEL] {
+        assert_eq!(a.completed(kind), b.completed(kind), "{kind}");
+        assert_eq!(a.latency_us(kind, 99.0), b.latency_us(kind, 99.0), "{kind}");
+    }
+    assert_eq!(a.workers.busy_cycles, b.workers.busy_cycles);
 }
