@@ -1,5 +1,5 @@
 // Fixture: the work-stealing thief path (DESIGN.md §13). A steal holds
-// the nonpreempt guard while claiming the victim's slot; a callee that
+// the nonpreempt guard while claiming the victim's head; a callee that
 // transitively reaches a preemption point inside that window (here a
 // publish helper two hops above one) reintroduces exactly the
 // preempt-into-handoff race the guard exists to prevent. The thief's
@@ -8,12 +8,12 @@
 
 fn bad_steal(w: &Worker) -> Option<Request> {
     let _np = NonPreemptGuard::enter();
-    let req = claim_tail(w);
+    let req = claim_head(w);
     publish_steal(w); //~ ERROR preempt-in-critical
     req
 }
 
-fn claim_tail(_w: &Worker) -> Option<Request> {
+fn claim_head(_w: &Worker) -> Option<Request> {
     None // the word-CAS claim itself never reaches a preemption point
 }
 
@@ -28,7 +28,7 @@ fn emit_event(_w: &Worker) {
 fn good_steal(w: &Worker) -> Option<Request> {
     {
         let _np = NonPreemptGuard::enter();
-        claim_tail(w); // fine: the claim never reaches a point
+        claim_head(w); // fine: the claim never reaches a point
     }
     publish_steal(w); // fine: guard scope closed before the emit
     None

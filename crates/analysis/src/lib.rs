@@ -5,7 +5,7 @@
 //! rests on: preemption points must not fire inside latch critical
 //! sections (wherever the guard flows), the global latch acquisition
 //! order must be acyclic, handler-reachable code must not allocate or
-//! panic, and the UPID / watchdog / steal-deque handoffs depend on exact
+//! panic, and the UPID / watchdog / request-queue handoffs depend on exact
 //! atomic orderings. This crate walks every workspace source file with a
 //! hand-rolled lexer (the CI image is hermetic — no `syn`), builds a
 //! workspace-wide symbol table and call graph, and enforces those

@@ -45,7 +45,7 @@ pub struct ModelRef {
     pub idents: &'static [&'static str],
 }
 
-/// The scheduler-side suite (UPID, watchdog, degraded flag, steal deque).
+/// The scheduler-side suite (UPID, watchdog, degraded flag, request queue).
 pub const SCHED_SUITE: &str = "crates/uintr/tests/loom.rs";
 /// The storage-side suite (version chains, reclamation, directory).
 pub const MVCC_SUITE: &str = "crates/mvcc/src/loom_tests.rs";
@@ -317,7 +317,7 @@ pub const SPEC: &[SpecRow] = &[
         allow: &["Relaxed"],
         why: "the quiet period is judged on whole milliseconds",
     },
-    // ── Sharded steal deque (DESIGN.md §13) ──────────────────────────
+    // ── Per-worker request queue (DESIGN.md §13.1) ───────────────────
     SpecRow {
         protocol: "shard-deque",
         file: "deque.rs",
@@ -342,17 +342,8 @@ pub const SPEC: &[SpecRow] = &[
         op: "load",
         allow: &["Acquire"],
         why: "a handoff waiting on its claim's phase stamp must observe the \
-              payload writes the stamp's publication covered",
-    },
-    SpecRow {
-        protocol: "shard-deque",
-        file: "deque.rs",
-        field: "seq",
-        op: "compare_exchange",
-        allow: &["AcqRel", "Acquire"],
-        why: "winning a phase transition acquires the previous phase's \
-              payload writes (the request is inline, plain memory under the \
-              stamp) and publishes this claim's exclusive ownership",
+              payload writes the stamp's publication covered (the request is \
+              inline, plain memory under the stamp)",
     },
     SpecRow {
         protocol: "shard-deque",
@@ -688,13 +679,13 @@ pub const MODELS: &[ModelRef] = &[
         suite: SCHED_SUITE,
         protocol: "shard-deque",
         model_fn: "steal_deque_no_lost_or_duplicated_requests",
-        idents: &["dq_pop", "dq_steal", "dq_push"],
+        idents: &["dq_pop", "dq_push"],
     },
     ModelRef {
         suite: SCHED_SUITE,
         protocol: "shard-deque",
-        model_fn: "steal_deque_slot_reuse_pairs_handoffs",
-        idents: &["dq_push_handoff", "dq_steal_claim", "dq_take"],
+        model_fn: "steal_deque_four_claims_complete",
+        idents: &["dq_push_handoff", "dq_pop_claim", "dq_take"],
     },
     ModelRef {
         suite: MVCC_SUITE,

@@ -193,7 +193,7 @@ impl Counter {
             Counter::ControllerLowers => "Controller decisions that lowered the threshold",
             Counter::ControllerHolds => "Controller decisions that held the threshold",
             Counter::WorkerPanics => "Transaction panics contained by the worker firewall",
-            Counter::Steals => "Requests stolen from a same-shard sibling's queue tail",
+            Counter::Steals => "Requests stolen from the head of a same-shard sibling's queue",
             Counter::Shootdowns => "Starved requests moved cross-shard with a uintr kick",
             Counter::NetConnsAccepted => "Client connections accepted by the network front door",
             Counter::NetConnsClosed => "Client connections closed (EOF, error, or shutdown)",

@@ -1,12 +1,12 @@
-//! The sharded plane's stealing deque: a bounded lock-free MPMC ring
-//! with FIFO local dispatch (`push`/`pop`) and LIFO stealing from the
-//! tail (`steal`), so a thief takes the *newest* request while the
-//! owner keeps draining the oldest — the classic work-stealing split,
-//! here applied to bounded per-worker run queues.
+//! The per-worker level queue: a bounded lock-free MPMC FIFO ring of
+//! [`Request`]s. The shard's scheduler pushes, the owning worker pops,
+//! and on a sharded plane an idle same-shard sibling steals by popping
+//! too, so every taker gets the *oldest* request and a low request's
+//! queue wait is bounded by the ones ahead of it.
 //!
 //! ## Protocol
 //!
-//! All index state lives in one packed word, [`state`](StealDeque):
+//! All index state lives in one packed word, [`state`](RequestQueue):
 //!
 //! ```text
 //! bits 63..32   head — *ticket* of the oldest element
@@ -17,41 +17,41 @@
 //! multiple of the capacity that fits 32 bits so `ticket % capacity`
 //! stays a consistent ring index across the wrap. Every operation
 //! first *claims* a ticket with a single `compare_exchange` on the
-//! word (push claims `head + len`, pop advances `head`, steal claims
-//! `head + len - 1` from the tail), then completes the element handoff
-//! through the claimed cell. The word CAS needs no ABA stamp: the
-//! transition (new word, claimed ticket) is a pure function of the
-//! packed bits, so a CAS that succeeds against a recurred bit pattern
-//! performs exactly the transition a fresh snapshot would have.
+//! word (a push claims the tail `head + len`, a pop the head), then
+//! completes the element handoff through the claimed cell. Head and
+//! tail only move forward, so each ticket is claimed by exactly one
+//! push and one pop. The word CAS needs no ABA stamp: the transition
+//! (new word, claimed ticket) is a pure function of the packed bits, so
+//! a CAS that succeeds against a recurred bit pattern performs exactly
+//! the transition a fresh snapshot would have.
 //!
 //! The handoff is paired to the claim by a per-cell **sequence stamp**
-//! (`ticket << 2 | phase`, crossbeam-`ArrayQueue` style, extended with
-//! a steal-side ticket rollback):
+//! (`ticket << 1 | phase`, the discipline of crossbeam's `ArrayQueue`):
 //!
-//! * a **push** that claimed ticket `t` CASes `seq` from `EMPTY(t)` to
-//!   `STORING(t)`, moves the request into the cell, then publishes
-//!   `FULL(t)`;
-//! * a **pop/steal** that claimed ticket `t` CASes `seq` from
-//!   `FULL(t)` to `TAKING(t)`, moves the request out, then opens the
-//!   cell for its next ticket: `EMPTY(t + capacity)` after a pop (the
-//!   head moved on), `EMPTY(t)` after a steal (the tail position is
-//!   reused by the next push).
+//! * a **push** that claimed ticket `t` waits for `EMPTY(t)`, moves the
+//!   request into the cell, then publishes `FULL(t)`;
+//! * a **pop** that claimed ticket `t` waits for `FULL(t)`, moves the
+//!   request out, then opens the cell for the push one lap later,
+//!   `EMPTY(t + capacity)`.
 //!
-//! The seq CAS is what makes two in-flight operations on the same cell
-//! safe: a push that stalls between its word-claim and its deposit
-//! while a steal and a second push race past it (the tail ticket is
-//! *reused* after a steal) can never overwrite — the loser of the
-//! `EMPTY(t)` CAS re-waits for the cell to come round again. The
-//! window between a successful seq CAS and the phase publication is
-//! the deque's **non-preemptible region** — a fiber parked there
-//! stalls every peer spinning on the same cell — so *every* operation
-//! (owner pop and dispatch push just as much as the thief's steal)
-//! holds a `NonPreemptGuard` across its claim-to-handoff window;
+//! No two threads ever wait for the same stamp, so a plain load finds
+//! it and a plain store passes the cell on: there is nothing left to
+//! arbitrate. A push whose claim went round the ring while an earlier
+//! lap's handoff on its cell is still in flight simply waits for its
+//! own stamp. Stamps tell laps apart modulo the wrap: a stamp is
+//! misread only when one cell has a push (or a pop) in flight on every
+//! lap of the wrap and one more, so it is safe while no more threads
+//! push, and no more pop, at once than the wrap has laps (2³² /
+//! capacity in production; tests that shrink it keep to that).
+//! The window between a claim and the stamp publication is the
+//! queue's **non-preemptible region** — a fiber parked there stalls
+//! every later operation on the same cell — so both operations hold a
+//! `NonPreemptGuard` across their claim-to-handoff window;
 //! preempt-lint's `shard-deque` protocol rows pin the orderings (see
 //! `crates/analysis`'s spec table) and the loom models
 //! `steal_deque_no_lost_or_duplicated_requests` and
-//! `steal_deque_slot_reuse_pairs_handoffs` explore the claim/handoff
-//! split exhaustively, spin-waits, slot reuse and the two-word payload
+//! `steal_deque_four_claims_complete` explore the claim/handoff split
+//! exhaustively, spin-waits, cell reuse and the two-word payload
 //! included.
 //!
 //! ## Layout (DESIGN.md §13.1)
@@ -62,19 +62,19 @@
 //! closures travel inside it: three lines) and
 //! the packed word has a line to itself, so one hand-off moves the
 //! `state` line and one cell between the two cores. The payload needs
-//! no atomics of its own: it is written only between winning
-//! `STORING(t)` and publishing `FULL(t)`, read only between winning
-//! `TAKING(t)` and publishing `EMPTY(..)`; the seq CAS admits one
-//! thread to each window, and the Release store that closes a window
-//! pairs with the Acquire CAS that opens the next — the stamp is the
-//! payload's lock. Those misses can be *started* early:
-//! [`prefetch_push`](StealDeque::prefetch_push) before the submitter
-//! builds its request, [`prefetch_pop`](StealDeque::prefetch_pop) from
+//! no atomics of its own: it is written only between seeing `EMPTY(t)`
+//! and publishing `FULL(t)`, read only between seeing `FULL(t)` and
+//! publishing `EMPTY(t + capacity)`; the claim admits one thread to
+//! each window, and the Release store that closes a window pairs with
+//! the Acquire load that opens the next — the stamp is the payload's
+//! lock. Those misses can be *started* early:
+//! [`prefetch_push`](RequestQueue::prefetch_push) before the submitter
+//! builds its request, [`prefetch_pop`](RequestQueue::prefetch_pop) from
 //! the user-interrupt handler, a context switch ahead of the `pop`.
 //! Neither waits on `state` to find its cell: each side keeps a *hint*
 //! of the ticket its next operation will claim, on a line only that
-//! side writes. A hint goes stale (a steal rolls the tail back, a
-//! foreign pop moves the head) and is then a wasted prefetch; it is
+//! side's operations write. A hint goes stale (a foreign pusher or a
+//! thief moves the tail or head) and is then a wasted prefetch; it is
 //! never used to find data.
 
 use std::cell::UnsafeCell;
@@ -90,11 +90,9 @@ const LEN_SHIFT: u32 = 0;
 const HEAD_SHIFT: u32 = 32;
 const FIELD_MASK: u64 = 0xFFFF;
 
-/// Per-cell sequence phases (low two bits of the stamp).
+/// Per-cell sequence phases (low bit of the stamp).
 const EMPTY: u64 = 0;
-const STORING: u64 = 1;
-const FULL: u64 = 2;
-const TAKING: u64 = 3;
+const FULL: u64 = 1;
 
 #[inline]
 fn pack(head: u32, len: u16) -> u64 {
@@ -111,14 +109,15 @@ fn unpack(word: u64) -> (u32, u16) {
 
 #[inline]
 fn stamp(ticket: u32, phase: u64) -> u64 {
-    (u64::from(ticket) << 2) | phase
+    (u64::from(ticket) << 1) | phase
 }
 
 /// One ring position: the stamp and, under it, the request itself.
 #[repr(C, align(64))]
 struct Cell {
     seq: AtomicU64,
-    /// Initialised exactly while `seq` is `FULL(t)` or `TAKING(t)`.
+    /// Initialised exactly from the push's write to the pop's read of
+    /// the ticket `seq` names (see the module docs).
     val: UnsafeCell<MaybeUninit<Request>>,
 }
 
@@ -136,20 +135,18 @@ struct HintLine {
     hint: AtomicU32,
 }
 
-/// Bounded lock-free stealing deque of [`Request`]s.
-///
+/// A bounded lock-free dispatch queue (one per worker per priority):
 /// `push` appends at the tail, `pop` takes the oldest element (FIFO —
-/// per-level priority order within a shard is preserved), `steal` takes
-/// the *newest* element from the tail. Any thread may call any
-/// operation; the scheduler's cross-shard shootdown path makes foreign
-/// pushers a normal case, not an exception.
+/// per-level priority order within a shard is preserved). Any thread
+/// may call either: foreign schedulers push on the cross-shard
+/// shootdown path, and same-shard siblings pop to steal.
 #[repr(C)]
-pub struct StealDeque {
+pub struct RequestQueue {
     /// Packed `head | len` word; see the module docs.
     hot: StateLine,
     /// The tail after the last push; written by pushers only.
     push_hint: HintLine,
-    /// The head after the last pop; written by the popping owner only.
+    /// The head after the last pop; written by poppers only.
     pop_hint: HintLine,
     /// The ring; see [`Cell`].
     cells: Box<[Cell]>,
@@ -162,15 +159,15 @@ pub struct StealDeque {
 // the seq-stamp protocol hands each cell's payload to exactly one owner
 // at a time (module docs, "Layout"). The other fields are atomics and
 // values fixed at construction.
-unsafe impl Send for StealDeque {}
+unsafe impl Send for RequestQueue {}
 // SAFETY: as above — the payload is only touched inside a window its
 // stamp grants exclusively; everything else goes through the atomics.
-unsafe impl Sync for StealDeque {}
+unsafe impl Sync for RequestQueue {}
 
-impl StealDeque {
-    /// Creates a deque holding at most `capacity` requests
-    /// (`capacity >= 1`; the ring index arithmetic needs `< u16::MAX`).
-    pub fn new(capacity: usize) -> StealDeque {
+impl RequestQueue {
+    /// Creates a queue holding at most `capacity` requests (0 counts
+    /// as 1; the ring index arithmetic needs `< u16::MAX`).
+    pub fn new(capacity: usize) -> RequestQueue {
         let capacity = capacity.max(1);
         let limit = ((1u64 << 32) / capacity as u64) * capacity as u64;
         Self::with_ticket_limit(capacity, limit)
@@ -179,16 +176,16 @@ impl StealDeque {
     /// As [`new`](Self::new), with an explicit ticket wrap point —
     /// production uses the largest 32-bit multiple of the capacity;
     /// tests shrink it so the wrap is actually exercised.
-    fn with_ticket_limit(capacity: usize, ticket_limit: u64) -> StealDeque {
+    fn with_ticket_limit(capacity: usize, ticket_limit: u64) -> RequestQueue {
         assert!(
             capacity < u16::MAX as usize,
-            "StealDeque capacity must fit the packed index field"
+            "RequestQueue capacity must fit the packed index field"
         );
         assert!(
             ticket_limit >= capacity as u64 && ticket_limit.is_multiple_of(capacity as u64),
             "ticket limit must be a positive multiple of the capacity"
         );
-        StealDeque {
+        RequestQueue {
             hot: StateLine {
                 state: AtomicU64::new(0),
             },
@@ -227,7 +224,8 @@ impl StealDeque {
     }
 
     /// Starts fetching what the next [`push`](Self::push) writes: the
-    /// `state` line and the tail cell the pushers' hint names.
+    /// `state` line and the tail cell the pushers' hint names. Call it
+    /// before building the request.
     #[inline]
     pub fn prefetch_push(&self) {
         prefetch_for_write(&self.hot);
@@ -235,7 +233,7 @@ impl StealDeque {
     }
 
     /// Starts fetching what the next [`pop`](Self::pop) writes: the
-    /// `state` line and the head cell the owner's hint names.
+    /// `state` line and the head cell the poppers' hint names.
     #[inline]
     pub fn prefetch_pop(&self) {
         prefetch_for_write(&self.hot);
@@ -275,28 +273,19 @@ impl StealDeque {
         }
     }
 
-    /// Waits for `ticket`'s cell to show phase `from` and wins the
-    /// transition to `to`, which makes the caller the payload's only
+    /// Waits for `ticket`'s cell to show phase `phase`, which makes the
+    /// caller — the one thread holding that claim — the payload's only
     /// owner until it publishes the next phase. The cell may still be
-    /// mid-handoff for an earlier ticket (or for *this* ticket: after a
-    /// steal, the tail ticket is reused, so two pushes can legitimately
-    /// wait on the same `EMPTY(t)` — the CAS admits exactly one at a
-    /// time), or its push may have claimed but not yet deposited.
+    /// mid-handoff for the previous lap's ticket, or its push may have
+    /// claimed but not yet deposited.
     #[inline]
-    fn win(&self, ticket: u32, from: u64, to: u64) -> &Cell {
+    fn wait(&self, ticket: u32, phase: u64) -> &Cell {
         let cell = self.cell(ticket);
-        let (from, to) = (stamp(ticket, from), stamp(ticket, to));
-        loop {
-            if cell.seq.load(Ordering::Acquire) == from
-                && cell
-                    .seq
-                    .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                return cell;
-            }
+        let want = stamp(ticket, phase);
+        while cell.seq.load(Ordering::Acquire) != want {
             std::hint::spin_loop();
         }
+        cell
     }
 
     /// Appends a request at the tail; `Err` gives it back when full.
@@ -307,8 +296,8 @@ impl StealDeque {
     pub fn push(&self, req: Request) -> Result<(), Request> {
         let cap = self.capacity();
         // Claim-to-handoff is the non-preemptible window: a fiber
-        // parked between the seq CAS and the FULL publication stalls
-        // every consumer spinning on this cell (module docs).
+        // parked before the FULL publication stalls the pop that
+        // waits on this cell (module docs).
         let _np = NonPreemptGuard::enter();
         let Some(ticket) = self.claim(|head, len| {
             if len as usize == cap {
@@ -321,37 +310,18 @@ impl StealDeque {
         self.push_hint
             .hint
             .store(self.advance(ticket, 1), Ordering::Relaxed);
-        let cell = self.win(ticket, EMPTY, STORING);
-        // SAFETY: winning `STORING(ticket)` makes this thread the only
-        // one touching `val` until the store below; the cell was left
-        // uninitialised by whoever published `EMPTY`.
+        let cell = self.wait(ticket, EMPTY);
+        // SAFETY: only the push that claimed `ticket` waits for
+        // `EMPTY(ticket)`, so this thread is the only one touching `val`
+        // until the store below; the pop that published `EMPTY` left the
+        // cell uninitialised.
         unsafe { (*cell.val.get()).write(req) };
         cell.seq.store(stamp(ticket, FULL), Ordering::Release);
         Ok(())
     }
 
-    /// Takes the element whose push claimed `ticket`. The cell reopens
-    /// at `next_empty` (pop: `ticket + capacity`; steal: `ticket`,
-    /// since the tail position is reused).
-    #[inline]
-    fn take(&self, ticket: u32, next_empty: u32) -> Request {
-        let cell = self.win(ticket, FULL, TAKING);
-        // SAFETY: `FULL(ticket)` was published after the push wrote the
-        // request (Release, paired with the Acquire CAS in `win`), and
-        // winning `TAKING(ticket)` makes this thread the only one
-        // touching `val` until the store below, which marks the cell
-        // uninitialised again — the value is moved out exactly once.
-        let req = unsafe { (*cell.val.get()).assume_init_read() };
-        cell.seq.store(stamp(next_empty, EMPTY), Ordering::Release);
-        // A boxed closure's captures, written by the submitter, are the
-        // next miss the taker waits for (an inline one came with the cell).
-        if !req.is_inline() {
-            prefetch_for_write(&*req.work);
-        }
-        req
-    }
-
-    /// Removes the oldest request (the owner's FIFO dispatch path).
+    /// Removes the oldest request: the owner's FIFO dispatch path, and
+    /// a same-shard thief's steal.
     pub fn pop(&self) -> Option<Request> {
         let _np = NonPreemptGuard::enter();
         let ticket = self.claim(|head, len| {
@@ -363,24 +333,28 @@ impl StealDeque {
         self.pop_hint
             .hint
             .store(self.advance(ticket, 1), Ordering::Relaxed);
-        Some(self.take(ticket, self.advance(ticket, self.capacity())))
-    }
-
-    /// Removes the newest request (the thief's path: steal from the
-    /// tail so the victim keeps its oldest — and most starved — work).
-    pub fn steal(&self) -> Option<Request> {
-        let _np = NonPreemptGuard::enter();
-        let ticket = self.claim(|head, len| {
-            if len == 0 {
-                return None;
-            }
-            Some((head, len - 1, self.advance(head, len as usize - 1)))
-        })?;
-        Some(self.take(ticket, ticket))
+        let cell = self.wait(ticket, FULL);
+        // SAFETY: `FULL(ticket)` was published after the push wrote the
+        // request (Release, paired with the Acquire load in `wait`), and
+        // only the pop that claimed `ticket` waits for it, so this thread
+        // is the only one touching `val` until the store below, which
+        // marks the cell uninitialised again — the value is moved out
+        // exactly once.
+        let req = unsafe { (*cell.val.get()).assume_init_read() };
+        cell.seq.store(
+            stamp(self.advance(ticket, self.capacity()), EMPTY),
+            Ordering::Release,
+        );
+        // A boxed closure's captures, written by the submitter, are the
+        // next miss the taker waits for (an inline one came with the cell).
+        if !req.is_inline() {
+            prefetch_for_write(&*req.work);
+        }
+        Some(req)
     }
 }
 
-impl Drop for StealDeque {
+impl Drop for RequestQueue {
     fn drop(&mut self) {
         // The queued requests live in the cells: take each out and
         // drop it (nothing is in flight under `&mut self`).
@@ -409,7 +383,7 @@ mod tests {
 
     #[test]
     fn pop_is_fifo() {
-        let d = StealDeque::new(4);
+        let d = RequestQueue::new(4);
         for i in 0..4 {
             d.push(req(i)).unwrap();
         }
@@ -420,20 +394,8 @@ mod tests {
     }
 
     #[test]
-    fn steal_takes_newest() {
-        let d = StealDeque::new(4);
-        for i in 0..3 {
-            d.push(req(i)).unwrap();
-        }
-        assert_eq!(tag(&d.steal().unwrap()), 2, "steal takes the tail");
-        assert_eq!(tag(&d.pop().unwrap()), 0, "owner keeps the oldest");
-        assert_eq!(tag(&d.steal().unwrap()), 1);
-        assert!(d.steal().is_none());
-    }
-
-    #[test]
     fn bounded_capacity_rejects_overflow() {
-        let d = StealDeque::new(2);
+        let d = RequestQueue::new(2);
         d.push(req(0)).unwrap();
         d.push(req(1)).unwrap();
         let back = d.push(req(2)).unwrap_err();
@@ -446,7 +408,7 @@ mod tests {
 
     #[test]
     fn wraparound_preserves_order() {
-        let d = StealDeque::new(3);
+        let d = RequestQueue::new(3);
         // Drive head around the ring several times.
         let mut next = 0u64;
         let mut expect = 0u64;
@@ -462,39 +424,35 @@ mod tests {
     }
 
     /// Ticket wrap: with the wrap point shrunk to two laps, the modular
-    /// ticket arithmetic (claims, seq chaining, steal rollback) must
-    /// stay consistent across many wraps.
+    /// ticket arithmetic (claims, seq chaining) must stay consistent
+    /// across many wraps, for the owner's pops and a thief's alike.
     #[test]
     fn ticket_wrap_preserves_fifo_and_steal_order() {
-        let d = StealDeque::with_ticket_limit(3, 6);
+        let d = RequestQueue::with_ticket_limit(3, 6);
         let mut next = 0u64;
-        // 20 laps of push-to-full / pop / steal drives tickets around
-        // the 6-ticket wrap repeatedly; lap N pops tag N (one pop per
-        // lap, FIFO).
-        for lap in 0..20u64 {
+        let mut expect = 0u64;
+        // 20 laps of push-to-full / owner pop / thief pop drive tickets
+        // around the 6-ticket wrap repeatedly; both take the oldest.
+        for _ in 0..20 {
             while d.push(req(next)).is_ok() {
                 next += 1;
             }
-            assert_eq!(tag(&d.pop().unwrap()), lap, "FIFO across ticket wrap");
-            let newest = next - 1;
-            assert_eq!(tag(&d.steal().unwrap()), newest, "steal across ticket wrap");
-            // The stolen (newest) tag is gone; re-push a replacement so
-            // the FIFO expectation stays dense.
-            next = newest;
+            assert_eq!(tag(&d.pop().unwrap()), expect, "FIFO across ticket wrap");
+            assert_eq!(tag(&d.pop().unwrap()), expect + 1, "steal across the wrap");
+            expect += 2;
         }
     }
 
     /// Each side's hint names the ticket its next operation claims, across
-    /// the ticket wrap; a steal leaves the pushers' hint one past the tail
-    /// (a wasted prefetch), and their next push puts it right again.
+    /// the ticket wrap.
     #[test]
     fn hints_name_the_next_tickets() {
-        let d = StealDeque::with_ticket_limit(3, 6);
-        let tickets = |d: &StealDeque| {
+        let d = RequestQueue::with_ticket_limit(3, 6);
+        let tickets = |d: &RequestQueue| {
             let (head, len) = unpack(d.hot.state.load(Ordering::Relaxed));
             (d.advance(head, len as usize), head)
         };
-        let hints = |d: &StealDeque| {
+        let hints = |d: &RequestQueue| {
             let load = |h: &HintLine| h.hint.load(Ordering::Relaxed);
             (load(&d.push_hint), load(&d.pop_hint))
         };
@@ -504,12 +462,8 @@ mod tests {
             d.pop().unwrap();
             assert_eq!(hints(&d), tickets(&d), "lap {i}");
             d.pop().unwrap();
+            assert_eq!(hints(&d), tickets(&d), "lap {i}, drained");
         }
-        d.push(req(0)).unwrap();
-        d.steal().unwrap();
-        assert_ne!(hints(&d).0, tickets(&d).0, "stale after a steal");
-        d.push(req(1)).unwrap();
-        assert_eq!(hints(&d), tickets(&d));
     }
 
     /// A request whose header fields check each other and whose closure
@@ -564,36 +518,37 @@ mod tests {
         }
     }
 
-    /// `Drop` of a half-full deque whose head has moved and whose tail
-    /// has been rolled back drops exactly the requests still queued,
-    /// each once (the payload is inline: nothing else frees it).
+    /// `Drop` of a half-full queue whose head has moved and whose tail
+    /// has wrapped drops exactly the requests still queued, each once
+    /// (the payload is inline: nothing else frees it).
     #[test]
     fn drop_frees_live_elements() {
         let ledger = Ledger::new(6);
-        let d = StealDeque::with_ticket_limit(4, 8);
+        let d = RequestQueue::with_ticket_limit(4, 8);
         for i in 0..4 {
             d.push(ledger.req(i)).unwrap();
         }
         Ledger::consume(d.pop().unwrap()); // 0
-        Ledger::consume(d.steal().unwrap()); // 3
+        Ledger::consume(d.pop().unwrap()); // 1
         d.push(ledger.req(4)).unwrap();
-        d.push(ledger.req(5)).unwrap(); // wraps: queued 1, 2, 4, 5
-        assert_eq!(Ledger::count(&ledger.drops), [1, 0, 0, 1, 0, 0]);
+        d.push(ledger.req(5)).unwrap(); // wraps: queued 2, 3, 4, 5
+        assert_eq!(Ledger::count(&ledger.drops), [1, 1, 0, 0, 0, 0]);
         drop(d);
         assert_eq!(Ledger::count(&ledger.drops), [1; 6], "dropped exactly once");
-        assert_eq!(Ledger::count(&ledger.runs), [1, 0, 0, 1, 0, 0]);
+        assert_eq!(Ledger::count(&ledger.runs), [1, 1, 0, 0, 0, 0]);
     }
 
-    /// The inline payload under real threads: two pushers, the owner
-    /// popping and a thief stealing on a capacity-4 ring whose tickets
-    /// wrap every two laps. Every request is handed out whole, exactly
+    /// The inline payload under real threads: two pushers and two
+    /// poppers (the owner and a thief) on a capacity-4 ring whose tickets
+    /// wrap every two laps — as many laps as pushers, the most the
+    /// stamps tell apart. Every request is handed out whole, exactly
     /// once, and dropped exactly once — including the ones a full ring
     /// gave back to their pusher.
     #[test]
     fn inline_payload_survives_concurrent_handoffs() {
         const PER: u64 = 5_000;
         let ledger = Ledger::new(2 * PER);
-        let d = Arc::new(StealDeque::with_ticket_limit(4, 8));
+        let d = Arc::new(RequestQueue::with_ticket_limit(4, 8));
         let left = Arc::new(AtomicUsize::new(2 * PER as usize));
         std::thread::scope(|s| {
             for p in 0..2 {
@@ -608,11 +563,11 @@ mod tests {
                     }
                 });
             }
-            for steals in [false, true] {
+            for _ in 0..2 {
                 let (d, left) = (d.clone(), left.clone());
                 s.spawn(move || {
                     while left.load(Ordering::Acquire) > 0 {
-                        match if steals { d.steal() } else { d.pop() } {
+                        match d.pop() {
                             Some(r) => {
                                 Ledger::consume(r);
                                 left.fetch_sub(1, Ordering::AcqRel);
@@ -636,24 +591,24 @@ mod tests {
     #[test]
     fn state_and_cells_share_no_cache_line() {
         use std::mem::{align_of, offset_of, size_of};
-        assert_eq!(offset_of!(StealDeque, hot), 0);
+        assert_eq!(offset_of!(RequestQueue, hot), 0);
         assert_eq!(size_of::<StateLine>(), LINE);
         assert_eq!(align_of::<StateLine>(), LINE);
         assert_eq!(
             (size_of::<HintLine>(), align_of::<HintLine>()),
             (LINE, LINE)
         );
-        assert_eq!(offset_of!(StealDeque, push_hint), LINE);
-        assert_eq!(offset_of!(StealDeque, pop_hint), 2 * LINE);
-        assert!(offset_of!(StealDeque, cells) >= 3 * LINE);
+        assert_eq!(offset_of!(RequestQueue, push_hint), LINE);
+        assert_eq!(offset_of!(RequestQueue, pop_hint), 2 * LINE);
+        assert!(offset_of!(RequestQueue, cells) >= 3 * LINE);
         assert_eq!(align_of::<Cell>(), LINE);
         assert_eq!(
             size_of::<Cell>(),
             3 * LINE,
             "a stamp and a request with its inline slot"
         );
-        // An `Arc`'s counts in front of the deque are off the line too.
-        let d = Arc::new(StealDeque::new(3));
+        // An `Arc`'s counts in front of the queue are off the line too.
+        let d = Arc::new(RequestQueue::new(3));
         let line = |p: *const u8| p as usize / LINE;
         let state = line(std::ptr::from_ref(&d.hot.state).cast());
         assert_ne!(state, line(Arc::as_ptr(&d).cast::<u8>().wrapping_sub(1)));
@@ -666,14 +621,15 @@ mod tests {
     }
 
     /// Concurrent owner + thief + two producers, each side prefetching
-    /// through its hint before every operation while the others' steals,
-    /// pops and pushes keep making those hints stale: every pushed tag is
-    /// consumed exactly once, across pops and steals combined, and the
-    /// owner pops each producer's requests in the order they were pushed.
+    /// through its hint before every operation while the others' pops
+    /// and pushes keep making those hints stale: every pushed tag is
+    /// consumed exactly once, across the owner's and the thief's pops
+    /// combined, and each of them takes each producer's requests in the
+    /// order they were pushed.
     #[test]
     fn concurrent_push_pop_steal_loses_nothing() {
         const N: u64 = 2_000;
-        let d = Arc::new(StealDeque::new(8));
+        let d = Arc::new(RequestQueue::new(8));
         let popped = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
         let stolen = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
         let done = Arc::new(AtomicUsize::new(0));
@@ -696,7 +652,7 @@ mod tests {
                 })
             })
             .collect();
-        let finished = move |d: &StealDeque| done.load(Ordering::Acquire) == 2 && d.is_empty();
+        let finished = move |d: &RequestQueue| done.load(Ordering::Acquire) == 2 && d.is_empty();
         let owner = {
             let d = d.clone();
             let popped = popped.clone();
@@ -714,7 +670,7 @@ mod tests {
             let d = d.clone();
             let stolen = stolen.clone();
             std::thread::spawn(move || loop {
-                match d.steal() {
+                match d.pop() {
                     Some(r) => stolen.lock().push(tag(&r)),
                     None if finished(&d) => break,
                     None => std::thread::yield_now(),
@@ -732,26 +688,30 @@ mod tests {
         all.sort_unstable();
         let want: Vec<u64> = (0..2 * N).collect();
         assert_eq!(all, want, "every request consumed exactly once");
-        // The owner's view alone is still in FIFO order, per producer.
-        let p = popped.lock();
-        for producer in 0..2 {
-            let mine: Vec<u64> = p.iter().copied().filter(|t| t / N == producer).collect();
-            assert!(
-                mine.windows(2).all(|w| w[0] < w[1]),
-                "pops preserve FIFO order"
-            );
+        // Each taker's view alone is in FIFO order, per producer.
+        for taken in [popped.lock(), stolen.lock()] {
+            for producer in 0..2 {
+                let mine: Vec<u64> = taken
+                    .iter()
+                    .copied()
+                    .filter(|t| t / N == producer)
+                    .collect();
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "pops preserve FIFO order"
+                );
+            }
         }
     }
 
-    /// Two producers racing into a capacity-1 ring with a stealer in
-    /// the mix: maximal slot reuse, the exact shape of the push-push
-    /// overwrite race (a push stalled between its word-claim and its
-    /// deposit while a steal recycles the tail ticket for a second
-    /// push). Every tag must come out exactly once.
+    /// Two producers and two consumers on a capacity-1 ring: every
+    /// operation reuses the one cell, so a push whose claim has gone a
+    /// lap ahead waits behind the previous lap's pop on the same cell.
+    /// Every tag must come out exactly once.
     #[test]
     fn concurrent_producers_never_duplicate() {
         const PER: u64 = 1_000;
-        let d = Arc::new(StealDeque::new(1));
+        let d = Arc::new(RequestQueue::new(1));
         let seen = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
         let consumed = Arc::new(AtomicUsize::new(0));
         let mut producers = Vec::new();
@@ -769,13 +729,12 @@ mod tests {
             }));
         }
         let mut consumers = Vec::new();
-        for steals in [false, true] {
+        for _ in 0..2 {
             let d = d.clone();
             let seen = seen.clone();
             let consumed = consumed.clone();
             consumers.push(std::thread::spawn(move || loop {
-                let got = if steals { d.steal() } else { d.pop() };
-                if let Some(r) = got {
+                if let Some(r) = d.pop() {
                     seen.lock().push(tag(&r));
                     if consumed.fetch_add(1, Ordering::AcqRel) + 1 == 2 * PER as usize {
                         break;
@@ -803,9 +762,15 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// 0 = push, 1 = pop, 2 = steal, 3 = prefetch either side (a hint
-    /// that steals and pops have made stale changes nothing).
-    fn apply(d: &StealDeque, model: &mut VecDeque<u64>, op: u8, next: &mut u64) -> Option<String> {
+    /// 0 = push, 1 and 2 = pop (the owner's or a thief's: both take the
+    /// head), 3 = prefetch either side (a hint that other sides' pops
+    /// and pushes have made stale changes nothing).
+    fn apply(
+        d: &RequestQueue,
+        model: &mut VecDeque<u64>,
+        op: u8,
+        next: &mut u64,
+    ) -> Option<String> {
         match op % 4 {
             3 => {
                 d.prefetch_push();
@@ -823,18 +788,11 @@ mod tests {
                     return Some("push accepted past capacity".to_string());
                 }
             }
-            1 => {
+            _ => {
                 let got = d.pop().map(|r| tag(&r));
                 let want = model.pop_front();
                 if got != want {
                     return Some(format!("pop: got {got:?}, model says {want:?}"));
-                }
-            }
-            _ => {
-                let got = d.steal().map(|r| tag(&r));
-                let want = model.pop_back();
-                if got != want {
-                    return Some(format!("steal: got {got:?}, model says {want:?}"));
                 }
             }
         }
@@ -845,10 +803,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Sequential linearizability against a `VecDeque` model: any
-        /// interleaving of push/pop/steal (and prefetches through hints
-        /// the steals leave stale) matches push_back / pop_front /
-        /// pop_back exactly — no lost, duplicated, or reordered requests,
-        /// and FIFO (priority) order is preserved for pops. A shrunk
+        /// interleaving of push/pop (and prefetches) matches push_back /
+        /// pop_front exactly — no lost, duplicated, or reordered
+        /// requests, and FIFO (priority) order is preserved. A shrunk
         /// ticket limit keeps the wrap in play.
         #[test]
         fn matches_vecdeque_model(
@@ -856,7 +813,7 @@ mod tests {
             laps in 1u64..4,
             ops in prop::collection::vec(0u8..4, 1..200),
         ) {
-            let d = StealDeque::with_ticket_limit(cap, cap as u64 * laps);
+            let d = RequestQueue::with_ticket_limit(cap, cap as u64 * laps);
             let mut model = VecDeque::new();
             let mut next = 0u64;
             for op in ops {
@@ -871,27 +828,23 @@ mod tests {
                 prop_assert_eq!(got, Some(want));
             }
             prop_assert!(d.pop().is_none());
-            prop_assert!(d.steal().is_none());
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Concurrency property: under an arbitrary split of consumers
-        /// into poppers and stealers racing one or two producers, every
-        /// request is consumed exactly once (no lost or duplicated
-        /// requests) — multiple producers make the same-ticket push
-        /// collision (tail reuse after a steal) reachable.
+        /// Concurrency property: one to four consumers (the owner and
+        /// thieves, all popping) racing one or two producers consume
+        /// every request exactly once (no lost or duplicated requests).
         #[test]
         fn concurrent_interleavings_conserve_requests(
             cap in 1usize..6,
             n in 50u64..300,
             producers in 1usize..3,
-            stealers in 0usize..3,
-            poppers in 1usize..3,
+            consumers in 1usize..5,
         ) {
-            let d = Arc::new(StealDeque::new(cap));
+            let d = Arc::new(RequestQueue::new(cap));
             let produced = Arc::new(AtomicUsize::new(0));
             let consumed = Arc::new(parking_lot::Mutex::new(Vec::<u64>::new()));
             let mut prods = Vec::new();
@@ -911,19 +864,14 @@ mod tests {
                     produced.fetch_add(1, Ordering::AcqRel);
                 }));
             }
-            let mut consumers = Vec::new();
-            for steals in (0..poppers).map(|_| false).chain((0..stealers).map(|_| true)) {
+            let mut takers = Vec::new();
+            for _ in 0..consumers {
                 let d = d.clone();
                 let produced = produced.clone();
                 let consumed = consumed.clone();
-                consumers.push(std::thread::spawn(move || loop {
-                    let got = if steals {
-                        d.steal()
-                    } else {
-                        d.prefetch_pop();
-                        d.pop()
-                    };
-                    match got {
+                takers.push(std::thread::spawn(move || loop {
+                    d.prefetch_pop();
+                    match d.pop() {
                         Some(r) => consumed.lock().push(tag(&r)),
                         None if produced.load(Ordering::Acquire) == producers
                             && d.is_empty() => break,
@@ -934,7 +882,7 @@ mod tests {
             for p in prods {
                 p.join().unwrap();
             }
-            for c in consumers {
+            for c in takers {
                 c.join().unwrap();
             }
             let mut all = consumed.lock().clone();

@@ -32,14 +32,14 @@ pub mod starvation;
 pub mod worker;
 
 pub use admission::{AdmissionControl, AdmittedFactory};
-pub use deque::StealDeque;
 pub use controller::{
     Controller, ControllerConfig, ControllerReport, Decision, SensorSnapshot, ThresholdPoint,
 };
+pub use deque::RequestQueue;
 pub use metrics::{Histogram, KindMetrics, Metrics};
 pub use plane::Plane;
 pub use policy::{Policy, STARVATION_DISABLED};
-pub use request::{Priority, Request, RequestQueue, WorkOutcome};
+pub use request::{Priority, Request, WorkOutcome};
 pub use runner::{run, RunReport, Runtime, WorkerTotals};
 pub use scheduler::{
     scheduler_shard_main, split_factory, DriverConfig, RobustnessConfig, SchedulerStats,

@@ -1,15 +1,14 @@
-//! Transaction requests and per-worker dispatch queues.
+//! Transaction requests.
 //!
 //! The scheduling thread dispatches [`Request`]s into per-worker,
 //! per-priority lock-free queues (§4.1/§6.1: "lock-free high-priority
-//! transaction queues"). A request carries the transaction closure, its
-//! kind label, priority level, and the generation timestamp the latency
-//! metrics are measured from.
+//! transaction queues"; [`RequestQueue`](crate::RequestQueue)). A
+//! request carries the transaction closure, its kind label, priority
+//! level, and the generation timestamp the latency metrics are measured
+//! from.
 
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, MaybeUninit};
-
-use crate::deque::StealDeque;
 
 /// Priority level: 0 = lowest ("normal"); higher numbers are more urgent.
 /// The paper's configuration uses two levels (low/high); more levels are
@@ -263,101 +262,10 @@ impl std::fmt::Debug for Request {
     }
 }
 
-/// A bounded lock-free dispatch queue (one per worker per priority),
-/// backed by the sharded plane's [`StealDeque`]: the owner pops FIFO,
-/// same-shard siblings may [`steal`](RequestQueue::steal) the newest
-/// entry from the tail, and foreign schedulers may push (the
-/// cross-shard shootdown path).
-pub struct RequestQueue {
-    q: StealDeque,
-}
-
-impl RequestQueue {
-    pub fn new(capacity: usize) -> RequestQueue {
-        RequestQueue {
-            q: StealDeque::new(capacity.max(1)),
-        }
-    }
-
-    /// Attempts to enqueue; returns the request back if full.
-    #[allow(
-        clippy::result_large_err,
-        reason = "a full queue hands the request back unboxed"
-    )]
-    pub fn push(&self, r: Request) -> Result<(), Request> {
-        self.q.push(r)
-    }
-
-    pub fn pop(&self) -> Option<Request> {
-        self.q.pop()
-    }
-
-    /// Removes the newest request from the tail (work stealing): the
-    /// thief takes the most recently dispatched work, leaving the
-    /// victim's oldest — and most latency-critical — entries in place.
-    pub fn steal(&self) -> Option<Request> {
-        self.q.steal()
-    }
-
-    /// Starts the cache misses the next [`push`](Self::push) would wait
-    /// for (a hint): call it before building the request.
-    #[inline]
-    pub fn prefetch_push(&self) {
-        self.q.prefetch_push()
-    }
-
-    /// As [`prefetch_push`](Self::prefetch_push), for [`pop`](Self::pop).
-    #[inline]
-    pub fn prefetch_pop(&self) {
-        self.q.prefetch_pop()
-    }
-
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    pub fn is_full(&self) -> bool {
-        self.q.is_full()
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.q.capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn req(kind: &'static str) -> Request {
-        Request::new(kind, 1, 0, WorkOutcome::default)
-    }
-
-    #[test]
-    fn fifo_order() {
-        let q = RequestQueue::new(4);
-        q.push(req("a")).unwrap();
-        q.push(req("b")).unwrap();
-        assert_eq!(q.pop().unwrap().kind, "a");
-        assert_eq!(q.pop().unwrap().kind, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn bounded_capacity_rejects_overflow() {
-        let q = RequestQueue::new(2);
-        q.push(req("a")).unwrap();
-        q.push(req("b")).unwrap();
-        assert!(q.is_full());
-        let back = q.push(req("c")).unwrap_err();
-        assert_eq!(back.kind, "c", "rejected request is returned intact");
-        q.pop().unwrap();
-        q.push(req("c")).unwrap();
-    }
+    use crate::deque::RequestQueue;
 
     #[test]
     fn work_closure_runs() {
@@ -409,27 +317,5 @@ mod tests {
         assert_eq!(std::sync::Arc::strong_count(&n), 2);
         drop(q);
         assert_eq!(std::sync::Arc::strong_count(&n), 1);
-    }
-
-    #[test]
-    fn cross_thread_producer_consumer() {
-        let q = std::sync::Arc::new(RequestQueue::new(8));
-        let qp = q.clone();
-        let producer = std::thread::spawn(move || {
-            let mut pushed = 0;
-            while pushed < 1000 {
-                if qp.push(req("x")).is_ok() {
-                    pushed += 1;
-                }
-            }
-        });
-        let mut popped = 0;
-        while popped < 1000 {
-            if q.pop().is_some() {
-                popped += 1;
-            }
-        }
-        producer.join().unwrap();
-        assert!(q.is_empty());
     }
 }

@@ -43,8 +43,8 @@ pub struct WorkerTotals {
     /// Transactions that panicked and were contained by the worker's
     /// panic firewall (turned into typed aborts), summed over workers.
     pub panics: u64,
-    /// Requests stolen from same-shard siblings' queue tails, summed
-    /// over workers (sharded plane only; 0 when `shards == 1`).
+    /// Requests stolen from the heads of same-shard siblings' low
+    /// queues, summed over workers (sharded plane only; 0 when `shards == 1`).
     pub steals: u64,
 }
 

@@ -180,9 +180,9 @@ pub struct DriverConfig {
     /// scheduling thread and reproduces its trajectories exactly. With
     /// `S > 1` the runner partitions workers contiguously into `S`
     /// groups, each owned by its own scheduler shard with local
-    /// admission, dispatch, watchdog and controller;
-    /// same-shard workers steal from each other's queue tails, and a
-    /// shard whose queues are wedged moves starved high-priority work
+    /// admission, dispatch, watchdog and controller; same-shard workers
+    /// steal the oldest entry of each other's low queues, and a shard
+    /// whose queues are wedged moves starved high-priority work
     /// cross-shard with a uintr kick (shootdown). `batch_size` and the
     /// workload factory are split per shard (see
     /// [`split_factory`]).

@@ -44,8 +44,9 @@ use preempt_metrics::Counter;
 use preempt_uintr::{UintrReceiver, Upid};
 
 use crate::clock::{charge, now_cycles};
+use crate::deque::RequestQueue;
 use crate::policy::Policy;
-use crate::request::{Request, RequestQueue, WorkOutcome};
+use crate::request::{Request, WorkOutcome};
 use crate::starvation::StarvationState;
 
 /// Cycles charged for dequeuing a request and setting it up.
@@ -762,22 +763,21 @@ impl WorkerCtx {
     }
 
     /// Work stealing (sharded plane only): with every local queue empty,
-    /// scan same-shard siblings in their pre-rotated fixed order and
-    /// take the newest entry from the first non-empty level-0 queue tail
-    /// — the victim keeps its oldest, most latency-critical work. The
-    /// deque itself holds a
+    /// scan same-shard siblings in their pre-rotated fixed order and pop
+    /// the oldest entry of the first non-empty level-0 queue, as its
+    /// owner would next — so a low request waits behind no more than
+    /// the ones queued ahead of it. The queue itself holds a
     /// [`NonPreemptGuard`](preempt_context::nonpreempt::NonPreemptGuard)
-    /// across every claim-to-handoff window — steal here, but equally
-    /// the owner's `pop` and the plane's dispatch `push` — because a
-    /// user interrupt landing between the word-CAS claim and the slot
-    /// handoff would strand the claimed slot until this context resumed,
-    /// stalling every peer spinning on that slot for the whole
+    /// across every claim-to-handoff window, because a user interrupt
+    /// landing between the word-CAS claim and the cell handoff would
+    /// strand the claimed cell until this context resumed, stalling
+    /// whichever operation waits on that cell next for the whole
     /// high-priority burst. The scan across victims stays preemptible:
     /// only the per-queue claim window needs the guard.
     fn try_steal(&self) -> Option<Request> {
         let (req, victim) = self.shared.steal_peers.get()?.iter().find_map(|peer| {
             let victim = peer.upgrade().filter(|v| !v.is_stopped())?;
-            Some((victim.queues[0].steal()?, victim.id as u16))
+            Some((victim.queues[0].pop()?, victim.id as u16))
         })?;
         preempt_trace::emit(preempt_trace::TraceEvent::Steal {
             victim,
@@ -1103,6 +1103,42 @@ mod tests {
         let m = completed_view(&shared);
         assert_eq!(m.kind("low").unwrap().completed, 1);
         assert_eq!(m.kind("high").unwrap().completed, 1);
+    }
+
+    /// An idle worker steals its same-shard sibling's oldest low request
+    /// first: with three queued at a victim that never runs, the thief
+    /// runs them in the order they were pushed.
+    #[test]
+    fn steal_takes_oldest() {
+        let sim = Simulation::new(SimConfig::default());
+        let victim = WorkerShared::new(1, &[4, 4]);
+        let thief = WorkerShared::new(0, &[1, 4]);
+        let _ = thief.steal_peers.set(vec![Arc::downgrade(&victim)]);
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+        for tag in 0..3u64 {
+            let order = order.clone();
+            let req = Request::new("low", 0, tag, move || {
+                order.lock().unwrap().push(tag);
+                WorkOutcome::default()
+            });
+            victim.queues[0].push(req).unwrap();
+        }
+
+        let ws = thief.clone();
+        let core = sim.spawn_core("thief", 256 * 1024, move || {
+            worker_main(ws, Policy::preemptdb());
+        });
+        thief.set_wake_target(WakeTarget::Sim(core));
+        let ws = thief.clone();
+        sim.spawn_core("sched", 128 * 1024, move || {
+            preempt_sim::api::sleep_until(100_000);
+            ws.stop();
+        });
+
+        sim.run();
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2], "oldest first");
+        assert!(victim.queues[0].is_empty());
+        assert_eq!(completed_view(&thief).kind("low").unwrap().completed, 3);
     }
 
     /// Preemption actually interrupts a long low-priority request: the

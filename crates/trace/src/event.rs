@@ -149,8 +149,8 @@ pub enum TraceEvent {
         /// Worker-local transaction sequence number (40 bits).
         txn: u64,
     },
-    /// An idle worker stole a request from a same-shard sibling's queue
-    /// tail (the sharded plane's load-balancing path).
+    /// An idle worker stole the oldest request of a same-shard sibling's
+    /// queue (the sharded plane's load-balancing path).
     Steal {
         /// Worker whose queue lost the request.
         victim: u16,

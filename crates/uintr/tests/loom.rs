@@ -163,30 +163,29 @@ fn epoch_ack_watchdog_has_no_lost_wakeup_or_double_execution() {
     });
 }
 
-// ─── Sharded-plane steal deque (crates/sched/src/deque.rs) ──────────────
+// ─── Per-worker request queue (crates/sched/src/deque.rs) ──────────────
 //
-// Mirror of the deque's two-level protocol: a packed (head ticket, len)
-// word claimed by CAS, then a per-cell *sequence stamp*
-// (`ticket << 2 | phase`, phases EMPTY→STORING→FULL→TAKING) that pairs
-// every deposit and every take with the exact claim that owns it.
+// Mirror of the queue's two-level protocol: a packed (head ticket, len)
+// word claimed by CAS — a push claims the tail `head + len`, a pop (the
+// owner's, or a same-shard thief's steal) the head — then a per-cell
+// *sequence stamp* (`ticket << 1 | phase`, phases EMPTY→FULL) that
+// pairs every deposit and every take with the exact claim that owns it.
 // The request lives *inline* in the cell, under the stamp and with no
 // atomics of its own; the replica models it as two plain words (`v` and
 // `!v`, written and read one at a time with `Relaxed`, each access its
 // own scheduling point), so a take that overlaps a deposit — or two
 // deposits that overlap each other — reads a pair that does not match.
-// The real deque's spin-waits — a pusher waiting for its cell's EMPTY
-// stamp, a consumer waiting for FULL — are modeled faithfully with
+// The real queue's spin-waits — a pusher waiting for its cell's EMPTY
+// stamp, a taker waiting for FULL — are modeled faithfully with
 // `loom::thread::yield_waiting()`, which parks the spinner until
 // another thread performs a write, so the explorer covers stalled
 // pushers, cell reuse on full rings, and racing handoffs rather than
 // only pre-stored cells. The spin window is exactly the region the
-// deque's internal `NonPreemptGuard` keeps uintr-free; preempt-lint's
+// queue's internal `NonPreemptGuard` keeps uintr-free; preempt-lint's
 // non-preemptible-region rule pins that statically.
 
 const DQ_EMPTY: u64 = 0;
-const DQ_STORING: u64 = 1;
-const DQ_FULL: u64 = 2;
-const DQ_TAKING: u64 = 3;
+const DQ_FULL: u64 = 1;
 
 fn dq_pack(head: u64, len: u64) -> u64 {
     (head << 32) | len
@@ -197,10 +196,10 @@ fn dq_unpack(w: u64) -> (u64, u64) {
 }
 
 fn dq_stamp(ticket: u64, phase: u64) -> u64 {
-    (ticket << 2) | phase
+    (ticket << 1) | phase
 }
 
-/// The replica: `StealDeque`'s `state` word and its ring of cells.
+/// The replica: `RequestQueue`'s `state` word and its ring of cells.
 struct Dq {
     state: AtomicU64,
     seqs: Vec<AtomicU64>,
@@ -240,7 +239,7 @@ impl Dq {
     }
 }
 
-/// Mirrors `StealDeque::claim`: CAS the packed (head ticket, len) word.
+/// Mirrors `RequestQueue::claim`: CAS the packed (head ticket, len) word.
 /// No ABA stamp — every transition is a pure function of the packed
 /// bits, so a word that CASes back to an observed value carries the
 /// same meaning. `f(head, len)` returns the new (head, len) and the
@@ -273,45 +272,33 @@ fn dq_push_claim(dq: &Dq) -> Option<u64> {
     })
 }
 
-/// The steal's word claim alone: drops len and returns the tail ticket
-/// (rolled back — the next push reuses the position).
-fn dq_steal_claim(dq: &Dq) -> Option<u64> {
+/// The pop's word claim alone (the owner's and a thief's alike):
+/// advances the head and returns the ticket it passed.
+fn dq_pop_claim(dq: &Dq) -> Option<u64> {
     dq_claim(dq, |head, len| {
         if len == 0 {
             None
         } else {
-            Some((head, len - 1, head + len - 1))
+            Some((head + 1, len - 1, head))
         }
     })
 }
 
-/// Mirrors `StealDeque::win`: wait for ticket `t`'s cell to show phase
-/// `from` and win the transition to `to` by CAS (a steal rolls its
-/// ticket back, so two pushes can legitimately hold the same ticket —
-/// the CAS admits one at a time). Returns the cell's index.
-fn dq_win(dq: &Dq, t: u64, from: u64, to: u64) -> usize {
+/// Mirrors `RequestQueue::wait`: spin until ticket `t`'s cell shows
+/// phase `phase`. Only the one claim holding `t` waits for its stamps,
+/// so seeing the stamp is enough. Returns the cell's index.
+fn dq_wait(dq: &Dq, t: u64, phase: u64) -> usize {
     let j = (t % dq.cap()) as usize;
-    loop {
-        if dq.seqs[j].load(Ordering::Acquire) == dq_stamp(t, from)
-            && dq.seqs[j]
-                .compare_exchange(
-                    dq_stamp(t, from),
-                    dq_stamp(t, to),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-        {
-            return j;
-        }
+    while dq.seqs[j].load(Ordering::Acquire) != dq_stamp(t, phase) {
         thread::yield_waiting();
     }
+    j
 }
 
-/// Mirrors the push handoff: win STORING, write the payload word by
+/// Mirrors the push handoff: wait for EMPTY, write the payload word by
 /// word, publish FULL.
 fn dq_push_handoff(dq: &Dq, t: u64, v: u64) {
-    let j = dq_win(dq, t, DQ_EMPTY, DQ_STORING);
+    let j = dq_wait(dq, t, DQ_EMPTY);
     dq.payload[j][0].store(v, Ordering::Relaxed);
     dq.payload[j][1].store(!v, Ordering::Relaxed);
     dq.seqs[j].store(dq_stamp(t, DQ_FULL), Ordering::Release);
@@ -326,69 +313,55 @@ fn dq_push(dq: &Dq, v: u64) -> bool {
     true
 }
 
-/// Mirrors the take handoff shared by pop and steal: win TAKING, move
-/// the payload out word by word — the `[0, 0]` written back stands for
-/// the `MaybeUninit` the real `assume_init_read` leaves behind, so a
-/// second take of the same cell is caught — and open the cell for
-/// `next_empty` (pop: `ticket + cap`, the position one lap later;
-/// steal: `ticket` itself, rolled back for the next push). The two
-/// words must be one request's.
-fn dq_take(dq: &Dq, ticket: u64, next_empty: u64) -> u64 {
-    let j = dq_win(dq, ticket, DQ_FULL, DQ_TAKING);
+/// Mirrors the pop handoff: wait for FULL, move the payload out word by
+/// word — the `[0, 0]` written back stands for the `MaybeUninit` the
+/// real `assume_init_read` leaves behind, so a second take of the same
+/// cell is caught — and open the cell for the push one lap later. The
+/// two words must be one request's.
+fn dq_take(dq: &Dq, ticket: u64) -> u64 {
+    let j = dq_wait(dq, ticket, DQ_FULL);
     let v = dq.payload[j][0].swap(0, Ordering::Relaxed);
     let check = dq.payload[j][1].swap(0, Ordering::Relaxed);
     assert_ne!((v, check), (0, 0), "claimed cell had no stored request");
     assert_eq!(check, !v, "torn payload: two words of different requests");
-    dq.seqs[j].store(dq_stamp(next_empty, DQ_EMPTY), Ordering::Release);
+    dq.seqs[j].store(dq_stamp(ticket + dq.cap(), DQ_EMPTY), Ordering::Release);
     v
 }
 
-/// Owner pop: claim the FIFO head ticket, then take its cell.
+/// Claim + handoff: the full pop.
 fn dq_pop(dq: &Dq) -> Option<u64> {
-    let t = dq_claim(dq, |head, len| {
-        if len == 0 {
-            None
-        } else {
-            Some((head + 1, len - 1, head))
-        }
-    })?;
-    Some(dq_take(dq, t, t + dq.cap()))
-}
-
-/// Sibling steal: claim the newest tail ticket, then take its cell,
-/// rolling the ticket back so the next push reuses the position.
-fn dq_steal(dq: &Dq) -> Option<u64> {
-    let t = dq_steal_claim(dq)?;
-    Some(dq_take(dq, t, t))
+    let t = dq_pop_claim(dq)?;
+    Some(dq_take(dq, t))
 }
 
 /// The sharded plane's two races, each explored exhaustively: a
-/// shard-local owner pops FIFO from its own queue while a same-shard
-/// sibling steals the newest tail entry; and a foreign owner drains its
-/// queue while the wedged shard's scheduler shoots a starved request
-/// into it. In every interleaving no request is lost, duplicated or
-/// torn, the owner gets the FIFO head, the thief gets the newest tail,
-/// and the shot-down request survives to be drained exactly once. (Two
-/// separate explorations rather than one four-thread model: the races
-/// touch disjoint deques, so composing them only multiplies the state
-/// space without adding interactions.)
+/// shard-local owner pops its own queue while a same-shard sibling
+/// steals by popping too; and a foreign owner drains its queue while
+/// the wedged shard's scheduler shoots a starved request into it. In
+/// every interleaving no request is lost, duplicated or torn, the owner
+/// and the thief get the two oldest requests between them, and the
+/// shot-down request survives to be drained exactly once. (Two separate
+/// explorations rather than one four-thread model: the races touch
+/// disjoint queues, so composing them only multiplies the state space
+/// without adding interactions.)
 #[test]
 fn steal_deque_no_lost_or_duplicated_requests() {
     // Race 1: owner pop vs sibling steal on one shard's queue.
     loom::model(|| {
-        // Requests 1 (oldest) and 2 (newest) pre-stored.
-        let dq = Dq::new(4, &[1, 2]);
+        // Requests 1, 2 (the two oldest) and 3 pre-stored.
+        let dq = Dq::new(4, &[1, 2, 3]);
 
         let owner_dq = dq.clone();
         let owner = thread::spawn(move || dq_pop(&owner_dq));
-        // Model closure = the same-shard sibling stealing the tail.
-        let stolen = dq_steal(&dq);
-        let popped = owner.join().unwrap();
+        // Model closure = the same-shard sibling stealing.
+        let stolen = dq_pop(&dq).expect("two requests for two takers");
+        let popped = owner.join().unwrap().expect("two requests for two takers");
 
-        assert_eq!(popped, Some(1), "owner pop takes the FIFO head");
-        assert_eq!(stolen, Some(2), "steal takes the newest tail entry");
+        let mut got = [popped, stolen];
+        got.sort_unstable();
+        assert_eq!(got, [1, 2], "owner and thief take the two oldest");
+        assert_eq!(dq_pop(&dq), Some(3));
         assert!(dq_pop(&dq).is_none());
-        assert!(dq_steal(&dq).is_none());
     });
 
     // Race 2: foreign owner pop vs cross-shard shootdown push.
@@ -416,56 +389,155 @@ fn steal_deque_no_lost_or_duplicated_requests() {
     });
 }
 
-/// The review's high-severity scenario, explored exhaustively on a
-/// capacity-1 ring: a push's handoff stalls while a steal's claim
-/// rolls the tail ticket back and a second push claims the *same
-/// cell*. The three claims are taken up front in the model closure —
-/// exactly the "claims advance around the ring while a deposit is in
-/// flight" window, and it keeps the DFS small — then both deposits and
-/// the steal's take race freely under a preemption bound of 4 (spin
-/// parks are voluntary and stay fully explored; four involuntary
-/// switches cover a deposit stalled at any point across both of the
-/// other threads' critical windows). The sequence stamps must pair
-/// every deposit and take with its own claim: in every explored
-/// interleaving both requests survive whole — the two payload words
-/// of each take belong together — are consumed exactly once, and the
-/// ring ends quiescent: no overwrite, no duplication, no stuck cell.
+/// Explorer bound of the four-claim models: at most this many
+/// involuntary switches (spin parks stay fully explored). The old
+/// protocol livelocks within one; on the new one a bound of 2 also
+/// passes but takes about 20 times as long.
+const FOUR_CLAIMS_BOUND: usize = 1;
+
+/// Four claims on a capacity-1 ring, taken up front in the model
+/// closure — push A, a thief's steal, push B, the owner's pop — so that
+/// every handoff shares the one cell, two laps deep: then the four
+/// handoffs race. Push A and the steal hold ticket 0, push B and the
+/// pop ticket 1, and each waits only for its own stamp. In every
+/// explored interleaving all four complete (no livelock), the thief
+/// gets A's request and the owner B's, each whole and exactly once, and
+/// the ring ends quiescent.
 #[test]
-fn steal_deque_slot_reuse_pairs_handoffs() {
-    loom::model_bounded(4, || {
+fn steal_deque_four_claims_complete() {
+    loom::model_bounded(FOUR_CLAIMS_BOUND, || {
         let dq = Dq::new(1, &[]);
 
-        // Claims, in ring order: push A (ticket 0), steal (ticket 0,
-        // rolled back), push B (ticket 0 again — the reused cell).
         let ta = dq_push_claim(&dq).expect("empty ring accepts a push");
-        let ts = dq_steal_claim(&dq).expect("claimed entry is stealable");
+        let ts = dq_pop_claim(&dq).expect("claimed entry is stealable");
         let tb = dq_push_claim(&dq).expect("stolen entry frees the ring");
-        assert_eq!((ta, ts, tb), (0, 0, 0), "all three claims share the cell");
+        let tp = dq_pop_claim(&dq).expect("claimed entry is poppable");
+        assert_eq!(
+            (ta, ts, tb, tp),
+            (0, 0, 1, 1),
+            "one claim of each kind per ticket"
+        );
 
-        // Both deposits race each other and the steal's take.
         let a_dq = dq.clone();
         let a = thread::spawn(move || dq_push_handoff(&a_dq, ta, 1));
+        let s_dq = dq.clone();
+        let thief = thread::spawn(move || dq_take(&s_dq, ts));
         let b_dq = dq.clone();
         let b = thread::spawn(move || dq_push_handoff(&b_dq, tb, 2));
-        let stolen = dq_take(&dq, ts, ts);
+        let popped = dq_take(&dq, tp);
 
         a.join().unwrap();
         b.join().unwrap();
-        let popped = dq_pop(&dq).expect("second deposit still queued");
-
-        let mut got = [stolen, popped];
-        got.sort_unstable();
-        assert_eq!(got, [1, 2], "cell reuse lost or duplicated a request");
+        let stolen = thief.join().unwrap();
+        assert_eq!(
+            (stolen, popped),
+            (1, 2),
+            "each take got its own ticket's request"
+        );
         assert!(dq_pop(&dq).is_none());
-        assert_eq!(dq.len(), 0, "ring quiescent after both handoffs");
+        assert_eq!(dq.len(), 0, "ring quiescent after the four handoffs");
+    });
+}
+
+// The protocol the ring replaced (teeth only): a steal claimed the
+// *tail* and rolled it back, so two pushes could hold one ticket, and
+// every phase change was a CAS between four phases
+// (`ticket << 2 | EMPTY·STORING·FULL·TAKING`).
+
+const OLD_EMPTY: u64 = 0;
+const OLD_STORING: u64 = 1;
+const OLD_FULL: u64 = 2;
+const OLD_TAKING: u64 = 3;
+
+fn old_stamp(ticket: u64, phase: u64) -> u64 {
+    (ticket << 2) | phase
+}
+
+/// The old steal claim: drops len and returns the tail ticket, which
+/// the next push claims again.
+fn old_steal_claim(dq: &Dq) -> Option<u64> {
+    dq_claim(dq, |head, len| {
+        if len == 0 {
+            None
+        } else {
+            Some((head, len - 1, head + len - 1))
+        }
+    })
+}
+
+/// The old handoff wait: see phase `from` on ticket `t`'s cell and win
+/// the transition to `to` by CAS.
+fn old_win(dq: &Dq, t: u64, from: u64, to: u64) -> usize {
+    let j = (t % dq.cap()) as usize;
+    let (from, to) = (old_stamp(t, from), old_stamp(t, to));
+    while !(dq.seqs[j].load(Ordering::Acquire) == from
+        && dq.seqs[j]
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok())
+    {
+        thread::yield_waiting();
+    }
+    j
+}
+
+fn old_push_handoff(dq: &Dq, t: u64, v: u64) {
+    let j = old_win(dq, t, OLD_EMPTY, OLD_STORING);
+    dq.payload[j][0].store(v, Ordering::Relaxed);
+    dq.payload[j][1].store(!v, Ordering::Relaxed);
+    dq.seqs[j].store(old_stamp(t, OLD_FULL), Ordering::Release);
+}
+
+/// The old take: a pop reopened `EMPTY(t + cap)`, a steal `EMPTY(t)`.
+fn old_take(dq: &Dq, t: u64, next_empty: u64) -> u64 {
+    let j = old_win(dq, t, OLD_FULL, OLD_TAKING);
+    let v = dq.payload[j][0].swap(0, Ordering::Relaxed);
+    dq.payload[j][1].swap(0, Ordering::Relaxed);
+    dq.seqs[j].store(old_stamp(next_empty, OLD_EMPTY), Ordering::Release);
+    v
+}
+
+/// Teeth check: the same four claims on the old protocol — push A, a
+/// tail steal that rolls the ticket back, push B on the same ticket,
+/// and the owner's pop of the head — all on ticket 0. The explorer must
+/// find the schedule where the pop takes a deposit and reopens the cell
+/// a lap later while the other push still waits for `EMPTY(0)` and the
+/// steal for `FULL(0)`: every live thread spins forever. That is the
+/// hang the ring's stress test used to show.
+#[test]
+#[should_panic(expected = "livelock")]
+fn explorer_catches_tail_steal_livelock() {
+    loom::model_bounded(FOUR_CLAIMS_BOUND, || {
+        let dq = Dq::new(1, &[]);
+
+        let ta = dq_push_claim(&dq).expect("empty ring accepts a push");
+        let ts = old_steal_claim(&dq).expect("claimed entry is stealable");
+        let tb = dq_push_claim(&dq).expect("stolen entry frees the ring");
+        let tp = dq_pop_claim(&dq).expect("claimed entry is poppable");
+        assert_eq!(
+            (ta, ts, tb, tp),
+            (0, 0, 0, 0),
+            "all four claims share ticket 0"
+        );
+
+        let a_dq = dq.clone();
+        let a = thread::spawn(move || old_push_handoff(&a_dq, ta, 1));
+        let s_dq = dq.clone();
+        let thief = thread::spawn(move || old_take(&s_dq, ts, ts));
+        let b_dq = dq.clone();
+        let b = thread::spawn(move || old_push_handoff(&b_dq, tb, 2));
+        old_take(&dq, tp, tp + dq.cap());
+
+        a.join().unwrap();
+        b.join().unwrap();
+        thief.join().unwrap();
     });
 }
 
 /// Teeth check for the inline payload: a push that publishes FULL after
 /// the *first* payload word lets the owner's pop in while the second
 /// word is still the previous lap's. The explorer must find the torn
-/// read — the reason the payload may only be written between STORING
-/// and FULL.
+/// read — the reason the payload may only be written between seeing
+/// EMPTY and publishing FULL.
 #[test]
 #[should_panic(expected = "torn payload")]
 fn explorer_catches_full_published_before_payload_complete() {
@@ -474,7 +546,7 @@ fn explorer_catches_full_published_before_payload_complete() {
         let pusher_dq = dq.clone();
         let pusher = thread::spawn(move || {
             let t = dq_push_claim(&pusher_dq).expect("empty ring accepts a push");
-            let j = dq_win(&pusher_dq, t, DQ_EMPTY, DQ_STORING);
+            let j = dq_wait(&pusher_dq, t, DQ_EMPTY);
             pusher_dq.payload[j][0].store(5, Ordering::Relaxed);
             // BUG: FULL goes up with half the request still to write.
             pusher_dq.seqs[j].store(dq_stamp(t, DQ_FULL), Ordering::Release);
@@ -487,7 +559,7 @@ fn explorer_catches_full_published_before_payload_complete() {
     });
 }
 
-/// Teeth check: a stealer that reads the cell *without* first claiming
+/// Teeth check: a thief that reads the cell *without* first claiming
 /// the packed word — skipping the CAS — races the owner's pop of the
 /// same cell. The explorer must find the interleaving where both take
 /// request 7: the duplication the word-CAS claim exists to prevent.
@@ -500,7 +572,7 @@ fn explorer_catches_unclaimed_slot_steal() {
         let owner_dq = dq.clone();
         let owner = thread::spawn(move || dq_pop(&owner_dq));
 
-        // BUG: take the tail value without claiming the word first.
+        // BUG: take the head value without claiming the word first.
         let stolen = dq.payload[0][0].load(Ordering::Relaxed);
 
         let popped = owner.join().unwrap();
@@ -517,8 +589,8 @@ fn explorer_catches_unclaimed_slot_steal() {
 }
 
 /// The pre-stamp push handoff (teeth only): the deposit waits for the
-/// cell to *read* moved-out instead of winning its claim's sequence
-/// stamp, so it is not tied to any particular claim.
+/// cell to *read* moved-out instead of for its claim's sequence stamp,
+/// so it is not tied to any particular claim.
 fn dq_push_handoff_unpaired(dq: &Dq, t: u64, v: u64) {
     let j = (t % dq.cap()) as usize;
     while dq.payload[j][0].load(Ordering::Relaxed) != 0 {
@@ -543,15 +615,14 @@ fn dq_take_unpaired(dq: &Dq, t: u64) -> u64 {
     }
 }
 
-/// Teeth check: with the *old* null-probe handoff in place of the
-/// sequence stamps, the explorer must find the push-push overwrite the
-/// review flagged. Same claim layout as
-/// `steal_deque_slot_reuse_pairs_handoffs`: on a capacity-1 ring a
-/// steal's claim reuses the stalled pusher's cell for a second push.
-/// Both deposits observe the cell moved-out and both write, so one
-/// request is overwritten. After the steal's take, the word says one
-/// request is still queued — in the losing schedule its cell is empty
-/// instead, or holds half of each.
+/// Teeth check: with null-probe handoffs in place of the sequence
+/// stamps, the explorer must find the push-push overwrite. On a
+/// capacity-1 ring push A claims ticket 0, a pop claims it too, and
+/// push B claims ticket 1 — the same cell, one lap later — while A's
+/// deposit is still in flight. Both deposits observe the cell moved-out
+/// and both write, so one request is overwritten. After the pop's take
+/// the word says one request is still queued; in the losing schedule
+/// its cell is empty instead, or holds half of each.
 #[test]
 #[should_panic(expected = "overwrote")]
 fn explorer_catches_push_push_slot_overwrite() {
@@ -559,19 +630,19 @@ fn explorer_catches_push_push_slot_overwrite() {
         let dq = Dq::new(1, &[]);
 
         let ta = dq_push_claim(&dq).expect("empty ring accepts a push");
-        let ts = dq_steal_claim(&dq).expect("claimed entry is stealable");
-        let tb = dq_push_claim(&dq).expect("stolen entry frees the ring");
+        let tp = dq_pop_claim(&dq).expect("claimed entry is poppable");
+        let tb = dq_push_claim(&dq).expect("popped entry frees the ring");
 
         let a_dq = dq.clone();
         let a = thread::spawn(move || dq_push_handoff_unpaired(&a_dq, ta, 1));
         let b_dq = dq.clone();
         let b = thread::spawn(move || dq_push_handoff_unpaired(&b_dq, tb, 2));
-        let _stolen = dq_take_unpaired(&dq, ts);
+        let _popped = dq_take_unpaired(&dq, tp);
 
         a.join().unwrap();
         b.join().unwrap();
 
-        assert_eq!(dq.len(), 1, "one steal from two pushes leaves one request queued");
+        assert_eq!(dq.len(), 1, "one pop from two pushes leaves one request queued");
         let v = dq.payload[0][0].load(Ordering::Relaxed);
         let check = dq.payload[0][1].load(Ordering::Relaxed);
         assert!(

@@ -6,7 +6,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every test binary runs under a time limit, so a hung test fails and
+# cargo names the binary instead of the gate never ending. The slowest
+# binary (policy_shapes) takes 24-30 s on a 2-CPU host; 300 s leaves
+# ten times that.
+CARGO_TARGET_X86_64_UNKNOWN_LINUX_GNU_RUNNER="timeout -k 10 300" cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Static preemption-safety analysis (DESIGN.md §12), diff-aware: fails
